@@ -274,7 +274,14 @@ class ConvCache:
 
 def conv1d_forward(params: ConvParams, x):
     """y[b,t,f] = bias[f] + sum_{c,k} kernels[f,c,k] * x[b, t + d*(k - mid), c]
-    with zeros outside the sequence; output length equals input length."""
+    with zeros outside the sequence; output length equals input length.
+
+    Lowered to one 2-D GEMM per tap over the flattened (B*T) axis: the
+    tap-k window of the padded input, reshaped to (B*T, C), is multiplied
+    by kernels[:, :, k].T and accumulated into a (B*T, F) output. No
+    (B*T, W*C) im2col matrix is built; the cache keeps only the padded
+    input.
+    """
     x = as_tensor(x)
     if x.ndim != 3:
         raise ShapeError(f"conv1d_forward expects (B, T, C) input, got {x.shape}")
@@ -284,28 +291,44 @@ def conv1d_forward(params: ConvParams, x):
     b, t_steps, _ = x.shape
     pad = params.dilation * (width - 1) // 2
     xp = np.pad(x, ((0, 0), (pad, pad), (0, 0)))
-    y = np.tile(params.bias, (b, t_steps, 1))
+    y = np.tile(params.bias, (b * t_steps, 1))
     for k in range(width):
         start = k * params.dilation
-        y += xp[:, start:start + t_steps, :] @ params.kernels[:, :, k].T
-    return y, ConvCache(xp, t_steps, pad)
+        y += xp[:, start:start + t_steps].reshape(-1, in_channels) @ params.kernels[:, :, k].T
+    return y.reshape(b, t_steps, filters), ConvCache(xp, t_steps, pad)
 
 
 def conv1d_backward(params: ConvParams, cache: ConvCache, upstream) -> LayerGradients:
+    """Exact gradients of :func:`conv1d_forward`.
+
+    With u = upstream reshaped to (B*T, F) and seg_k the tap-k window of
+    the padded input reshaped to (B*T, C), each tap costs two 2-D GEMMs:
+    dkernels[:, :, k] = u.T @ seg_k, and u @ kernels[:, :, k] is added
+    into the tap-k window of the padded input gradient.
+    """
     upstream = as_tensor(upstream)
-    filters, _, width = params.kernels.shape
-    if upstream.ndim != 3 or upstream.shape[2] != filters:
-        raise ShapeError(f"upstream shape {upstream.shape} does not match {filters} filters")
+    filters, in_channels, width = params.kernels.shape
+    b = cache.x_padded.shape[0]
     t_steps, pad = cache.t_steps, cache.pad
-    dkernels = np.zeros_like(params.kernels)
+    if upstream.shape != (b, t_steps, filters):
+        raise ShapeError(
+            f"upstream shape {upstream.shape} does not match output {(b, t_steps, filters)}"
+        )
+    u = upstream.reshape(b * t_steps, filters)
+    dkernels = np.empty_like(params.kernels)
     dxp = np.zeros_like(cache.x_padded)
     for k in range(width):
         start = k * params.dilation
-        seg = cache.x_padded[:, start:start + t_steps, :]
-        dkernels[:, :, k] = np.einsum("btf,btc->fc", upstream, seg)
-        dxp[:, start:start + t_steps, :] += upstream @ params.kernels[:, :, k]
-    dbias = upstream.sum(axis=(0, 1))
-    dx = dxp[:, pad:pad + t_steps, :] if pad else dxp
+        # The window copy is a temporary so that it is freed before u @ kernels
+        # is allocated: both are (B*T, C), and holding both raises peak memory.
+        dkernels[:, :, k] = u.T @ cache.x_padded[:, start:start + t_steps].reshape(
+            -1, in_channels)
+        dxp[:, start:start + t_steps] += (u @ params.kernels[:, :, k]).reshape(
+            b, t_steps, in_channels)
+    dbias = u.sum(axis=0)
+    # A contiguous copy releases the padded buffer and lets the layer below
+    # reshape the gradient without copying it again.
+    dx = np.ascontiguousarray(dxp[:, pad:pad + t_steps])
     return LayerGradients({"kernels": dkernels, "bias": dbias}, dx)
 
 
@@ -367,20 +390,27 @@ def batchnorm_forward(params: BatchNormParams, x, train: bool):
 
 
 def batchnorm_backward(params: BatchNormParams, cache: BnCache, upstream) -> LayerGradients:
+    """Exact gradients of :func:`batchnorm_forward`; the per-channel
+    reductions run over the (B*T, C) view of the activations."""
     upstream = as_tensor(upstream)
-    dgamma = np.einsum("btc,btc->c", upstream, cache.xhat)
-    dbeta = upstream.sum(axis=(0, 1))
-    dxhat = upstream * params.gamma
+    if upstream.shape != cache.xhat.shape:
+        raise ShapeError(
+            f"upstream shape {upstream.shape} does not match output {cache.xhat.shape}"
+        )
+    channels = upstream.shape[2]
+    u = upstream.reshape(-1, channels)
+    xhat = cache.xhat.reshape(-1, channels)
+    dgamma = (u * xhat).sum(axis=0)
+    dbeta = u.sum(axis=0)
+    dxhat = u * params.gamma
     if cache.train:
-        n = upstream.shape[0] * upstream.shape[1]
+        n = u.shape[0]
         dx = (cache.inv_std / n) * (
-            n * dxhat
-            - dxhat.sum(axis=(0, 1))
-            - cache.xhat * np.einsum("btc,btc->c", dxhat, cache.xhat)
+            n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)
         )
     else:
         dx = dxhat * cache.inv_std
-    return LayerGradients({"gamma": dgamma, "beta": dbeta}, dx)
+    return LayerGradients({"gamma": dgamma, "beta": dbeta}, dx.reshape(upstream.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +431,10 @@ def maxpool_time(x):
 def maxpool_time_backward(cache, upstream) -> np.ndarray:
     idx, shape = cache
     upstream = as_tensor(upstream)
+    if upstream.shape != (shape[0], shape[2]):
+        raise ShapeError(
+            f"upstream shape {upstream.shape} does not match pooled {(shape[0], shape[2])}"
+        )
     dx = np.zeros(shape)
     np.put_along_axis(dx, idx[:, None, :], upstream[:, None, :], axis=1)
     return dx
@@ -424,19 +458,19 @@ def dense_forward(weights, bias, x):
 
 
 def dense_backward(weights, cache_x, upstream) -> LayerGradients:
+    """Exact gradients of :func:`dense_forward`; 3-D input is flattened to
+    (B*T, features) so both weight reductions are 2-D BLAS calls."""
+    weights = as_tensor(weights)
     upstream = as_tensor(upstream)
     x = cache_x
-    if upstream.shape[:-1] != x.shape[:-1]:
+    if x.ndim not in (2, 3):
+        raise ShapeError(f"dense_backward supports 2-D or 3-D input, got {x.ndim}-D")
+    if upstream.shape != x.shape[:-1] + (weights.shape[0],):
         raise ShapeError(
             f"upstream shape {upstream.shape} does not match input {x.shape}"
         )
-    if x.ndim == 3:
-        dw = np.einsum("bto,bti->oi", upstream, x)
-        db = upstream.sum(axis=(0, 1))
-    elif x.ndim == 2:
-        dw = upstream.T @ x
-        db = upstream.sum(axis=0)
-    else:
-        raise ShapeError(f"dense_backward supports 2-D or 3-D input, got {x.ndim}-D")
-    dx = upstream @ as_tensor(weights)
+    u = upstream.reshape(-1, weights.shape[0])
+    dw = u.T @ x.reshape(-1, x.shape[-1])
+    db = u.sum(axis=0)
+    dx = (u @ weights).reshape(x.shape)
     return LayerGradients({"weights": dw, "bias": db}, dx)

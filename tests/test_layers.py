@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -178,9 +179,91 @@ class TestConv1d:
         assert max_rel_error(g.params["bias"], numeric_gradient(loss, p.bias)) < tol
         assert max_rel_error(g.x, numeric_gradient(loss, x)) < tol
 
+    def test_matches_finite_differences_at_dilation_8(self):
+        # TCN block 4 dilation; T=19 so the outer taps reach real positions.
+        rng = RngStream(48)
+        p = ConvParams.glorot(2, 3, 3, 8, rng)
+        x = np.asarray(rng.uniform((2, 19, 3))) - 0.5
+        upstream = np.asarray(rng.uniform((2, 19, 2))) - 0.5
+
+        def loss():
+            y, _ = conv1d_forward(p, x)
+            return float(np.sum(y * upstream))
+
+        _, cache = conv1d_forward(p, x)
+        g = conv1d_backward(p, cache, upstream)
+        assert max_rel_error(g.params["kernels"], numeric_gradient(loss, p.kernels)) < 1e-4
+        assert max_rel_error(g.params["bias"], numeric_gradient(loss, p.bias)) < 1e-4
+        assert max_rel_error(g.x, numeric_gradient(loss, x)) < 1e-4
+
     def test_even_kernel_width_rejected(self):
         with pytest.raises(ShapeError):
             ConvParams(np.zeros((1, 1, 4)), np.zeros(1), 1)
+
+    def test_backward_rejects_reshaped_upstream(self):
+        rng = RngStream(3)
+        p = ConvParams.glorot(2, 2, 3, 1, rng)
+        _, cache = conv1d_forward(p, np.asarray(rng.uniform((2, 6, 2))))
+        with pytest.raises(ShapeError):
+            conv1d_backward(p, cache, np.zeros((3, 4, 2)))  # same size, wrong shape
+
+
+def _conv_oracle(kernels, bias, dilation, x, upstream):
+    """Direct loops over y[b,t,f] = bias[f] + sum_{c,k} kernels[f,c,k] *
+    x[b, t + d*(k - mid), c]; returns y and the gradients of sum(y * upstream)."""
+    filters, channels, width = kernels.shape
+    b_size, t_steps, _ = x.shape
+    mid = width // 2
+    y = np.zeros((b_size, t_steps, filters))
+    dk = np.zeros_like(kernels)
+    db = np.zeros_like(bias)
+    dx = np.zeros_like(x)
+    for b, t, f in itertools.product(range(b_size), range(t_steps), range(filters)):
+        y[b, t, f] = bias[f]
+        db[f] += upstream[b, t, f]
+        for c, k in itertools.product(range(channels), range(width)):
+            s = t + dilation * (k - mid)
+            if 0 <= s < t_steps:
+                y[b, t, f] += kernels[f, c, k] * x[b, s, c]
+                dk[f, c, k] += upstream[b, t, f] * x[b, s, c]
+                dx[b, s, c] += upstream[b, t, f] * kernels[f, c, k]
+    return y, dk, db, dx
+
+
+class TestConv1dOracle:
+    @staticmethod
+    def _check(p, x, upstream):
+        y, cache = conv1d_forward(p, x)
+        g = conv1d_backward(p, cache, upstream)
+        oy, odk, odb, odx = _conv_oracle(p.kernels, p.bias, p.dilation, x, upstream)
+        npt.assert_allclose(y, oy, rtol=0, atol=1e-12)
+        npt.assert_allclose(g.params["kernels"], odk, rtol=0, atol=1e-12)
+        npt.assert_allclose(g.params["bias"], odb, rtol=0, atol=1e-12)
+        npt.assert_allclose(g.x, odx, rtol=0, atol=1e-12)
+
+    # pad = d*(W-1)/2 reaches or exceeds T in many of these cases, e.g. TCN
+    # block 4 (dilation 8) under single-step encoding (T=1).
+    @pytest.mark.parametrize("width,dilation,t_steps,channels,batch", list(itertools.product(
+        (1, 3, 5), (1, 2, 8), (1, 3, 9), (1, 4), (1, 3))))
+    def test_matches_direct_loops(self, width, dilation, t_steps, channels, batch):
+        rng = RngStream(1000 * width + 100 * dilation + 10 * t_steps + channels + batch)
+        p = ConvParams.glorot(3, channels, width, dilation, rng)
+        p.bias[:] = np.asarray(rng.uniform(3)) - 0.5
+        x = np.asarray(rng.uniform((batch, t_steps, channels))) - 0.5
+        upstream = np.asarray(rng.uniform((batch, t_steps, 3))) - 0.5
+        self._check(p, x, upstream)
+
+    @pytest.mark.parametrize("dilation", [1, 8])
+    def test_non_contiguous_upstream(self, dilation):
+        # A window of a padded gradient buffer is a strided view; the
+        # (B*T, F) reshape must copy it, not read it as if it were dense.
+        rng = RngStream(60 + dilation)
+        p = ConvParams.glorot(4, 3, 3, dilation, rng)
+        x = np.asarray(rng.uniform((3, 9, 3))) - 0.5
+        padded = np.asarray(rng.uniform((3, 9 + 2 * dilation, 4))) - 0.5
+        upstream = padded[:, dilation:dilation + 9]
+        assert not upstream.flags.c_contiguous
+        self._check(p, x, upstream)
 
 
 class TestBatchNorm:
@@ -237,6 +320,33 @@ class TestBatchNorm:
         assert max_rel_error(g.params["beta"], numeric_gradient(loss, p.beta)) < 1e-5
         assert max_rel_error(g.x, numeric_gradient(loss, x)) < 1e-4
 
+    def test_eval_mode_matches_finite_differences(self):
+        rng = RngStream(8)
+        p = BatchNormParams.create(3)
+        p.gamma[:] = np.asarray(rng.uniform(3)) + 0.5
+        p.beta[:] = np.asarray(rng.uniform(3)) - 0.5
+        p.running_mean[:] = np.asarray(rng.uniform(3)) - 0.5
+        p.running_var[:] = np.asarray(rng.uniform(3)) + 0.5
+        x = np.asarray(rng.uniform((2, 4, 3))) * 2.0
+        upstream = np.asarray(rng.uniform((2, 4, 3))) - 0.5
+
+        def loss():
+            y, _ = batchnorm_forward(p, x, train=False)
+            return float(np.sum(y * upstream))
+
+        _, cache = batchnorm_forward(p, x, train=False)
+        g = batchnorm_backward(p, cache, upstream)
+        assert max_rel_error(g.params["gamma"], numeric_gradient(loss, p.gamma)) < 1e-5
+        assert max_rel_error(g.params["beta"], numeric_gradient(loss, p.beta)) < 1e-5
+        assert max_rel_error(g.x, numeric_gradient(loss, x)) < 1e-5
+
+    def test_backward_rejects_reshaped_upstream(self):
+        p = BatchNormParams.create(2)
+        _, cache = batchnorm_forward(p, np.random.default_rng(3).normal(size=(2, 6, 2)),
+                                     train=True)
+        with pytest.raises(ShapeError):
+            batchnorm_backward(p, cache, np.zeros((3, 4, 2)))  # same size, wrong shape
+
 
 class TestMaxPoolTime:
     def test_single_step_is_identity(self):
@@ -256,6 +366,11 @@ class TestMaxPoolTime:
         _, cache = maxpool_time(x)
         dx = maxpool_time_backward(cache, np.array([[1.0]]))
         npt.assert_array_equal(dx[0, :, 0], [1.0, 0.0])
+
+    def test_backward_rejects_reshaped_upstream(self):
+        _, cache = maxpool_time(np.random.default_rng(0).normal(size=(2, 5, 3)))
+        with pytest.raises(ShapeError):
+            maxpool_time_backward(cache, np.zeros((3, 2)))  # same size, wrong shape
 
 
 class TestDense:
@@ -286,6 +401,12 @@ class TestDense:
         assert max_rel_error(g.params["weights"], numeric_gradient(loss, w)) < 1e-5
         assert max_rel_error(g.params["bias"], numeric_gradient(loss, b)) < 1e-5
         assert max_rel_error(g.x, numeric_gradient(loss, x)) < 1e-5
+
+    def test_backward_rejects_wrong_output_width(self):
+        w = np.zeros((2, 3))
+        _, cache = dense_forward(w, np.zeros(2), np.zeros((2, 5, 3)))
+        with pytest.raises(ShapeError):
+            dense_backward(w, cache, np.zeros((2, 5, 3)))
 
 
 class TestActivations:
