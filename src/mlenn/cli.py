@@ -21,7 +21,7 @@ import sys
 from .ensemble import load_ensemble, save_ensemble, train_ensemble
 from .harness import (ConfigError, DatasetFormatError, ExperimentReport, Preprocess,
                       RunConfig, evaluate_model, load_dataset, load_external_scores,
-                      run_experiment)
+                      make_network_specs, run_experiment)
 from .network import ENCODINGS, TOPOLOGIES
 from .numerics import RngStream
 from .optim import VARIANTS
@@ -106,8 +106,10 @@ def _write_report(report: ExperimentReport, output: str | None) -> None:
             fh.write(json.dumps(report.config, sort_keys=True, indent=1) + "\n")
 
 
-def _cmd_kfold(args) -> int:
-    cfg = RunConfig(
+def _run_config(args, **experiment) -> RunConfig:
+    """RunConfig from the training flags that kfold and train share, plus
+    the experiment-only fields kfold passes in."""
+    return RunConfig(
         dataset=args.dataset,
         topologies=tuple(args.topology or ("GRU_A",)),
         members=args.members,
@@ -122,6 +124,14 @@ def _cmd_kfold(args) -> int:
         tcn_filters=args.tcn_filters,
         tcn_blocks=args.tcn_blocks,
         encoding=args.encoding,
+        seed=args.seed,
+        **experiment,
+    )
+
+
+def _cmd_kfold(args) -> int:
+    cfg = _run_config(
+        args,
         folds=args.folds,
         stratified=args.stratified,
         holdout=args.holdout,
@@ -129,7 +139,6 @@ def _cmd_kfold(args) -> int:
         augment_clusters=args.augment_clusters,
         augment_weight=args.augment_weight,
         external_scores=args.external_scores,
-        seed=args.seed,
         output=args.output,
     )
     report = run_experiment(cfg)
@@ -138,21 +147,11 @@ def _cmd_kfold(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    from .harness import make_network_specs
-
+    cfg = _run_config(args)
+    cfg.validate_training()
     ds = load_dataset(args.dataset)
     pre = Preprocess.fit(ds.x, ds.sparse)
     x = pre.apply(ds.x)
-    # folds is a placeholder: train fits on the whole file, but reusing
-    # RunConfig keeps field validation identical across subcommands
-    cfg = RunConfig(dataset=args.dataset, topologies=tuple(args.topology or ("GRU_A",)),
-                    members=args.members, optimizer=args.optimizer,
-                    learning_rate=args.learning_rate, rho1=args.rho1, rho2=args.rho2,
-                    clip_threshold=args.clip_threshold, minibatch=args.minibatch,
-                    epochs=args.epochs, hidden_units=args.hidden_units,
-                    tcn_filters=args.tcn_filters, tcn_blocks=args.tcn_blocks,
-                    encoding=args.encoding, folds=2, seed=args.seed)
-    cfg.validate()
     specs = make_network_specs(cfg, ds.n_labels, x.shape[1])
     model = train_ensemble(specs, x, ds.y, cfg.train_config(), RngStream(args.seed),
                            members_per_spec=args.members, optimizer_policy=args.optimizer)
@@ -164,10 +163,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    with open(args.model, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    model = load_ensemble(args.model)
-    pre = Preprocess.from_dict(doc["preprocess"]) if doc.get("preprocess") else None
+    model, extra = load_ensemble(args.model)
+    pre = Preprocess.from_dict(extra["preprocess"]) if extra.get("preprocess") else None
     ds = load_dataset(args.dataset)
     external = None
     if args.external_scores:

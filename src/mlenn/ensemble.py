@@ -172,6 +172,7 @@ def ensemble_from_dict(doc: dict) -> EnsembleModel:
 
 
 def save_ensemble(model: EnsembleModel, path, extra: dict | None = None) -> None:
+    """Write the container; ``extra`` adds top-level keys beside the model."""
     doc = ensemble_to_dict(model)
     if extra:
         doc.update(extra)
@@ -180,6 +181,11 @@ def save_ensemble(model: EnsembleModel, path, extra: dict | None = None) -> None
         fh.write("\n")
 
 
-def load_ensemble(path) -> EnsembleModel:
+def load_ensemble(path) -> tuple[EnsembleModel, dict]:
+    """Read a container written by save_ensemble; returns the model and the
+    ``extra`` keys that were saved beside it."""
     with open(path, "r", encoding="utf-8") as fh:
-        return ensemble_from_dict(json.load(fh))
+        doc = json.load(fh)
+    model = ensemble_from_dict(doc)
+    container = ("format", "master_seed", "fusion", "external_weight", "members")
+    return model, {key: value for key, value in doc.items() if key not in container}

@@ -27,7 +27,7 @@ from .metrics import METRIC_NAMES, PredictionSet, compute_all, format_record
 from .network import ENCODINGS, TOPOLOGIES, NetworkSpec
 from .numerics import PcaModel, RngStream, pca_fit, pca_transform
 from .pipeline import (Dataset, build_training_set, imcc_augment, minmax_normalize,
-                       pca_reduce)
+                       minmax_scale, pca_reduce)
 from .training import TrainConfig, TrainingDivergedError
 
 HEADER_MAGIC = "mlkit-dataset v1"
@@ -260,6 +260,22 @@ class RunConfig:
     output: str | None = None
 
     def validate(self) -> None:
+        """Check every field, the fold scheme included; run_experiment's check."""
+        self.validate_training()
+        schemes = sum(v is not None for v in (self.folds, self.holdout, self.holdout_indices))
+        if schemes != 1:
+            raise ConfigError("field folds/holdout/holdout_indices: choose exactly one fold scheme")
+        if self.folds is not None and self.folds < 2:
+            raise ConfigError("field folds: must be >= 2")
+        if self.holdout is not None and not 0.0 < self.holdout < 1.0:
+            raise ConfigError("field holdout: fraction must lie in (0, 1)")
+        if self.augment_clusters is not None and self.augment_clusters < 0:
+            raise ConfigError("field augment_clusters: must be >= 0 (0 = auto)")
+        if self.augment_weight < 0:
+            raise ConfigError("field augment_weight: must be >= 0")
+
+    def validate_training(self) -> None:
+        """Check the fields that training a whole-file ensemble uses."""
         from .optim import VARIANTS
 
         if not self.dataset:
@@ -288,23 +304,11 @@ class RunConfig:
             raise ConfigError("field hidden_units/tcn_filters/tcn_blocks: must be >= 1")
         if self.encoding not in ENCODINGS:
             raise ConfigError(f"field encoding: unknown encoding {self.encoding!r}")
-        schemes = sum(v is not None for v in (self.folds, self.holdout, self.holdout_indices))
-        if schemes != 1:
-            raise ConfigError("field folds/holdout/holdout_indices: choose exactly one fold scheme")
-        if self.folds is not None and self.folds < 2:
-            raise ConfigError("field folds: must be >= 2")
-        if self.holdout is not None and not 0.0 < self.holdout < 1.0:
-            raise ConfigError("field holdout: fraction must lie in (0, 1)")
-        if self.augment_clusters is not None and self.augment_clusters < 0:
-            raise ConfigError("field augment_clusters: must be >= 0 (0 = auto)")
-        if self.augment_weight < 0:
-            raise ConfigError("field augment_weight: must be >= 0")
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(learning_rate=self.learning_rate, rho1=self.rho1,
                            rho2=self.rho2, clip_threshold=self.clip_threshold,
-                           minibatch=self.minibatch, epochs=self.epochs,
-                           seed=self.seed)
+                           minibatch=self.minibatch, epochs=self.epochs)
 
 
 # ---------------------------------------------------------------------------
@@ -391,13 +395,18 @@ def _run_fold(cfg: RunConfig, ds: Dataset, train_idx, test_idx,
                            fold_rng.child(1), members_per_spec=cfg.members,
                            optimizer_policy=cfg.optimizer, sample_weights=weights)
     scores = model.predict_scores(x_te)
+    return _score_models(y_te, scores, None if external is None else external[test_idx])
 
-    results = {"ensemble": compute_all(PredictionSet.from_scores(y_te, scores))}
+
+def _score_models(y, scores, external) -> dict:
+    """All ten indicators for the ensemble and, given external scores, for
+    its sum-rule fusions with them at weights 1 and 3."""
+    results = {"ensemble": compute_all(PredictionSet.from_scores(y, scores))}
     if external is not None:
         enn = normalize_enn(scores)
         for w, label in ((1.0, "ensemble+external"), (3.0, "ensemble+3x_external")):
-            fused = fuse_weighted_external(enn, external[test_idx], w)
-            ps = PredictionSet.from_scores(y_te, fused, threshold=fused_threshold(w))
+            fused = fuse_weighted_external(enn, external, w)
+            ps = PredictionSet.from_scores(y, fused, threshold=fused_threshold(w))
             results[label] = compute_all(ps)
     return results
 
@@ -460,10 +469,7 @@ class Preprocess:
         return cls(lo, hi, pca)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        span = self.hi - self.lo
-        safe = np.where(span > 0, span, 1.0)
-        out = np.clip((x - self.lo) / safe, 0.0, 1.0)
-        out[:, span == 0] = 0.0
+        out = minmax_scale(x, self.lo, self.hi)
         if self.pca is not None:
             out = pca_transform(self.pca, out)
         return out
@@ -494,14 +500,7 @@ def evaluate_model(model: EnsembleModel, ds: Dataset, preprocess: Preprocess | N
                    external: np.ndarray | None = None) -> ExperimentReport:
     """Apply a trained ensemble to a dataset and report all ten indicators."""
     x = ds.x if preprocess is None else preprocess.apply(ds.x)
-    scores = model.predict_scores(x)
-    results = {"ensemble": compute_all(PredictionSet.from_scores(ds.y, scores))}
-    if external is not None:
-        enn = normalize_enn(scores)
-        for w, label in ((1.0, "ensemble+external"), (3.0, "ensemble+3x_external")):
-            fused = fuse_weighted_external(enn, external, w)
-            ps = PredictionSet.from_scores(ds.y, fused, threshold=fused_threshold(w))
-            results[label] = compute_all(ps)
+    results = _score_models(ds.y, model.predict_scores(x), external)
     records = [ReportRecord(ds.name, name, "eval", values)
                for name, values in results.items()]
     config = {"dataset": ds.name, "seed": model.master_seed}

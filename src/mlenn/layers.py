@@ -1,10 +1,17 @@
-"""Forward and reverse-mode kernels for the sequence-network layers.
+"""The sequence-network layers, one class per layer.
 
-All kernels operate on batched sequences shaped (batch, time, channels)
-and come in pairs: ``*_forward`` returns the output plus a cache, and the
-matching ``*_backward`` consumes that cache together with the upstream
-gradient to produce exact reverse-mode gradients for every parameter
-tensor and for the input.
+Each layer class owns its parameter tensors as attributes, the gradients
+of its last backward pass (``grads``, keyed like ``param_tensors()``) and
+the cache that backward consumes. The arithmetic lives in module-level
+kernels that take the layer as their first argument: ``*_forward``
+returns the output plus a cache, and the matching ``*_backward`` consumes
+that cache together with the upstream gradient to produce exact
+reverse-mode gradients for every parameter tensor and for the input.
+Sequences are batched as (batch, time, channels).
+
+Cache rule: a layer stores a cache only on a train-mode forward, and
+backward drops it once used; backward without a cache raises
+:class:`CacheError`. An eval-mode forward leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -15,6 +22,68 @@ import numpy as np
 
 from .numerics import RngStream, ShapeError, as_tensor
 
+
+class CacheError(RuntimeError):
+    """backward was called on a layer that holds no train-mode forward cache."""
+
+
+@dataclass
+class LayerGradients:
+    """Per-parameter gradients (shape-matched, keyed by tensor name) plus the
+    gradient with respect to the layer input."""
+
+    params: dict
+    x: np.ndarray
+
+
+class Layer:
+    """A named layer. ``PARAMS`` and ``STATE`` name the trained and the
+    serialized-but-untrained tensor attributes, in model-format order.
+    Subclasses implement ``_forward`` (returning output and cache) and
+    ``_backward`` (returning the input gradient and setting ``grads``)."""
+
+    PARAMS: tuple = ()
+    STATE: tuple = ()
+
+    def __init__(self, name: str):
+        self.name = name
+        self.grads: dict = {}
+        self.cache = None
+
+    def param_tensors(self) -> dict:
+        return {key: getattr(self, key) for key in self.PARAMS}
+
+    def state_tensors(self) -> dict:
+        return {key: getattr(self, key) for key in self.STATE}
+
+    def forward(self, x, train: bool = False, rng: RngStream | None = None):
+        out, cache = self._forward(x, train, rng)
+        self.cache = cache if train else None
+        return out
+
+    def backward(self, upstream):
+        if self.cache is None:
+            raise CacheError(f"layer {self.name!r}: backward needs a train-mode forward first")
+        cache, self.cache = self.cache, None
+        return self._backward(cache, upstream)
+
+
+def glorot_uniform(shape: tuple, rng: RngStream) -> np.ndarray:
+    """Glorot-uniform init; fan counts follow the trailing two axes."""
+    if len(shape) == 2:
+        fan_out, fan_in = shape
+    elif len(shape) == 3:  # conv kernels (filters, channels, width)
+        fan_out = shape[0] * shape[2]
+        fan_in = shape[1] * shape[2]
+    else:
+        raise ShapeError(f"no fan convention for shape {shape}")
+    limit = np.sqrt(6.0 / (fan_in + fan_out))
+    return (rng.uniform(size=shape) * 2.0 - 1.0) * limit
+
+
+# ---------------------------------------------------------------------------
+# Pointwise kernels
+# ---------------------------------------------------------------------------
 
 def sigmoid(x) -> np.ndarray:
     """Logistic function 1 / (1 + e^-x), overflow-safe on both tails."""
@@ -70,14 +139,36 @@ def dropout_backward(mask: np.ndarray | None, p: float, upstream: np.ndarray) ->
     return upstream * mask / (1.0 - p)
 
 
-@dataclass
-class LayerGradients:
-    """Per-parameter gradients (shape-matched, keyed by field name) plus the
-    gradient with respect to the layer input."""
+class Relu(Layer):
+    def _forward(self, x, train, rng):
+        x = as_tensor(x)
+        return relu(x), x
 
-    params: dict
-    x: np.ndarray
-    h0: np.ndarray | None = None
+    def _backward(self, cache, upstream):
+        return relu_backward(cache, upstream)
+
+
+class Sigmoid(Layer):
+    def _forward(self, x, train, rng):
+        y = sigmoid(x)
+        return y, y
+
+    def _backward(self, cache, upstream):
+        return sigmoid_backward(cache, upstream)
+
+
+class Dropout(Layer):
+    def __init__(self, name: str, p: float):
+        super().__init__(name)
+        self.p = p
+
+    def _forward(self, x, train, rng):
+        out, mask = dropout(x, self.p, rng, train)
+        # Wrapped because the mask of a p = 0 train-mode pass is None.
+        return out, (mask,)
+
+    def _backward(self, cache, upstream):
+        return dropout_backward(cache[0], self.p, upstream)
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +176,17 @@ class LayerGradients:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class GruParams:
-    """Recurrent-unit parameters for n hidden units over d input channels.
+class GruCache:
+    x: np.ndarray       # (B, T, D)
+    h: np.ndarray       # (B, T, N)
+    z: np.ndarray
+    r: np.ndarray
+    hcand: np.ndarray
+
+
+class Gru(Layer):
+    """Recurrent unit of n hidden units over d input channels, started from
+    a zero state h_0 = 0.
 
     Update gate: z_t = sigmoid(wz x_t + uz h_{t-1} + bz)
     Reset gate:  r_t = sigmoid(wr x_t + ur h_{t-1} + br)
@@ -94,33 +194,25 @@ class GruParams:
     State:       h_t = (1 - z_t) * h_{t-1} + z_t * c_t
     """
 
-    wz: np.ndarray
-    uz: np.ndarray
-    bz: np.ndarray
-    wr: np.ndarray
-    ur: np.ndarray
-    br: np.ndarray
-    wh: np.ndarray
-    uh: np.ndarray
-    bh: np.ndarray
+    PARAMS = ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh")
 
-    NAMES = ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh")
+    def __init__(self, name: str, wz, uz, bz, wr, ur, br, wh, uh, bh):
+        super().__init__(name)
+        self.wz, self.uz, self.bz = wz, uz, bz
+        self.wr, self.ur, self.br = wr, ur, br
+        self.wh, self.uh, self.bh = wh, uh, bh
 
     @classmethod
-    def glorot(cls, hidden: int, channels: int, rng: RngStream) -> "GruParams":
-        """Glorot-uniform weights, zero biases, drawn in field order."""
-        fields = {}
-        for name in cls.NAMES:
-            if name.startswith("w"):
-                fields[name] = glorot_uniform((hidden, channels), rng)
-            elif name.startswith("u"):
-                fields[name] = glorot_uniform((hidden, hidden), rng)
+    def glorot(cls, name: str, hidden: int, channels: int, rng: RngStream) -> "Gru":
+        """Glorot-uniform weights, zero biases, drawn in PARAMS order."""
+        tensors = []
+        for key in cls.PARAMS:
+            if key[0] == "b":
+                tensors.append(np.zeros(hidden))
             else:
-                fields[name] = np.zeros(hidden)
-        return cls(**fields)
-
-    def tensors(self) -> dict:
-        return {name: getattr(self, name) for name in self.NAMES}
+                fan_in = channels if key[0] == "w" else hidden
+                tensors.append(glorot_uniform((hidden, fan_in), rng))
+        return cls(name, *tensors)
 
     @property
     def hidden(self) -> int:
@@ -130,63 +222,45 @@ class GruParams:
     def channels(self) -> int:
         return self.wz.shape[1]
 
+    def _forward(self, x, train, rng):
+        return gru_forward(self, x)
 
-def glorot_uniform(shape: tuple, rng: RngStream) -> np.ndarray:
-    """Glorot-uniform init; fan counts follow the trailing two axes."""
-    if len(shape) == 2:
-        fan_out, fan_in = shape
-    elif len(shape) == 3:  # conv kernels (filters, channels, width)
-        fan_out = shape[0] * shape[2]
-        fan_in = shape[1] * shape[2]
-    else:
-        raise ShapeError(f"no fan convention for shape {shape}")
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return (rng.uniform(size=shape) * 2.0 - 1.0) * limit
+    def _backward(self, cache, upstream):
+        g = gru_backward(self, cache, upstream)
+        self.grads = g.params
+        return g.x
 
 
-@dataclass
-class GruCache:
-    x: np.ndarray       # (B, T, D)
-    h0: np.ndarray      # (B, N)
-    h: np.ndarray       # (B, T, N)
-    z: np.ndarray
-    r: np.ndarray
-    hcand: np.ndarray
-
-
-def gru_forward(params: GruParams, x, h0=None):
+def gru_forward(layer: Gru, x):
     """Run the recurrence over the full sequence.
 
     Returns the hidden-state sequence (B, T, N) and the cache needed by
-    :func:`gru_backward`. ``h0`` defaults to zeros.
+    :func:`gru_backward`.
     """
     x = as_tensor(x)
     if x.ndim != 3:
         raise ShapeError(f"gru_forward expects (B, T, C) input, got shape {x.shape}")
     b, t_steps, d = x.shape
-    n = params.hidden
-    if params.channels != d:
-        raise ShapeError(f"input has {d} channels but params expect {params.channels}")
-    h0 = np.zeros((b, n)) if h0 is None else as_tensor(h0)
-    if h0.shape != (b, n):
-        raise ShapeError(f"h0 must be ({b}, {n}), got {h0.shape}")
+    n = layer.hidden
+    if layer.channels != d:
+        raise ShapeError(f"input has {d} channels but the layer expects {layer.channels}")
 
     h = np.empty((b, t_steps, n))
     z = np.empty((b, t_steps, n))
     r = np.empty((b, t_steps, n))
     hcand = np.empty((b, t_steps, n))
-    h_prev = h0
+    h_prev = np.zeros((b, n))
     for t in range(t_steps):
         xt = x[:, t, :]
-        z_t = sigmoid(xt @ params.wz.T + h_prev @ params.uz.T + params.bz)
-        r_t = sigmoid(xt @ params.wr.T + h_prev @ params.ur.T + params.br)
-        c_t = np.tanh(xt @ params.wh.T + (r_t * h_prev) @ params.uh.T + params.bh)
+        z_t = sigmoid(xt @ layer.wz.T + h_prev @ layer.uz.T + layer.bz)
+        r_t = sigmoid(xt @ layer.wr.T + h_prev @ layer.ur.T + layer.br)
+        c_t = np.tanh(xt @ layer.wh.T + (r_t * h_prev) @ layer.uh.T + layer.bh)
         h_prev = (1.0 - z_t) * h_prev + z_t * c_t
         z[:, t], r[:, t], hcand[:, t], h[:, t] = z_t, r_t, c_t, h_prev
-    return h, GruCache(x, h0, h, z, r, hcand)
+    return h, GruCache(x, h, z, r, hcand)
 
 
-def gru_backward(params: GruParams, cache: GruCache, upstream) -> LayerGradients:
+def gru_backward(layer: Gru, cache: GruCache, upstream) -> LayerGradients:
     """Full backpropagation through time for the recurrence in gru_forward."""
     upstream = as_tensor(upstream)
     if upstream.shape != cache.h.shape:
@@ -194,13 +268,14 @@ def gru_backward(params: GruParams, cache: GruCache, upstream) -> LayerGradients
             f"upstream shape {upstream.shape} does not match output {cache.h.shape}"
         )
     b, t_steps, _ = cache.x.shape
-    grads = {name: np.zeros_like(arr) for name, arr in params.tensors().items()}
+    grads = {name: np.zeros_like(arr) for name, arr in layer.param_tensors().items()}
     dx = np.empty_like(cache.x)
-    dh_next = np.zeros_like(cache.h0)
+    h_zero = np.zeros((b, layer.hidden))
+    dh_next = np.zeros_like(h_zero)
 
     for t in reversed(range(t_steps)):
         xt = cache.x[:, t, :]
-        h_prev = cache.h0 if t == 0 else cache.h[:, t - 1]
+        h_prev = h_zero if t == 0 else cache.h[:, t - 1]
         z_t, r_t, c_t = cache.z[:, t], cache.r[:, t], cache.hcand[:, t]
 
         dh = upstream[:, t] + dh_next
@@ -212,7 +287,7 @@ def gru_backward(params: GruParams, cache: GruCache, upstream) -> LayerGradients
         grads["wh"] += dac.T @ xt
         grads["uh"] += dac.T @ (r_t * h_prev)
         grads["bh"] += dac.sum(axis=0)
-        d_rh = dac @ params.uh
+        d_rh = dac @ layer.uh
         dr = d_rh * h_prev
         dh_prev += d_rh * r_t
 
@@ -225,45 +300,16 @@ def gru_backward(params: GruParams, cache: GruCache, upstream) -> LayerGradients
         grads["ur"] += dar.T @ h_prev
         grads["br"] += dar.sum(axis=0)
 
-        dh_prev += daz @ params.uz + dar @ params.ur
-        dx[:, t] = daz @ params.wz + dar @ params.wr + dac @ params.wh
+        dh_prev += daz @ layer.uz + dar @ layer.ur
+        dx[:, t] = daz @ layer.wz + dar @ layer.wr + dac @ layer.wh
         dh_next = dh_prev
 
-    return LayerGradients(grads, dx, h0=dh_next)
+    return LayerGradients(grads, dx)
 
 
 # ---------------------------------------------------------------------------
 # Dilated 1-D convolution, zero-padded to preserve sequence length
 # ---------------------------------------------------------------------------
-
-@dataclass
-class ConvParams:
-    """Convolution bank: kernels (filters, in_channels, width), per-filter
-    bias, dilation factor. Width must be odd so 'same' padding is symmetric.
-    """
-
-    kernels: np.ndarray
-    bias: np.ndarray
-    dilation: int = 1
-    padding: str = "same"
-
-    def __post_init__(self):
-        if self.padding != "same":
-            raise ValueError(f"only 'same' padding is supported, got {self.padding!r}")
-        if self.kernels.shape[2] % 2 == 0:
-            raise ShapeError("kernel width must be odd for symmetric same padding")
-        if self.dilation < 1:
-            raise ValueError(f"dilation must be >= 1, got {self.dilation}")
-
-    @classmethod
-    def glorot(cls, filters: int, in_channels: int, width: int,
-               dilation: int, rng: RngStream) -> "ConvParams":
-        kernels = glorot_uniform((filters, in_channels, width), rng)
-        return cls(kernels, np.zeros(filters), dilation)
-
-    def tensors(self) -> dict:
-        return {"kernels": self.kernels, "bias": self.bias}
-
 
 @dataclass
 class ConvCache:
@@ -272,7 +318,37 @@ class ConvCache:
     pad: int
 
 
-def conv1d_forward(params: ConvParams, x):
+class Conv1d(Layer):
+    """Convolution bank: kernels (filters, in_channels, width), per-filter
+    bias, dilation factor. The input is zero-filled by d*(W-1)/2 steps on
+    each side so the output keeps its length; width W must be odd."""
+
+    PARAMS = ("kernels", "bias")
+
+    def __init__(self, name: str, kernels, bias, dilation: int = 1):
+        if kernels.shape[2] % 2 == 0:
+            raise ShapeError("kernel width must be odd so the output keeps the input length")
+        if dilation < 1:
+            raise ValueError(f"dilation must be >= 1, got {dilation}")
+        super().__init__(name)
+        self.kernels, self.bias, self.dilation = kernels, bias, dilation
+
+    @classmethod
+    def glorot(cls, name: str, filters: int, in_channels: int, width: int,
+               dilation: int, rng: RngStream) -> "Conv1d":
+        kernels = glorot_uniform((filters, in_channels, width), rng)
+        return cls(name, kernels, np.zeros(filters), dilation)
+
+    def _forward(self, x, train, rng):
+        return conv1d_forward(self, x)
+
+    def _backward(self, cache, upstream):
+        g = conv1d_backward(self, cache, upstream)
+        self.grads = g.params
+        return g.x
+
+
+def conv1d_forward(layer: Conv1d, x):
     """y[b,t,f] = bias[f] + sum_{c,k} kernels[f,c,k] * x[b, t + d*(k - mid), c]
     with zeros outside the sequence; output length equals input length.
 
@@ -285,20 +361,20 @@ def conv1d_forward(params: ConvParams, x):
     x = as_tensor(x)
     if x.ndim != 3:
         raise ShapeError(f"conv1d_forward expects (B, T, C) input, got {x.shape}")
-    filters, in_channels, width = params.kernels.shape
+    filters, in_channels, width = layer.kernels.shape
     if x.shape[2] != in_channels:
         raise ShapeError(f"input has {x.shape[2]} channels, kernels expect {in_channels}")
     b, t_steps, _ = x.shape
-    pad = params.dilation * (width - 1) // 2
+    pad = layer.dilation * (width - 1) // 2
     xp = np.pad(x, ((0, 0), (pad, pad), (0, 0)))
-    y = np.tile(params.bias, (b * t_steps, 1))
+    y = np.tile(layer.bias, (b * t_steps, 1))
     for k in range(width):
-        start = k * params.dilation
-        y += xp[:, start:start + t_steps].reshape(-1, in_channels) @ params.kernels[:, :, k].T
+        start = k * layer.dilation
+        y += xp[:, start:start + t_steps].reshape(-1, in_channels) @ layer.kernels[:, :, k].T
     return y.reshape(b, t_steps, filters), ConvCache(xp, t_steps, pad)
 
 
-def conv1d_backward(params: ConvParams, cache: ConvCache, upstream) -> LayerGradients:
+def conv1d_backward(layer: Conv1d, cache: ConvCache, upstream) -> LayerGradients:
     """Exact gradients of :func:`conv1d_forward`.
 
     With u = upstream reshaped to (B*T, F) and seg_k the tap-k window of
@@ -307,7 +383,7 @@ def conv1d_backward(params: ConvParams, cache: ConvCache, upstream) -> LayerGrad
     into the tap-k window of the padded input gradient.
     """
     upstream = as_tensor(upstream)
-    filters, in_channels, width = params.kernels.shape
+    filters, in_channels, width = layer.kernels.shape
     b = cache.x_padded.shape[0]
     t_steps, pad = cache.t_steps, cache.pad
     if upstream.shape != (b, t_steps, filters):
@@ -315,15 +391,15 @@ def conv1d_backward(params: ConvParams, cache: ConvCache, upstream) -> LayerGrad
             f"upstream shape {upstream.shape} does not match output {(b, t_steps, filters)}"
         )
     u = upstream.reshape(b * t_steps, filters)
-    dkernels = np.empty_like(params.kernels)
+    dkernels = np.empty_like(layer.kernels)
     dxp = np.zeros_like(cache.x_padded)
     for k in range(width):
-        start = k * params.dilation
+        start = k * layer.dilation
         # The window copy is a temporary so that it is freed before u @ kernels
         # is allocated: both are (B*T, C), and holding both raises peak memory.
         dkernels[:, :, k] = u.T @ cache.x_padded[:, start:start + t_steps].reshape(
             -1, in_channels)
-        dxp[:, start:start + t_steps] += (u @ params.kernels[:, :, k]).reshape(
+        dxp[:, start:start + t_steps] += (u @ layer.kernels[:, :, k]).reshape(
             b, t_steps, in_channels)
     dbias = u.sum(axis=0)
     # A contiguous copy releases the padded buffer and lets the layer below
@@ -337,41 +413,48 @@ def conv1d_backward(params: ConvParams, cache: ConvCache, upstream) -> LayerGrad
 # ---------------------------------------------------------------------------
 
 @dataclass
-class BatchNormParams:
-    gamma: np.ndarray
-    beta: np.ndarray
-    running_mean: np.ndarray
-    running_var: np.ndarray
-    momentum: float = 0.1
-    eps: float = 1e-5
-
-    @classmethod
-    def create(cls, channels: int, momentum: float = 0.1, eps: float = 1e-5) -> "BatchNormParams":
-        return cls(np.ones(channels), np.zeros(channels),
-                   np.zeros(channels), np.ones(channels), momentum, eps)
-
-    def tensors(self) -> dict:
-        return {"gamma": self.gamma, "beta": self.beta}
-
-
-@dataclass
 class BnCache:
     xhat: np.ndarray
     inv_std: np.ndarray
     train: bool
 
 
-def batchnorm_forward(params: BatchNormParams, x, train: bool):
+class BatchNorm(Layer):
+    """Per-channel affine normalization with running statistics, which are
+    serialized but not trained."""
+
+    PARAMS = ("gamma", "beta")
+    STATE = ("running_mean", "running_var")
+    momentum = 0.1
+    eps = 1e-5
+
+    def __init__(self, name: str, channels: int):
+        super().__init__(name)
+        self.gamma = np.ones(channels)
+        self.beta = np.zeros(channels)
+        self.running_mean = np.zeros(channels)
+        self.running_var = np.ones(channels)
+
+    def _forward(self, x, train, rng):
+        return batchnorm_forward(self, x, train)
+
+    def _backward(self, cache, upstream):
+        g = batchnorm_backward(self, cache, upstream)
+        self.grads = g.params
+        return g.x
+
+
+def batchnorm_forward(layer: BatchNorm, x, train: bool):
     """Standardize each channel over batch and time.
 
     Train mode uses batch statistics (biased variance) and folds them into
-    the running estimates with the configured momentum; eval mode applies
-    the running estimates.
+    the running estimates with the layer's momentum; eval mode applies the
+    running estimates.
     """
     x = as_tensor(x)
-    if x.ndim != 3 or x.shape[2] != params.gamma.shape[0]:
+    if x.ndim != 3 or x.shape[2] != layer.gamma.shape[0]:
         raise ShapeError(
-            f"batchnorm expects (B, T, {params.gamma.shape[0]}) input, got {x.shape}"
+            f"batchnorm expects (B, T, {layer.gamma.shape[0]}) input, got {x.shape}"
         )
     if train:
         b, t_steps, _ = x.shape
@@ -379,17 +462,17 @@ def batchnorm_forward(params: BatchNormParams, x, train: bool):
             raise ShapeError("train-mode batchnorm needs at least 2 positions per channel")
         mean = x.mean(axis=(0, 1))
         var = x.var(axis=(0, 1))
-        inv_std = 1.0 / np.sqrt(var + params.eps)
+        inv_std = 1.0 / np.sqrt(var + layer.eps)
         xhat = (x - mean) * inv_std
-        params.running_mean[:] = (1.0 - params.momentum) * params.running_mean + params.momentum * mean
-        params.running_var[:] = (1.0 - params.momentum) * params.running_var + params.momentum * var
+        layer.running_mean[:] = (1.0 - layer.momentum) * layer.running_mean + layer.momentum * mean
+        layer.running_var[:] = (1.0 - layer.momentum) * layer.running_var + layer.momentum * var
     else:
-        inv_std = 1.0 / np.sqrt(params.running_var + params.eps)
-        xhat = (x - params.running_mean) * inv_std
-    return params.gamma * xhat + params.beta, BnCache(xhat, inv_std, train)
+        inv_std = 1.0 / np.sqrt(layer.running_var + layer.eps)
+        xhat = (x - layer.running_mean) * inv_std
+    return layer.gamma * xhat + layer.beta, BnCache(xhat, inv_std, train)
 
 
-def batchnorm_backward(params: BatchNormParams, cache: BnCache, upstream) -> LayerGradients:
+def batchnorm_backward(layer: BatchNorm, cache: BnCache, upstream) -> LayerGradients:
     """Exact gradients of :func:`batchnorm_forward`; the per-channel
     reductions run over the (B*T, C) view of the activations."""
     upstream = as_tensor(upstream)
@@ -402,7 +485,7 @@ def batchnorm_backward(params: BatchNormParams, cache: BnCache, upstream) -> Lay
     xhat = cache.xhat.reshape(-1, channels)
     dgamma = (u * xhat).sum(axis=0)
     dbeta = u.sum(axis=0)
-    dxhat = u * params.gamma
+    dxhat = u * layer.gamma
     if cache.train:
         n = u.shape[0]
         dx = (cache.inv_std / n) * (
@@ -416,6 +499,14 @@ def batchnorm_backward(params: BatchNormParams, cache: BnCache, upstream) -> Lay
 # ---------------------------------------------------------------------------
 # Max pooling over the time axis
 # ---------------------------------------------------------------------------
+
+class MaxPoolTime(Layer):
+    def _forward(self, x, train, rng):
+        return maxpool_time(x)
+
+    def _backward(self, cache, upstream):
+        return maxpool_time_backward(cache, upstream)
+
 
 def maxpool_time(x):
     """Collapse the time axis by per-channel max; returns (B, C) plus the
@@ -444,23 +535,43 @@ def maxpool_time_backward(cache, upstream) -> np.ndarray:
 # Dense layer (time-distributed on 3-D input)
 # ---------------------------------------------------------------------------
 
-def dense_forward(weights, bias, x):
+class Dense(Layer):
+    """Affine map; applied per time step when the input is a sequence."""
+
+    PARAMS = ("weights", "bias")
+
+    def __init__(self, name: str, weights, bias):
+        super().__init__(name)
+        self.weights, self.bias = weights, bias
+
+    @classmethod
+    def glorot(cls, name: str, out_dim: int, in_dim: int, rng: RngStream) -> "Dense":
+        return cls(name, glorot_uniform((out_dim, in_dim), rng), np.zeros(out_dim))
+
+    def _forward(self, x, train, rng):
+        return dense_forward(self, x)
+
+    def _backward(self, cache, upstream):
+        g = dense_backward(self, cache, upstream)
+        self.grads = g.params
+        return g.x
+
+
+def dense_forward(layer: Dense, x):
     """Affine map y = x W^T + b applied per position; 3-D input shares the
-    same weights at every time step."""
-    weights = as_tensor(weights)
-    bias = as_tensor(bias)
+    same weights at every time step. The cache is the input."""
     x = as_tensor(x)
-    if x.shape[-1] != weights.shape[1]:
+    if x.shape[-1] != layer.weights.shape[1]:
         raise ShapeError(
-            f"dense input has {x.shape[-1]} features, weights expect {weights.shape[1]}"
+            f"dense input has {x.shape[-1]} features, weights expect {layer.weights.shape[1]}"
         )
-    return x @ weights.T + bias, x
+    return x @ layer.weights.T + layer.bias, x
 
 
-def dense_backward(weights, cache_x, upstream) -> LayerGradients:
+def dense_backward(layer: Dense, cache_x, upstream) -> LayerGradients:
     """Exact gradients of :func:`dense_forward`; 3-D input is flattened to
     (B*T, features) so both weight reductions are 2-D BLAS calls."""
-    weights = as_tensor(weights)
+    weights = layer.weights
     upstream = as_tensor(upstream)
     x = cache_x
     if x.ndim not in (2, 3):

@@ -1,4 +1,4 @@
-"""Network topologies assembled from the layer kernels.
+"""Network topologies assembled from the layer classes of ``mlenn.layers``.
 
 Five layer graphs are supported (``l`` = number of labels):
 
@@ -14,6 +14,10 @@ Block k of a TCN stack uses dilation 2^(k-1) in both of its convolutions.
 Flat feature vectors enter as sequences: the default encoding reads a
 d-dimensional sample as d time steps of one channel, so pooling over time
 is a real reduction; ``single-step`` packs it into one step of d channels.
+
+A Network is an ordered list of layers. Its parameters are the layers'
+own tensor attributes, exposed in model-format order as
+``"<layer>.<tensor>"`` keys by ``param_items`` and ``state_items``.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import layers as L
+from .layers import BatchNorm, Conv1d, Dense, Dropout, Gru, MaxPoolTime, Relu, Sigmoid
 from .numerics import RngStream, ShapeError, as_tensor
 
 TOPOLOGIES = ("GRU_A", "GRU_B", "TCN_A", "TCN_B", "GRU_TCN")
@@ -77,174 +81,6 @@ def encode_features(x, encoding: str) -> np.ndarray:
     raise ValueError(f"unknown input encoding {encoding!r}")
 
 
-class Layer:
-    """Minimal layer interface: a name, optional parameter tensors, and a
-    forward/backward pair that caches whatever backward needs."""
-
-    name: str
-
-    def param_tensors(self) -> dict:
-        return {}
-
-    def state_tensors(self) -> dict:
-        """Non-trainable arrays that still belong in a serialized model."""
-        return {}
-
-    @property
-    def trainable(self) -> bool:
-        return bool(self.param_tensors())
-
-    def forward(self, x, train: bool = False, rng: RngStream | None = None):
-        raise NotImplementedError
-
-    def backward(self, upstream):
-        raise NotImplementedError
-
-
-class GruLayer(Layer):
-    def __init__(self, name: str, hidden: int, channels: int, rng: RngStream):
-        self.name = name
-        self.p = L.GruParams.glorot(hidden, channels, rng)
-        self.grads: dict = {}
-        self._cache = None
-
-    def param_tensors(self) -> dict:
-        return self.p.tensors()
-
-    def forward(self, x, train=False, rng=None):
-        out, self._cache = L.gru_forward(self.p, x)
-        return out
-
-    def backward(self, upstream):
-        g = L.gru_backward(self.p, self._cache, upstream)
-        self.grads = g.params
-        return g.x
-
-
-class Conv1dLayer(Layer):
-    def __init__(self, name: str, filters: int, in_channels: int, width: int,
-                 dilation: int, rng: RngStream):
-        self.name = name
-        self.p = L.ConvParams.glorot(filters, in_channels, width, dilation, rng)
-        self.grads: dict = {}
-        self._cache = None
-
-    @property
-    def dilation(self) -> int:
-        return self.p.dilation
-
-    def param_tensors(self) -> dict:
-        return self.p.tensors()
-
-    def forward(self, x, train=False, rng=None):
-        out, self._cache = L.conv1d_forward(self.p, x)
-        return out
-
-    def backward(self, upstream):
-        g = L.conv1d_backward(self.p, self._cache, upstream)
-        self.grads = g.params
-        return g.x
-
-
-class BatchNormLayer(Layer):
-    def __init__(self, name: str, channels: int):
-        self.name = name
-        self.p = L.BatchNormParams.create(channels)
-        self.grads: dict = {}
-        self._cache = None
-
-    def param_tensors(self) -> dict:
-        return self.p.tensors()
-
-    def state_tensors(self) -> dict:
-        return {"running_mean": self.p.running_mean, "running_var": self.p.running_var}
-
-    def forward(self, x, train=False, rng=None):
-        out, self._cache = L.batchnorm_forward(self.p, x, train)
-        return out
-
-    def backward(self, upstream):
-        g = L.batchnorm_backward(self.p, self._cache, upstream)
-        self.grads = g.params
-        return g.x
-
-
-class DenseLayer(Layer):
-    """Affine map; applied per time step when the input is a sequence."""
-
-    def __init__(self, name: str, out_dim: int, in_dim: int, rng: RngStream):
-        self.name = name
-        self.weights = L.glorot_uniform((out_dim, in_dim), rng)
-        self.bias = np.zeros(out_dim)
-        self.grads: dict = {}
-        self._cache = None
-
-    def param_tensors(self) -> dict:
-        return {"weights": self.weights, "bias": self.bias}
-
-    def forward(self, x, train=False, rng=None):
-        out, self._cache = L.dense_forward(self.weights, self.bias, x)
-        return out
-
-    def backward(self, upstream):
-        g = L.dense_backward(self.weights, self._cache, upstream)
-        self.grads = g.params
-        return g.x
-
-
-class ReluLayer(Layer):
-    def __init__(self, name: str):
-        self.name = name
-        self._cache = None
-
-    def forward(self, x, train=False, rng=None):
-        self._cache = as_tensor(x)
-        return L.relu(self._cache)
-
-    def backward(self, upstream):
-        return L.relu_backward(self._cache, upstream)
-
-
-class SigmoidLayer(Layer):
-    def __init__(self, name: str):
-        self.name = name
-        self._cache = None
-
-    def forward(self, x, train=False, rng=None):
-        self._cache = L.sigmoid(x)
-        return self._cache
-
-    def backward(self, upstream):
-        return L.sigmoid_backward(self._cache, upstream)
-
-
-class DropoutLayer(Layer):
-    def __init__(self, name: str, p: float):
-        self.name = name
-        self.p = p
-        self._mask = None
-
-    def forward(self, x, train=False, rng=None):
-        out, self._mask = L.dropout(x, self.p, rng, train)
-        return out
-
-    def backward(self, upstream):
-        return L.dropout_backward(self._mask, self.p, upstream)
-
-
-class MaxPoolTimeLayer(Layer):
-    def __init__(self, name: str):
-        self.name = name
-        self._cache = None
-
-    def forward(self, x, train=False, rng=None):
-        out, self._cache = L.maxpool_time(x)
-        return out
-
-    def backward(self, upstream):
-        return L.maxpool_time_backward(self._cache, upstream)
-
-
 class Network:
     """An ordered layer graph mapping (n, d) features to (n, l) scores."""
 
@@ -259,27 +95,24 @@ class Network:
         return x
 
     def backward(self, upstream) -> np.ndarray:
+        """Backpropagate through every layer, which sets each trainable
+        layer's ``grads`` and releases each layer's train-mode cache."""
         for layer in reversed(self.layers):
             upstream = layer.backward(upstream)
         return upstream
 
     def trainable_layers(self) -> list:
-        return [layer for layer in self.layers if layer.trainable]
+        return [layer for layer in self.layers if layer.PARAMS]
 
     def param_items(self) -> list:
         """Ordered ("layer.tensor", array) pairs over trainable tensors."""
-        items = []
-        for layer in self.layers:
-            for tname, arr in layer.param_tensors().items():
-                items.append((f"{layer.name}.{tname}", arr))
-        return items
+        return [(f"{layer.name}.{key}", arr)
+                for layer in self.layers for key, arr in layer.param_tensors().items()]
 
     def state_items(self) -> list:
-        items = []
-        for layer in self.layers:
-            for tname, arr in layer.state_tensors().items():
-                items.append((f"{layer.name}.{tname}", arr))
-        return items
+        """Ordered ("layer.tensor", array) pairs over untrained serialized tensors."""
+        return [(f"{layer.name}.{key}", arr)
+                for layer in self.layers for key, arr in layer.state_tensors().items()]
 
     def parameter_count(self) -> int:
         return sum(arr.size for _, arr in self.param_items())
@@ -291,15 +124,15 @@ def _tcn_stack(spec: NetworkSpec, in_channels: int, rng: RngStream) -> tuple[lis
     for k in range(1, spec.tcn_blocks + 1):
         dilation = 2 ** (k - 1)
         stack += [
-            Conv1dLayer(f"block{k}_conv1", spec.tcn_filters, channels,
+            Conv1d.glorot(f"block{k}_conv1", spec.tcn_filters, channels,
                         spec.kernel_width, dilation, rng),
-            ReluLayer(f"block{k}_relu1"),
-            BatchNormLayer(f"block{k}_bn1", spec.tcn_filters),
-            Conv1dLayer(f"block{k}_conv2", spec.tcn_filters, spec.tcn_filters,
+            Relu(f"block{k}_relu1"),
+            BatchNorm(f"block{k}_bn1", spec.tcn_filters),
+            Conv1d.glorot(f"block{k}_conv2", spec.tcn_filters, spec.tcn_filters,
                         spec.kernel_width, dilation, rng),
-            ReluLayer(f"block{k}_relu2"),
-            BatchNormLayer(f"block{k}_bn2", spec.tcn_filters),
-            DropoutLayer(f"block{k}_dropout", spec.dropout_p),
+            Relu(f"block{k}_relu2"),
+            BatchNorm(f"block{k}_bn2", spec.tcn_filters),
+            Dropout(f"block{k}_dropout", spec.dropout_p),
         ]
         channels = spec.tcn_filters
     return stack, channels
@@ -308,9 +141,9 @@ def _tcn_stack(spec: NetworkSpec, in_channels: int, rng: RngStream) -> tuple[lis
 def _tcn_head(spec: NetworkSpec, channels: int, rng: RngStream) -> list:
     # Time-distributed dense first, then the pool, then the output sigmoid.
     return [
-        DenseLayer("head_dense", spec.n_labels, channels, rng),
-        MaxPoolTimeLayer("pool"),
-        SigmoidLayer("out_sigmoid"),
+        Dense.glorot("head_dense", spec.n_labels, channels, rng),
+        MaxPoolTime("pool"),
+        Sigmoid("out_sigmoid"),
     ]
 
 
@@ -321,32 +154,32 @@ def build_network(spec: NetworkSpec, rng: RngStream) -> Network:
 
     if spec.topology == "GRU_A":
         net_layers: list = [
-            GruLayer("gru", spec.hidden_units, c_in, rng),
-            MaxPoolTimeLayer("pool"),
-            DenseLayer("out_dense", spec.n_labels, spec.hidden_units, rng),
-            SigmoidLayer("out_sigmoid"),
+            Gru.glorot("gru", spec.hidden_units, c_in, rng),
+            MaxPoolTime("pool"),
+            Dense.glorot("out_dense", spec.n_labels, spec.hidden_units, rng),
+            Sigmoid("out_sigmoid"),
         ]
     elif spec.topology == "GRU_B":
         net_layers = [
-            Conv1dLayer("pre_conv", spec.pre_conv_filters, c_in, spec.kernel_width, 1, rng),
-            BatchNormLayer("pre_bn", spec.pre_conv_filters),
-            GruLayer("gru", spec.hidden_units, spec.pre_conv_filters, rng),
-            MaxPoolTimeLayer("pool"),
-            DenseLayer("out_dense", spec.n_labels, spec.hidden_units, rng),
-            SigmoidLayer("out_sigmoid"),
+            Conv1d.glorot("pre_conv", spec.pre_conv_filters, c_in, spec.kernel_width, 1, rng),
+            BatchNorm("pre_bn", spec.pre_conv_filters),
+            Gru.glorot("gru", spec.hidden_units, spec.pre_conv_filters, rng),
+            MaxPoolTime("pool"),
+            Dense.glorot("out_dense", spec.n_labels, spec.hidden_units, rng),
+            Sigmoid("out_sigmoid"),
         ]
     elif spec.topology == "TCN_A":
         stack, channels = _tcn_stack(spec, c_in, rng)
         net_layers = stack + _tcn_head(spec, channels, rng)
     elif spec.topology == "TCN_B":
-        pre = Conv1dLayer("pre_conv", spec.pre_conv_filters, c_in, spec.kernel_width, 1, rng)
+        pre = Conv1d.glorot("pre_conv", spec.pre_conv_filters, c_in, spec.kernel_width, 1, rng)
         stack, channels = _tcn_stack(spec, spec.pre_conv_filters, rng)
         net_layers = [pre] + stack + _tcn_head(spec, channels, rng)
     elif spec.topology == "GRU_TCN":
         front = [
-            GruLayer("gru", spec.hidden_units, c_in, rng),
-            DenseLayer("gru_dense", spec.n_labels, spec.hidden_units, rng),
-            SigmoidLayer("gru_sigmoid"),
+            Gru.glorot("gru", spec.hidden_units, c_in, rng),
+            Dense.glorot("gru_dense", spec.n_labels, spec.hidden_units, rng),
+            Sigmoid("gru_sigmoid"),
         ]
         stack, channels = _tcn_stack(spec, spec.n_labels, rng)
         net_layers = front + stack + _tcn_head(spec, channels, rng)

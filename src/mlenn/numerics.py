@@ -77,17 +77,6 @@ class RngStream:
         return self._gen.permutation(n)
 
 
-def matmul(a, b) -> np.ndarray:
-    """Product of a 2-D (m, k) tensor with a 2-D (k, n) tensor."""
-    a = as_tensor(a)
-    b = as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.ndim}-D and {b.ndim}-D")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions disagree: {a.shape} x {b.shape}")
-    return a @ b
-
-
 @dataclass(frozen=True)
 class PcaModel:
     """Principal-component basis fitted to a data matrix.
@@ -159,16 +148,6 @@ def pca_transform(model: PcaModel, x) -> np.ndarray:
             f"pca_transform expects (n, {model.mean.shape[0]}), got {x.shape}"
         )
     return (x - model.mean) @ model.components.T
-
-
-def pca_inverse_transform(model: PcaModel, scores) -> np.ndarray:
-    """Map component scores back into the original feature space."""
-    scores = as_tensor(scores)
-    if scores.ndim != 2 or scores.shape[1] != model.n_components:
-        raise ShapeError(
-            f"pca_inverse_transform expects (n, {model.n_components}), got {scores.shape}"
-        )
-    return scores @ model.components + model.mean
 
 
 @dataclass(frozen=True)

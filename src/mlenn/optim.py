@@ -40,8 +40,7 @@ class OptimizerState:
     """Moment and bookkeeping state for one parameter tensor.
 
     ``avg`` accumulates the gradient moving average that drives the
-    dgrad/cos1/exp/sto modulation; with ``avg_mode="squared"`` it tracks
-    element-wise squared gradients instead of raw ones.
+    dgrad/cos1/exp/sto modulation.
     """
 
     variant: str
@@ -57,24 +56,20 @@ class OptimizerState:
     steps: int = 30
     k_exp: float = 2.0
     rng: RngStream | None = None
-    avg_mode: str = "raw"
 
     @classmethod
     def create(cls, variant: str, shape, *, rho1: float = 0.9, rho2: float = 0.999,
                lr: float = 0.01, eps: float = 1e-8, steps: int = 30,
-               k_exp: float = 2.0, rng: RngStream | None = None,
-               avg_mode: str = "raw") -> "OptimizerState":
+               k_exp: float = 2.0, rng: RngStream | None = None) -> "OptimizerState":
         if variant not in VARIANTS:
             raise ValueError(f"unknown optimizer variant {variant!r}")
-        if avg_mode not in ("raw", "squared"):
-            raise ValueError(f"avg_mode must be 'raw' or 'squared', got {avg_mode!r}")
         if variant == "sto" and rng is None:
             raise ValueError("sto variant requires an rng stream")
         shape = tuple(shape)
         zeros = lambda: np.zeros(shape)
         return cls(variant, zeros(), zeros(), zeros(), zeros(),
                    rho1=rho1, rho2=rho2, lr=lr, eps=eps, steps=steps,
-                   k_exp=k_exp, rng=rng, avg_mode=avg_mode)
+                   k_exp=k_exp, rng=rng)
 
 
 def _corrected_avg(state: OptimizerState) -> np.ndarray:
@@ -85,8 +80,7 @@ def _corrected_avg(state: OptimizerState) -> np.ndarray:
 
 
 def _advance_avg(state: OptimizerState, g: np.ndarray) -> None:
-    obs = g * g if state.avg_mode == "squared" else g
-    state.avg = state.rho2 * state.avg + (1.0 - state.rho2) * obs
+    state.avg = state.rho2 * state.avg + (1.0 - state.rho2) * g
 
 
 def delta_avg_gradient(state: OptimizerState, g) -> np.ndarray:
@@ -193,18 +187,6 @@ def optimizer_step(state: OptimizerState, theta, g) -> np.ndarray:
         step = step * xi
     state.prev_grad = g.copy()
     return theta - step
-
-
-def adam_step(state: OptimizerState, theta, g) -> np.ndarray:
-    if state.variant != "adam":
-        raise ValueError(f"adam_step called on {state.variant!r} state")
-    return optimizer_step(state, theta, g)
-
-
-def diffgrad_step(state: OptimizerState, theta, g) -> np.ndarray:
-    if state.variant != "diffgrad":
-        raise ValueError(f"diffgrad_step called on {state.variant!r} state")
-    return optimizer_step(state, theta, g)
 
 
 def clip_gradients_l2(grads: list, threshold: float = 1.0) -> list:

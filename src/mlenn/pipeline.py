@@ -81,10 +81,15 @@ def minmax_normalize(train, apply_to) -> np.ndarray:
     apply_to = as_tensor(apply_to)
     if train.ndim != 2 or apply_to.ndim != 2 or train.shape[1] != apply_to.shape[1]:
         raise ShapeError(f"column counts disagree: {train.shape} vs {apply_to.shape}")
-    lo = train.min(axis=0)
-    span = train.max(axis=0) - lo
+    return minmax_scale(apply_to, train.min(axis=0), train.max(axis=0))
+
+
+def minmax_scale(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Map each column of ``x`` from [lo, hi] to [0, 1]; constant columns
+    (lo == hi) go to 0 and out-of-range values clip."""
+    span = hi - lo
     safe = np.where(span > 0, span, 1.0)
-    out = (apply_to - lo) / safe
+    out = (x - lo) / safe
     out[:, span == 0] = 0.0
     return np.clip(out, 0.0, 1.0)
 

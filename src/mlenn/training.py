@@ -41,7 +41,6 @@ class TrainConfig:
     clip_threshold: float = 1.0
     minibatch: int = 30
     epochs: int | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate <= 0 or self.clip_threshold <= 0 or self.minibatch < 1:
@@ -104,6 +103,9 @@ def train_network(net: Network, x, y, cfg: TrainConfig, rng: RngStream,
     states = make_optimizer_states(net, tags, cfg, rng)
     weights = None if sample_weights is None else np.asarray(sample_weights, dtype=np.float64)
 
+    # Parameters are updated in place, so the (key, tensor) list holds for the run.
+    params = net.param_items()
+    trainable = net.trainable_layers()
     epochs = cfg.resolve_epochs(net.spec.topology)
     n = x.shape[0]
     epoch_losses: list[float] = []
@@ -119,14 +121,9 @@ def train_network(net: Network, x, y, cfg: TrainConfig, rng: RngStream,
                 raise TrainingDivergedError(epoch, batch_index)
             net.backward(d_scores)
 
-            items = []
-            for layer in net.trainable_layers():
-                for tname in layer.param_tensors():
-                    items.append((f"{layer.name}.{tname}", layer.grads[tname]))
-            clipped = clip_gradients_l2([g for _, g in items], cfg.clip_threshold)
-            tensor_map = dict(net.param_items())
-            for (key, _), grad in zip(items, clipped):
-                arr = tensor_map[key]
+            grads = [layer.grads[key] for layer in trainable for key in layer.PARAMS]
+            clipped = clip_gradients_l2(grads, cfg.clip_threshold)
+            for (key, arr), grad in zip(params, clipped):
                 arr[...] = optimizer_step(states[key], arr, grad)
             running += loss * len(idx)
         epoch_losses.append(running / n)

@@ -17,7 +17,7 @@ import pytest
 from mlenn.ensemble import (fuse_average, fuse_weighted_external, normalize_enn,
                             train_ensemble)
 from mlenn.harness import RunConfig, load_dataset, run_experiment, save_dataset
-from mlenn.layers import (BatchNormParams, ConvParams, GruParams, batchnorm_backward,
+from mlenn.layers import (BatchNorm, Conv1d, Dense, Gru, batchnorm_backward,
                           batchnorm_forward, conv1d_backward, conv1d_forward,
                           dense_backward, dense_forward, gru_backward, gru_forward,
                           maxpool_time, maxpool_time_backward, relu, relu_backward,
@@ -25,9 +25,8 @@ from mlenn.layers import (BatchNormParams, ConvParams, GruParams, batchnorm_back
 from mlenn.metrics import PredictionSet, average_precision, bce_loss
 from mlenn.network import NetworkSpec
 from mlenn.numerics import RngStream, kmeans
-from mlenn.optim import (OptimizerState, adam_step, clip_gradients_l2, cos1_xi,
-                         cyclic_lr, dgrad_xi, diffgrad_step, exp_xi, optimizer_step,
-                         sto_xi)
+from mlenn.optim import (OptimizerState, clip_gradients_l2, cos1_xi, cyclic_lr,
+                         dgrad_xi, exp_xi, optimizer_step, sto_xi)
 from mlenn.pipeline import Dataset, imcc_augment
 from mlenn.training import TrainConfig
 
@@ -72,7 +71,7 @@ def test_c01_gradient_oracle_suite():
             case += 1
             b, t, d, n = (int(rng.integers(2)) + 1, int(rng.integers(3)) + 1,
                           int(rng.integers(2)) + 1, int(rng.integers(3)) + 1)
-            p = GruParams.glorot(n, d, rng)
+            p = Gru.glorot("gru", n, d, rng)
             x = np.asarray(rng.uniform((b, t, d))) - 0.5
             up = np.asarray(rng.uniform((b, t, n))) - 0.5
 
@@ -83,7 +82,7 @@ def test_c01_gradient_oracle_suite():
             _, cache = gru_forward(p, x)
             g = gru_backward(p, cache, up)
             pairs = [(k, g.params[k], numeric_gradient(loss, arr))
-                     for k, arr in p.tensors().items()]
+                     for k, arr in p.param_tensors().items()]
             pairs.append(("x", g.x, numeric_gradient(loss, x)))
             _check_gradients(pairs)
 
@@ -95,7 +94,7 @@ def test_c01_gradient_oracle_suite():
                 t = int(rng.integers(4)) + 2
                 cin = int(rng.integers(2)) + 1
                 f = int(rng.integers(2)) + 1
-                p = ConvParams.glorot(f, cin, 3, dilation, rng)
+                p = Conv1d.glorot("conv", f, cin, 3, dilation, rng)
                 x = np.asarray(rng.uniform((b, t, cin))) - 0.5
                 up = np.asarray(rng.uniform((b, t, f))) - 0.5
 
@@ -119,7 +118,7 @@ def test_c01_gradient_oracle_suite():
             # what central differences can resolve at the stated tolerance
             b, t, c = (int(rng.integers(2)) + 2, int(rng.integers(3)) + 2,
                        int(rng.integers(3)) + 1)
-            p = BatchNormParams.create(c)
+            p = BatchNorm("bn", c)
             p.gamma[:] = np.asarray(rng.uniform(c)) + 0.5
             p.beta[:] = np.asarray(rng.uniform(c)) - 0.5
             x = np.asarray(rng.uniform((b, t, c))) * 2.0
@@ -146,13 +145,14 @@ def test_c01_gradient_oracle_suite():
             bias = np.asarray(rng.uniform(o)) - 0.5
             x = np.asarray(rng.uniform(shape)) - 0.5
             up = np.asarray(rng.uniform(shape[:-1] + (o,))) - 0.5
+            d = Dense("dense", w, bias)
 
             def loss():
-                y, _ = dense_forward(w, bias, x)
+                y, _ = dense_forward(d, x)
                 return float(np.sum(y * up))
 
-            _, cache = dense_forward(w, bias, x)
-            g = dense_backward(w, cache, up)
+            _, cache = dense_forward(d, x)
+            g = dense_backward(d, cache, up)
             _check_gradients([
                 ("weights", g.params["weights"], numeric_gradient(loss, w)),
                 ("bias", g.params["bias"], numeric_gradient(loss, bias)),
@@ -186,21 +186,22 @@ def test_c01_gradient_oracle_suite():
             b2 = np.asarray(rng.uniform(o)) - 0.5
             x = np.asarray(rng.uniform((3, i))) - 0.5
             up = np.asarray(rng.uniform((3, o))) - 0.5
+            d1, d2 = Dense("dense1", w1, b1), Dense("dense2", w2, b2)
 
             def loss():
-                a, _ = dense_forward(w1, b1, x)
+                a, _ = dense_forward(d1, x)
                 r = relu(a)
-                z, _ = dense_forward(w2, b2, r)
+                z, _ = dense_forward(d2, r)
                 return float(np.sum(sigmoid(z) * up))
 
-            a, cache1 = dense_forward(w1, b1, x)
+            a, cache1 = dense_forward(d1, x)
             r = relu(a)
-            z, cache2 = dense_forward(w2, b2, r)
+            z, cache2 = dense_forward(d2, r)
             s = sigmoid(z)
             dz = sigmoid_backward(s, up)
-            g2 = dense_backward(w2, cache2, dz)
+            g2 = dense_backward(d2, cache2, dz)
             da = relu_backward(a, g2.x)
-            g1 = dense_backward(w1, cache1, da)
+            g1 = dense_backward(d1, cache1, da)
             _check_gradients([
                 ("w2", g2.params["weights"], numeric_gradient(loss, w2)),
                 ("b2", g2.params["bias"], numeric_gradient(loss, b2)),
@@ -234,12 +235,12 @@ def test_c02_optimizer_exactness():
     with criterion(2, "optimizer exactness"):
         # adam first scalar step
         s = OptimizerState.create("adam", (), lr=0.01)
-        theta = adam_step(s, np.asarray(0.0), np.asarray(1.0))
+        theta = optimizer_step(s, np.asarray(0.0), np.asarray(1.0))
         assert abs(float(theta) - (-0.01 * (1.0 / (1.0 + 1e-8)))) < 1e-9
 
         # diffgrad first-step modulation = Sig(1)
         s = OptimizerState.create("diffgrad", (), lr=0.01)
-        theta = diffgrad_step(s, np.asarray(0.0), np.asarray(1.0))
+        theta = optimizer_step(s, np.asarray(0.0), np.asarray(1.0))
         assert abs(float(theta) - (-0.01 * _sig(1.0) / (1.0 + 1e-8))) < 1e-9
         assert abs(_sig(1.0) - 0.731058) < 1e-6
 

@@ -95,6 +95,12 @@ class TestTrainEvaluateCommands:
         assert "fold=eval" in stdout
         assert (eval_dir / "report.txt").exists()
 
+    def test_train_config_error_exit_code(self, dataset_file, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "train", "--dataset", dataset_file,
+                               "--optimizer", "sgd", "--output", tmp_path / "model")
+        assert code == 2
+        assert "stage=configuration" in err
+
 
 class TestAugmentPreview:
     def test_prints_centers(self, dataset_file, capsys, tmp_path):

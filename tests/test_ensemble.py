@@ -145,7 +145,8 @@ class TestSerialization:
         model, x = self._trained()
         path = tmp_path / "model.json"
         save_ensemble(model, path)
-        loaded = load_ensemble(path)
+        loaded, extra = load_ensemble(path)
+        assert extra == {}
         assert len(loaded.members) == len(model.members)
         for ma, mb in zip(model.members, loaded.members):
             assert ma.optimizer_tags == mb.optimizer_tags
@@ -161,15 +162,17 @@ class TestSerialization:
         model, x = self._trained()
         path = tmp_path / "model.json"
         save_ensemble(model, path)
-        loaded = load_ensemble(path)
+        loaded, _ = load_ensemble(path)
         npt.assert_array_equal(model.predict_scores(x[:8]), loaded.predict_scores(x[:8]))
 
     def test_save_is_byte_stable(self, tmp_path):
         model, _ = self._trained()
         p1 = tmp_path / "a.json"
         p2 = tmp_path / "b.json"
-        save_ensemble(model, p1)
-        save_ensemble(load_ensemble(p1), p2)
+        save_ensemble(model, p1, extra={"note": [1, 2]})
+        loaded, extra = load_ensemble(p1)
+        assert extra == {"note": [1, 2]}
+        save_ensemble(loaded, p2, extra=extra)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_container_is_self_describing(self, tmp_path):

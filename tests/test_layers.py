@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from mlenn.layers import (BatchNormParams, ConvParams, GruParams, ShapeError,
+from mlenn.layers import (BatchNorm, Conv1d, Dense, Gru, ShapeError,
                           batchnorm_backward, batchnorm_forward, conv1d_backward,
                           conv1d_forward, dense_backward, dense_forward, dropout,
                           dropout_apply, dropout_backward, dropout_mask, gru_backward,
@@ -18,12 +18,12 @@ from gradcheck import max_rel_error, numeric_gradient
 
 def _zero_gru(hidden, channels):
     z = lambda *s: np.zeros(s)
-    return GruParams(z(hidden, channels), z(hidden, hidden), z(hidden),
+    return Gru("gru", z(hidden, channels), z(hidden, hidden), z(hidden),
                      z(hidden, channels), z(hidden, hidden), z(hidden),
                      z(hidden, channels), z(hidden, hidden), z(hidden))
 
 
-def _scalar_gru_oracle(p: GruParams, x: np.ndarray) -> np.ndarray:
+def _scalar_gru_oracle(p: Gru, x: np.ndarray) -> np.ndarray:
     """Straight-line per-element recurrence, no matrix ops."""
     b, t_steps, d = x.shape
     n = p.bz.shape[0]
@@ -69,7 +69,7 @@ class TestGruForward:
 
     def test_matches_scalar_oracle(self):
         rng = RngStream(21)
-        p = GruParams.glorot(3, 2, rng)
+        p = Gru.glorot("gru", 3, 2, rng)
         x = np.asarray(rng.uniform((2, 4, 2))) - 0.5
         h, _ = gru_forward(p, x)
         npt.assert_allclose(h, _scalar_gru_oracle(p, x), atol=1e-12)
@@ -77,7 +77,7 @@ class TestGruForward:
     def test_state_stays_in_unit_interval(self):
         rng = RngStream(33)
         for seed in range(5):
-            p = GruParams.glorot(4, 3, rng.child(seed))
+            p = Gru.glorot("gru", 4, 3, rng.child(seed))
             x = np.asarray(rng.uniform((3, 6, 3))) * 4.0 - 2.0
             h, _ = gru_forward(p, x)
             assert np.all(h > -1.0) and np.all(h < 1.0)
@@ -91,7 +91,7 @@ class TestGruForward:
 class TestGruBackward:
     def test_zero_upstream_gives_zero_gradients(self):
         rng = RngStream(5)
-        p = GruParams.glorot(2, 2, rng)
+        p = Gru.glorot("gru", 2, 2, rng)
         x = np.asarray(rng.uniform((2, 3, 2)))
         _, cache = gru_forward(p, x)
         g = gru_backward(p, cache, np.zeros((2, 3, 2)))
@@ -103,28 +103,26 @@ class TestGruBackward:
     def test_matches_finite_differences(self, dims, tol):
         b, t, d, n = dims
         rng = RngStream(100 + n)
-        p = GruParams.glorot(n, d, rng)
+        p = Gru.glorot("gru", n, d, rng)
         x = np.asarray(rng.uniform((b, t, d))) - 0.5
-        h0 = np.asarray(rng.uniform((b, n))) - 0.5
         upstream = np.asarray(rng.uniform((b, t, n))) - 0.5
 
         def loss():
-            out, _ = gru_forward(p, x, h0)
+            out, _ = gru_forward(p, x)
             return float(np.sum(out * upstream))
 
-        _, cache = gru_forward(p, x, h0)
+        _, cache = gru_forward(p, x)
         g = gru_backward(p, cache, upstream)
-        for name, arr in p.tensors().items():
+        for name, arr in p.param_tensors().items():
             assert max_rel_error(g.params[name], numeric_gradient(loss, arr)) < tol, name
         assert max_rel_error(g.x, numeric_gradient(loss, x)) < tol
-        assert max_rel_error(g.h0, numeric_gradient(loss, h0)) < tol
 
 
 class TestConv1d:
     def _params(self, kernel, dilation=1, bias=None):
         kernel = np.asarray(kernel, dtype=np.float64)[None, None, :]
         b = np.zeros(1) if bias is None else np.asarray([bias], dtype=np.float64)
-        return ConvParams(kernel, b, dilation)
+        return Conv1d("conv", kernel, b, dilation)
 
     def test_identity_kernel(self):
         p = self._params([0.0, 1.0, 0.0])
@@ -147,14 +145,14 @@ class TestConv1d:
     @pytest.mark.parametrize("dilation", [1, 2, 4])
     def test_same_padding_preserves_length(self, dilation):
         rng = RngStream(dilation)
-        p = ConvParams.glorot(3, 2, 3, dilation, rng)
+        p = Conv1d.glorot("conv", 3, 2, 3, dilation, rng)
         x = np.asarray(rng.uniform((2, 9, 2)))
         y, _ = conv1d_forward(p, x)
         assert y.shape == (2, 9, 3)
 
     def test_zero_upstream(self):
         rng = RngStream(2)
-        p = ConvParams.glorot(2, 2, 3, 1, rng)
+        p = Conv1d.glorot("conv", 2, 2, 3, 1, rng)
         x = np.asarray(rng.uniform((1, 4, 2)))
         _, cache = conv1d_forward(p, x)
         g = conv1d_backward(p, cache, np.zeros((1, 4, 2)))
@@ -165,7 +163,7 @@ class TestConv1d:
     @pytest.mark.parametrize("dilation,tol", [(1, 1e-5), (4, 1e-4)])
     def test_matches_finite_differences(self, dilation, tol):
         rng = RngStream(40 + dilation)
-        p = ConvParams.glorot(2, 3, 3, dilation, rng)
+        p = Conv1d.glorot("conv", 2, 3, 3, dilation, rng)
         x = np.asarray(rng.uniform((2, 6, 3))) - 0.5
         upstream = np.asarray(rng.uniform((2, 6, 2))) - 0.5
 
@@ -182,7 +180,7 @@ class TestConv1d:
     def test_matches_finite_differences_at_dilation_8(self):
         # TCN block 4 dilation; T=19 so the outer taps reach real positions.
         rng = RngStream(48)
-        p = ConvParams.glorot(2, 3, 3, 8, rng)
+        p = Conv1d.glorot("conv", 2, 3, 3, 8, rng)
         x = np.asarray(rng.uniform((2, 19, 3))) - 0.5
         upstream = np.asarray(rng.uniform((2, 19, 2))) - 0.5
 
@@ -198,11 +196,11 @@ class TestConv1d:
 
     def test_even_kernel_width_rejected(self):
         with pytest.raises(ShapeError):
-            ConvParams(np.zeros((1, 1, 4)), np.zeros(1), 1)
+            Conv1d("conv", np.zeros((1, 1, 4)), np.zeros(1), 1)
 
     def test_backward_rejects_reshaped_upstream(self):
         rng = RngStream(3)
-        p = ConvParams.glorot(2, 2, 3, 1, rng)
+        p = Conv1d.glorot("conv", 2, 2, 3, 1, rng)
         _, cache = conv1d_forward(p, np.asarray(rng.uniform((2, 6, 2))))
         with pytest.raises(ShapeError):
             conv1d_backward(p, cache, np.zeros((3, 4, 2)))  # same size, wrong shape
@@ -247,7 +245,7 @@ class TestConv1dOracle:
         (1, 3, 5), (1, 2, 8), (1, 3, 9), (1, 4), (1, 3))))
     def test_matches_direct_loops(self, width, dilation, t_steps, channels, batch):
         rng = RngStream(1000 * width + 100 * dilation + 10 * t_steps + channels + batch)
-        p = ConvParams.glorot(3, channels, width, dilation, rng)
+        p = Conv1d.glorot("conv", 3, channels, width, dilation, rng)
         p.bias[:] = np.asarray(rng.uniform(3)) - 0.5
         x = np.asarray(rng.uniform((batch, t_steps, channels))) - 0.5
         upstream = np.asarray(rng.uniform((batch, t_steps, 3))) - 0.5
@@ -258,7 +256,7 @@ class TestConv1dOracle:
         # A window of a padded gradient buffer is a strided view; the
         # (B*T, F) reshape must copy it, not read it as if it were dense.
         rng = RngStream(60 + dilation)
-        p = ConvParams.glorot(4, 3, 3, dilation, rng)
+        p = Conv1d.glorot("conv", 4, 3, 3, dilation, rng)
         x = np.asarray(rng.uniform((3, 9, 3))) - 0.5
         padded = np.asarray(rng.uniform((3, 9 + 2 * dilation, 4))) - 0.5
         upstream = padded[:, dilation:dilation + 9]
@@ -268,14 +266,14 @@ class TestConv1dOracle:
 
 class TestBatchNorm:
     def test_train_mode_standardizes(self):
-        p = BatchNormParams.create(3)
+        p = BatchNorm("bn", 3)
         x = np.random.default_rng(0).normal(loc=4.0, scale=3.0, size=(4, 7, 3))
         y, _ = batchnorm_forward(p, x, train=True)
         npt.assert_allclose(y.mean(axis=(0, 1)), 0.0, atol=1e-12)
         npt.assert_allclose(y.var(axis=(0, 1)), 1.0, atol=1e-4)  # eps shrinks variance
 
     def test_affine_parameters(self):
-        p = BatchNormParams.create(2)
+        p = BatchNorm("bn", 2)
         p.gamma[:] = 2.0
         p.beta[:] = 3.0
         x = np.random.default_rng(1).normal(size=(5, 6, 2))
@@ -284,13 +282,13 @@ class TestBatchNorm:
         npt.assert_allclose(y.std(axis=(0, 1)), 2.0, atol=1e-3)
 
     def test_eval_mode_with_identity_stats(self):
-        p = BatchNormParams.create(2)
+        p = BatchNorm("bn", 2)
         x = np.random.default_rng(2).normal(size=(3, 4, 2))
         y, _ = batchnorm_forward(p, x, train=False)
         npt.assert_allclose(y, x / np.sqrt(1.0 + p.eps), atol=1e-12)
 
     def test_running_stats_update(self):
-        p = BatchNormParams.create(1)
+        p = BatchNorm("bn", 1)
         x = np.full((2, 3, 1), 10.0)
         x[0, 0, 0] = 4.0
         batchnorm_forward(p, x, train=True)
@@ -298,13 +296,13 @@ class TestBatchNorm:
         npt.assert_allclose(p.running_var, 0.9 * 1.0 + 0.1 * x.var(), atol=1e-12)
 
     def test_train_needs_two_positions(self):
-        p = BatchNormParams.create(2)
+        p = BatchNorm("bn", 2)
         with pytest.raises(ShapeError):
             batchnorm_forward(p, np.zeros((1, 1, 2)), train=True)
 
     def test_matches_finite_differences(self):
         rng = RngStream(7)
-        p = BatchNormParams.create(3)
+        p = BatchNorm("bn", 3)
         p.gamma[:] = np.asarray(rng.uniform(3)) + 0.5
         p.beta[:] = np.asarray(rng.uniform(3)) - 0.5
         x = np.asarray(rng.uniform((2, 4, 3))) * 2.0
@@ -322,7 +320,7 @@ class TestBatchNorm:
 
     def test_eval_mode_matches_finite_differences(self):
         rng = RngStream(8)
-        p = BatchNormParams.create(3)
+        p = BatchNorm("bn", 3)
         p.gamma[:] = np.asarray(rng.uniform(3)) + 0.5
         p.beta[:] = np.asarray(rng.uniform(3)) - 0.5
         p.running_mean[:] = np.asarray(rng.uniform(3)) - 0.5
@@ -341,7 +339,7 @@ class TestBatchNorm:
         assert max_rel_error(g.x, numeric_gradient(loss, x)) < 1e-5
 
     def test_backward_rejects_reshaped_upstream(self):
-        p = BatchNormParams.create(2)
+        p = BatchNorm("bn", 2)
         _, cache = batchnorm_forward(p, np.random.default_rng(3).normal(size=(2, 6, 2)),
                                      train=True)
         with pytest.raises(ShapeError):
@@ -376,11 +374,11 @@ class TestMaxPoolTime:
 class TestDense:
     def test_identity(self):
         x = np.random.default_rng(0).normal(size=(4, 3))
-        y, _ = dense_forward(np.eye(3), np.zeros(3), x)
+        y, _ = dense_forward(Dense("dense", np.eye(3), np.zeros(3)), x)
         npt.assert_array_equal(y, x)
 
     def test_hand_affine(self):
-        y, _ = dense_forward(np.array([[1.0, 2.0]]), np.array([1.0]),
+        y, _ = dense_forward(Dense("dense", np.array([[1.0, 2.0]]), np.array([1.0])),
                              np.array([[3.0, 4.0]]))
         npt.assert_array_equal(y, [[12.0]])
 
@@ -391,22 +389,23 @@ class TestDense:
         b = np.asarray(rng.uniform(2)) - 0.5
         x = np.asarray(rng.uniform(shape)) - 0.5
         upstream = np.asarray(rng.uniform(shape[:-1] + (2,))) - 0.5
+        d = Dense("dense", w, b)
 
         def loss():
-            y, _ = dense_forward(w, b, x)
+            y, _ = dense_forward(d, x)
             return float(np.sum(y * upstream))
 
-        _, cache = dense_forward(w, b, x)
-        g = dense_backward(w, cache, upstream)
+        _, cache = dense_forward(d, x)
+        g = dense_backward(d, cache, upstream)
         assert max_rel_error(g.params["weights"], numeric_gradient(loss, w)) < 1e-5
         assert max_rel_error(g.params["bias"], numeric_gradient(loss, b)) < 1e-5
         assert max_rel_error(g.x, numeric_gradient(loss, x)) < 1e-5
 
     def test_backward_rejects_wrong_output_width(self):
-        w = np.zeros((2, 3))
-        _, cache = dense_forward(w, np.zeros(2), np.zeros((2, 5, 3)))
+        d = Dense("dense", np.zeros((2, 3)), np.zeros(2))
+        _, cache = dense_forward(d, np.zeros((2, 5, 3)))
         with pytest.raises(ShapeError):
-            dense_backward(w, cache, np.zeros((2, 5, 3)))
+            dense_backward(d, cache, np.zeros((2, 5, 3)))
 
 
 class TestActivations:

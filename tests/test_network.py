@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from mlenn.layers import CacheError, Dropout
 from mlenn.network import TOPOLOGIES, NetworkSpec, build_network, encode_features
 from mlenn.numerics import RngStream
 
@@ -85,7 +86,7 @@ class TestTopologyStructure:
         spec = small_spec("GRU_TCN")
         net = build_network(spec, RngStream(0))
         first_conv = next(l for l in net.layers if l.name == "block1_conv1")
-        assert first_conv.p.kernels.shape[1] == spec.n_labels
+        assert first_conv.kernels.shape[1] == spec.n_labels
 
 
 class TestForward:
@@ -129,6 +130,71 @@ class TestForward:
         net = build_network(spec, RngStream(5))
         scores = net.forward(np.asarray(RngStream(6).uniform((3, 6))))
         assert scores.shape == (3, 3)
+
+
+_GRU_KEYS = ["gru.wz", "gru.uz", "gru.bz", "gru.wr", "gru.ur", "gru.br",
+             "gru.wh", "gru.uh", "gru.bh"]
+_TCN_KEYS = ["block1_conv1.kernels", "block1_conv1.bias", "block1_bn1.gamma", "block1_bn1.beta",
+             "block1_conv2.kernels", "block1_conv2.bias", "block1_bn2.gamma", "block1_bn2.beta",
+             "block2_conv1.kernels", "block2_conv1.bias", "block2_bn1.gamma", "block2_bn1.beta",
+             "block2_conv2.kernels", "block2_conv2.bias", "block2_bn2.gamma", "block2_bn2.beta",
+             "head_dense.weights", "head_dense.bias"]
+_TCN_STATE = ["block1_bn1.running_mean", "block1_bn1.running_var",
+              "block1_bn2.running_mean", "block1_bn2.running_var",
+              "block2_bn1.running_mean", "block2_bn1.running_var",
+              "block2_bn2.running_mean", "block2_bn2.running_var"]
+
+# Model format v1 stores tensors under these keys, and optimizer streams are
+# indexed by position in the parameter list, so both orders are pinned.
+MODEL_KEYS = {
+    "GRU_A": (_GRU_KEYS + ["out_dense.weights", "out_dense.bias"], []),
+    "GRU_B": (["pre_conv.kernels", "pre_conv.bias", "pre_bn.gamma", "pre_bn.beta"]
+              + _GRU_KEYS + ["out_dense.weights", "out_dense.bias"],
+              ["pre_bn.running_mean", "pre_bn.running_var"]),
+    "TCN_A": (_TCN_KEYS, _TCN_STATE),
+    "TCN_B": (["pre_conv.kernels", "pre_conv.bias"] + _TCN_KEYS, _TCN_STATE),
+    "GRU_TCN": (_GRU_KEYS + ["gru_dense.weights", "gru_dense.bias"] + _TCN_KEYS, _TCN_STATE),
+}
+
+
+class TestModelKeyCensus:
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_param_and_state_keys_in_order(self, topology):
+        net = build_network(small_spec(topology), RngStream(0))
+        params, state = MODEL_KEYS[topology]
+        assert [key for key, _ in net.param_items()] == params
+        assert [key for key, _ in net.state_items()] == state
+
+
+class TestCacheLifetime:
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_eval_forward_keeps_no_cache(self, topology):
+        net = build_network(small_spec(topology), RngStream(8))
+        x = np.asarray(RngStream(9).uniform((3, 5)))
+        net.forward(x, train=True, rng=RngStream(10))
+        net.forward(x)
+        assert all(layer.cache is None for layer in net.layers)
+        with pytest.raises(CacheError):
+            net.backward(np.ones((3, 3)))
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_backward_releases_every_cache(self, topology):
+        net = build_network(small_spec(topology), RngStream(11))
+        x = np.asarray(RngStream(12).uniform((3, 5)))
+        scores = net.forward(x, train=True, rng=RngStream(13))
+        assert all(layer.cache is not None for layer in net.layers)
+        net.backward(np.ones_like(scores))
+        assert all(layer.cache is None for layer in net.layers)
+        with pytest.raises(CacheError):
+            net.backward(np.ones_like(scores))
+
+    def test_zero_probability_dropout_backward(self):
+        layer = Dropout("dropout", 0.0)
+        x = np.arange(6.0).reshape(1, 3, 2)
+        npt.assert_array_equal(layer.forward(x, train=True, rng=RngStream(0)), x)
+        npt.assert_array_equal(layer.backward(x), x)
+        with pytest.raises(CacheError):
+            layer.backward(x)
 
 
 class TestSpecValidation:

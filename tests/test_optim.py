@@ -5,9 +5,9 @@ import numpy.testing as npt
 import pytest
 
 from mlenn.numerics import NonFiniteError, RngStream
-from mlenn.optim import (STOCHASTIC_POOL, VARIANTS, OptimizerState, adam_step,
-                         clip_gradients_l2, cos1_xi, cyclic_lr, delta_avg_gradient,
-                         dgrad_xi, diffgrad_step, exp_xi, optimizer_step, sto_xi)
+from mlenn.optim import (STOCHASTIC_POOL, VARIANTS, OptimizerState, clip_gradients_l2,
+                         cos1_xi, cyclic_lr, delta_avg_gradient, dgrad_xi, exp_xi,
+                         optimizer_step, sto_xi)
 
 
 def sig(x):
@@ -22,14 +22,14 @@ def make_state(variant, shape=(), seed=0, **kw):
 class TestAdam:
     def test_scalar_first_step(self):
         s = make_state("adam", lr=0.01)
-        theta = adam_step(s, np.asarray(0.0), np.asarray(1.0))
+        theta = optimizer_step(s, np.asarray(0.0), np.asarray(1.0))
         expected = -0.01 * (1.0 / (1.0 + 1e-8))
         assert abs(float(theta) - expected) < 1e-9
         assert s.t == 1
 
     def test_zero_gradient_leaves_parameter(self):
         s = make_state("adam")
-        theta = adam_step(s, np.asarray(3.0), np.asarray(0.0))
+        theta = optimizer_step(s, np.asarray(3.0), np.asarray(0.0))
         assert float(theta) == 3.0
 
     def test_constant_gradient_steps_by_learning_rate(self):
@@ -37,7 +37,7 @@ class TestAdam:
         theta = np.asarray(0.0)
         previous = float(theta)
         for _ in range(100):
-            theta = adam_step(s, theta, np.asarray(1.0))
+            theta = optimizer_step(s, theta, np.asarray(1.0))
             delta = float(theta) - previous
             previous = float(theta)
             assert abs(delta + 0.01) < 1e-3
@@ -45,21 +45,21 @@ class TestAdam:
     def test_rejects_non_finite_gradient(self):
         s = make_state("adam")
         with pytest.raises(NonFiniteError):
-            adam_step(s, np.asarray(0.0), np.asarray(np.nan))
+            optimizer_step(s, np.asarray(0.0), np.asarray(np.nan))
 
 
 class TestDiffGrad:
     def test_first_step_modulation(self):
         s = make_state("diffgrad", lr=0.01)
-        theta = diffgrad_step(s, np.asarray(0.0), np.asarray(1.0))
+        theta = optimizer_step(s, np.asarray(0.0), np.asarray(1.0))
         expected = -0.01 * sig(1.0) * (1.0 / (1.0 + 1e-8))
         assert abs(float(theta) - expected) < 1e-9
 
     def test_constant_gradient_halves_modulation(self):
         s = make_state("diffgrad", lr=0.01)
-        theta = diffgrad_step(s, np.asarray(0.0), np.asarray(1.0))
+        theta = optimizer_step(s, np.asarray(0.0), np.asarray(1.0))
         before = float(theta)
-        theta = diffgrad_step(s, theta, np.asarray(1.0))
+        theta = optimizer_step(s, theta, np.asarray(1.0))
         # xi = Sig(0) = 0.5 exactly once the gradient repeats
         m_hat_term = 1.0 / (math.sqrt(1.0) + 1e-8)
         assert abs((float(theta) - before) + 0.01 * 0.5 * m_hat_term) < 1e-6
@@ -275,12 +275,6 @@ class TestSharedBehaviour:
         for expected in range(1, 6):
             theta = optimizer_step(s, theta, np.asarray(0.3))
             assert s.t == expected
-
-    def test_squared_average_mode_accumulates_squares(self):
-        s = make_state("dgrad", shape=(2,), avg_mode="squared")
-        optimizer_step(s, np.zeros(2), np.array([2.0, -3.0]))
-        npt.assert_allclose(s.avg, (1.0 - s.rho2) * np.array([4.0, 9.0]))
-        assert np.all(s.avg >= 0.0)
 
 
 class TestClipGradients:
