@@ -9,6 +9,14 @@ that cache together with the upstream gradient to produce exact
 reverse-mode gradients for every parameter tensor and for the input.
 Sequences are batched as (batch, time, channels).
 
+The GRU kernels stack the three gates (z | r | c) along one axis and keep
+their sequences time-major: the input projections of every step come from
+one batched matmul call before the recurrence, written into a (T, 3, B, N)
+buffer that each step then overwrites with its activations. The gate
+gradients go into a gate-major (3, T, B, N) buffer, from which the weight
+gradients and the input gradient are built by matmuls over all T*B rows
+after the loop. Only the recurrent matmuls run once per step.
+
 Cache rule: a layer stores a cache only on a train-mode forward, and
 backward drops it once used; backward without a cache raises
 :class:`CacheError`. An eval-mode forward leaves nothing behind.
@@ -89,7 +97,8 @@ def sigmoid(x) -> np.ndarray:
     """Logistic function 1 / (1 + e^-x), overflow-safe on both tails."""
     x = as_tensor(x)
     t = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+    d = 1.0 + t
+    return np.where(x >= 0, 1.0 / d, t / d)
 
 
 def sigmoid_backward(y: np.ndarray, upstream: np.ndarray) -> np.ndarray:
@@ -177,11 +186,9 @@ class Dropout(Layer):
 
 @dataclass
 class GruCache:
-    x: np.ndarray       # (B, T, D)
-    h: np.ndarray       # (B, T, N)
-    z: np.ndarray
-    r: np.ndarray
-    hcand: np.ndarray
+    x: np.ndarray       # (B, T, D) input
+    hs: np.ndarray      # (T+1, B, N) states, time-major; hs[0] is the zero h_0
+    gates: np.ndarray   # (T, 3, B, N) activations z | r | c, time-major
 
 
 class Gru(Layer):
@@ -192,6 +199,12 @@ class Gru(Layer):
     Reset gate:  r_t = sigmoid(wr x_t + ur h_{t-1} + br)
     Candidate:   c_t = tanh(wh x_t + uh (r_t * h_{t-1}) + bh)
     State:       h_t = (1 - z_t) * h_{t-1} + z_t * c_t
+
+    The nine tensors are stored and serialized separately, in ``PARAMS``
+    order. The kernels stack them on each call, gates in z | r | c order:
+    the input weights [wz; wr; wh] with biases [bz; br; bh], and the gate
+    recurrences [uz; ur]. Inside the kernels sequences are time-major, so
+    that the rows one step reads or writes are contiguous.
     """
 
     PARAMS = ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh")
@@ -234,8 +247,16 @@ class Gru(Layer):
 def gru_forward(layer: Gru, x):
     """Run the recurrence over the full sequence.
 
-    Returns the hidden-state sequence (B, T, N) and the cache needed by
-    :func:`gru_backward`.
+    The input projections of all T steps are computed before the loop, in
+    one batched matmul call, into a (T, 3, B, N) buffer. Step t then adds
+    h_{t-1} [uz; ur]^T to its z | r block, a contiguous (2, B, N) slab,
+    applies the logistic 1 / (1 + e^-a) in place, adds
+    (r_t * h_{t-1}) uh^T to its candidate block and applies tanh in place,
+    so the buffer ends up holding z | r | c. States are written into a
+    (T+1, B, N) buffer whose first step is the zero h_0.
+
+    Returns the hidden-state sequence, a (B, T, N) view of that buffer, and
+    the cache needed by :func:`gru_backward`.
     """
     x = as_tensor(x)
     if x.ndim != 3:
@@ -245,65 +266,101 @@ def gru_forward(layer: Gru, x):
     if layer.channels != d:
         raise ShapeError(f"input has {d} channels but the layer expects {layer.channels}")
 
-    h = np.empty((b, t_steps, n))
-    z = np.empty((b, t_steps, n))
-    r = np.empty((b, t_steps, n))
-    hcand = np.empty((b, t_steps, n))
-    h_prev = np.zeros((b, n))
-    for t in range(t_steps):
-        xt = x[:, t, :]
-        z_t = sigmoid(xt @ layer.wz.T + h_prev @ layer.uz.T + layer.bz)
-        r_t = sigmoid(xt @ layer.wr.T + h_prev @ layer.ur.T + layer.br)
-        c_t = np.tanh(xt @ layer.wh.T + (r_t * h_prev) @ layer.uh.T + layer.bh)
-        h_prev = (1.0 - z_t) * h_prev + z_t * c_t
-        z[:, t], r[:, t], hcand[:, t], h[:, t] = z_t, r_t, c_t, h_prev
-    return h, GruCache(x, h, z, r, hcand)
+    w = np.stack((layer.wz.T, layer.wr.T, layer.wh.T))
+    gates = np.matmul(x.transpose(1, 0, 2)[:, None], w)
+    gates += np.stack((layer.bz, layer.br, layer.bh))[:, None]
+    u_zr = np.stack((layer.uz.T, layer.ur.T))
+    uh = layer.uh.T
+    hs = np.empty((t_steps + 1, b, n))
+    hs[0] = 0.0
+    proj = np.empty((2, b, n))
+    rh = np.empty((b, n))
+    # exp(-a) overflows to inf for a < -709, and 1 / (1 + inf) is the exact limit 0.
+    with np.errstate(over="ignore"):
+        for t in range(t_steps):
+            h_prev, h = hs[t], hs[t + 1]
+            zr, c = gates[t, :2], gates[t, 2]
+            zr += np.matmul(h_prev, u_zr, out=proj)
+            np.negative(zr, out=zr)
+            np.exp(zr, out=zr)
+            zr += 1.0
+            np.reciprocal(zr, out=zr)
+            np.multiply(zr[1], h_prev, out=rh)
+            c += np.matmul(rh, uh, out=proj[0])
+            np.tanh(c, out=c)
+            # h_t = h_{t-1} + z_t * (c_t - h_{t-1})
+            np.subtract(c, h_prev, out=h)
+            h *= zr[0]
+            h += h_prev
+    return hs[1:].transpose(1, 0, 2), GruCache(x, hs, gates)
 
 
 def gru_backward(layer: Gru, cache: GruCache, upstream) -> LayerGradients:
-    """Full backpropagation through time for the recurrence in gru_forward."""
+    """Full backpropagation through time for the recurrence in gru_forward.
+
+    The loop carries dL/dh_t back one step at a time, with two matmuls per
+    step (dac uh and [daz; dar] [uz; ur]), and writes the pre-activation
+    gradients daz | dar | dac of every step into a gate-major (3, T, B, N)
+    buffer G. After the loop the weight gradients are batched matmuls over
+    the T*B rows of G: d[wz; wr; wh] = G^T X, d[uz; ur] = G_zr^T H_prev and
+    duh = G_c^T (r * H_prev). dx is the sum of the three per-gate matmuls
+    G_z wz + G_r wr + G_c wh, and db = the row sums.
+    """
     upstream = as_tensor(upstream)
-    if upstream.shape != cache.h.shape:
+    x, hs, gates = cache.x, cache.hs, cache.gates
+    b, t_steps, d = x.shape
+    n = layer.hidden
+    if upstream.shape != (b, t_steps, n):
         raise ShapeError(
-            f"upstream shape {upstream.shape} does not match output {cache.h.shape}"
+            f"upstream shape {upstream.shape} does not match output {(b, t_steps, n)}"
         )
-    b, t_steps, _ = cache.x.shape
-    grads = {name: np.zeros_like(arr) for name, arr in layer.param_tensors().items()}
-    dx = np.empty_like(cache.x)
-    h_zero = np.zeros((b, layer.hidden))
-    dh_next = np.zeros_like(h_zero)
-
+    u_zr = np.stack((layer.uz, layer.ur))
+    g_all = np.empty((3, t_steps, b, n))
+    dh = np.empty((b, n))
+    dh_next = np.zeros((b, n))
+    d_rh = np.empty((b, n))
+    dsig = np.empty((2, b, n))
+    proj = np.empty((2, b, n))
     for t in reversed(range(t_steps)):
-        xt = cache.x[:, t, :]
-        h_prev = h_zero if t == 0 else cache.h[:, t - 1]
-        z_t, r_t, c_t = cache.z[:, t], cache.r[:, t], cache.hcand[:, t]
+        h_prev = hs[t]
+        zr, z, r, c = gates[t, :2], gates[t, 0], gates[t, 1], gates[t, 2]
+        g_zr, g_z, g_r, g_c = g_all[:2, t], g_all[0, t], g_all[1, t], g_all[2, t]
+        np.add(upstream[:, t], dh_next, out=dh)
+        # dac = dh * z * (1 - c^2)
+        np.multiply(c, c, out=g_c)
+        np.subtract(1.0, g_c, out=g_c)
+        g_c *= z
+        g_c *= dh
+        np.matmul(g_c, layer.uh, out=d_rh)
+        # [daz; dar] = [dh * (c - h_prev); d_rh * h_prev] * s * (1 - s), s = [z; r]
+        np.subtract(c, h_prev, out=g_z)
+        g_z *= dh
+        np.multiply(d_rh, h_prev, out=g_r)
+        np.subtract(1.0, zr, out=dsig)
+        dh *= dsig[0]
+        dsig *= zr
+        g_zr *= dsig
+        # dh_prev = dh * (1 - z) + d_rh * r + daz uz + dar ur
+        np.matmul(g_zr, u_zr, out=proj)
+        np.add(proj[0], proj[1], out=dh_next)
+        dh_next += dh
+        d_rh *= r
+        dh_next += d_rh
 
-        dh = upstream[:, t] + dh_next
-        dz = dh * (c_t - h_prev)
-        dc = dh * z_t
-        dh_prev = dh * (1.0 - z_t)
-
-        dac = dc * (1.0 - c_t * c_t)
-        grads["wh"] += dac.T @ xt
-        grads["uh"] += dac.T @ (r_t * h_prev)
-        grads["bh"] += dac.sum(axis=0)
-        d_rh = dac @ layer.uh
-        dr = d_rh * h_prev
-        dh_prev += d_rh * r_t
-
-        daz = dz * z_t * (1.0 - z_t)
-        dar = dr * r_t * (1.0 - r_t)
-        grads["wz"] += daz.T @ xt
-        grads["uz"] += daz.T @ h_prev
-        grads["bz"] += daz.sum(axis=0)
-        grads["wr"] += dar.T @ xt
-        grads["ur"] += dar.T @ h_prev
-        grads["br"] += dar.sum(axis=0)
-
-        dh_prev += daz @ layer.uz + dar @ layer.ur
-        dx[:, t] = daz @ layer.wz + dar @ layer.wr + dac @ layer.wh
-        dh_next = dh_prev
-
+    g = g_all.reshape(3, t_steps * b, n)
+    x_rows = x.transpose(1, 0, 2).reshape(t_steps * b, d)
+    h_prev = hs[:-1].reshape(t_steps * b, n)
+    dw = np.matmul(g.transpose(0, 2, 1), x_rows)
+    du = np.matmul(g[:2].transpose(0, 2, 1), h_prev)
+    duh = g[2].T @ (gates[:, 1] * hs[:-1]).reshape(t_steps * b, n)
+    db = g.sum(axis=1)
+    dx = g[0] @ layer.wz
+    dx += g[1] @ layer.wr
+    dx += g[2] @ layer.wh
+    dx = np.ascontiguousarray(dx.reshape(t_steps, b, d).transpose(1, 0, 2))
+    grads = {"wz": dw[0], "uz": du[0], "bz": db[0],
+             "wr": dw[1], "ur": du[1], "br": db[1],
+             "wh": dw[2], "uh": duh, "bh": db[2]}
     return LayerGradients(grads, dx)
 
 

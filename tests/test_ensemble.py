@@ -165,6 +165,29 @@ class TestSerialization:
         loaded, _ = load_ensemble(path)
         npt.assert_array_equal(model.predict_scores(x[:8]), loaded.predict_scores(x[:8]))
 
+    def test_round_trip_is_bitwise_for_awkward_floats(self, tmp_path):
+        # Every tensor gets values whose shortest repr needs 17 digits, spans
+        # the exponent range, or is a signed zero or a subnormal; the loaded
+        # tensors must carry the same bit patterns.
+        model, _ = self._trained(epochs=0)
+        rng = np.random.default_rng(5)
+        special = np.array([-0.0, 0.0, 5e-324, -2.2250738585072014e-308,
+                            1.7976931348623157e308, 0.1 + 0.2, 1.0 / 3.0])
+        for member in model.members:
+            for _, arr in member.network.param_items() + member.network.state_items():
+                values = rng.standard_normal(arr.size) * 10.0 ** rng.integers(-300, 300, arr.size)
+                values[:len(special)] = special[:arr.size]
+                arr[...] = values.reshape(arr.shape)
+        path = tmp_path / "model.json"
+        save_ensemble(model, path)
+        loaded, _ = load_ensemble(path)
+        for ma, mb in zip(model.members, loaded.members):
+            a = ma.network.param_items() + ma.network.state_items()
+            b = mb.network.param_items() + mb.network.state_items()
+            assert [k for k, _ in a] == [k for k, _ in b]
+            for (key, ta), (_, tb) in zip(a, b):
+                npt.assert_array_equal(ta.view(np.uint64), tb.view(np.uint64), err_msg=key)
+
     def test_save_is_byte_stable(self, tmp_path):
         model, _ = self._trained()
         p1 = tmp_path / "a.json"

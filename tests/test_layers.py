@@ -54,9 +54,9 @@ class TestGruForward:
         x = np.random.default_rng(0).normal(size=(2, 4, 2))
         h, cache = gru_forward(p, x)
         npt.assert_array_equal(h, 0.0)
-        npt.assert_array_equal(cache.z, 0.5)
-        npt.assert_array_equal(cache.r, 0.5)
-        npt.assert_array_equal(cache.hcand, 0.0)
+        npt.assert_array_equal(cache.gates[:, 0], 0.5)  # z
+        npt.assert_array_equal(cache.gates[:, 1], 0.5)  # r
+        npt.assert_array_equal(cache.gates[:, 2], 0.0)  # candidate
 
     def test_saturated_update_gate(self):
         p = _zero_gru(1, 1)
@@ -64,7 +64,7 @@ class TestGruForward:
         p.br[:] = 100.0
         x = np.ones((1, 3, 1))
         h, cache = gru_forward(p, x)
-        assert np.all(cache.z > 1.0 - 1e-10)
+        assert np.all(cache.gates[:, 0] > 1.0 - 1e-10)
         npt.assert_allclose(h, 0.0, atol=1e-12)  # candidate is tanh(0) = 0
 
     def test_matches_scalar_oracle(self):
@@ -99,7 +99,8 @@ class TestGruBackward:
             npt.assert_array_equal(arr, 0.0)
         npt.assert_array_equal(g.x, 0.0)
 
-    @pytest.mark.parametrize("dims,tol", [((1, 1, 1, 1), 1e-5), ((2, 3, 2, 3), 1e-4)])
+    @pytest.mark.parametrize("dims,tol", [((1, 1, 1, 1), 1e-5), ((2, 3, 2, 3), 1e-4),
+                                          ((3, 6, 4, 5), 1e-4)])
     def test_matches_finite_differences(self, dims, tol):
         b, t, d, n = dims
         rng = RngStream(100 + n)
@@ -116,6 +117,116 @@ class TestGruBackward:
         for name, arr in p.param_tensors().items():
             assert max_rel_error(g.params[name], numeric_gradient(loss, arr)) < tol, name
         assert max_rel_error(g.x, numeric_gradient(loss, x)) < tol
+
+
+def _reference_gru(p: Gru, x, upstream):
+    """Per-step forward and backpropagation through time, six matmuls per
+    forward step and twelve per backward step; returns h and the gradients
+    of sum(h * upstream) as (params dict, dx)."""
+    b, t_steps, _ = x.shape
+    n = p.hidden
+    h, z, r, c = (np.empty((b, t_steps, n)) for _ in range(4))
+    h_prev = np.zeros((b, n))
+    for t in range(t_steps):
+        xt = x[:, t, :]
+        z[:, t] = sigmoid(xt @ p.wz.T + h_prev @ p.uz.T + p.bz)
+        r[:, t] = sigmoid(xt @ p.wr.T + h_prev @ p.ur.T + p.br)
+        c[:, t] = np.tanh(xt @ p.wh.T + (r[:, t] * h_prev) @ p.uh.T + p.bh)
+        h_prev = (1.0 - z[:, t]) * h_prev + z[:, t] * c[:, t]
+        h[:, t] = h_prev
+
+    grads = {name: np.zeros_like(arr) for name, arr in p.param_tensors().items()}
+    dx = np.empty_like(x)
+    dh_next = np.zeros((b, n))
+    for t in reversed(range(t_steps)):
+        xt = x[:, t, :]
+        h_prev = np.zeros((b, n)) if t == 0 else h[:, t - 1]
+        z_t, r_t, c_t = z[:, t], r[:, t], c[:, t]
+        dh = upstream[:, t] + dh_next
+        dz = dh * (c_t - h_prev)
+        dac = dh * z_t * (1.0 - c_t * c_t)
+        dh_prev = dh * (1.0 - z_t)
+        grads["wh"] += dac.T @ xt
+        grads["uh"] += dac.T @ (r_t * h_prev)
+        grads["bh"] += dac.sum(axis=0)
+        d_rh = dac @ p.uh
+        dr = d_rh * h_prev
+        dh_prev += d_rh * r_t
+        daz = dz * z_t * (1.0 - z_t)
+        dar = dr * r_t * (1.0 - r_t)
+        grads["wz"] += daz.T @ xt
+        grads["uz"] += daz.T @ h_prev
+        grads["bz"] += daz.sum(axis=0)
+        grads["wr"] += dar.T @ xt
+        grads["ur"] += dar.T @ h_prev
+        grads["br"] += dar.sum(axis=0)
+        dh_prev += daz @ p.uz + dar @ p.ur
+        dx[:, t] = daz @ p.wz + dar @ p.wr + dac @ p.wh
+        dh_next = dh_prev
+    return h, grads, dx
+
+
+def _random_gru(rng: RngStream, b, t, d, n):
+    """A Glorot GRU with nonzero biases, an input and an upstream gradient."""
+    p = Gru.glorot("gru", n, d, rng)
+    for bias in (p.bz, p.br, p.bh):
+        bias[:] = np.asarray(rng.uniform(n)) - 0.5
+    x = np.asarray(rng.uniform((b, t, d))) * 2.0 - 1.0
+    upstream = np.asarray(rng.uniform((b, t, n))) - 0.5
+    return p, x, upstream
+
+
+class TestGruOracle:
+    @staticmethod
+    def _check(p, x, upstream):
+        h, cache = gru_forward(p, x)
+        g = gru_backward(p, cache, upstream)
+        oh, ograds, odx = _reference_gru(p, x, upstream)
+        npt.assert_allclose(h, oh, rtol=0, atol=1e-12)
+        assert set(g.params) == set(p.PARAMS)
+        for name in p.PARAMS:
+            assert g.params[name].shape == getattr(p, name).shape, name
+            npt.assert_allclose(g.params[name], ograds[name], rtol=0, atol=1e-12, err_msg=name)
+        assert g.x.shape == x.shape
+        npt.assert_allclose(g.x, odx, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("b,t,d,n", list(itertools.product(
+        (1, 3, 30), (1, 2, 17), (1, 5, 32), (1, 4, 50))))
+    def test_matches_per_step_reference(self, b, t, d, n):
+        rng = RngStream(1000 * b + 100 * t + 10 * d + n)
+        self._check(*_random_gru(rng, b, t, d, n))
+
+    def test_non_contiguous_input_and_upstream(self):
+        rng = RngStream(77)
+        p, _, _ = _random_gru(rng, 3, 7, 5, 4)
+        x = (np.asarray(rng.uniform((3, 14, 10))) - 0.5)[:, ::2, 1::2]
+        upstream = (np.asarray(rng.uniform((3, 14, 8))) - 0.5)[:, 7:, ::2]
+        assert not x.flags.c_contiguous and not upstream.flags.c_contiguous
+        self._check(p, x, upstream)
+
+    def test_eval_output_equals_train_output_bitwise(self):
+        p, x, _ = _random_gru(RngStream(78), 4, 9, 3, 6)
+        h_train = p.forward(x, train=True)
+        assert p.cache is not None
+        h_eval = p.forward(x, train=False)
+        assert p.cache is None
+        npt.assert_array_equal(h_eval, h_train)
+
+    def test_extreme_preactivations_saturate(self):
+        # exp(-a) overflows for a < -709; the logistic must return the exact
+        # limit 0 there (and 1 for a > 37) without a NaN.
+        p = _zero_gru(2, 1)
+        p.wz[:] = [[1.0], [-1.0]]
+        x = np.array([[[800.0], [-800.0]]])
+        h, cache = gru_forward(p, x)
+        assert np.all(np.isfinite(h))
+        npt.assert_array_equal(cache.gates[:, 0, 0], [[1.0, 0.0], [0.0, 1.0]])
+
+    def test_backward_rejects_reshaped_upstream(self):
+        p, x, _ = _random_gru(RngStream(80), 2, 6, 3, 4)
+        _, cache = gru_forward(p, x)
+        with pytest.raises(ShapeError):
+            gru_backward(p, cache, np.zeros((3, 4, 4)))  # same size, wrong shape
 
 
 class TestConv1d:
