@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from .ensemble import load_ensemble, save_ensemble, train_ensemble
 from .harness import (ConfigError, DatasetFormatError, ExperimentReport, Preprocess,
@@ -30,22 +31,22 @@ from .training import TrainingDivergedError
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--topology", action="append", choices=TOPOLOGIES, default=None,
+    # No defaults here: an absent flag leaves the RunConfig field default.
+    p.add_argument("--topology", dest="topologies", action="append", choices=TOPOLOGIES,
                    help="topology to include (repeatable; default GRU_A)")
-    p.add_argument("--members", type=int, default=10, help="members per topology")
-    p.add_argument("--optimizer", default="stochastic",
-                   help=f"'stochastic' or one of {', '.join(VARIANTS)}")
-    p.add_argument("--learning-rate", type=float, default=0.01)
-    p.add_argument("--rho1", type=float, default=0.5)
-    p.add_argument("--rho2", type=float, default=0.999)
-    p.add_argument("--clip-threshold", type=float, default=1.0)
-    p.add_argument("--minibatch", type=int, default=30)
-    p.add_argument("--epochs", type=int, default=None,
+    p.add_argument("--members", type=int, help="members per topology")
+    p.add_argument("--optimizer", help=f"'stochastic' or one of {', '.join(VARIANTS)}")
+    p.add_argument("--learning-rate", type=float)
+    p.add_argument("--rho1", type=float)
+    p.add_argument("--rho2", type=float)
+    p.add_argument("--clip-threshold", type=float)
+    p.add_argument("--minibatch", type=int)
+    p.add_argument("--epochs", type=int,
                    help="override the per-family default (150 recurrent / 100 convolutional)")
-    p.add_argument("--hidden-units", type=int, default=50)
-    p.add_argument("--tcn-filters", type=int, default=175)
-    p.add_argument("--tcn-blocks", type=int, default=4)
-    p.add_argument("--encoding", choices=ENCODINGS, default="sequence-of-scalars")
+    p.add_argument("--hidden-units", type=int)
+    p.add_argument("--tcn-filters", type=int)
+    p.add_argument("--tcn-blocks", type=int)
+    p.add_argument("--encoding", choices=ENCODINGS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,27 +56,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_kfold = sub.add_parser("kfold", help="run a cross-validated experiment")
+    p_kfold = sub.add_parser("kfold", help="run a cross-validated experiment",
+                             argument_default=argparse.SUPPRESS)
     p_kfold.add_argument("--dataset", required=True)
-    p_kfold.add_argument("--folds", type=int, default=None)
+    p_kfold.add_argument("--folds", type=int)
     p_kfold.add_argument("--stratified", action="store_true",
                          help="spread each label vector evenly across folds")
-    p_kfold.add_argument("--holdout", type=float, default=None,
-                         help="holdout fraction instead of k folds")
-    p_kfold.add_argument("--holdout-indices", default=None,
+    p_kfold.add_argument("--holdout", type=float, help="holdout fraction instead of k folds")
+    p_kfold.add_argument("--holdout-indices",
                          help="file listing test-row indices, one per line")
     _add_train_flags(p_kfold)
-    p_kfold.add_argument("--augment-clusters", type=int, default=None,
+    p_kfold.add_argument("--augment-clusters", type=int,
                          help="cluster count for augmentation (0 = auto)")
-    p_kfold.add_argument("--augment-weight", type=float, default=1.0)
-    p_kfold.add_argument("--external-scores", default=None)
-    p_kfold.add_argument("--seed", type=int, default=0)
-    p_kfold.add_argument("--output", default=None, help="directory for report files")
+    p_kfold.add_argument("--augment-weight", type=float)
+    p_kfold.add_argument("--external-scores")
+    p_kfold.add_argument("--seed", type=int)
+    p_kfold.add_argument("--output", help="directory for report files")
 
-    p_train = sub.add_parser("train", help="train on a whole dataset file and save the model")
+    p_train = sub.add_parser("train", help="train on a whole dataset file and save the model",
+                             argument_default=argparse.SUPPRESS)
     p_train.add_argument("--dataset", required=True)
     _add_train_flags(p_train)
-    p_train.add_argument("--seed", type=int, default=0)
+    p_train.add_argument("--seed", type=int)
     p_train.add_argument("--output", required=True, help="directory for model.json")
 
     p_eval = sub.add_parser("evaluate", help="apply a saved model to a dataset file")
@@ -106,57 +108,32 @@ def _write_report(report: ExperimentReport, output: str | None) -> None:
             fh.write(json.dumps(report.config, sort_keys=True, indent=1) + "\n")
 
 
-def _run_config(args, **experiment) -> RunConfig:
-    """RunConfig from the training flags that kfold and train share, plus
-    the experiment-only fields kfold passes in."""
-    return RunConfig(
-        dataset=args.dataset,
-        topologies=tuple(args.topology or ("GRU_A",)),
-        members=args.members,
-        optimizer=args.optimizer,
-        learning_rate=args.learning_rate,
-        rho1=args.rho1,
-        rho2=args.rho2,
-        clip_threshold=args.clip_threshold,
-        minibatch=args.minibatch,
-        epochs=args.epochs,
-        hidden_units=args.hidden_units,
-        tcn_filters=args.tcn_filters,
-        tcn_blocks=args.tcn_blocks,
-        encoding=args.encoding,
-        seed=args.seed,
-        **experiment,
-    )
+def _run_config(args) -> RunConfig:
+    """RunConfig from the flags given; kfold and train declare no flag
+    defaults, so every absent flag keeps the field's default."""
+    return RunConfig(**{f.name: getattr(args, f.name)
+                        for f in fields(RunConfig) if hasattr(args, f.name)})
 
 
 def _cmd_kfold(args) -> int:
-    cfg = _run_config(
-        args,
-        folds=args.folds,
-        stratified=args.stratified,
-        holdout=args.holdout,
-        holdout_indices=args.holdout_indices,
-        augment_clusters=args.augment_clusters,
-        augment_weight=args.augment_weight,
-        external_scores=args.external_scores,
-        output=args.output,
-    )
+    cfg = _run_config(args)
     report = run_experiment(cfg)
-    _write_report(report, args.output)
+    _write_report(report, cfg.output)
+    if not report.records:
+        print(f"error [stage=kfold]: no fold produced a record "
+              f"({len(report.failures)} failed)", file=sys.stderr)
+        return 1
     return 0
 
 
 def _cmd_train(args) -> int:
     cfg = _run_config(args)
-    cfg.validate_training()
-    ds = load_dataset(args.dataset)
-    pre = Preprocess.fit(ds.x, ds.sparse)
-    x = pre.apply(ds.x)
+    ds = load_dataset(cfg.dataset)
+    pre, x = Preprocess.fit(ds.x, ds.sparse)
     specs = make_network_specs(cfg, ds.n_labels, x.shape[1])
-    model = train_ensemble(specs, x, ds.y, cfg.train_config(), RngStream(args.seed),
-                           members_per_spec=args.members, optimizer_policy=args.optimizer)
-    os.makedirs(args.output, exist_ok=True)
-    path = os.path.join(args.output, "model.json")
+    model = train_ensemble(specs, x, ds.y, cfg, RngStream(cfg.seed))
+    os.makedirs(cfg.output, exist_ok=True)
+    path = os.path.join(cfg.output, "model.json")
     save_ensemble(model, path, extra={"preprocess": pre.to_dict()})
     print(f"saved {len(model.members)}-member ensemble to {path}")
     return 0

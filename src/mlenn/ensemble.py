@@ -54,12 +54,10 @@ class EnsembleModel:
 
 
 def train_ensemble(specs: list, x, y, cfg: TrainConfig, seed,
-                   members_per_spec: int = 10,
-                   optimizer_policy: str = "stochastic",
                    sample_weights=None) -> EnsembleModel:
-    """Build and train ``members_per_spec`` networks per spec.
+    """Build and train ``cfg.members`` networks per spec.
 
-    ``optimizer_policy`` is either ``"stochastic"`` (one variant drawn per
+    ``cfg.optimizer`` is either ``"stochastic"`` (one variant drawn per
     layer per member) or the name of a fixed variant. ``seed`` may be an
     integer or an already-derived RngStream; member i draws all of its
     randomness from child stream i.
@@ -68,13 +66,13 @@ def train_ensemble(specs: list, x, y, cfg: TrainConfig, seed,
     members: list[EnsembleMember] = []
     index = 0
     for spec in specs:
-        for _ in range(members_per_spec):
+        for _ in range(cfg.members):
             member_rng = master.child(index)
             net = build_network(spec, member_rng.child(0))
-            if optimizer_policy == "stochastic":
+            if cfg.optimizer == "stochastic":
                 tags = assign_optimizers_stochastic(net, member_rng.child(1))
             else:
-                tags = assign_optimizers_fixed(net, optimizer_policy)
+                tags = assign_optimizers_fixed(net, cfg.optimizer)
             trace = train_network(net, x, y, cfg, member_rng.child(2),
                                   optimizer_tags=tags, sample_weights=sample_weights)
             members.append(EnsembleMember(net, tags, trace))

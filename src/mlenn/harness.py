@@ -25,9 +25,8 @@ from .ensemble import (EnsembleModel, fuse_weighted_external, fused_threshold,
                        normalize_enn, train_ensemble)
 from .metrics import METRIC_NAMES, PredictionSet, compute_all, format_record
 from .network import ENCODINGS, TOPOLOGIES, NetworkSpec
-from .numerics import PcaModel, RngStream, pca_fit, pca_transform
-from .pipeline import (Dataset, build_training_set, imcc_augment, minmax_normalize,
-                       minmax_scale, pca_reduce)
+from .numerics import ConfigError, PcaModel, RngStream, pca_fit, pca_transform
+from .pipeline import Dataset, build_training_set, imcc_augment, minmax_normalize, minmax_scale
 from .training import TrainConfig, TrainingDivergedError
 
 HEADER_MAGIC = "mlkit-dataset v1"
@@ -35,10 +34,6 @@ HEADER_MAGIC = "mlkit-dataset v1"
 
 class DatasetFormatError(ValueError):
     """A dataset or score file does not match its declared format."""
-
-
-class ConfigError(ValueError):
-    """A run configuration field failed validation."""
 
 
 # ---------------------------------------------------------------------------
@@ -225,30 +220,24 @@ def index_file_split(n: int, path) -> list:
 # Run configuration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything run_experiment needs; validated before any training.
+@dataclass(frozen=True, kw_only=True)
+class RunConfig(TrainConfig):
+    """Everything run_experiment needs: the training protocol inherited from
+    TrainConfig plus the data, architecture and fold-scheme fields. Every
+    field is checked on construction.
 
     Exactly one of ``folds``, ``holdout`` or ``holdout_indices`` selects the
-    fold scheme; ``stratified`` applies to the k-fold scheme only.
+    fold scheme (``validate``); ``stratified`` needs ``folds``.
     ``augment_clusters=None`` disables augmentation; 0 means
     round(sqrt(train rows)).
     """
 
     dataset: str
     topologies: tuple = ("GRU_A",)
-    members: int = 10
-    optimizer: str = "stochastic"
-    learning_rate: float = 0.01
-    rho1: float = 0.5
-    rho2: float = 0.999
-    clip_threshold: float = 1.0
-    minibatch: int = 30
-    epochs: int | None = None
-    hidden_units: int = 50
-    tcn_filters: int = 175
-    tcn_blocks: int = 4
-    encoding: str = "sequence-of-scalars"
+    hidden_units: int = NetworkSpec.hidden_units
+    tcn_filters: int = NetworkSpec.tcn_filters
+    tcn_blocks: int = NetworkSpec.tcn_blocks
+    encoding: str = NetworkSpec.input_encoding
     folds: int | None = None
     stratified: bool = False
     holdout: float | None = None
@@ -259,25 +248,10 @@ class RunConfig:
     seed: int = 0
     output: str | None = None
 
-    def validate(self) -> None:
-        """Check every field, the fold scheme included; run_experiment's check."""
-        self.validate_training()
-        schemes = sum(v is not None for v in (self.folds, self.holdout, self.holdout_indices))
-        if schemes != 1:
-            raise ConfigError("field folds/holdout/holdout_indices: choose exactly one fold scheme")
-        if self.folds is not None and self.folds < 2:
-            raise ConfigError("field folds: must be >= 2")
-        if self.holdout is not None and not 0.0 < self.holdout < 1.0:
-            raise ConfigError("field holdout: fraction must lie in (0, 1)")
-        if self.augment_clusters is not None and self.augment_clusters < 0:
-            raise ConfigError("field augment_clusters: must be >= 0 (0 = auto)")
-        if self.augment_weight < 0:
-            raise ConfigError("field augment_weight: must be >= 0")
-
-    def validate_training(self) -> None:
-        """Check the fields that training a whole-file ensemble uses."""
-        from .optim import VARIANTS
-
+    def __post_init__(self):
+        super().__post_init__()
+        # the CLI's repeatable --topology yields a list
+        object.__setattr__(self, "topologies", tuple(self.topologies))
         if not self.dataset:
             raise ConfigError("field dataset: a dataset path is required")
         if not self.topologies:
@@ -285,30 +259,28 @@ class RunConfig:
         for t in self.topologies:
             if t not in TOPOLOGIES:
                 raise ConfigError(f"field topologies: unknown topology {t!r}")
-        if self.members < 1:
-            raise ConfigError("field members: must be >= 1")
-        if self.optimizer != "stochastic" and self.optimizer not in VARIANTS:
-            raise ConfigError(f"field optimizer: {self.optimizer!r} is not "
-                              f"'stochastic' or one of {VARIANTS}")
-        if self.learning_rate <= 0:
-            raise ConfigError("field learning_rate: must be positive")
-        if not (0 < self.rho1 < 1 and 0 < self.rho2 < 1):
-            raise ConfigError("field rho1/rho2: decay factors must lie in (0, 1)")
-        if self.clip_threshold <= 0:
-            raise ConfigError("field clip_threshold: must be positive")
-        if self.minibatch < 1:
-            raise ConfigError("field minibatch: must be >= 1")
-        if self.epochs is not None and self.epochs < 0:
-            raise ConfigError("field epochs: must be >= 0")
-        if self.hidden_units < 1 or self.tcn_filters < 1 or self.tcn_blocks < 1:
-            raise ConfigError("field hidden_units/tcn_filters/tcn_blocks: must be >= 1")
+        for name in ("hidden_units", "tcn_filters", "tcn_blocks"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"field {name}: must be >= 1")
         if self.encoding not in ENCODINGS:
             raise ConfigError(f"field encoding: unknown encoding {self.encoding!r}")
+        if self.folds is not None and self.folds < 2:
+            raise ConfigError("field folds: must be >= 2")
+        if self.stratified and self.folds is None:
+            raise ConfigError("field stratified: applies to the k-fold scheme only, "
+                              "so it needs folds")
+        if self.holdout is not None and not 0.0 < self.holdout < 1.0:
+            raise ConfigError("field holdout: fraction must lie in (0, 1)")
+        if self.augment_clusters is not None and self.augment_clusters < 0:
+            raise ConfigError("field augment_clusters: must be >= 0 (0 = auto)")
+        if not self.augment_weight >= 0:
+            raise ConfigError("field augment_weight: must be >= 0")
 
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(learning_rate=self.learning_rate, rho1=self.rho1,
-                           rho2=self.rho2, clip_threshold=self.clip_threshold,
-                           minibatch=self.minibatch, epochs=self.epochs)
+    def validate(self) -> None:
+        """Check that exactly one fold scheme is chosen; run_experiment's check."""
+        schemes = sum(v is not None for v in (self.folds, self.holdout, self.holdout_indices))
+        if schemes != 1:
+            raise ConfigError("field folds/holdout/holdout_indices: choose exactly one fold scheme")
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +345,8 @@ def _resolve_splits(cfg: RunConfig, ds: Dataset, rng: RngStream) -> list:
 
 def _run_fold(cfg: RunConfig, ds: Dataset, train_idx, test_idx,
               external, fold_rng: RngStream) -> dict:
-    x_fit = ds.x[train_idx]
-    x_tr = minmax_normalize(x_fit, x_fit)
-    x_te = minmax_normalize(x_fit, ds.x[test_idx])
-    if ds.sparse:
-        x_tr, x_te = pca_reduce(x_tr, x_te, 0.99)
+    pre, x_tr = Preprocess.fit(ds.x[train_idx], ds.sparse)
+    x_te = pre.apply(ds.x[test_idx])
     y_tr = ds.y[train_idx]
     y_te = ds.y[test_idx]
 
@@ -391,9 +360,7 @@ def _run_fold(cfg: RunConfig, ds: Dataset, train_idx, test_idx,
         x_tr, y_tr, weights = tset.x, tset.y, tset.weights
 
     specs = make_network_specs(cfg, ds.n_labels, x_tr.shape[1])
-    model = train_ensemble(specs, x_tr, y_tr, cfg.train_config(),
-                           fold_rng.child(1), members_per_spec=cfg.members,
-                           optimizer_policy=cfg.optimizer, sample_weights=weights)
+    model = train_ensemble(specs, x_tr, y_tr, cfg, fold_rng.child(1), sample_weights=weights)
     scores = model.predict_scores(x_te)
     return _score_models(y_te, scores, None if external is None else external[test_idx])
 
@@ -458,15 +425,17 @@ class Preprocess:
     pca: PcaModel | None = None
 
     @classmethod
-    def fit(cls, x: np.ndarray, sparse: bool, retain: float = 0.99) -> "Preprocess":
-        lo = x.min(axis=0)
-        hi = x.max(axis=0)
-        pca = None
+    def fit(cls, x: np.ndarray, sparse: bool) -> tuple["Preprocess", np.ndarray]:
+        """Fit the column ranges of ``x``, and for sparse data a PCA basis on
+        the normalized rows; return the transform and ``x`` transformed."""
+        out = minmax_normalize(x, x)
+        pre = cls(x.min(axis=0), x.max(axis=0))
         if sparse:
-            normalized = minmax_normalize(x, x)
-            model = pca_fit(normalized, retain)
-            pca = model if model.n_components > 0 else None
-        return cls(lo, hi, pca)
+            model = pca_fit(out)
+            if model.n_components > 0:
+                pre.pca = model
+                out = pca_transform(model, out)
+        return pre, out
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         out = minmax_scale(x, self.lo, self.hi)

@@ -17,6 +17,10 @@ class ShapeError(ValueError):
     """Tensor shapes do not line up for the requested operation."""
 
 
+class ConfigError(ValueError):
+    """A run configuration field failed validation."""
+
+
 class NonFiniteError(FloatingPointError):
     """A NaN or infinity appeared where finite values are required."""
 

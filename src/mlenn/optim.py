@@ -40,7 +40,8 @@ class OptimizerState:
     """Moment and bookkeeping state for one parameter tensor.
 
     ``avg`` accumulates the gradient moving average that drives the
-    dgrad/cos1/exp/sto modulation.
+    dgrad/cos1/exp/sto modulation. The hyperparameter defaults are Adam's
+    textbook values; training passes the protocol's rho1, rho2 and lr.
     """
 
     variant: str
@@ -58,18 +59,17 @@ class OptimizerState:
     rng: RngStream | None = None
 
     @classmethod
-    def create(cls, variant: str, shape, *, rho1: float = 0.9, rho2: float = 0.999,
-               lr: float = 0.01, eps: float = 1e-8, steps: int = 30,
-               k_exp: float = 2.0, rng: RngStream | None = None) -> "OptimizerState":
+    def create(cls, variant: str, shape, *, rng: RngStream | None = None,
+               **hyper) -> "OptimizerState":
+        """Zeroed state for a tensor of ``shape``; ``hyper`` overrides the
+        field defaults (rho1, rho2, lr, eps, steps, k_exp)."""
         if variant not in VARIANTS:
             raise ValueError(f"unknown optimizer variant {variant!r}")
         if variant == "sto" and rng is None:
             raise ValueError("sto variant requires an rng stream")
         shape = tuple(shape)
         zeros = lambda: np.zeros(shape)
-        return cls(variant, zeros(), zeros(), zeros(), zeros(),
-                   rho1=rho1, rho2=rho2, lr=lr, eps=eps, steps=steps,
-                   k_exp=k_exp, rng=rng)
+        return cls(variant, zeros(), zeros(), zeros(), zeros(), rng=rng, **hyper)
 
 
 def _corrected_avg(state: OptimizerState) -> np.ndarray:
@@ -189,7 +189,7 @@ def optimizer_step(state: OptimizerState, theta, g) -> np.ndarray:
     return theta - step
 
 
-def clip_gradients_l2(grads: list, threshold: float = 1.0) -> list:
+def clip_gradients_l2(grads: list, threshold: float) -> list:
     """Scale a network's gradient tensors so their joint L2 norm does not
     exceed ``threshold``; below the threshold the tensors pass through."""
     if threshold <= 0.0:

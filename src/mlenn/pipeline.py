@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngStream, ShapeError, as_tensor, kmeans, pca_fit, pca_transform
+# pca_fit is not used here, but perfbench/tracer.py wraps mlenn.pipeline.pca_fit.
+from .numerics import RngStream, ShapeError, as_tensor, kmeans, pca_fit  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -92,15 +93,6 @@ def minmax_scale(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     out = (x - lo) / safe
     out[:, span == 0] = 0.0
     return np.clip(out, 0.0, 1.0)
-
-
-def pca_reduce(train, apply_to, retain: float = 0.99):
-    """Fit PCA on ``train`` and project both tensors; a zero-variance fit
-    passes both through unchanged. Returns (train_reduced, apply_reduced)."""
-    model = pca_fit(train, retain)
-    if model.n_components == 0:
-        return as_tensor(train), as_tensor(apply_to)
-    return pca_transform(model, train), pca_transform(model, apply_to)
 
 
 def imcc_augment(ds: Dataset, c: int, rng: RngStream) -> AugmentedSet:

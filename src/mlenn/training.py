@@ -14,7 +14,7 @@ import numpy as np
 
 from .metrics import bce_loss
 from .network import GRU_FAMILY, Network
-from .numerics import RngStream
+from .numerics import ConfigError, RngStream
 from .optim import STOCHASTIC_POOL, VARIANTS, OptimizerState, clip_gradients_l2, optimizer_step
 
 
@@ -31,8 +31,12 @@ class TrainingDivergedError(RuntimeError):
 class TrainConfig:
     """Training protocol: high learning rate, heavy clipping, small batches.
 
-    ``epochs=None`` resolves per topology family: 150 for recurrent
-    topologies, 100 for convolutional ones.
+    This class is the one home of the protocol defaults; ``RunConfig`` and
+    the CLI flags inherit them. ``epochs=None`` resolves per topology
+    family: 150 for recurrent topologies, 100 for convolutional ones.
+    ``members`` networks are trained per topology, and ``optimizer`` is
+    ``"stochastic"`` (one variant drawn per layer per member) or the name
+    of a fixed variant.
     """
 
     learning_rate: float = 0.01
@@ -41,14 +45,26 @@ class TrainConfig:
     clip_threshold: float = 1.0
     minibatch: int = 30
     epochs: int | None = None
+    members: int = 10
+    optimizer: str = "stochastic"
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.clip_threshold <= 0 or self.minibatch < 1:
-            raise ValueError("learning_rate, clip_threshold and minibatch must be positive")
-        if not (0 < self.rho1 < 1 and 0 < self.rho2 < 1):
-            raise ValueError("decay factors must lie in (0, 1)")
+        if not self.learning_rate > 0:
+            raise ConfigError("field learning_rate: must be positive")
+        for name in ("rho1", "rho2"):
+            if not 0 < getattr(self, name) < 1:
+                raise ConfigError(f"field {name}: decay factors must lie in (0, 1)")
+        if not self.clip_threshold > 0:
+            raise ConfigError("field clip_threshold: must be positive")
+        if self.minibatch < 1:
+            raise ConfigError("field minibatch: must be >= 1")
         if self.epochs is not None and self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+            raise ConfigError("field epochs: must be >= 0")
+        if self.members < 1:
+            raise ConfigError("field members: must be >= 1")
+        if self.optimizer != "stochastic" and self.optimizer not in VARIANTS:
+            raise ConfigError(f"field optimizer: {self.optimizer!r} is not "
+                              f"'stochastic' or one of {VARIANTS}")
 
     def resolve_epochs(self, topology: str) -> int:
         if self.epochs is not None:

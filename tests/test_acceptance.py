@@ -479,15 +479,14 @@ def test_c07_synthetic_end_to_end():
 
         spec = NetworkSpec(topology="GRU_A", n_labels=5)
         cfg = TrainConfig(epochs=30)
+        single = TrainConfig(epochs=30, members=1, optimizer="adam")
 
         singles, ensembles = [], []
         for seed in range(5):
-            one = train_ensemble([spec], x[tr], y[tr], cfg, seed=1000 + seed,
-                                 members_per_spec=1, optimizer_policy="adam")
+            one = train_ensemble([spec], x[tr], y[tr], single, seed=1000 + seed)
             singles.append(average_precision(
                 PredictionSet.from_scores(y[te], one.predict_scores(x[te]))))
-            ten = train_ensemble([spec], x[tr], y[tr], cfg, seed=2000 + seed,
-                                 members_per_spec=10)
+            ten = train_ensemble([spec], x[tr], y[tr], cfg, seed=2000 + seed)
             ensembles.append(average_precision(
                 PredictionSet.from_scores(y[te], ten.predict_scores(x[te]))))
 
@@ -564,8 +563,7 @@ def test_c10_scene_dataset_if_supplied():
         x_tr = minmax_normalize(ds.x[tr], ds.x[tr])
         x_te = minmax_normalize(ds.x[tr], ds.x[te])
         spec = NetworkSpec(topology="GRU_A", n_labels=ds.n_labels)
-        model = train_ensemble([spec], x_tr, ds.y[tr], TrainConfig(),
-                               master.child(2), members_per_spec=10)
+        model = train_ensemble([spec], x_tr, ds.y[tr], TrainConfig(), master.child(2))
         ap = average_precision(
             PredictionSet.from_scores(ds.y[te], model.predict_scores(x_te)))
         assert ap >= 0.85, f"holdout average precision {ap:.3f}"

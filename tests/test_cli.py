@@ -1,9 +1,12 @@
+import argparse
 import json
+from dataclasses import fields
 
+import numpy as np
 import pytest
 
-from mlenn.cli import main
-from mlenn.harness import save_dataset
+from mlenn.cli import _run_config, build_parser, main
+from mlenn.harness import RunConfig, save_dataset
 from mlenn.pipeline import Dataset
 
 from synth import banded_task
@@ -64,6 +67,21 @@ class TestKfoldCommand:
         assert code != 0
         assert "stage=" in err
 
+    def test_no_fold_record_exits_one(self, tmp_path, capsys):
+        # all-zero labels leave the ranking indicators undefined on every fold
+        x, _ = banded_task(20, 20, 6, 2)
+        path = tmp_path / "zeros.mlkit"
+        save_dataset(Dataset(x, np.zeros((20, 2)), name="zeros"), path)
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(
+            capsys, "kfold", "--dataset", path, "--folds", "2", "--members", "1",
+            "--hidden-units", "4", "--epochs", "1", "--output", out_dir)
+        assert code == 1
+        assert "stage=kfold" in err
+        report = (out_dir / "report.txt").read_text()
+        assert "# fold 0 failed" in report and "# fold 1 failed" in report
+        assert (out_dir / "report.json").exists() and (out_dir / "config.json").exists()
+
     def test_holdout_mode(self, dataset_file, capsys):
         code, stdout, _ = run_cli(
             capsys, "kfold", "--dataset", dataset_file, "--holdout", "0.25",
@@ -100,6 +118,57 @@ class TestTrainEvaluateCommands:
                                "--optimizer", "sgd", "--output", tmp_path / "model")
         assert code == 2
         assert "stage=configuration" in err
+
+
+_BAD_VALUES = [
+    ("--learning-rate", "0", "learning_rate"),
+    ("--learning-rate", "nan", "learning_rate"),
+    ("--rho1", "1", "rho1"),
+    ("--rho2", "0", "rho2"),
+    ("--clip-threshold", "0", "clip_threshold"),
+    ("--clip-threshold", "nan", "clip_threshold"),
+    ("--minibatch", "0", "minibatch"),
+    ("--epochs", "-1", "epochs"),
+    ("--members", "0", "members"),
+    ("--optimizer", "sgd", "optimizer"),
+    ("--hidden-units", "0", "hidden_units"),
+]
+
+
+@pytest.mark.parametrize("command", ["kfold", "train"])
+@pytest.mark.parametrize("flag,value,field", _BAD_VALUES)
+def test_bad_value_is_a_configuration_error(command, flag, value, field,
+                                            dataset_file, tmp_path, capsys):
+    extra = ["--folds", "2"] if command == "kfold" else []
+    code, _, err = run_cli(capsys, command, "--dataset", dataset_file, *extra,
+                           flag, value, "--output", tmp_path / "out")
+    assert code == 2
+    assert "stage=configuration" in err
+    assert field in err
+    assert not (tmp_path / "out").exists()
+
+
+class TestParserMatchesRunConfig:
+    def test_bare_kfold(self):
+        args = build_parser().parse_args(["kfold", "--dataset", "d.mlkit"])
+        assert _run_config(args) == RunConfig(dataset="d.mlkit")
+
+    def test_bare_train(self):
+        args = build_parser().parse_args(["train", "--dataset", "d.mlkit", "--output", "o"])
+        assert _run_config(args) == RunConfig(dataset="d.mlkit", output="o")
+
+    def test_repeated_topology(self):
+        args = build_parser().parse_args(["kfold", "--dataset", "d", "--topology", "TCN_A",
+                                          "--topology", "GRU_B"])
+        assert _run_config(args) == RunConfig(dataset="d", topologies=("TCN_A", "GRU_B"))
+
+    @pytest.mark.parametrize("command", ["kfold", "train"])
+    def test_every_dest_is_a_field(self, command):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices[command]
+        names = {f.name for f in fields(RunConfig)}
+        dests = [a.dest for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+        assert dests and set(dests) <= names
 
 
 class TestAugmentPreview:

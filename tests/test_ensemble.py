@@ -89,9 +89,9 @@ class TestFuseWeightedExternal:
 class TestTrainEnsemble:
     def test_members_and_determinism(self):
         x, y = separable_task(5, n=45)
-        cfg = TrainConfig(epochs=2)
-        a = train_ensemble([small_spec()], x, y, cfg, seed=3, members_per_spec=2)
-        b = train_ensemble([small_spec()], x, y, cfg, seed=3, members_per_spec=2)
+        cfg = TrainConfig(epochs=2, members=2)
+        a = train_ensemble([small_spec()], x, y, cfg, seed=3)
+        b = train_ensemble([small_spec()], x, y, cfg, seed=3)
         assert len(a.members) == 2
         for ma, mb in zip(a.members, b.members):
             assert ma.optimizer_tags == mb.optimizer_tags
@@ -101,8 +101,8 @@ class TestTrainEnsemble:
 
     def test_members_differ_from_each_other(self):
         x, y = separable_task(6, n=45)
-        model = train_ensemble([small_spec()], x, y, TrainConfig(epochs=1),
-                               seed=4, members_per_spec=2)
+        model = train_ensemble([small_spec()], x, y, TrainConfig(epochs=1, members=2),
+                               seed=4)
         first = dict(model.members[0].network.param_items())
         second = dict(model.members[1].network.param_items())
         assert any(not np.array_equal(first[k], second[k]) for k in first)
@@ -110,8 +110,7 @@ class TestTrainEnsemble:
     def test_multiple_topologies(self):
         x, y = separable_task(7, n=45)
         specs = [small_spec(), small_spec(topology="TCN_A", tcn_filters=4, tcn_blocks=1)]
-        model = train_ensemble(specs, x, y, TrainConfig(epochs=1), seed=5,
-                               members_per_spec=2)
+        model = train_ensemble(specs, x, y, TrainConfig(epochs=1, members=2), seed=5)
         assert len(model.members) == 4
         scores = model.predict_scores(x[:6])
         assert scores.shape == (6, 3)
@@ -119,17 +118,16 @@ class TestTrainEnsemble:
 
     def test_fixed_policy(self):
         x, y = separable_task(8, n=45)
-        model = train_ensemble([small_spec()], x, y, TrainConfig(epochs=1),
-                               seed=6, members_per_spec=1, optimizer_policy="adam")
+        model = train_ensemble([small_spec()], x, y,
+                               TrainConfig(epochs=1, members=1, optimizer="adam"), seed=6)
         assert all(v == "adam" for v in model.members[0].optimizer_tags.values())
 
     def test_label_count_consistency_enforced(self):
         x, y = separable_task(9, n=45)
-        m1 = train_ensemble([small_spec()], x, y, TrainConfig(epochs=0), seed=1,
-                            members_per_spec=1)
+        m1 = train_ensemble([small_spec()], x, y, TrainConfig(epochs=0, members=1), seed=1)
         x2, y2 = separable_task(9, n=45, l=2)
-        m2 = train_ensemble([small_spec(n_labels=2)], x2, y2, TrainConfig(epochs=0),
-                            seed=1, members_per_spec=1)
+        m2 = train_ensemble([small_spec(n_labels=2)], x2, y2,
+                            TrainConfig(epochs=0, members=1), seed=1)
         with pytest.raises(ShapeError):
             EnsembleModel(m1.members + m2.members)
 
@@ -138,8 +136,7 @@ class TestSerialization:
     def _trained(self, epochs=1):
         x, y = separable_task(10, n=45)
         specs = [small_spec(), small_spec(topology="GRU_B", pre_conv_filters=3)]
-        return train_ensemble(specs, x, y, TrainConfig(epochs=epochs), seed=7,
-                              members_per_spec=1), x
+        return train_ensemble(specs, x, y, TrainConfig(epochs=epochs, members=1), seed=7), x
 
     def test_round_trip_preserves_parameters(self, tmp_path):
         model, x = self._trained()
@@ -225,12 +222,11 @@ class TestEnsembleVariance:
         tr, te = slice(0, 133), slice(133, 200)
         spec = small_spec(n_labels=5, hidden_units=8)
         cfg = TrainConfig(epochs=3)
+        single = TrainConfig(epochs=3, members=1, optimizer="adam")
         singles, ensembles = [], []
         for seed in range(10):
-            one = train_ensemble([spec], x[tr], y[tr], cfg, seed=100 + seed,
-                                 members_per_spec=1, optimizer_policy="adam")
-            ten = train_ensemble([spec], x[tr], y[tr], cfg, seed=500 + seed,
-                                 members_per_spec=10)
+            one = train_ensemble([spec], x[tr], y[tr], single, seed=100 + seed)
+            ten = train_ensemble([spec], x[tr], y[tr], cfg, seed=500 + seed)
             singles.append(average_precision(
                 PredictionSet.from_scores(y[te], one.predict_scores(x[te]))))
             ensembles.append(average_precision(

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import numpy.testing as npt
@@ -233,6 +234,19 @@ class TestRunConfigValidation:
         with pytest.raises(ConfigError, match="augment"):
             self._base(augment_clusters=-1).validate()
 
+    def test_stratified_needs_folds(self):
+        with pytest.raises(ConfigError, match="field stratified"):
+            RunConfig(dataset="x", holdout=0.3, stratified=True)
+
+    def test_config_keys_pinned(self):
+        assert sorted(asdict(RunConfig(dataset="x", folds=2))) == [
+            "augment_clusters", "augment_weight", "clip_threshold", "dataset",
+            "encoding", "epochs", "external_scores", "folds", "hidden_units",
+            "holdout", "holdout_indices", "learning_rate", "members", "minibatch",
+            "optimizer", "output", "rho1", "rho2", "seed", "stratified",
+            "tcn_blocks", "tcn_filters", "topologies",
+        ]
+
 
 def fast_config(path, **kw):
     kw.setdefault("topologies", ("GRU_A",))
@@ -294,8 +308,7 @@ class TestRunExperiment:
         x_te = minmax_normalize(ds.x[tr], ds.x[te])
         model = train_ensemble(
             [NetworkSpec(topology="GRU_A", n_labels=2, hidden_units=4)],
-            x_tr, ds.y[tr], cfg.train_config(), master.child(100).child(1),
-            members_per_spec=1, optimizer_policy="stochastic")
+            x_tr, ds.y[tr], cfg, master.child(100).child(1))
         fused = fuse_weighted_external(normalize_enn(model.predict_scores(x_te)),
                                        ext[te], 3.0)
         expected = compute_all(PredictionSet.from_scores(ds.y[te], fused, threshold=2.0))
@@ -365,13 +378,39 @@ class TestPreprocess:
     def test_fit_apply_matches_minmax(self):
         rng = np.random.default_rng(10)
         x = rng.normal(size=(20, 4))
-        pre = Preprocess.fit(x, sparse=False)
+        pre, _ = Preprocess.fit(x, sparse=False)
         from mlenn.pipeline import minmax_normalize
         npt.assert_allclose(pre.apply(x), minmax_normalize(x, x), atol=1e-15)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_fit_returns_apply_of_training_rows(self, sparse):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(30, 3)) @ rng.normal(size=(3, 8))
+        x[:, 5] = 4.0  # a constant column
+        pre, x_fit = Preprocess.fit(x, sparse=sparse)
+        npt.assert_array_equal(x_fit, pre.apply(x))
 
     def test_dict_round_trip(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=(25, 3)) @ np.eye(3)
-        pre = Preprocess.fit(x, sparse=True)
+        pre, _ = Preprocess.fit(x, sparse=True)
         clone = Preprocess.from_dict(json.loads(json.dumps(pre.to_dict())))
         npt.assert_array_equal(pre.apply(x), clone.apply(x))
+
+    def test_sparse_rank_bound(self):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(30, 2)) @ rng.normal(size=(2, 10))
+        _, x_fit = Preprocess.fit(x, sparse=True)
+        assert x_fit.shape[1] <= 2
+
+    def test_sparse_shared_rows_agree(self):
+        rng = np.random.default_rng(2)
+        train = rng.normal(size=(25, 6))
+        pre, x_fit = Preprocess.fit(train, sparse=True)
+        npt.assert_array_equal(x_fit[:5], pre.apply(train[:5]))
+
+    def test_sparse_zero_variance_passes_through(self):
+        x = np.full((4, 3), 2.5)
+        pre, x_fit = Preprocess.fit(x, sparse=True)
+        assert pre.pca is None
+        npt.assert_array_equal(x_fit, np.zeros((4, 3)))

@@ -6,8 +6,7 @@ import pytest
 
 from mlenn.metrics import bce_loss
 from mlenn.numerics import RngStream
-from mlenn.pipeline import (Dataset, build_training_set, imcc_augment,
-                            minmax_normalize, pca_reduce)
+from mlenn.pipeline import Dataset, build_training_set, imcc_augment, minmax_normalize
 
 
 class TestMinMaxNormalize:
@@ -28,33 +27,6 @@ class TestMinMaxNormalize:
         train = np.array([[0.0], [10.0]])
         apply = np.array([[5.0]])
         npt.assert_allclose(minmax_normalize(train, apply), [[0.5]])
-
-
-class TestPcaReduce:
-    def test_rank_bound(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(30, 2)) @ rng.normal(size=(2, 10))
-        tr, te = pca_reduce(x, x, retain=0.99)
-        assert tr.shape[1] <= 2
-
-    def test_full_retention_reconstruction(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(20, 3)) @ rng.normal(size=(3, 8))
-        from mlenn.numerics import pca_fit, pca_transform
-        model = pca_fit(x, 1.0)
-        recon = pca_transform(model, x) @ model.components + model.mean
-        assert np.abs(recon - x).max() < 1e-8
-
-    def test_shared_rows_agree(self):
-        rng = np.random.default_rng(2)
-        train = rng.normal(size=(25, 6))
-        tr, te = pca_reduce(train, train[:5], retain=0.99)
-        npt.assert_array_equal(tr[:5], te)
-
-    def test_zero_variance_passes_through(self):
-        x = np.full((4, 3), 2.5)
-        tr, te = pca_reduce(x, x)
-        npt.assert_array_equal(tr, x)
 
 
 class TestImccAugment:

@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from mlenn.network import NetworkSpec, build_network
-from mlenn.numerics import RngStream
+from mlenn.numerics import ConfigError, RngStream
 from mlenn.optim import STOCHASTIC_POOL
 from mlenn.training import (TrainConfig, assign_optimizers_fixed,
                             assign_optimizers_stochastic, make_optimizer_states,
@@ -39,11 +39,13 @@ class TestTrainConfig:
         assert cfg.rho2 == 0.999
         assert cfg.clip_threshold == 1.0
         assert cfg.minibatch == 30
+        assert cfg.members == 10
+        assert cfg.optimizer == "stochastic"
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="field learning_rate"):
             TrainConfig(learning_rate=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="field rho1"):
             TrainConfig(rho1=1.0)
 
 
