@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from mlenn.metrics import bce_loss
-from mlenn.numerics import RngStream
+from mlenn.numerics import RngStream, pca_fit, pca_transform
 from mlenn.pipeline import Dataset, build_training_set, imcc_augment, minmax_normalize
 
 
@@ -27,6 +27,15 @@ class TestMinMaxNormalize:
         train = np.array([[0.0], [10.0]])
         apply = np.array([[5.0]])
         npt.assert_allclose(minmax_normalize(train, apply), [[0.5]])
+
+
+class TestPcaReduce:
+    def test_full_retention_reconstruction(self):
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(20, 3)) @ rng.normal(size=(3, 8))
+        model = pca_fit(x, 1.0)
+        recon = pca_transform(model, x) @ model.components + model.mean
+        assert np.abs(recon - x).max() < 1e-8
 
 
 class TestImccAugment:
