@@ -23,17 +23,20 @@ from .ensemble import load_ensemble, save_ensemble, train_ensemble
 from .harness import (ConfigError, DatasetFormatError, ExperimentReport, Preprocess,
                       RunConfig, evaluate_model, load_dataset, load_external_scores,
                       make_network_specs, run_experiment)
-from .network import ENCODINGS, TOPOLOGIES
+from .network import ENCODINGS, GRU_FAMILY, TCN_FAMILY, TOPOLOGIES
 from .numerics import RngStream
 from .optim import VARIANTS
 from .pipeline import imcc_augment
-from .training import TrainingDivergedError
+from .training import TrainConfig, TrainingDivergedError
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    # No defaults here: an absent flag leaves the RunConfig field default.
+    # No defaults here: an absent flag leaves the RunConfig field default,
+    # and the help texts quote those defaults.
+    protocol = TrainConfig()
     p.add_argument("--topology", dest="topologies", action="append", choices=TOPOLOGIES,
-                   help="topology to include (repeatable; default GRU_A)")
+                   help="topology to include (repeatable; default "
+                        f"{' '.join(RunConfig.topologies)})")
     p.add_argument("--members", type=int, help="members per topology")
     p.add_argument("--optimizer", help=f"'stochastic' or one of {', '.join(VARIANTS)}")
     p.add_argument("--learning-rate", type=float)
@@ -42,7 +45,9 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--clip-threshold", type=float)
     p.add_argument("--minibatch", type=int)
     p.add_argument("--epochs", type=int,
-                   help="override the per-family default (150 recurrent / 100 convolutional)")
+                   help="override the per-family default "
+                        f"({protocol.resolve_epochs(GRU_FAMILY[0])} recurrent / "
+                        f"{protocol.resolve_epochs(TCN_FAMILY[0])} convolutional)")
     p.add_argument("--hidden-units", type=int)
     p.add_argument("--tcn-filters", type=int)
     p.add_argument("--tcn-blocks", type=int)

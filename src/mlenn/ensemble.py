@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .network import Network, NetworkSpec, build_network
-from .numerics import RngStream, ShapeError, as_tensor
+from .numerics import ConfigError, RngStream, ShapeError, as_tensor
 from .training import (TrainConfig, assign_optimizers_fixed,
                        assign_optimizers_stochastic, train_network)
 
@@ -158,7 +158,11 @@ def ensemble_from_dict(doc: dict) -> EnsembleModel:
         raise ValueError(f"unsupported model format {doc.get('format')!r}")
     members = []
     for entry in doc["members"]:
-        spec = NetworkSpec(**entry["spec"])
+        try:
+            spec = NetworkSpec(**entry["spec"])
+        except ConfigError as exc:
+            # a bad spec in a model file is bad input, not a bad run configuration
+            raise ValueError(f"model member spec: {exc}") from None
         net = build_network(spec, RngStream(0))
         _load_arrays(entry["params"], net.param_items(), "parameter")
         _load_arrays(entry["buffers"], net.state_items(), "buffer")

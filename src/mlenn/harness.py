@@ -24,7 +24,7 @@ import numpy as np
 from .ensemble import (EnsembleModel, fuse_weighted_external, fused_threshold,
                        normalize_enn, train_ensemble)
 from .metrics import METRIC_NAMES, PredictionSet, compute_all, format_record
-from .network import ENCODINGS, TOPOLOGIES, NetworkSpec
+from .network import NetworkSpec, check_architecture
 from .numerics import ConfigError, PcaModel, RngStream, pca_fit, pca_transform
 from .pipeline import Dataset, build_training_set, imcc_augment, minmax_normalize, minmax_scale
 from .training import TrainConfig, TrainingDivergedError
@@ -254,16 +254,8 @@ class RunConfig(TrainConfig):
         object.__setattr__(self, "topologies", tuple(self.topologies))
         if not self.dataset:
             raise ConfigError("field dataset: a dataset path is required")
-        if not self.topologies:
-            raise ConfigError("field topologies: select at least one topology")
-        for t in self.topologies:
-            if t not in TOPOLOGIES:
-                raise ConfigError(f"field topologies: unknown topology {t!r}")
-        for name in ("hidden_units", "tcn_filters", "tcn_blocks"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"field {name}: must be >= 1")
-        if self.encoding not in ENCODINGS:
-            raise ConfigError(f"field encoding: unknown encoding {self.encoding!r}")
+        check_architecture(self.topologies, self.encoding, self.hidden_units,
+                           self.tcn_filters, self.tcn_blocks)
         if self.folds is not None and self.folds < 2:
             raise ConfigError("field folds: must be >= 2")
         if self.stratified and self.folds is None:

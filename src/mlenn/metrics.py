@@ -12,6 +12,15 @@ Conventions, shared with the report format:
   ranks ties stably by index;
 - ranking_loss and average_precision skip rows where they are undefined
   and raise if every row is skipped.
+
+The ranking indicators work on blocks of rows with array operations, yet
+return the bits of a plain per-row loop: each row's term is computed by
+the same float operations as that loop, the terms are added left to
+right (``np.cumsum(...)[-1]``) as a running total would add them, and
+average_precision's per-row means are taken over rows grouped by their
+relevant-label count, so numpy reduces each row exactly as it reduces a
+lone row of that length. ``tests/oracles.py`` keeps the loops, and the
+tests compare against them with ``==``.
 """
 
 from __future__ import annotations
@@ -92,59 +101,70 @@ def one_error(ps: PredictionSet) -> float:
     return float(np.mean(ps.y[np.arange(ps.n_samples), top] != 1.0))
 
 
+# ranking_loss and coverage compare every label with every other in a
+# (rows, l, l) tensor; blocks of rows keep it near this many elements.
+_BLOCK_ELEMS = 1 << 18
+
+
+def _row_blocks(n: int, l: int):
+    step = max(1, _BLOCK_ELEMS // max(1, l * l))
+    return (slice(start, start + step) for start in range(0, n, step))
+
+
 def ranking_loss(ps: PredictionSet) -> float:
     """Average fraction of (relevant, irrelevant) label pairs ranked in the
     wrong order; tied pairs count half. Rows lacking either label kind are
     skipped."""
-    total = 0.0
-    counted = 0
-    for i in range(ps.n_samples):
-        rel = ps.y[i] == 1.0
-        if not rel.any() or rel.all():
-            continue
-        fr = ps.f[i, rel][:, None]
-        fi = ps.f[i, ~rel][None, :]
-        bad = np.sum(fr < fi) + 0.5 * np.sum(fr == fi)
-        total += bad / (fr.size * fi.size)
-        counted += 1
-    if counted == 0:
+    rel = ps.y == 1.0
+    n_rel = rel.sum(axis=1)
+    kept = np.flatnonzero((n_rel > 0) & (n_rel < ps.n_labels))
+    if kept.size == 0:
         raise ValueError("ranking_loss is undefined: no row has both a relevant and an irrelevant label")
-    return total / counted
+    f, rel, n_rel = ps.f[kept], rel[kept], n_rel[kept]
+    bad = np.empty(kept.size)
+    for rows in _row_blocks(kept.size, ps.n_labels):
+        fb, rb = f[rows], rel[rows]
+        pairs = rb[:, :, None] & ~rb[:, None, :]
+        below = np.count_nonzero(pairs & (fb[:, :, None] < fb[:, None, :]), axis=(1, 2))
+        tied = np.count_nonzero(pairs & (fb[:, :, None] == fb[:, None, :]), axis=(1, 2))
+        bad[rows] = below + 0.5 * tied
+    terms = bad / (n_rel * (ps.n_labels - n_rel))
+    return float(np.cumsum(terms)[-1] / kept.size)
 
 
 def coverage(ps: PredictionSet) -> float:
     """Average number of steps down the confidence-ranked label list needed
     to reach every relevant label (0 when the worst relevant label is at the
     top). Ties take the worst rank; rows without relevant labels add 0."""
-    total = 0.0
-    for i in range(ps.n_samples):
-        rel = np.flatnonzero(ps.y[i] == 1.0)
-        if rel.size == 0:
-            continue
-        worst = max(int(np.sum(ps.f[i] >= ps.f[i, j])) for j in rel)
-        total += worst - 1
-    return total / ps.n_samples
+    rel = ps.y == 1.0
+    worst = np.empty(ps.n_samples, dtype=np.int64)
+    for rows in _row_blocks(ps.n_samples, ps.n_labels):
+        fb = ps.f[rows]
+        # [i, j]: how many labels score at least as high as label j
+        rank = np.count_nonzero(fb[:, None, :] >= fb[:, :, None], axis=2)
+        worst[rows] = np.where(rel[rows], rank, 0).max(axis=1, initial=0)
+    return int(np.sum(worst[rel.any(axis=1)] - 1)) / ps.n_samples
 
 
 def average_precision(ps: PredictionSet) -> float:
     """For each relevant label, the fraction of labels ranked at or above it
     that are relevant, averaged over relevant labels and then over samples.
     Ties rank stably by index; rows without relevant labels are skipped."""
-    total = 0.0
-    counted = 0
-    for i in range(ps.n_samples):
-        rel = np.flatnonzero(ps.y[i] == 1.0)
-        if rel.size == 0:
-            continue
-        order = np.argsort(-ps.f[i], kind="stable")
-        rank = np.empty(ps.n_labels, dtype=np.int64)
-        rank[order] = np.arange(1, ps.n_labels + 1)
-        rel_ranks = np.sort(rank[rel])
-        total += np.mean(np.arange(1, rel_ranks.size + 1) / rel_ranks)
-        counted += 1
-    if counted == 0:
+    rel = ps.y == 1.0
+    n_rel = rel.sum(axis=1)
+    kept = np.flatnonzero(n_rel > 0)
+    if kept.size == 0:
         raise ValueError("average_precision is undefined: no row has a relevant label")
-    return total / counted
+    n_rel = n_rel[kept]
+    order = np.argsort(-ps.f[kept], axis=1, kind="stable")
+    # hits[i, p]: the label ranked p + 1 in row i is relevant
+    hits = np.take_along_axis(rel[kept], order, axis=1)
+    precision = np.cumsum(hits, axis=1) / np.arange(1, ps.n_labels + 1)
+    per_row = np.empty(kept.size)
+    for count in np.flatnonzero(np.bincount(n_rel)):
+        rows = np.flatnonzero(n_rel == count)
+        per_row[rows] = precision[rows][hits[rows]].reshape(rows.size, count).mean(axis=1)
+    return float(np.cumsum(per_row)[-1] / kept.size)
 
 
 def _row_sets(ps: PredictionSet):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import BatchNorm, Conv1d, Dense, Dropout, Gru, MaxPoolTime, Relu, Sigmoid
-from .numerics import RngStream, ShapeError, as_tensor
+from .numerics import ConfigError, RngStream, ShapeError, as_tensor
 
 TOPOLOGIES = ("GRU_A", "GRU_B", "TCN_A", "TCN_B", "GRU_TCN")
 GRU_FAMILY = ("GRU_A", "GRU_B", "GRU_TCN")
@@ -35,9 +35,32 @@ TCN_FAMILY = ("TCN_A", "TCN_B")
 ENCODINGS = ("sequence-of-scalars", "single-step")
 
 
+def check_architecture(topologies, encoding: str, hidden_units: int,
+                       tcn_filters: int, tcn_blocks: int) -> None:
+    """The architecture checks that ``NetworkSpec`` and ``RunConfig`` share.
+
+    A failure raises ``ConfigError`` naming the field as ``RunConfig`` and
+    the CLI spell it (``topologies``, ``encoding``, ...).
+    """
+    if not topologies:
+        raise ConfigError("field topologies: select at least one topology")
+    for t in topologies:
+        if t not in TOPOLOGIES:
+            raise ConfigError(f"field topologies: unknown topology {t!r}")
+    for name, value in (("hidden_units", hidden_units), ("tcn_filters", tcn_filters),
+                        ("tcn_blocks", tcn_blocks)):
+        if value < 1:
+            raise ConfigError(f"field {name}: must be >= 1")
+    if encoding not in ENCODINGS:
+        raise ConfigError(f"field encoding: unknown encoding {encoding!r}")
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Declarative description of one topology with its hyperparameters."""
+    """Declarative description of one topology with its hyperparameters.
+
+    The fields it shares with ``RunConfig`` go through ``check_architecture``.
+    """
 
     topology: str
     n_labels: int
@@ -51,12 +74,9 @@ class NetworkSpec:
     input_dim: int | None = None  # required for single-step encoding
 
     def __post_init__(self):
-        if self.topology not in TOPOLOGIES:
-            raise ValueError(f"unknown topology {self.topology!r}")
-        if self.input_encoding not in ENCODINGS:
-            raise ValueError(f"unknown input encoding {self.input_encoding!r}")
-        for name in ("n_labels", "hidden_units", "tcn_filters", "tcn_blocks",
-                     "kernel_width", "pre_conv_filters"):
+        check_architecture((self.topology,), self.input_encoding, self.hidden_units,
+                           self.tcn_filters, self.tcn_blocks)
+        for name in ("n_labels", "kernel_width", "pre_conv_filters"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if not 0.0 <= self.dropout_p < 1.0:
@@ -113,9 +133,6 @@ class Network:
         """Ordered ("layer.tensor", array) pairs over untrained serialized tensors."""
         return [(f"{layer.name}.{key}", arr)
                 for layer in self.layers for key, arr in layer.state_tensors().items()]
-
-    def parameter_count(self) -> int:
-        return sum(arr.size for _, arr in self.param_items())
 
 
 def _tcn_stack(spec: NetworkSpec, in_channels: int, rng: RngStream) -> tuple[list, int]:

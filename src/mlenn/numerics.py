@@ -169,10 +169,66 @@ class KMeansModel:
     inertia_trace: tuple = ()
 
 
-def _pairwise_sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # (n, c) squared euclidean distances.
-    diff = x[:, None, :] - centers[None, :, :]
-    return np.einsum("ncd,ncd->nc", diff, diff)
+# The exact difference-form distances run over blocks of rows; a block's
+# (rows, c, d) difference tensor holds about this many elements (512 KiB).
+_EXACT_BLOCK_ELEMS = 1 << 16
+
+
+def _exact_sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, c) squared distances in the difference form sum_k (x_k - c_k)^2.
+
+    Each row's values depend only on that row, not on the blocking, so any
+    subset of rows gets the same bits as the full matrix.
+    """
+    c, d = centers.shape
+    step = max(1, _EXACT_BLOCK_ELEMS // max(1, c * d))
+    out = np.empty((x.shape[0], c))
+    for start in range(0, x.shape[0], step):
+        diff = x[start:start + step, None, :] - centers[None, :, :]
+        out[start:start + step] = np.einsum("ncd,ncd->nc", diff, diff)
+    return out
+
+
+def _nearest_centers(x: np.ndarray, xx: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Index of each row's nearest center, lowest index on ties, equal to
+    ``argmin(_exact_sq_dists(x, centers), axis=1)``; ``xx`` holds the
+    squared row norms of ``x``."""
+    c, d = centers.shape
+    cc = np.einsum("cd,cd->c", centers, centers)
+    d2 = x @ centers.T
+    d2 *= -2.0
+    d2 += xx[:, None]
+    d2 += cc
+    nearest = np.argmin(d2, axis=1)
+    rows = np.arange(x.shape[0])
+    best = d2[rows, nearest]
+    d2[rows, nearest] = np.inf
+    gap = d2.min(axis=1) - best
+    scale = (np.sqrt(xx) + np.sqrt(cc.max())) ** 2
+    tol = 4.0 * (d + 4) * (np.finfo(np.float64).eps * scale + np.finfo(np.float64).tiny)
+    # NaN gaps (overflowed norms) fail the test too and take the exact path.
+    unsure = np.flatnonzero(~(gap > tol))
+    if unsure.size:
+        nearest[unsure] = np.argmin(_exact_sq_dists(x[unsure], centers), axis=1)
+    return nearest
+
+
+def group_means(v: np.ndarray, assignments: np.ndarray, c: int) -> np.ndarray:
+    """(c, k) matrix whose row j is the mean of the rows of ``v`` assigned
+    to group j.
+
+    One stable sort gathers each group's rows, in their original order, into
+    a contiguous slice, so each row is bitwise ``v[assignments == j].mean(0)``.
+    """
+    order = np.argsort(assignments, kind="stable")
+    ends = np.cumsum(np.bincount(assignments, minlength=c))
+    grouped = v[order]
+    out = np.empty((c, v.shape[1]))
+    start = 0
+    for j, end in enumerate(ends):
+        out[j] = grouped[start:end].mean(axis=0)
+        start = end
+    return out
 
 
 def kmeans(x, c: int, rng: RngStream, max_iter: int = 300) -> KMeansModel:
@@ -182,6 +238,23 @@ def kmeans(x, c: int, rng: RngStream, max_iter: int = 300) -> KMeansModel:
     takes the point farthest from the chosen set. Iteration stops when the
     assignment vector is a fixed point (or at ``max_iter``); an emptied
     cluster is reseeded with the point farthest from its own center.
+
+    The assignments are those of the difference form
+    ``D_ij = sum_k (x_ik - c_jk)^2`` with ties to the lowest index, but
+    most rows never build a difference. One GEMM screens all rows with
+    ``||x||^2 - 2 x.c + ||c||^2`` (``||x||^2`` is computed once per call).
+    Both forms are within ``gamma_(d+3) (||x|| + ||c||)^2`` of the exact
+    distance (``gamma_k = k u / (1 - k u)``, ``u = eps / 2``). So when a
+    row's two smallest screened distances differ by more than
+
+        tol = 4 (d + 4) (eps (||x|| + max_j ||c_j||)^2 + tiny)
+
+    (``tiny`` covers underflow), the screen's winner is the difference
+    form's unique minimum. Rows within ``tol``, ties included, are
+    recomputed in the difference form over small row blocks. An iteration
+    that empties a cluster computes the difference form for every row, as
+    the reseed reads each row's own distance. Centers are the cluster means
+    of ``group_means``. Peak memory is O(n (c + d)) floats.
     """
     x = as_tensor(x)
     if x.ndim != 2:
@@ -204,23 +277,23 @@ def kmeans(x, c: int, rng: RngStream, max_iter: int = 300) -> KMeansModel:
         min_d2 = np.minimum(min_d2, d2)
     centers = x[chosen].copy()
 
+    xx = np.einsum("nd,nd->n", x, x)
     assignments = np.full(n, -1, dtype=np.int64)
     trace: list[float] = []
     for _ in range(max_iter):
-        d2 = _pairwise_sq_dists(x, centers)
-        new_assignments = np.argmin(d2, axis=1)
+        new_assignments = _nearest_centers(x, xx, centers)
 
         present = np.bincount(new_assignments, minlength=c)
-        for j in np.flatnonzero(present == 0):
-            own = d2[np.arange(n), new_assignments]
-            thief = int(np.argmax(own))
-            new_assignments[thief] = j
-            d2[thief, :] = np.inf
-            d2[thief, j] = 0.0
-            present = np.bincount(new_assignments, minlength=c)
+        if not present.all():
+            d2 = _exact_sq_dists(x, centers)
+            for j in np.flatnonzero(present == 0):
+                own = d2[np.arange(n), new_assignments]
+                thief = int(np.argmax(own))
+                new_assignments[thief] = j
+                d2[thief, :] = np.inf
+                d2[thief, j] = 0.0
 
-        for j in range(c):
-            centers[j] = x[new_assignments == j].mean(axis=0)
+        centers = group_means(x, new_assignments, c)
 
         diff = x - centers[new_assignments]
         trace.append(float(np.einsum("nd,nd->", diff, diff)))

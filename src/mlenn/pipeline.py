@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # pca_fit is not used here, but perfbench/tracer.py wraps mlenn.pipeline.pca_fit.
-from .numerics import RngStream, ShapeError, as_tensor, kmeans, pca_fit  # noqa: F401
+from .numerics import RngStream, ShapeError, as_tensor, group_means, kmeans, pca_fit  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -49,11 +49,6 @@ class Dataset:
     @property
     def n_labels(self) -> int:
         return self.y.shape[1]
-
-    @property
-    def label_cardinality(self) -> float:
-        """Mean number of positive labels per sample."""
-        return float(self.y.sum(axis=1).mean())
 
 
 @dataclass(frozen=True)
@@ -100,10 +95,7 @@ def imcc_augment(ds: Dataset, c: int, rng: RngStream) -> AugmentedSet:
     example per cluster: the center paired with the mean label vector of
     its members. With c = n this reproduces the dataset exactly."""
     km = kmeans(ds.x, c, rng)
-    t = np.empty((c, ds.n_labels))
-    for j in range(c):
-        t[j] = ds.y[km.assignments == j].mean(axis=0)
-    return AugmentedSet(km.centers.copy(), t)
+    return AugmentedSet(km.centers.copy(), group_means(ds.y, km.assignments, c))
 
 
 def build_training_set(ds: Dataset, aug: AugmentedSet | None, weight: float) -> TrainingSet:

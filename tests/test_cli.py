@@ -7,7 +7,9 @@ import pytest
 
 from mlenn.cli import _run_config, build_parser, main
 from mlenn.harness import RunConfig, save_dataset
+from mlenn.network import GRU_FAMILY
 from mlenn.pipeline import Dataset
+from mlenn.training import TrainConfig
 
 from synth import banded_task
 
@@ -113,6 +115,22 @@ class TestTrainEvaluateCommands:
         assert "fold=eval" in stdout
         assert (eval_dir / "report.txt").exists()
 
+    def test_bad_spec_in_model_file_is_not_a_configuration_error(self, dataset_file,
+                                                                 tmp_path, capsys):
+        model_path = tmp_path / "model" / "model.json"
+        code, _, _ = run_cli(capsys, "train", "--dataset", dataset_file, "--members", "1",
+                             "--hidden-units", "4", "--epochs", "0",
+                             "--output", model_path.parent)
+        assert code == 0
+        doc = json.loads(model_path.read_text())
+        doc["members"][0]["spec"]["hidden_units"] = 0
+        model_path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "evaluate", "--model", model_path,
+                               "--dataset", dataset_file)
+        assert code == 1
+        assert "stage=evaluate" in err
+        assert "hidden_units" in err
+
     def test_train_config_error_exit_code(self, dataset_file, tmp_path, capsys):
         code, _, err = run_cli(capsys, "train", "--dataset", dataset_file,
                                "--optimizer", "sgd", "--output", tmp_path / "model")
@@ -161,6 +179,17 @@ class TestParserMatchesRunConfig:
         args = build_parser().parse_args(["kfold", "--dataset", "d", "--topology", "TCN_A",
                                           "--topology", "GRU_B"])
         assert _run_config(args) == RunConfig(dataset="d", topologies=("TCN_A", "GRU_B"))
+
+    @pytest.mark.parametrize("command", ["kfold", "train"])
+    def test_help_quotes_the_config_defaults(self, command, monkeypatch, capsys):
+        monkeypatch.setattr(RunConfig, "topologies", ("TCN_B",))
+        monkeypatch.setattr(TrainConfig, "resolve_epochs",
+                            lambda self, topology: 7 if topology in GRU_FAMILY else 9)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "(repeatable; default TCN_B)" in text
+        assert "(7 recurrent / 9 convolutional)" in text
 
     @pytest.mark.parametrize("command", ["kfold", "train"])
     def test_every_dest_is_a_field(self, command):

@@ -63,11 +63,6 @@ class TestDatasetFile:
         assert ds.x.shape == (2417, 103)
         assert ds.y.shape == (2417, 14)
 
-    def test_label_cardinality_matches_mean_row_sum(self, small_dataset_file):
-        path, ds = small_dataset_file
-        loaded = load_dataset(path)
-        npt.assert_allclose(loaded.label_cardinality, ds.y.sum(axis=1).mean())
-
     def test_sparse_flag_round_trips(self, tmp_path):
         x, y = banded_task(37, 10, 3, 2)
         path = tmp_path / "sp.mlkit"

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlenn.metrics import (METRIC_NAMES, PredictionSet, absolute_false, absolute_true,
                            accuracy_ml, aiming, average_precision, bce_loss,
@@ -11,6 +13,8 @@ from mlenn.metrics import (METRIC_NAMES, PredictionSet, absolute_false, absolute
                            one_error, ranking_loss, recall)
 from mlenn.numerics import ShapeError
 
+import oracles
+from mlenn import metrics
 from gradcheck import max_rel_error, numeric_gradient
 
 
@@ -322,6 +326,64 @@ class TestOracleEquivalence:
             for name, v in values.items():
                 assert 0.0 <= v <= 1.0, name
             assert 0.0 <= coverage(ps) <= ps.n_labels - 1
+
+
+# Scores that collide once rounded: 0.1 + 0.2 != 0.3, but 0.5 + 1e-17 == 0.5,
+# 1 - 2**-54 == 1.0 and (1/3) * 3 == 1.0; signed zeros, a subnormal and NaN.
+_SCORE_POOL = (0.0, -0.0, 5e-324, 0.1, 0.2, 0.3, 0.1 + 0.2, 0.5, 0.5 + 1e-17,
+               0.7, 1.0, 1.0 - 2.0 ** -54, (1.0 / 3.0) * 3.0, float("nan"))
+
+
+@st.composite
+def prediction_sets(draw):
+    n = draw(st.integers(1, 24))
+    l = draw(st.integers(1, 9))
+    # each row: random labels, every label relevant, or none
+    kinds = draw(st.lists(st.sampled_from(("mixed", "all", "none")), min_size=n, max_size=n))
+    bits = draw(st.lists(st.booleans(), min_size=n * l, max_size=n * l))
+    y = np.array(bits, dtype=np.float64).reshape(n, l)
+    for i, kind in enumerate(kinds):
+        if kind != "mixed":
+            y[i] = 1.0 if kind == "all" else 0.0
+    score = st.one_of(st.sampled_from(_SCORE_POOL), st.floats(0.0, 1.0))
+    f = np.array(draw(st.lists(score, min_size=n * l, max_size=n * l))).reshape(n, l)
+    return PredictionSet(y, (f >= 0.5).astype(np.float64), f)
+
+
+def _same_outcome(fn, reference, ps):
+    """Both raise ValueError, or both return the same float bits."""
+    try:
+        expected = reference(ps)
+    except ValueError:
+        with pytest.raises(ValueError):
+            fn(ps)
+        return
+    assert float(fn(ps)).hex() == float(expected).hex()
+
+
+class TestMatchesLoopOracles:
+    """The block-vectorised ranking indicators return the bits of the
+    per-row loops in tests/oracles.py."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(prediction_sets())
+    def test_bitwise(self, ps):
+        _same_outcome(ranking_loss, oracles.ranking_loss, ps)
+        _same_outcome(coverage, oracles.coverage, ps)
+        _same_outcome(average_precision, oracles.average_precision, ps)
+
+    @pytest.mark.parametrize("l", [1, 3, 14])
+    def test_rows_span_several_blocks(self, l, monkeypatch):
+        # shrunken blocks, so that 50 rows with rounding ties fill several
+        monkeypatch.setattr(metrics, "_BLOCK_ELEMS", 64)
+        rng = np.random.default_rng(l)
+        n = 50
+        y = (rng.uniform(size=(n, l)) < 0.4).astype(np.float64)
+        f = np.round(rng.uniform(size=(n, l)), 2) + 1e-17
+        ps = PredictionSet.from_scores(y, f)
+        _same_outcome(ranking_loss, oracles.ranking_loss, ps)
+        _same_outcome(coverage, oracles.coverage, ps)
+        _same_outcome(average_precision, oracles.average_precision, ps)
 
 
 class TestPredictionSet:

@@ -2,9 +2,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from mlenn.harness import RunConfig
 from mlenn.layers import CacheError, Dropout
 from mlenn.network import TOPOLOGIES, NetworkSpec, build_network, encode_features
-from mlenn.numerics import RngStream
+from mlenn.numerics import ConfigError, RngStream
 
 
 def small_spec(topology, **kw):
@@ -40,13 +41,14 @@ class TestParameterCensus:
         net = build_network(spec, RngStream(0))
         expected = 3 * (50 * 1 + 50 * 50 + 50) + (50 * 14 + 14)
         assert expected == 8514
-        assert net.parameter_count() == expected
+        assert sum(arr.size for _, arr in net.param_items()) == expected
 
     def test_single_step_changes_input_fan(self):
         spec = NetworkSpec(topology="GRU_A", n_labels=2, hidden_units=3,
                            input_encoding="single-step", input_dim=7)
         net = build_network(spec, RngStream(0))
-        assert net.parameter_count() == 3 * (3 * 7 + 3 * 3 + 3) + (3 * 2 + 2)
+        expected = 3 * (3 * 7 + 3 * 3 + 3) + (3 * 2 + 2)
+        assert sum(arr.size for _, arr in net.param_items()) == expected
 
 
 class TestTopologyStructure:
@@ -201,6 +203,13 @@ class TestSpecValidation:
     def test_unknown_topology(self):
         with pytest.raises(ValueError):
             NetworkSpec(topology="LSTM", n_labels=3)
+
+    @pytest.mark.parametrize("field", ["hidden_units", "tcn_filters", "tcn_blocks"])
+    def test_shared_checks_name_the_run_config_field(self, field):
+        with pytest.raises(ConfigError, match=f"field {field}: must be >= 1"):
+            NetworkSpec(topology="GRU_A", n_labels=3, **{field: 0})
+        with pytest.raises(ConfigError, match=f"field {field}: must be >= 1"):
+            RunConfig(dataset="d", **{field: 0})
 
     def test_bad_dropout(self):
         with pytest.raises(ValueError):

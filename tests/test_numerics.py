@@ -1,8 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mlenn.numerics import RngStream, ShapeError, kmeans, pca_fit, pca_transform
+import oracles
+from mlenn import numerics
+from mlenn.numerics import RngStream, ShapeError, group_means, kmeans, pca_fit, pca_transform
 
 
 class TestRngStream:
@@ -177,3 +183,93 @@ class TestKMeans:
             kmeans(x, 0, RngStream(0))
         with pytest.raises(ValueError):
             kmeans(x, 5, RngStream(0))
+
+
+def _assert_same_kmeans(x, c, seed, max_iter=300):
+    expected = oracles.kmeans(x, c, RngStream(seed), max_iter=max_iter)
+    got = kmeans(x, c, RngStream(seed), max_iter=max_iter)
+    npt.assert_array_equal(got.assignments, expected.assignments)
+    assert got.centers.tobytes() == expected.centers.tobytes()
+    assert [v.hex() for v in got.inertia_trace] == [v.hex() for v in expected.inertia_trace]
+    assert got.inertia.hex() == expected.inertia.hex()
+
+
+@st.composite
+def kmeans_inputs(draw):
+    n = draw(st.integers(2, 30))
+    d = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        # a small integer grid: duplicated rows and points equidistant
+        # from two centers are common
+        values = st.integers(-2, 2).map(float)
+    else:
+        values = st.floats(-1e3, 1e3, allow_subnormal=False)
+    distinct = draw(st.integers(1, n))
+    base = np.array(draw(st.lists(values, min_size=distinct * d, max_size=distinct * d)))
+    base = base.reshape(distinct, d)
+    picks = draw(st.lists(st.integers(0, distinct - 1), min_size=n, max_size=n))
+    # a large common offset leaves the GEMM screen unsure of most rows
+    offset = draw(st.sampled_from((0.0, 0.1, 1e8)))
+    x = base[picks] + offset
+    return x, draw(st.integers(1, n)), draw(st.integers(0, 2 ** 16))
+
+
+class TestKMeansMatchesDifferenceForm:
+    """The GEMM-screened k-means returns the bits of the difference-form
+    Lloyd iteration in tests/oracles.py."""
+
+    # both forms warn alike when a reseed empties a singleton cluster
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(kmeans_inputs())
+    def test_bitwise(self, case):
+        # With more clusters than distinct rows the reseed can cycle until
+        # max_iter; 40 iterations cover the same paths in less time.
+        _assert_same_kmeans(*case, max_iter=40)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_scene_shaped_clusters(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(12, 24))[rng.integers(12, size=600)] + 0.3 * rng.normal(size=(600, 24))
+        _assert_same_kmeans(x, 25, seed)
+
+    def test_empty_cluster_reseed(self, monkeypatch):
+        # Three distinct points, four centers: farthest-point seeding picks a
+        # duplicate, whose cluster empties and must be reseeded.
+        x = np.array([[0.0], [0.0], [0.0], [1.0], [1.0], [5.0]])
+        full_calls = []
+        exact = numerics._exact_sq_dists
+
+        def spy(rows, centers):
+            full_calls.append(rows.shape[0] == x.shape[0])
+            return exact(rows, centers)
+
+        monkeypatch.setattr(numerics, "_exact_sq_dists", spy)
+        for seed in range(4):
+            _assert_same_kmeans(x, 4, seed)
+        assert any(full_calls)
+
+    def test_equidistant_points_break_to_lowest_index(self):
+        x = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.1], [2.0, 0.1]])
+        for seed in range(6):
+            _assert_same_kmeans(x, 2, seed)
+
+    def test_group_means_match_boolean_masks(self):
+        rng = np.random.default_rng(4)
+        v = rng.normal(size=(200, 3)) * 10.0 ** rng.integers(-8, 8, size=(200, 3))
+        assignments = rng.integers(7, size=200)
+        got = group_means(v, assignments, 7)
+        assert got.tobytes() == oracles.cluster_label_means(v, assignments, 7).tobytes()
+
+    def test_peak_memory_is_linear_in_rows(self):
+        # The difference form would hold an (n, c, d) float64 tensor:
+        # 8 * 4000 * 63 * 100 bytes, about 200 MB. The screen needs O(n (c + d)).
+        n, d, c = 4000, 100, 63
+        x = np.random.default_rng(0).uniform(size=(n, d))
+        tracemalloc.start()
+        try:
+            kmeans(x, c, RngStream(0), max_iter=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * n * (c + d)

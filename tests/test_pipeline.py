@@ -148,10 +148,6 @@ class TestBuildTrainingSet:
 
 
 class TestDataset:
-    def test_label_cardinality(self):
-        ds = Dataset(np.zeros((3, 2)), np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 0.0]]))
-        assert ds.label_cardinality == 1.0
-
     def test_rejects_non_binary_labels(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 2)), np.array([[0.0, 2.0], [1.0, 0.0]]))
