@@ -123,14 +123,23 @@ def _array_payload(arr: np.ndarray) -> dict:
     return {"shape": list(arr.shape), "data": arr.ravel().tolist()}
 
 
-def ensemble_to_dict(model: EnsembleModel) -> dict:
+class _Tensor:
+    """A tensor in the document that save_ensemble writes; its payload is
+    built and encoded only when the writer reaches it."""
+
+    def __init__(self, arr: np.ndarray):
+        self.arr = arr
+
+
+def _container(model: EnsembleModel, tensor) -> dict:
+    """The model document, with ``tensor(arr)`` in the place of each tensor."""
     members = []
     for m in model.members:
         members.append({
             "spec": asdict(m.network.spec),
             "optimizer_tags": dict(m.optimizer_tags),
-            "params": {key: _array_payload(arr) for key, arr in m.network.param_items()},
-            "buffers": {key: _array_payload(arr) for key, arr in m.network.state_items()},
+            "params": {key: tensor(arr) for key, arr in m.network.param_items()},
+            "buffers": {key: tensor(arr) for key, arr in m.network.state_items()},
         })
     return {
         "format": MODEL_FORMAT,
@@ -141,12 +150,24 @@ def ensemble_to_dict(model: EnsembleModel) -> dict:
     }
 
 
-def _load_arrays(payloads: dict, items: list, what: str) -> None:
+def ensemble_to_dict(model: EnsembleModel) -> dict:
+    return _container(model, _array_payload)
+
+
+def _member_field(entry, key: str, index: int):
+    if not isinstance(entry, dict) or key not in entry:
+        raise ValueError(f"model member {index} has no {key!r} entry")
+    return entry[key]
+
+
+def _load_arrays(payloads, items: list, what: str) -> None:
     names = {key for key, _ in items}
-    if names != set(payloads):
+    if not isinstance(payloads, dict) or names != set(payloads):
         raise ValueError(f"{what} names do not match the network's layer graph")
     for key, arr in items:
         payload = payloads[key]
+        if not isinstance(payload, dict) or not {"shape", "data"} <= payload.keys():
+            raise ValueError(f"{what} {key!r} needs a 'shape' and a 'data' entry")
         data = np.asarray(payload["data"], dtype=np.float64)
         if list(arr.shape) != list(payload["shape"]) or data.size != arr.size:
             raise ShapeError(f"{what} {key!r} has shape {payload['shape']}, expected {list(arr.shape)}")
@@ -154,37 +175,78 @@ def _load_arrays(payloads: dict, items: list, what: str) -> None:
 
 
 def ensemble_from_dict(doc: dict) -> EnsembleModel:
-    if doc.get("format") != MODEL_FORMAT:
-        raise ValueError(f"unsupported model format {doc.get('format')!r}")
+    """Rebuild a model from its document. A malformed document raises
+    ``ValueError`` (or its subclass ``ShapeError``) naming what is wrong."""
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
+        found = doc.get("format") if isinstance(doc, dict) else type(doc).__name__
+        raise ValueError(f"unsupported model format {found!r}")
+    entries = doc.get("members")
+    if not isinstance(entries, list):
+        raise ValueError("model file has no 'members' list")
     members = []
-    for entry in doc["members"]:
+    for i, entry in enumerate(entries):
+        spec_doc, params, buffers, tags = (_member_field(entry, key, i) for key in
+                                           ("spec", "params", "buffers", "optimizer_tags"))
         try:
-            spec = NetworkSpec(**entry["spec"])
-        except ConfigError as exc:
-            # a bad spec in a model file is bad input, not a bad run configuration
-            raise ValueError(f"model member spec: {exc}") from None
+            spec = NetworkSpec(**spec_doc)
+        except (ConfigError, TypeError) as exc:
+            # A bad spec in a model file is bad input, not a bad run
+            # configuration; an unknown or missing key raises TypeError.
+            raise ValueError(f"model member {i} spec: {exc}") from None
         net = build_network(spec, RngStream(0))
-        _load_arrays(entry["params"], net.param_items(), "parameter")
-        _load_arrays(entry["buffers"], net.state_items(), "buffer")
-        members.append(EnsembleMember(net, dict(entry["optimizer_tags"])))
+        _load_arrays(params, net.param_items(), "parameter")
+        _load_arrays(buffers, net.state_items(), "buffer")
+        members.append(EnsembleMember(net, dict(tags)))
     return EnsembleModel(members,
                          fusion=doc.get("fusion", "average"),
                          external_weight=float(doc.get("external_weight", 0.0)),
                          master_seed=int(doc.get("master_seed", 0)))
 
 
+def _write_json(fh, obj) -> None:
+    """Write the bytes of ``json.dumps(obj, sort_keys=True)``, one tensor
+    payload at a time.
+
+    Dicts with string keys and lists that hold a dict are written item by
+    item with json's default separators; a ``_Tensor`` is written as its
+    payload; anything else is encoded whole by the C encoder.
+    """
+    if isinstance(obj, _Tensor):
+        fh.write(json.dumps(_array_payload(obj.arr), sort_keys=True))
+    elif isinstance(obj, dict) and all(isinstance(key, str) for key in obj):
+        fh.write("{")
+        for i, key in enumerate(sorted(obj)):
+            if i:
+                fh.write(", ")
+            fh.write(json.dumps(key) + ": ")
+            _write_json(fh, obj[key])
+        fh.write("}")
+    elif isinstance(obj, list) and any(isinstance(item, dict) for item in obj):
+        fh.write("[")
+        for i, item in enumerate(obj):
+            if i:
+                fh.write(", ")
+            _write_json(fh, item)
+        fh.write("]")
+    else:
+        fh.write(json.dumps(obj, sort_keys=True))
+
+
 def save_ensemble(model: EnsembleModel, path, extra: dict | None = None) -> None:
     """Write the container; ``extra`` adds top-level keys beside the model.
 
-    The document is one line with sorted keys. ``json.dumps`` without
-    ``indent`` runs the C encoder; ``json.dump`` and any ``indent`` run the
-    pure-Python one, which takes about twice as long on a large model.
+    The file holds ``json.dumps(ensemble_to_dict(model) | extra,
+    sort_keys=True)`` and a newline: one line with sorted keys. It is
+    written one tensor at a time, so no more than one tensor's payload is
+    held as Python floats or as text. Each piece goes through the C
+    encoder; ``json.dump`` and any ``indent`` run the pure-Python one,
+    which takes about twice as long on a large model.
     """
-    doc = ensemble_to_dict(model)
+    doc = _container(model, _Tensor)
     if extra:
         doc.update(extra)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, sort_keys=True))
+        _write_json(fh, doc)
         fh.write("\n")
 
 

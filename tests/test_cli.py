@@ -131,6 +131,35 @@ class TestTrainEvaluateCommands:
         assert "stage=evaluate" in err
         assert "hidden_units" in err
 
+    @pytest.mark.parametrize("edit,named", [
+        (lambda doc: doc["members"][0]["spec"].update(dilation=2), "dilation"),
+        (lambda doc: doc["members"][0]["spec"].pop("topology"), "topology"),
+        (lambda doc: doc.pop("members"), "members"),
+        (lambda doc: doc["members"][0].pop("spec"), "spec"),
+        (lambda doc: doc["members"][0].pop("params"), "params"),
+        (lambda doc: doc["members"][0].pop("buffers"), "buffers"),
+        (lambda doc: doc["members"][0]["params"]["gru.wz"].pop("data"), "data"),
+    ], ids=["unknown-spec-key", "missing-spec-key", "no-members", "no-spec",
+            "no-params", "no-buffers", "no-tensor-data"])
+    def test_malformed_model_file_is_a_typed_error(self, dataset_file, tmp_path, capsys,
+                                                   edit, named):
+        # Each edit of a real train output must reach the evaluate stage
+        # handler as a ValueError: exit 1, one error line, no traceback.
+        model_path = tmp_path / "model" / "model.json"
+        code, _, _ = run_cli(capsys, "train", "--dataset", dataset_file, "--members", "1",
+                             "--hidden-units", "4", "--epochs", "0",
+                             "--output", model_path.parent)
+        assert code == 0
+        doc = json.loads(model_path.read_text())
+        edit(doc)
+        model_path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "evaluate", "--model", model_path,
+                               "--dataset", dataset_file)
+        assert code == 1
+        assert err.startswith("error [stage=evaluate]: ")
+        assert named in err
+        assert err.count("\n") == 1
+
     def test_train_config_error_exit_code(self, dataset_file, tmp_path, capsys):
         code, _, err = run_cli(capsys, "train", "--dataset", dataset_file,
                                "--optimizer", "sgd", "--output", tmp_path / "model")

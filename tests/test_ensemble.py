@@ -1,3 +1,6 @@
+import json
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -209,6 +212,42 @@ class TestSerialization:
     def test_format_tag_checked(self):
         with pytest.raises(ValueError):
             ensemble_from_dict({"format": "something-else", "members": []})
+
+    def test_file_bytes_are_json_dumps_of_the_document(self, tmp_path):
+        # Extra keys land before "external_weight" and after "members" in
+        # sorted order, and hold nested dicts, a list holding a dict, and a
+        # dict with non-string keys.
+        model, _ = self._trained()
+        extra = {"a_first": {"z": 1, "b": [0.5, None]},
+                 "preprocess": {"lo": [0.0, 0.1], "hi": [1.0, 2.0], "pca": None},
+                 "zz": [1, {"k": [2, 3], "j": "x"}, [4.5]],
+                 "numbered": {2: "b", 1: "a"}}
+        path = tmp_path / "model.json"
+        save_ensemble(model, path, extra=extra)
+        doc = ensemble_to_dict(model)
+        doc.update(extra)
+        assert path.read_bytes() == (json.dumps(doc, sort_keys=True) + "\n").encode()
+
+    def test_save_holds_one_tensor_at_a_time(self, tmp_path):
+        # Four members write four times the bytes of one, but the save's
+        # peak allocation stays near the one-member figure and far below
+        # the file size.
+        x, y = separable_task(10, n=20)
+        spec = small_spec(topology="TCN_A", tcn_filters=24, tcn_blocks=3)
+        peaks, sizes = [], []
+        for members in (1, 4):
+            model = train_ensemble([spec], x, y, TrainConfig(epochs=0, members=members), seed=7)
+            path = tmp_path / f"m{members}.json"
+            tracemalloc.start()
+            try:
+                save_ensemble(model, path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            sizes.append(path.stat().st_size)
+        assert sizes[1] > 3.9 * sizes[0]
+        assert peaks[1] < 1.5 * peaks[0]
+        assert peaks[1] < sizes[1] / 2
 
 
 @pytest.mark.slow

@@ -362,6 +362,17 @@ class TestConv1dOracle:
         upstream = np.asarray(rng.uniform((batch, t_steps, 3))) - 0.5
         self._check(p, x, upstream)
 
+    # The kernels work on blocks of B // taps sequences: 7 sequences with 3
+    # taps run as blocks of 2, 2, 2 and 1; with 5 taps, as 7 blocks of 1.
+    @pytest.mark.parametrize("width,dilation", [(3, 1), (3, 4), (5, 1)])
+    def test_uneven_sequence_blocks(self, width, dilation):
+        rng = RngStream(70 + width + dilation)
+        p = Conv1d.glorot("conv", 3, 2, width, dilation, rng)
+        p.bias[:] = np.asarray(rng.uniform(3)) - 0.5
+        x = np.asarray(rng.uniform((7, 6, 2))) - 0.5
+        upstream = np.asarray(rng.uniform((7, 6, 3))) - 0.5
+        self._check(p, x, upstream)
+
     @pytest.mark.parametrize("dilation", [1, 8])
     def test_non_contiguous_upstream(self, dilation):
         # A window of a padded gradient buffer is a strided view; the
@@ -455,6 +466,140 @@ class TestBatchNorm:
                                      train=True)
         with pytest.raises(ShapeError):
             batchnorm_backward(p, cache, np.zeros((3, 4, 2)))  # same size, wrong shape
+
+
+def _bn_oracle(p, x, upstream, train):
+    """Textbook batchnorm: x.mean/x.var statistics, the explicit dxhat sums
+    in the train-mode input gradient. Returns y, the gradients and the
+    running statistics the forward leaves behind."""
+    channels = x.shape[2]
+    if train:
+        mean, var = x.mean(axis=(0, 1)), x.var(axis=(0, 1))
+        running = ((1.0 - p.momentum) * p.running_mean + p.momentum * mean,
+                   (1.0 - p.momentum) * p.running_var + p.momentum * var)
+    else:
+        mean, var = p.running_mean, p.running_var
+        running = (p.running_mean.copy(), p.running_var.copy())
+    inv_std = 1.0 / np.sqrt(var + p.eps)
+    xhat = (x - mean) * inv_std
+    y = p.gamma * xhat + p.beta
+    u = upstream.reshape(-1, channels)
+    xh = xhat.reshape(-1, channels)
+    dxhat = u * p.gamma
+    if train:
+        n = u.shape[0]
+        dx = (inv_std / n) * (n * dxhat - dxhat.sum(axis=0) - xh * (dxhat * xh).sum(axis=0))
+    else:
+        dx = dxhat * inv_std
+    return y, (u * xh).sum(axis=0), u.sum(axis=0), dx.reshape(x.shape), running
+
+
+class TestBatchNormOracle:
+    @staticmethod
+    def _layer(rng, channels):
+        p = BatchNorm("bn", channels)
+        p.gamma[:] = np.asarray(rng.uniform(channels)) * 2.0 - 0.5
+        p.beta[:] = np.asarray(rng.uniform(channels)) - 0.5
+        p.running_mean[:] = np.asarray(rng.uniform(channels)) - 0.5
+        p.running_var[:] = np.asarray(rng.uniform(channels)) + 0.1
+        return p
+
+    @staticmethod
+    def _check(p, x, upstream, train):
+        oy, odgamma, odbeta, odx, (omean, ovar) = _bn_oracle(p, x, upstream, train)
+        y, cache = batchnorm_forward(p, x, train=train)
+        g = batchnorm_backward(p, cache, upstream)
+        npt.assert_allclose(y, oy, rtol=0, atol=1e-12)
+        npt.assert_allclose(g.params["gamma"], odgamma, rtol=0, atol=1e-12)
+        npt.assert_allclose(g.params["beta"], odbeta, rtol=0, atol=1e-12)
+        npt.assert_allclose(g.x, odx, rtol=0, atol=1e-12)
+        npt.assert_allclose(p.running_mean, omean, rtol=0, atol=1e-12)
+        npt.assert_allclose(p.running_var, ovar, rtol=0, atol=1e-12)
+
+    # (1, 2, C) and (2, 1, C) are the smallest train-mode batches: B*T = 2.
+    @pytest.mark.parametrize("train", [True, False])
+    @pytest.mark.parametrize("shape", [(1, 2, 3), (2, 1, 4), (4, 7, 3), (3, 20, 6)])
+    def test_matches_textbook(self, shape, train):
+        rng = RngStream(300 + sum(shape) + train)
+        p = self._layer(rng, shape[2])
+        x = np.asarray(rng.uniform(shape)) * 3.0 - 1.0
+        upstream = np.asarray(rng.uniform(shape)) - 0.5
+        self._check(p, x, upstream, train)
+
+    @pytest.mark.parametrize("train", [True, False])
+    def test_non_contiguous_input_and_upstream(self, train):
+        rng = RngStream(320 + train)
+        p = self._layer(rng, 4)
+        x = (np.asarray(rng.uniform((5, 12, 4))) * 2.0)[:, ::2]
+        upstream = np.asarray(rng.uniform((6, 5, 4))).transpose(1, 0, 2) - 0.5
+        assert not x.flags.c_contiguous and not upstream.flags.c_contiguous
+        self._check(p, x, upstream, train)
+
+    @pytest.mark.parametrize("train", [True, False])
+    def test_constant_channel(self, train):
+        # Channel 1 has zero batch variance, so inv_std = 1/sqrt(eps).
+        rng = RngStream(330 + train)
+        p = self._layer(rng, 3)
+        x = np.asarray(rng.uniform((3, 5, 3))) - 0.5
+        x[:, :, 1] = 0.3
+        upstream = np.asarray(rng.uniform((3, 5, 3))) - 0.5
+        self._check(p, x, upstream, train)
+
+
+def _bits(a):
+    return np.array(a, copy=True).view(np.uint8)
+
+
+class TestKernelsLeaveInputsUnchanged:
+    """Forward and backward must not write into the caller's input or
+    upstream, although they work in place on buffers they allocate."""
+
+    @staticmethod
+    def _run_unchanged(forward, backward, x, upstream):
+        x_bits, up_bits = _bits(x), _bits(upstream)
+        out, cache = forward(x)
+        backward(cache, upstream)
+        npt.assert_array_equal(_bits(x), x_bits)
+        npt.assert_array_equal(_bits(upstream), up_bits)
+        return out
+
+    @pytest.mark.parametrize("dilation", [1, 2, 8])
+    def test_conv1d(self, dilation):
+        rng = RngStream(340 + dilation)
+        p = Conv1d.glorot("conv", 4, 3, 3, dilation, rng)
+        x = np.asarray(rng.uniform((2, 9, 3))) - 0.5
+        upstream = np.asarray(rng.uniform((2, 9, 4))) - 0.5
+        self._run_unchanged(lambda a: conv1d_forward(p, a),
+                            lambda c, u: conv1d_backward(p, c, u), x, upstream)
+
+    @pytest.mark.parametrize("train", [True, False])
+    def test_batchnorm(self, train):
+        rng = RngStream(350 + train)
+        p = BatchNorm("bn", 3)
+        x = np.asarray(rng.uniform((2, 5, 3))) - 0.5
+        upstream = np.asarray(rng.uniform((2, 5, 3))) - 0.5
+        self._run_unchanged(lambda a: batchnorm_forward(p, a, train),
+                            lambda c, u: batchnorm_backward(p, c, u), x, upstream)
+
+    def test_relu(self):
+        rng = RngStream(360)
+        x = np.asarray(rng.uniform((2, 5, 3))) - 0.5
+        upstream = np.asarray(rng.uniform((2, 5, 3))) - 0.5
+        out = self._run_unchanged(lambda a: (relu(a), a), relu_backward, x, upstream)
+        npt.assert_array_equal(_bits(relu_backward(x, upstream)), _bits(upstream * (x > 0.0)))
+        assert out is not x
+
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    def test_dropout(self, p):
+        rng = RngStream(370)
+        x = np.asarray(rng.uniform((2, 5, 3))) - 0.5
+        upstream = np.asarray(rng.uniform((2, 5, 3))) - 0.5
+        self._run_unchanged(lambda a: dropout(a, p, rng, True),
+                            lambda mask, u: dropout_backward(mask, p, u), x, upstream)
+        mask = dropout_mask(x.shape, 0.3, rng)
+        npt.assert_array_equal(_bits(dropout_apply(x, mask, 0.3)), _bits(x * mask / 0.7))
+        npt.assert_array_equal(_bits(dropout_backward(mask, 0.3, upstream)),
+                               _bits(upstream * mask / 0.7))
 
 
 class TestMaxPoolTime:
