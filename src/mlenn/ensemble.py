@@ -3,11 +3,14 @@
 Members train independently on the same data, each seeded from its own
 deterministic stream split off the master seed; prediction fuses member
 confidences by the average rule. A trained ensemble round-trips through a
-self-describing JSON container that is byte-stable for a fixed seed.
+self-describing JSON container that is byte-stable for a fixed seed. Each
+tensor in it is its shape and the base64 text of its little-endian float64
+bytes, so the round trip is bit-exact.
 """
 
 from __future__ import annotations
 
+import binascii
 import json
 from dataclasses import asdict, dataclass, field
 
@@ -18,7 +21,7 @@ from .numerics import ConfigError, RngStream, ShapeError, as_tensor
 from .training import (TrainConfig, assign_optimizers_fixed,
                        assign_optimizers_stochastic, train_network)
 
-MODEL_FORMAT = "mlenn-ensemble v1"
+MODEL_FORMAT = "mlenn-ensemble v2"
 
 
 @dataclass
@@ -120,7 +123,9 @@ def fused_threshold(w: float) -> float:
 
 
 def _array_payload(arr: np.ndarray) -> dict:
-    return {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+    raw = arr.astype("<f8", copy=False).tobytes()
+    return {"shape": list(arr.shape),
+            "data": binascii.b2a_base64(raw, newline=False).decode("ascii")}
 
 
 class _Tensor:
@@ -150,10 +155,6 @@ def _container(model: EnsembleModel, tensor) -> dict:
     }
 
 
-def ensemble_to_dict(model: EnsembleModel) -> dict:
-    return _container(model, _array_payload)
-
-
 def _member_field(entry, key: str, index: int):
     if not isinstance(entry, dict) or key not in entry:
         raise ValueError(f"model member {index} has no {key!r} entry")
@@ -168,10 +169,18 @@ def _load_arrays(payloads, items: list, what: str) -> None:
         payload = payloads[key]
         if not isinstance(payload, dict) or not {"shape", "data"} <= payload.keys():
             raise ValueError(f"{what} {key!r} needs a 'shape' and a 'data' entry")
-        data = np.asarray(payload["data"], dtype=np.float64)
-        if list(arr.shape) != list(payload["shape"]) or data.size != arr.size:
+        if payload["shape"] != list(arr.shape):
             raise ShapeError(f"{what} {key!r} has shape {payload['shape']}, expected {list(arr.shape)}")
-        arr[...] = data.reshape(arr.shape)
+        if not isinstance(payload["data"], str):
+            raise ValueError(f"{what} {key!r} data is not a base64 string")
+        try:
+            raw = binascii.a2b_base64(payload["data"])
+        except ValueError as exc:  # binascii.Error, or a non-ASCII string
+            raise ValueError(f"{what} {key!r} data is not valid base64: {exc}") from None
+        if len(raw) != 8 * arr.size:
+            raise ShapeError(f"{what} {key!r} data holds {len(raw)} bytes, "
+                             f"expected {8 * arr.size} for shape {list(arr.shape)}")
+        arr[...] = np.frombuffer(raw, "<f8").reshape(arr.shape)
 
 
 def ensemble_from_dict(doc: dict) -> EnsembleModel:
@@ -235,12 +244,13 @@ def _write_json(fh, obj) -> None:
 def save_ensemble(model: EnsembleModel, path, extra: dict | None = None) -> None:
     """Write the container; ``extra`` adds top-level keys beside the model.
 
-    The file holds ``json.dumps(ensemble_to_dict(model) | extra,
-    sort_keys=True)`` and a newline: one line with sorted keys. It is
-    written one tensor at a time, so no more than one tensor's payload is
-    held as Python floats or as text. Each piece goes through the C
-    encoder; ``json.dump`` and any ``indent`` run the pure-Python one,
-    which takes about twice as long on a large model.
+    The file holds ``json.dumps(doc, sort_keys=True)`` and a newline, one
+    line with sorted keys, where ``doc`` is the model document updated with
+    ``extra``. Each tensor is ``{"data": ..., "shape": [...]}``, with the
+    base64 text of the tensor's little-endian float64 bytes as its data. It
+    is written one tensor at a time, so no more than one tensor's bytes and
+    their base64 text are held at once. Each piece goes through the C
+    encoder; ``json.dump`` and any ``indent`` run the pure-Python one.
     """
     doc = _container(model, _Tensor)
     if extra:

@@ -237,7 +237,8 @@ def kmeans(x, c: int, rng: RngStream, max_iter: int = 300) -> KMeansModel:
     Seeding picks a random first center from ``rng`` and then repeatedly
     takes the point farthest from the chosen set. Iteration stops when the
     assignment vector is a fixed point (or at ``max_iter``); an emptied
-    cluster is reseeded with the point farthest from its own center.
+    cluster is reseeded with the point farthest from its own center among
+    the clusters that keep a member after giving it up.
 
     The assignments are those of the difference form
     ``D_ij = sum_k (x_ik - c_jk)^2`` with ties to the lowest index, but
@@ -285,13 +286,15 @@ def kmeans(x, c: int, rng: RngStream, max_iter: int = 300) -> KMeansModel:
 
         present = np.bincount(new_assignments, minlength=c)
         if not present.all():
-            d2 = _exact_sq_dists(x, centers)
+            own = _exact_sq_dists(x, centers)[np.arange(n), new_assignments]
             for j in np.flatnonzero(present == 0):
-                own = d2[np.arange(n), new_assignments]
-                thief = int(np.argmax(own))
+                # Only a cluster with two or more members can give a point
+                # without emptying; c < n leaves one for every empty cluster.
+                donor = present[new_assignments] >= 2
+                thief = int(np.argmax(np.where(donor, own, -np.inf)))
+                present[new_assignments[thief]] -= 1
+                present[j] = 1
                 new_assignments[thief] = j
-                d2[thief, :] = np.inf
-                d2[thief, j] = 0.0
 
         centers = group_means(x, new_assignments, c)
 

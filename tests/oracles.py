@@ -23,7 +23,8 @@ def pairwise_sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 def kmeans(x, c: int, rng, max_iter: int = 300) -> KMeansModel:
     """Farthest-point seeding, then Lloyd iteration; an emptied cluster
-    takes the point farthest from its own center."""
+    takes the point farthest from its own center out of a cluster with at
+    least two members."""
     x = as_tensor(x)
     n = x.shape[0]
     if c == n:
@@ -47,6 +48,7 @@ def kmeans(x, c: int, rng, max_iter: int = 300) -> KMeansModel:
         present = np.bincount(new_assignments, minlength=c)
         for j in np.flatnonzero(present == 0):
             own = d2[np.arange(n), new_assignments]
+            own[present[new_assignments] < 2] = -np.inf
             thief = int(np.argmax(own))
             new_assignments[thief] = j
             d2[thief, :] = np.inf

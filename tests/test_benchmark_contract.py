@@ -11,8 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mlenn.ensemble import save_ensemble, train_ensemble
 from mlenn.layers import Conv1d, Gru, conv1d_backward, conv1d_forward, gru_backward, gru_forward
+from mlenn.network import NetworkSpec
 from mlenn.numerics import RngStream
+from mlenn.training import TrainConfig
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -63,3 +66,15 @@ def test_conv_hooks_read_real_kernel_calls(tracer):
     tracer._conv_bwd(counts, (layer, out[1], upstream), grads)
     assert counts["conv1d.fwd.flop"] == 2.0 * b * t * c * f * w
     assert counts["conv1d.bwd.flop"] == 4.0 * b * t * c * f * w
+
+
+def test_save_hook_reads_real_save_call(tracer, tmp_path):
+    x = np.asarray(RngStream(13).uniform((6, 5)))
+    y = (x[:, :2] > 0.5).astype(float)
+    spec = NetworkSpec(topology="GRU_A", n_labels=2, hidden_units=3)
+    model = train_ensemble([spec], x, y, TrainConfig(epochs=0, members=1), seed=13)
+    args = (model, tmp_path / "model.json")
+    counts = defaultdict(float)
+    out = save_ensemble(*args)
+    tracer._saved_bytes(counts, args, out)
+    assert counts["model_bytes"] == (tmp_path / "model.json").stat().st_size

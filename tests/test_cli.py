@@ -1,4 +1,5 @@
 import argparse
+import base64
 import json
 from dataclasses import fields
 
@@ -92,6 +93,14 @@ class TestKfoldCommand:
         assert "fold=0" in stdout
 
 
+def _wz(doc) -> dict:
+    return doc["members"][0]["params"]["gru.wz"]
+
+
+def _wz_bytes(doc) -> bytes:
+    return base64.b64decode(_wz(doc)["data"])
+
+
 class TestTrainEvaluateCommands:
     def test_round_trip(self, dataset_file, tmp_path, capsys):
         model_dir = tmp_path / "model"
@@ -103,7 +112,7 @@ class TestTrainEvaluateCommands:
         model_path = model_dir / "model.json"
         assert model_path.exists()
         doc = json.loads(model_path.read_text())
-        assert doc["format"] == "mlenn-ensemble v1"
+        assert doc["format"] == "mlenn-ensemble v2"
         assert doc["master_seed"] == 4
         assert "preprocess" in doc
 
@@ -138,9 +147,16 @@ class TestTrainEvaluateCommands:
         (lambda doc: doc["members"][0].pop("spec"), "spec"),
         (lambda doc: doc["members"][0].pop("params"), "params"),
         (lambda doc: doc["members"][0].pop("buffers"), "buffers"),
-        (lambda doc: doc["members"][0]["params"]["gru.wz"].pop("data"), "data"),
+        (lambda doc: _wz(doc).pop("data"), "data"),
+        (lambda doc: _wz(doc).update(data=np.frombuffer(_wz_bytes(doc), "<f8").tolist()),
+         "base64"),
+        (lambda doc: _wz(doc).update(data="not base64!"), "base64"),
+        (lambda doc: _wz(doc).update(data=base64.b64encode(_wz_bytes(doc)[8:]).decode()),
+         "bytes"),
+        (lambda doc: doc.update(format="mlenn-ensemble v1"), "v1"),
     ], ids=["unknown-spec-key", "missing-spec-key", "no-members", "no-spec",
-            "no-params", "no-buffers", "no-tensor-data"])
+            "no-params", "no-buffers", "no-tensor-data", "float-list-data",
+            "invalid-base64", "short-data", "v1-format"])
     def test_malformed_model_file_is_a_typed_error(self, dataset_file, tmp_path, capsys,
                                                    edit, named):
         # Each edit of a real train output must reach the evaluate stage

@@ -1,3 +1,4 @@
+import base64
 import json
 import tracemalloc
 
@@ -5,8 +6,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from mlenn.ensemble import (EnsembleModel, ensemble_from_dict, ensemble_to_dict,
-                            fuse_average, fuse_weighted_external, fused_threshold,
+from mlenn.ensemble import (EnsembleModel, ensemble_from_dict, fuse_average,
+                            fuse_weighted_external, fused_threshold,
                             load_ensemble, normalize_enn, save_ensemble,
                             train_ensemble)
 from mlenn.metrics import PredictionSet, average_precision
@@ -199,13 +200,24 @@ class TestSerialization:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_container_is_self_describing(self, tmp_path):
+        # Each tensor's data is the base64 text of prod(shape) little-endian
+        # float64 values: the tensor's own bits, in C order.
         model, _ = self._trained()
-        doc = ensemble_to_dict(model)
-        assert doc["format"] == "mlenn-ensemble v1"
+        path = tmp_path / "model.json"
+        save_ensemble(model, path)
+        doc = json.loads(path.read_text())
+        assert doc["format"] == "mlenn-ensemble v2"
         assert doc["master_seed"] == 7
-        member = doc["members"][0]
-        for key, payload in member["params"].items():
-            assert list(np.asarray(payload["data"]).shape) == [int(np.prod(payload["shape"]))]
+        for m, member in zip(model.members, doc["members"]):
+            tensors = m.network.param_items() + m.network.state_items()
+            payloads = member["params"] | member["buffers"]
+            assert sorted(payloads) == sorted(key for key, _ in tensors)
+            for key, arr in tensors:
+                payload = payloads[key]
+                values = np.frombuffer(base64.b64decode(payload["data"], validate=True), "<f8")
+                assert values.size == int(np.prod(payload["shape"]))
+                assert payload["shape"] == list(arr.shape)
+                assert values.tobytes() == arr.tobytes(), key
         rebuilt = ensemble_from_dict(doc)
         assert rebuilt.master_seed == 7
 
@@ -224,9 +236,9 @@ class TestSerialization:
                  "numbered": {2: "b", 1: "a"}}
         path = tmp_path / "model.json"
         save_ensemble(model, path, extra=extra)
-        doc = ensemble_to_dict(model)
-        doc.update(extra)
+        doc = json.loads(path.read_bytes())
         assert path.read_bytes() == (json.dumps(doc, sort_keys=True) + "\n").encode()
+        assert {key: doc[key] for key in extra} == json.loads(json.dumps(extra))
 
     def test_save_holds_one_tensor_at_a_time(self, tmp_path):
         # Four members write four times the bytes of one, but the save's

@@ -195,10 +195,10 @@ def _assert_same_kmeans(x, c, seed, max_iter=300):
 
 
 @st.composite
-def kmeans_inputs(draw):
+def kmeans_inputs(draw, integer_grid=False):
     n = draw(st.integers(2, 30))
     d = draw(st.integers(1, 5))
-    if draw(st.booleans()):
+    if integer_grid or draw(st.booleans()):
         # a small integer grid: duplicated rows and points equidistant
         # from two centers are common
         values = st.integers(-2, 2).map(float)
@@ -209,22 +209,36 @@ def kmeans_inputs(draw):
     base = base.reshape(distinct, d)
     picks = draw(st.lists(st.integers(0, distinct - 1), min_size=n, max_size=n))
     # a large common offset leaves the GEMM screen unsure of most rows
-    offset = draw(st.sampled_from((0.0, 0.1, 1e8)))
+    offset = 0.0 if integer_grid else draw(st.sampled_from((0.0, 0.1, 1e8)))
     x = base[picks] + offset
     return x, draw(st.integers(1, n)), draw(st.integers(0, 2 ** 16))
+
+
+class TestKMeansReseed:
+    # With more clusters than distinct rows, clusters empty on the way; a
+    # reseed must fill them without emptying the cluster it takes from.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(kmeans_inputs(integer_grid=True))
+    def test_no_cluster_ends_empty(self, case):
+        x, c, seed = case
+        km = kmeans(x, c, RngStream(seed), max_iter=40)
+        assert np.bincount(km.assignments, minlength=c).all()
+        assert np.isfinite(km.centers).all()
+        trace = km.inertia_trace
+        assert all(later <= earlier for earlier, later in zip(trace, trace[1:]))
 
 
 class TestKMeansMatchesDifferenceForm:
     """The GEMM-screened k-means returns the bits of the difference-form
     Lloyd iteration in tests/oracles.py."""
 
-    # both forms warn alike when a reseed empties a singleton cluster
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(max_examples=200, deadline=None)
     @given(kmeans_inputs())
     def test_bitwise(self, case):
-        # With more clusters than distinct rows the reseed can cycle until
-        # max_iter; 40 iterations cover the same paths in less time.
+        # With more clusters than distinct rows, a mean that rounds off its
+        # equal rows can make the assignments cycle until max_iter; 40
+        # iterations cover the same paths in less time.
         _assert_same_kmeans(*case, max_iter=40)
 
     @pytest.mark.parametrize("seed", range(3))
