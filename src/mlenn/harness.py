@@ -139,54 +139,35 @@ def load_external_scores(path, n: int, l: int) -> np.ndarray:
 # Fold schemes
 # ---------------------------------------------------------------------------
 
-def kfold_split(n, k: int, rng: RngStream, labels=None) -> list:
+def kfold_split(n: int, k: int, rng: RngStream, labels=None) -> list:
     """Disjoint, exhaustive test folds of near-equal size (difference <= 1),
-    deterministic in the stream. Accepts a Dataset or a row count.
+    deterministic in the stream.
 
-    Fold assignment is uniform random by default; passing the label matrix
-    as ``labels`` stratifies instead, spreading each distinct label vector
-    evenly across the folds."""
-    if isinstance(n, Dataset):
-        n = n.n_samples
+    Fold assignment is uniform random by default: the shuffled rows are cut
+    into contiguous chunks. Passing the label matrix as ``labels``
+    stratifies instead: the shuffled rows are ordered by label vector and
+    dealt out round-robin, so every fold sees each group's share."""
     n = int(n)
     if k < 2:
         raise ValueError(f"k-fold needs k >= 2, got {k}")
     if k > n:
         raise ValueError(f"cannot split {n} rows into {k} folds")
 
+    perm = rng.permutation(n)
     if labels is None:
-        perm = rng.permutation(n)
+        base, extra = divmod(n, k)
+        fold_of = np.repeat(np.arange(k), [base + 1] * extra + [base] * (k - extra))
     else:
         labels = np.asarray(labels)
         if labels.shape[0] != n:
             raise ValueError(f"labels cover {labels.shape[0]} rows, expected {n}")
-        # shuffle within each label-vector group, then deal the groups out
-        # in signature order so every fold sees each group's share
-        order = rng.permutation(n)
-        groups: dict = {}
-        for idx in order:
-            groups.setdefault(tuple(labels[idx]), []).append(idx)
-        perm = np.asarray([idx for sig in sorted(groups) for idx in groups[sig]],
-                          dtype=np.int64)
-        test_lists: list = [[] for _ in range(k)]
-        for pos, idx in enumerate(perm):
-            test_lists[pos % k].append(idx)
-        folds = []
-        for i in range(k):
-            test = np.sort(np.asarray(test_lists[i], dtype=np.int64))
-            train = np.sort(np.setdiff1d(np.arange(n), test))
-            folds.append((train, test))
-        return folds
-
-    base, extra = divmod(n, k)
+        # stable sort on the label rows, first column most significant
+        perm = perm[np.lexsort(labels[perm].T[::-1])]
+        fold_of = np.arange(n) % k
     folds = []
-    start = 0
     for i in range(k):
-        size = base + (1 if i < extra else 0)
-        test = np.sort(perm[start:start + size])
-        train = np.sort(np.concatenate([perm[:start], perm[start + size:]]))
-        folds.append((train, test))
-        start += size
+        in_fold = fold_of == i
+        folds.append((np.sort(perm[~in_fold]), np.sort(perm[in_fold])))
     return folds
 
 

@@ -130,18 +130,6 @@ def relu_backward(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     return dx
 
 
-def dropout_mask(shape, p: float, rng: RngStream) -> np.ndarray:
-    """Keep-mask with drop probability ``p``."""
-    return rng.uniform(size=shape) >= p
-
-
-def dropout_apply(x: np.ndarray, mask: np.ndarray, p: float) -> np.ndarray:
-    # Inverted dropout: survivors are scaled so evaluation needs no rescale.
-    out = np.multiply(x, mask)
-    out /= 1.0 - p
-    return out
-
-
 def dropout(x, p: float, rng: RngStream | None, train: bool):
     """Randomly zero elements with probability ``p`` during training.
 
@@ -155,8 +143,11 @@ def dropout(x, p: float, rng: RngStream | None, train: bool):
         return x, None
     if rng is None:
         raise ValueError("train-mode dropout requires an rng stream")
-    mask = dropout_mask(x.shape, p, rng)
-    return dropout_apply(x, mask, p), mask
+    mask = rng.uniform(size=x.shape) >= p
+    # Inverted dropout: survivors are scaled so evaluation needs no rescale.
+    out = np.multiply(x, mask)
+    out /= 1.0 - p
+    return out, mask
 
 
 def dropout_backward(mask: np.ndarray | None, p: float, upstream: np.ndarray) -> np.ndarray:

@@ -13,12 +13,15 @@ differ only in the modulation factor xi:
     diffgrad  xi = Sig(|g_{t-1} - g_t|)
     dgrad     xi = Sig(4 * dhat)             dhat = d / max(d), d = |g - avg|
     cos1      xi = Sig(4 * lr_t * dhat)      lr_t cyclic in (1, 2]
-    exp       xi = 1.5 * v / max(v)          v = d * e^(-k d)
+    exp       xi = 1.5 * v / max(v)          v = d * e^(-2 d)
     sto       xi = 1.5 * v / max(v)          v = d * e^(-4 d) * (U + 0.5)
 
-where avg is a bias-corrected moving average of past gradients and U is a
-fresh uniform draw per element. Each state governs exactly one parameter
-tensor and is mutated only by its own step call.
+where avg is the bias-corrected moving average of past gradients (decay
+rho2, zero before the first step) and U is a fresh uniform draw per
+element. A max(.) of zero gives dhat = 0 (dgrad, cos1) or xi = 0 (exp,
+sto). The constants are fixed: eps = 1e-8, the cos1 period is 30 steps,
+and the bump decays with k = 2 (exp) and k = 4 (sto). Each state governs
+exactly one parameter tensor and is mutated only by its own step call.
 """
 
 from __future__ import annotations
@@ -34,120 +37,91 @@ from .numerics import NonFiniteError, RngStream, ShapeError, as_tensor
 VARIANTS = ("adam", "diffgrad", "dgrad", "cos1", "exp", "sto")
 STOCHASTIC_POOL = ("dgrad", "cos1", "exp", "sto")
 
+EPS = 1e-8
+COS1_PERIOD = 30
+EXP_K = 2.0
+
 
 @dataclass
 class OptimizerState:
-    """Moment and bookkeeping state for one parameter tensor.
+    """Moments, step counter and the variant's own memory for one tensor.
 
-    ``avg`` accumulates the gradient moving average that drives the
-    dgrad/cos1/exp/sto modulation. The hyperparameter defaults are Adam's
-    textbook values; training passes the protocol's rho1, rho2 and lr.
+    ``prev_grad`` (diffgrad) and ``avg`` (dgrad, cos1, exp, sto) are None
+    for the variants that do not read them; ``rng`` is sto's stream.
     """
 
     variant: str
     m: np.ndarray
     u: np.ndarray
-    prev_grad: np.ndarray
-    avg: np.ndarray
+    rho1: float
+    rho2: float
+    lr: float
+    prev_grad: np.ndarray | None = None
+    avg: np.ndarray | None = None
     t: int = 0
-    rho1: float = 0.9
-    rho2: float = 0.999
-    lr: float = 0.01
-    eps: float = 1e-8
-    steps: int = 30
-    k_exp: float = 2.0
     rng: RngStream | None = None
 
     @classmethod
-    def create(cls, variant: str, shape, *, rng: RngStream | None = None,
-               **hyper) -> "OptimizerState":
-        """Zeroed state for a tensor of ``shape``; ``hyper`` overrides the
-        field defaults (rho1, rho2, lr, eps, steps, k_exp)."""
+    def create(cls, variant: str, shape, *, rho1: float, rho2: float, lr: float,
+               rng: RngStream | None = None) -> "OptimizerState":
+        """Zeroed state of ``variant`` for a tensor of ``shape``."""
         if variant not in VARIANTS:
             raise ValueError(f"unknown optimizer variant {variant!r}")
         if variant == "sto" and rng is None:
             raise ValueError("sto variant requires an rng stream")
         shape = tuple(shape)
-        zeros = lambda: np.zeros(shape)
-        return cls(variant, zeros(), zeros(), zeros(), zeros(), rng=rng, **hyper)
+        return cls(variant, np.zeros(shape), np.zeros(shape), rho1, rho2, lr,
+                   prev_grad=np.zeros(shape) if variant == "diffgrad" else None,
+                   avg=np.zeros(shape) if variant in STOCHASTIC_POOL else None,
+                   rng=rng)
 
 
-def _corrected_avg(state: OptimizerState) -> np.ndarray:
-    # Bias-corrected average of the gradients seen so far (zero before any).
+def cyclic_lr(t: int) -> float:
+    """Cyclic multiplier in (1, 2] with exact period ``COS1_PERIOD`` over
+    the integer step counter."""
+    phase = t % COS1_PERIOD
+    return 2.0 - abs(math.cos(math.pi * (phase / COS1_PERIOD))) * math.exp(-0.01 * (phase + 1))
+
+
+def modulation(state: OptimizerState, g: np.ndarray):
+    """The factor xi for gradient ``g`` from the state before this step
+    (None for adam). Advances the variant's memory: the previous gradient
+    for diffgrad, the moving average for the others."""
+    variant = state.variant
+    if variant == "adam":
+        return None
+    if variant == "diffgrad":
+        xi = sigmoid(np.abs(state.prev_grad - g))
+        state.prev_grad = g.copy()
+        return xi
+
     if state.t == 0:
-        return np.zeros_like(state.avg)
-    return state.avg / (1.0 - state.rho2 ** state.t)
+        d = np.abs(g)
+    else:
+        d = np.abs(g - state.avg / (1.0 - state.rho2 ** state.t))
+    # x is normalized to peak at 1 and then scaled; the temporaries are
+    # updated in place, which gives the same bits as the textbook order.
+    if variant in ("dgrad", "cos1"):
+        x = d
+        scale = 4.0 if variant == "dgrad" else 4.0 * cyclic_lr(state.t + 1)
+    elif variant in ("exp", "sto"):
+        x = np.exp(-(EXP_K if variant == "exp" else 4.0) * d)
+        x *= d
+        if variant == "sto":
+            x *= state.rng.uniform(size=d.shape) + 0.5
+        scale = 1.5
+    else:
+        raise ValueError(f"unknown optimizer variant {variant!r}")
+    mx = x.max()
+    if mx > 0.0:
+        x /= mx
+        x *= scale
+    else:
+        x = np.zeros_like(x)
+    xi = sigmoid(x) if variant in ("dgrad", "cos1") else x
 
-
-def _advance_avg(state: OptimizerState, g: np.ndarray) -> None:
-    state.avg = state.rho2 * state.avg + (1.0 - state.rho2) * g
-
-
-def delta_avg_gradient(state: OptimizerState, g) -> np.ndarray:
-    """|g - avg|: element-wise distance of the incoming gradient from its
-    moving average (does not mutate the state)."""
-    return np.abs(as_tensor(g) - _corrected_avg(state))
-
-
-def _normalized_delta(state: OptimizerState, g: np.ndarray) -> np.ndarray:
-    d = delta_avg_gradient(state, g)
-    mx = d.max()
-    return d / mx if mx > 0.0 else np.zeros_like(d)
-
-
-def dgrad_xi(state: OptimizerState, g) -> np.ndarray:
-    """Modulation from the max-normalized gradient-to-average distance;
-    advances the moving average. Values lie in [Sig(0), Sig(4)]."""
-    g = as_tensor(g)
-    xi = sigmoid(4.0 * _normalized_delta(state, g))
-    _advance_avg(state, g)
-    return xi
-
-
-def cyclic_lr(t: int, steps: int = 30) -> float:
-    """Cyclic multiplier in (1, 2] with exact period ``steps`` over the
-    integer step counter."""
-    phase = t % steps
-    return 2.0 - abs(math.cos(math.pi * (phase / steps))) * math.exp(-0.01 * (phase + 1))
-
-
-def cos1_xi(state: OptimizerState, g) -> np.ndarray:
-    """dgrad modulation scaled by the cyclic multiplier for the upcoming
-    step; advances the moving average."""
-    g = as_tensor(g)
-    lr_t = cyclic_lr(state.t + 1, state.steps)
-    xi = sigmoid(4.0 * lr_t * _normalized_delta(state, g))
-    _advance_avg(state, g)
-    return xi
-
-
-def exp_xi(state: OptimizerState, g) -> np.ndarray:
-    """Bump-shaped modulation d * e^(-k d), self-normalized to peak at 1.5;
-    advances the moving average. All-zero distances yield an all-zero xi."""
-    g = as_tensor(g)
-    d = delta_avg_gradient(state, g)
-    v = d * np.exp(-state.k_exp * d)
-    mx = v.max()
-    # Normalize before scaling so the peak lands on 1.5 exactly.
-    xi = 1.5 * (v / mx) if mx > 0.0 else np.zeros_like(v)
-    _advance_avg(state, g)
-    return xi
-
-
-def sto_xi(state: OptimizerState, g, uniform=None) -> np.ndarray:
-    """Exp-style modulation (k = 4) jittered per element by a U(0.5, 1.5)
-    multiplier; advances the moving average. ``uniform`` overrides the
-    random draw for testing."""
-    g = as_tensor(g)
-    d = delta_avg_gradient(state, g)
-    if uniform is None:
-        if state.rng is None:
-            raise ValueError("sto variant requires an rng stream")
-        uniform = state.rng.uniform(size=d.shape)
-    v = d * np.exp(-4.0 * d) * (uniform + 0.5)
-    mx = v.max()
-    xi = 1.5 * (v / mx) if mx > 0.0 else np.zeros_like(v)
-    _advance_avg(state, g)
+    state.avg *= state.rho2
+    state.avg += (1.0 - state.rho2) * g
     return xi
 
 
@@ -162,30 +136,22 @@ def optimizer_step(state: OptimizerState, theta, g) -> np.ndarray:
     if not np.all(np.isfinite(g)):
         raise NonFiniteError("gradient contains NaN or infinite entries")
 
-    if state.variant == "adam":
-        xi = None
-    elif state.variant == "diffgrad":
-        xi = sigmoid(np.abs(state.prev_grad - g))
-    elif state.variant == "dgrad":
-        xi = dgrad_xi(state, g)
-    elif state.variant == "cos1":
-        xi = cos1_xi(state, g)
-    elif state.variant == "exp":
-        xi = exp_xi(state, g)
-    elif state.variant == "sto":
-        xi = sto_xi(state, g)
-    else:
-        raise ValueError(f"unknown optimizer variant {state.variant!r}")
-
+    xi = modulation(state, g)
     state.t += 1
-    state.m = state.rho1 * state.m + (1.0 - state.rho1) * g
-    state.u = state.rho2 * state.u + (1.0 - state.rho2) * g * g
-    m_hat = state.m / (1.0 - state.rho1 ** state.t)
-    u_hat = state.u / (1.0 - state.rho2 ** state.t)
-    step = state.lr * m_hat / (np.sqrt(u_hat) + state.eps)
+    state.m *= state.rho1
+    state.m += (1.0 - state.rho1) * g
+    g2 = (1.0 - state.rho2) * g
+    g2 *= g
+    state.u *= state.rho2
+    state.u += g2
+    # lr * mhat / (sqrt(uhat) + eps), then * xi
+    step = state.m / (1.0 - state.rho1 ** state.t)
+    step *= state.lr
+    denom = np.sqrt(state.u / (1.0 - state.rho2 ** state.t))
+    denom += EPS
+    step /= denom
     if xi is not None:
-        step = step * xi
-    state.prev_grad = g.copy()
+        step *= xi
     return theta - step
 
 

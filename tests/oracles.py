@@ -2,17 +2,22 @@
 bit for bit.
 
 These are the straightforward forms: Lloyd k-means with distances from an
-explicit (n, c, d) difference tensor and one boolean mask per center, and
-the ranking indicators as one Python-level pass per row. The library's
-faster forms promise the same floats, ties and skipped rows included, so
-the tests compare with ``==`` rather than a tolerance.
+explicit (n, c, d) difference tensor and one boolean mask per center, the
+ranking indicators as one Python-level pass per row, and the Adam variants
+as one modulation function each over a state that keeps every field. The
+library's faster forms promise the same floats, ties and skipped rows
+included, so the tests compare with ``==`` rather than a tolerance.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
-from mlenn.numerics import KMeansModel, as_tensor
+from mlenn.layers import sigmoid
+from mlenn.numerics import KMeansModel, RngStream, as_tensor
 
 
 def pairwise_sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -118,3 +123,104 @@ def average_precision(ps) -> float:
     if counted == 0:
         raise ValueError("average_precision is undefined")
     return total / counted
+
+
+@dataclass
+class AdamState:
+    """Every variant keeps the previous gradient and the moving average."""
+
+    variant: str
+    m: np.ndarray
+    u: np.ndarray
+    prev_grad: np.ndarray
+    avg: np.ndarray
+    rho1: float
+    rho2: float
+    lr: float
+    t: int = 0
+    eps: float = 1e-8
+    steps: int = 30
+    k_exp: float = 2.0
+    rng: RngStream | None = None
+
+    @classmethod
+    def create(cls, variant, shape, *, rho1, rho2, lr, rng=None, **fixed):
+        z = lambda: np.zeros(tuple(shape))
+        return cls(variant, z(), z(), z(), z(), rho1, rho2, lr, rng=rng, **fixed)
+
+
+def delta_avg_gradient(state: AdamState, g) -> np.ndarray:
+    # |g - avg| with avg bias-corrected, zero before any step.
+    if state.t == 0:
+        corrected = np.zeros_like(state.avg)
+    else:
+        corrected = state.avg / (1.0 - state.rho2 ** state.t)
+    return np.abs(as_tensor(g) - corrected)
+
+
+def _advance_avg(state: AdamState, g) -> None:
+    state.avg = state.rho2 * state.avg + (1.0 - state.rho2) * g
+
+
+def _normalized_delta(state: AdamState, g) -> np.ndarray:
+    d = delta_avg_gradient(state, g)
+    mx = d.max()
+    return d / mx if mx > 0.0 else np.zeros_like(d)
+
+
+def cyclic_lr(t: int, steps: int = 30) -> float:
+    phase = t % steps
+    return 2.0 - abs(math.cos(math.pi * (phase / steps))) * math.exp(-0.01 * (phase + 1))
+
+
+def dgrad_xi(state: AdamState, g) -> np.ndarray:
+    xi = sigmoid(4.0 * _normalized_delta(state, g))
+    _advance_avg(state, g)
+    return xi
+
+
+def cos1_xi(state: AdamState, g) -> np.ndarray:
+    lr_t = cyclic_lr(state.t + 1, state.steps)
+    xi = sigmoid(4.0 * lr_t * _normalized_delta(state, g))
+    _advance_avg(state, g)
+    return xi
+
+
+def exp_xi(state: AdamState, g) -> np.ndarray:
+    d = delta_avg_gradient(state, g)
+    v = d * np.exp(-state.k_exp * d)
+    mx = v.max()
+    xi = 1.5 * (v / mx) if mx > 0.0 else np.zeros_like(v)
+    _advance_avg(state, g)
+    return xi
+
+
+def sto_xi(state: AdamState, g) -> np.ndarray:
+    d = delta_avg_gradient(state, g)
+    uniform = state.rng.uniform(size=d.shape)
+    v = d * np.exp(-4.0 * d) * (uniform + 0.5)
+    mx = v.max()
+    xi = 1.5 * (v / mx) if mx > 0.0 else np.zeros_like(v)
+    _advance_avg(state, g)
+    return xi
+
+
+def optimizer_step(state: AdamState, theta, g) -> np.ndarray:
+    theta = as_tensor(theta)
+    g = as_tensor(g)
+    if state.variant == "adam":
+        xi = None
+    elif state.variant == "diffgrad":
+        xi = sigmoid(np.abs(state.prev_grad - g))
+    else:
+        xi = {"dgrad": dgrad_xi, "cos1": cos1_xi, "exp": exp_xi, "sto": sto_xi}[state.variant](state, g)
+    state.t += 1
+    state.m = state.rho1 * state.m + (1.0 - state.rho1) * g
+    state.u = state.rho2 * state.u + (1.0 - state.rho2) * g * g
+    m_hat = state.m / (1.0 - state.rho1 ** state.t)
+    u_hat = state.u / (1.0 - state.rho2 ** state.t)
+    step = state.lr * m_hat / (np.sqrt(u_hat) + state.eps)
+    if xi is not None:
+        step = step * xi
+    state.prev_grad = g.copy()
+    return theta - step

@@ -15,7 +15,7 @@ from mlenn.ensemble import save_ensemble, train_ensemble
 from mlenn.layers import Conv1d, Gru, conv1d_backward, conv1d_forward, gru_backward, gru_forward
 from mlenn.network import NetworkSpec
 from mlenn.numerics import RngStream
-from mlenn.training import TrainConfig
+from mlenn.training import TrainConfig, clip_gradients_l2
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -78,3 +78,15 @@ def test_save_hook_reads_real_save_call(tracer, tmp_path):
     out = save_ensemble(*args)
     tracer._saved_bytes(counts, args, out)
     assert counts["model_bytes"] == (tmp_path / "model.json").stat().st_size
+
+
+def test_clip_hook_reads_real_clip_calls(tracer):
+    # training.clip_fired_ratio relies on clip returning its input arrays
+    # when it does not fire.
+    below = [np.array([0.3, 0.4]), np.zeros((2, 2))]
+    above = [np.array([3.0, 4.0]), np.zeros((2, 2))]
+    counts = defaultdict(float)
+    tracer._clip(counts, (below, 1.0), clip_gradients_l2(below, 1.0))
+    assert (counts["clip.calls"], counts["clip.fired"]) == (1, 0)
+    tracer._clip(counts, (above, 1.0), clip_gradients_l2(above, 1.0))
+    assert (counts["clip.calls"], counts["clip.fired"]) == (2, 1)

@@ -4,6 +4,8 @@ from dataclasses import asdict
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlenn.ensemble import fuse_weighted_external, normalize_enn
 from mlenn.harness import (ConfigError, DatasetFormatError, Preprocess, RunConfig,
@@ -174,6 +176,27 @@ class TestFoldSchemes:
         for (ta, sa), (tb, sb) in zip(a, b):
             npt.assert_array_equal(ta, tb)
             npt.assert_array_equal(sa, sb)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 60), seed=st.integers(0, 2**31 - 1),
+           stratified=st.booleans())
+    def test_folds_partition_the_rows(self, data, n, seed, stratified):
+        k = data.draw(st.integers(2, n), label="k")
+        labels = None
+        if stratified:
+            l = data.draw(st.integers(1, 3), label="l")
+            labels = np.asarray(data.draw(st.lists(
+                st.lists(st.sampled_from([0.0, 1.0]), min_size=l, max_size=l),
+                min_size=n, max_size=n), label="labels"))
+        folds = kfold_split(n, k, RngStream(seed), labels=labels)
+        assert len(folds) == k
+        tests = np.concatenate([test for _, test in folds])
+        npt.assert_array_equal(np.sort(tests), np.arange(n))
+        for train, test in folds:
+            npt.assert_array_equal(np.sort(np.concatenate([train, test])), np.arange(n))
+            assert np.all(np.diff(train) > 0) and np.all(np.diff(test) > 0)
+        sizes = [len(test) for _, test in folds]
+        assert max(sizes) - min(sizes) <= 1
 
     def test_holdout(self):
         (train, test), = holdout_split(10, 0.3, RngStream(2))

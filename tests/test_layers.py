@@ -8,9 +8,9 @@ import pytest
 from mlenn.layers import (BatchNorm, Conv1d, Dense, Gru, ShapeError,
                           batchnorm_backward, batchnorm_forward, conv1d_backward,
                           conv1d_forward, dense_backward, dense_forward, dropout,
-                          dropout_apply, dropout_backward, dropout_mask, gru_backward,
-                          gru_forward, maxpool_time, maxpool_time_backward, relu,
-                          relu_backward, sigmoid, sigmoid_backward)
+                          dropout_backward, gru_backward, gru_forward, maxpool_time,
+                          maxpool_time_backward, relu, relu_backward, sigmoid,
+                          sigmoid_backward)
 from mlenn.numerics import RngStream
 
 from gradcheck import max_rel_error, numeric_gradient
@@ -596,8 +596,8 @@ class TestKernelsLeaveInputsUnchanged:
         upstream = np.asarray(rng.uniform((2, 5, 3))) - 0.5
         self._run_unchanged(lambda a: dropout(a, p, rng, True),
                             lambda mask, u: dropout_backward(mask, p, u), x, upstream)
-        mask = dropout_mask(x.shape, 0.3, rng)
-        npt.assert_array_equal(_bits(dropout_apply(x, mask, 0.3)), _bits(x * mask / 0.7))
+        out, mask = dropout(x, 0.3, rng, True)
+        npt.assert_array_equal(_bits(out), _bits(x * mask / 0.7))
         npt.assert_array_equal(_bits(dropout_backward(mask, 0.3, upstream)),
                                _bits(upstream * mask / 0.7))
 
@@ -714,11 +714,12 @@ class TestDropout:
     def test_mask_gradient_consistency(self):
         rng = RngStream(3)
         x = np.asarray(rng.uniform((2, 3))) + 0.1
-        mask = dropout_mask(x.shape, 0.4, rng)
         upstream = np.asarray(rng.uniform((2, 3)))
+        # A fresh copy of one stream per call draws the same mask every time.
+        _, mask = dropout(x, 0.4, rng.child(1), True)
 
         def loss():
-            return float(np.sum(dropout_apply(x, mask, 0.4) * upstream))
+            return float(np.sum(dropout(x, 0.4, rng.child(1), True)[0] * upstream))
 
         dx = dropout_backward(mask, 0.4, upstream)
         assert max_rel_error(dx, numeric_gradient(loss, x)) < 1e-6

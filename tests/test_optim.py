@@ -3,11 +3,13 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from mlenn.numerics import NonFiniteError, RngStream
 from mlenn.optim import (STOCHASTIC_POOL, VARIANTS, OptimizerState, clip_gradients_l2,
-                         cos1_xi, cyclic_lr, delta_avg_gradient, dgrad_xi, exp_xi,
-                         optimizer_step, sto_xi)
+                         cyclic_lr, modulation, optimizer_step)
 
 
 def sig(x):
@@ -15,7 +17,8 @@ def sig(x):
 
 
 def make_state(variant, shape=(), seed=0, **kw):
-    kw.setdefault("rng", RngStream(seed) if variant == "sto" else None)
+    kw = {"rho1": 0.9, "rho2": 0.999, "lr": 0.01,
+          "rng": RngStream(seed) if variant == "sto" else None, **kw}
     return OptimizerState.create(variant, shape, **kw)
 
 
@@ -79,62 +82,60 @@ class TestDiffGrad:
 
 class TestDGrad:
     def test_first_step_delta_is_gradient_magnitude(self):
+        # xi = Sig(4 * d / max(d)) with d = |g| = [1, 2]
         s = make_state("dgrad", shape=(2,))
-        npt.assert_allclose(delta_avg_gradient(s, np.array([1.0, -2.0])), [1.0, 2.0])
+        npt.assert_allclose(modulation(s, np.array([1.0, -2.0])), [sig(2.0), sig(4.0)],
+                            atol=1e-12)
 
     def test_known_delta_vector(self):
         s = make_state("dgrad", shape=(2,))
-        xi = dgrad_xi(s, np.array([1.0, 2.0]))
+        xi = modulation(s, np.array([1.0, 2.0]))
         npt.assert_allclose(xi, [sig(2.0), sig(4.0)], atol=1e-12)
 
     def test_max_element_hits_sigmoid_four(self):
         s = make_state("dgrad", shape=(3,))
-        xi = dgrad_xi(s, np.array([0.3, -0.9, 0.1]))
+        xi = modulation(s, np.array([0.3, -0.9, 0.1]))
         assert abs(xi[1] - sig(4.0)) < 1e-9
 
     def test_element_at_average_gets_half(self):
         s = make_state("dgrad", shape=(2,))
-        xi = dgrad_xi(s, np.array([0.0, 5.0]))
+        xi = modulation(s, np.array([0.0, 5.0]))
         assert xi[0] == 0.5
 
     def test_all_zero_delta_gives_half_everywhere(self):
         s = make_state("dgrad", shape=(3,))
-        xi = dgrad_xi(s, np.zeros(3))
+        xi = modulation(s, np.zeros(3))
         npt.assert_array_equal(xi, 0.5)
 
     def test_range_over_random_steps(self):
         s = make_state("dgrad", shape=(6,))
         rng = np.random.default_rng(1)
-        theta = rng.normal(size=6)
         for _ in range(500):
             g = rng.normal(size=6) * rng.uniform(0.01, 10.0)
-            d = delta_avg_gradient(s, g)
-            mx = d.max()
-            dhat = d / mx if mx > 0 else np.zeros_like(d)
-            xi = 1.0 / (1.0 + np.exp(-4.0 * dhat))
+            xi = modulation(s, g)
+            s.t += 1  # modulation leaves the step counter to optimizer_step
             assert np.all(xi >= 0.5) and np.all(xi <= sig(4.0) + 1e-15)
-            theta = optimizer_step(s, theta, g)
 
 
 class TestCos1:
     def test_quarter_period_is_exactly_two(self):
-        assert cyclic_lr(15, 30) == 2.0
+        assert cyclic_lr(15) == 2.0
 
     def test_full_period_value(self):
-        assert abs(cyclic_lr(30, 30) - 1.0099502) < 1e-6
+        assert abs(cyclic_lr(30) - 1.0099502) < 1e-6
 
     def test_exact_periodicity(self):
         for t in range(0, 200):
-            assert cyclic_lr(t, 30) == cyclic_lr(t + 30, 30)
+            assert cyclic_lr(t) == cyclic_lr(t + 30)
 
     def test_multiplier_range(self):
-        values = [cyclic_lr(t, 30) for t in range(1000)]
+        values = [cyclic_lr(t) for t in range(1000)]
         assert all(1.0 < v <= 2.0 for v in values)
 
     def test_xi_uses_upcoming_step_counter(self):
         s = make_state("cos1", shape=(1,))
         s.t = 14  # next update is step 15, where the multiplier is exactly 2
-        xi = cos1_xi(s, np.array([3.0]))
+        xi = modulation(s, np.array([3.0]))
         assert abs(float(xi[0]) - sig(8.0)) < 1e-12
 
     def test_range_over_random_steps(self):
@@ -150,42 +151,44 @@ class TestCos1:
 class TestExp:
     def test_hand_evaluated_pair(self):
         s = make_state("exp", shape=(2,))  # first step: delta equals |g|
-        xi = exp_xi(s, np.array([0.1, 0.5]))
+        xi = modulation(s, np.array([0.1, 0.5]))
         expected0 = 1.5 * (0.1 * math.exp(-0.2)) / (0.5 * math.exp(-1.0))
         npt.assert_allclose(xi, [expected0, 1.5], atol=1e-12)
         assert abs(expected0 - 0.6676622785477403) < 1e-12
 
     def test_single_element_self_normalizes(self):
         s = make_state("exp", shape=(1,))
-        xi = exp_xi(s, np.array([0.37]))
+        xi = modulation(s, np.array([0.37]))
         assert float(xi[0]) == 1.5
 
     def test_zero_delta_gives_zero(self):
         s = make_state("exp", shape=(4,))
-        npt.assert_array_equal(exp_xi(s, np.zeros(4)), 0.0)
+        npt.assert_array_equal(modulation(s, np.zeros(4)), 0.0)
 
     def test_range_over_random_steps(self):
         s = make_state("exp", shape=(5,))
         rng = np.random.default_rng(3)
-        theta = rng.normal(size=5)
         for _ in range(500):
             g = rng.normal(size=5) * rng.uniform(0.01, 5.0)
-            d = delta_avg_gradient(s, g)
-            lr = d * np.exp(-s.k_exp * d)
-            mx = lr.max()
-            xi = 1.5 * lr / mx if mx > 0 else np.zeros_like(lr)
+            xi = modulation(s, g)
+            s.t += 1
             assert np.all(xi >= 0.0) and np.all(xi <= 1.5 + 1e-15)
-            theta = optimizer_step(s, theta, g)
+
+
+class _MidpointStream:
+    """A stream whose uniform draws are all 0.5."""
+
+    def uniform(self, size=None):
+        return np.full(size, 0.5)
 
 
 class TestSto:
     def test_forced_midpoint_matches_exp_with_k_four(self):
         g = np.array([0.3, 1.2, -0.7])
-        s_sto = make_state("sto", shape=(3,))
-        s_exp = make_state("exp", shape=(3,), k_exp=4.0)
-        xi_sto = sto_xi(s_sto, g, uniform=np.full(3, 0.5))
-        xi_exp = exp_xi(s_exp, g)
-        npt.assert_array_equal(xi_sto, xi_exp)  # bitwise
+        s_sto = make_state("sto", shape=(3,), rng=_MidpointStream())
+        s_exp = oracles.AdamState.create("exp", (3,), rho1=0.9, rho2=0.999, lr=0.01,
+                                         k_exp=4.0)
+        npt.assert_array_equal(modulation(s_sto, g), oracles.exp_xi(s_exp, g))  # bitwise
 
     def test_multiplier_range(self):
         s = make_state("sto", shape=(1000,), seed=5)
@@ -195,14 +198,14 @@ class TestSto:
 
     def test_same_seed_reproduces(self):
         g = np.array([0.4, 0.9])
-        a = sto_xi(make_state("sto", shape=(2,), seed=11), g)
-        b = sto_xi(make_state("sto", shape=(2,), seed=11), g)
+        a = modulation(make_state("sto", shape=(2,), seed=11), g)
+        b = modulation(make_state("sto", shape=(2,), seed=11), g)
         npt.assert_array_equal(a, b)
 
     def test_different_seeds_differ(self):
         g = np.array([0.4, 0.9, 1.3])
-        a = sto_xi(make_state("sto", shape=(3,), seed=1), g)
-        b = sto_xi(make_state("sto", shape=(3,), seed=2), g)
+        a = modulation(make_state("sto", shape=(3,), seed=1), g)
+        b = modulation(make_state("sto", shape=(3,), seed=2), g)
         assert not np.array_equal(a, b)
 
     def test_range_over_random_steps(self):
@@ -275,6 +278,56 @@ class TestSharedBehaviour:
         for expected in range(1, 6):
             theta = optimizer_step(s, theta, np.asarray(0.3))
             assert s.t == expected
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+# One step's gradient: random entries, all zeros (the max(.) == 0 branches)
+# or the previous gradient again.
+STEP_KINDS = st.sampled_from(["random", "zeros", "repeat"])
+
+
+class TestMatchesReference:
+    """``optimizer_step`` against the per-variant reference forms in
+    ``oracles``, bit for bit, after every step."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.sampled_from([(), (1,), (4,), (3, 2)]),
+           rho1=st.sampled_from([0.5, 0.9]),
+           seed=st.integers(0, 2**31 - 1),
+           scale=st.floats(1e-3, 1e3),
+           kinds=st.lists(STEP_KINDS, min_size=1, max_size=25))
+    @example(shape=(), rho1=0.5, seed=1, scale=1.0, kinds=["zeros", "random", "repeat", "zeros"])
+    def test_bitwise_equal_at_every_step(self, variant, shape, rho1, seed, scale, kinds):
+        hyper = {"rho1": rho1, "rho2": 0.999, "lr": 0.01}
+        lib = OptimizerState.create(variant, shape, rng=RngStream(seed) if variant == "sto" else None,
+                                    **hyper)
+        ref = oracles.AdamState.create(variant, shape, rng=RngStream(seed), **hyper)
+        draws = np.random.default_rng(seed)
+        theta_lib = theta_ref = draws.normal(size=shape)
+        g = np.zeros(shape)
+        for kind in kinds:
+            if kind == "random":
+                g = draws.normal(size=shape) * scale
+            elif kind == "zeros":
+                g = np.zeros(shape)
+            theta_lib = optimizer_step(lib, theta_lib, g)
+            theta_ref = oracles.optimizer_step(ref, theta_ref, g)
+            npt.assert_array_equal(_bits(theta_lib), _bits(theta_ref))
+            npt.assert_array_equal(_bits(lib.m), _bits(ref.m))
+            npt.assert_array_equal(_bits(lib.u), _bits(ref.u))
+            assert lib.t == ref.t
+            if variant == "diffgrad":
+                npt.assert_array_equal(_bits(lib.prev_grad), _bits(ref.prev_grad))
+            else:
+                assert lib.prev_grad is None
+            if variant in STOCHASTIC_POOL:
+                npt.assert_array_equal(_bits(lib.avg), _bits(ref.avg))
+            else:
+                assert lib.avg is None
 
 
 class TestClipGradients:
