@@ -25,7 +25,7 @@ from .ensemble import (EnsembleModel, fuse_weighted_external, fused_threshold,
                        normalize_enn, train_ensemble)
 from .metrics import METRIC_NAMES, PredictionSet, compute_all, format_record
 from .network import NetworkSpec, check_architecture
-from .numerics import ConfigError, PcaModel, RngStream, pca_fit, pca_transform
+from .numerics import ConfigError, PcaModel, RngStream, ShapeError, pca_fit, pca_transform
 from .pipeline import Dataset, build_training_set, imcc_augment, minmax_normalize, minmax_scale
 from .training import TrainConfig, TrainingDivergedError
 
@@ -69,14 +69,14 @@ def load_dataset(path) -> Dataset:
     if not lines:
         raise DatasetFormatError(f"{path}: empty file")
     n, d, l, sparse = _parse_header(lines[0], path)
-    body = [ln for ln in lines[1:] if ln.strip()]
+    # (file line number, line) for every non-blank line after the header
+    body = [(i, ln) for i, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) != n:
         raise DatasetFormatError(f"{path}: header declares n={n} but found {len(body)} rows")
 
     x = np.empty((n, d))
     y = np.empty((n, l))
-    for i, line in enumerate(body):
-        lineno = i + 2
+    for i, (lineno, line) in enumerate(body):
         fields = line.split(",")
         if len(fields) != d + l:
             raise DatasetFormatError(
@@ -115,20 +115,20 @@ def load_external_scores(path, n: int, l: int) -> np.ndarray:
     emit margins)."""
     path = str(path)
     with open(path, "r", encoding="utf-8") as fh:
-        body = [ln for ln in fh.read().splitlines() if ln.strip()]
+        body = [(i, ln) for i, ln in enumerate(fh.read().splitlines(), start=1) if ln.strip()]
     if len(body) != n:
         raise DatasetFormatError(f"{path}: expected {n} rows of scores, found {len(body)}")
     out = np.empty((n, l))
-    for i, line in enumerate(body):
+    for i, (lineno, line) in enumerate(body):
         fields = line.split(",")
         if len(fields) != l:
-            raise DatasetFormatError(f"{path}:{i + 1}: expected {l} fields, found {len(fields)}")
+            raise DatasetFormatError(f"{path}:{lineno}: expected {l} fields, found {len(fields)}")
         try:
             row = np.asarray([float(v) for v in fields], dtype=np.float64)
         except ValueError:
-            raise DatasetFormatError(f"{path}:{i + 1}: non-numeric score") from None
+            raise DatasetFormatError(f"{path}:{lineno}: non-numeric score") from None
         if not np.all(np.isfinite(row)):
-            raise DatasetFormatError(f"{path}:{i + 1}: non-finite score")
+            raise DatasetFormatError(f"{path}:{lineno}: non-finite score")
         out[i] = row
     if out.size and (out.min() < 0.0 or out.max() > 1.0):
         warnings.warn(f"{path}: scores fall outside [0, 1]; using them as-is")
@@ -411,6 +411,9 @@ class Preprocess:
         return pre, out
 
     def apply(self, x: np.ndarray) -> np.ndarray:
+        if x.shape[1] != self.lo.shape[0]:
+            raise ShapeError(f"the preprocess block was fitted on {self.lo.shape[0]} "
+                             f"feature columns, the data has {x.shape[1]}")
         out = minmax_scale(x, self.lo, self.hi)
         if self.pca is not None:
             out = pca_transform(self.pca, out)
@@ -428,14 +431,38 @@ class Preprocess:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Preprocess":
+        """Rebuild a :meth:`to_dict` block; a missing key or a shape that
+        does not fit raises ``ValueError`` naming it."""
+        lo = _float_array(doc, "lo", 1, "preprocess")
+        hi = _float_array(doc, "hi", 1, "preprocess")
+        if hi.shape != lo.shape:
+            raise ValueError(f"preprocess 'lo' has {lo.size} columns but 'hi' has {hi.size}")
         pca = None
         if doc.get("pca"):
             p = doc["pca"]
-            pca = PcaModel(np.asarray(p["mean"], dtype=np.float64),
-                           np.asarray(p["components"], dtype=np.float64),
-                           np.asarray(p["explained_variance_ratio"], dtype=np.float64))
-        return cls(np.asarray(doc["lo"], dtype=np.float64),
-                   np.asarray(doc["hi"], dtype=np.float64), pca)
+            mean = _float_array(p, "mean", 1, "preprocess pca")
+            components = _float_array(p, "components", 2, "preprocess pca")
+            ratio = _float_array(p, "explained_variance_ratio", 1, "preprocess pca")
+            if mean.shape != lo.shape or components.shape != ratio.shape + lo.shape:
+                raise ValueError(
+                    f"preprocess pca shapes mean {mean.shape}, components {components.shape}, "
+                    f"ratio {ratio.shape} do not fit {lo.size} columns"
+                )
+            pca = PcaModel(mean, components, ratio)
+        return cls(lo, hi, pca)
+
+
+def _float_array(doc, key: str, ndim: int, where: str) -> np.ndarray:
+    """``doc[key]`` as a float64 array with ``ndim`` axes, else ValueError."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ValueError(f"{where} block has no {key!r}")
+    try:
+        arr = np.asarray(doc[key], dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"{where} {key!r} is not an array of numbers") from None
+    if arr.ndim != ndim:
+        raise ValueError(f"{where} {key!r} must have {ndim} axes, got shape {arr.shape}")
+    return arr
 
 
 def evaluate_model(model: EnsembleModel, ds: Dataset, preprocess: Preprocess | None = None,

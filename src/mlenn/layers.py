@@ -3,10 +3,13 @@
 Each layer class owns its parameter tensors as attributes, the gradients
 of its last backward pass (``grads``, keyed like ``param_tensors()``) and
 the cache that backward consumes. The arithmetic lives in module-level
-kernels that take the layer as their first argument: ``*_forward``
-returns the output plus a cache, and the matching ``*_backward`` consumes
-that cache together with the upstream gradient to produce exact
-reverse-mode gradients for every parameter tensor and for the input.
+kernels with one contract. A forward kernel returns ``(out, cache)``; only
+``relu`` and ``sigmoid`` return ``out`` alone, and their layers cache the
+input or the output. A backward kernel takes the layer (when it has
+parameters), the cache and the upstream gradient, and returns the input
+gradient as one array; the parametric backwards (GRU, convolution,
+batchnorm, dense) also set ``layer.grads`` to exact reverse-mode gradients
+of every parameter tensor. So each ``_backward`` is one kernel call.
 Sequences are batched as (batch, time, channels).
 
 The GRU kernels stack the three gates (z | r | c) along one axis and keep
@@ -22,7 +25,7 @@ are stacked into one wide kernel matrix, so each block of whole sequences
 is one 2-D GEMM into a reused buffer no larger than an activation; each
 tap's columns are then added into the output shifted by the tap's dilated
 offset, and the steps a shift moves outside the sequence are simply not
-added. Batch normalization works on the (B*T, C) rows with two buffers:
+added. Train-mode batchnorm works on the (B*T, C) rows with two buffers:
 the centred rows, scaled in place into the cached xhat, and the output.
 Its backward takes the two sums the input gradient needs from dgamma and
 dbeta. The pointwise backward kernels and dropout scale the one buffer
@@ -31,7 +34,9 @@ gradient or its cache.
 
 Cache rule: a layer stores a cache only on a train-mode forward, and
 backward drops it once used; backward without a cache raises
-:class:`CacheError`. An eval-mode forward leaves nothing behind.
+:class:`CacheError`. An eval-mode forward leaves nothing behind: the
+eval-mode batchnorm cache is ``None``, and its backward kernel has only
+the train-mode formula.
 """
 
 from __future__ import annotations
@@ -45,15 +50,6 @@ from .numerics import RngStream, ShapeError, as_tensor
 
 class CacheError(RuntimeError):
     """backward was called on a layer that holds no train-mode forward cache."""
-
-
-@dataclass
-class LayerGradients:
-    """Per-parameter gradients (shape-matched, keyed by tensor name) plus the
-    gradient with respect to the layer input."""
-
-    params: dict
-    x: np.ndarray
 
 
 class Layer:
@@ -249,9 +245,7 @@ class Gru(Layer):
         return gru_forward(self, x)
 
     def _backward(self, cache, upstream):
-        g = gru_backward(self, cache, upstream)
-        self.grads = g.params
-        return g.x
+        return gru_backward(self, cache, upstream)
 
 
 def gru_forward(layer: Gru, x):
@@ -305,7 +299,7 @@ def gru_forward(layer: Gru, x):
     return hs[1:].transpose(1, 0, 2), GruCache(x, hs, gates)
 
 
-def gru_backward(layer: Gru, cache: GruCache, upstream) -> LayerGradients:
+def gru_backward(layer: Gru, cache: GruCache, upstream) -> np.ndarray:
     """Full backpropagation through time for the recurrence in gru_forward.
 
     The loop carries dL/dh_t back one step at a time, with two matmuls per
@@ -367,21 +361,15 @@ def gru_backward(layer: Gru, cache: GruCache, upstream) -> LayerGradients:
     dx = g[0] @ layer.wz
     dx += g[1] @ layer.wr
     dx += g[2] @ layer.wh
-    dx = np.ascontiguousarray(dx.reshape(t_steps, b, d).transpose(1, 0, 2))
-    grads = {"wz": dw[0], "uz": du[0], "bz": db[0],
-             "wr": dw[1], "ur": du[1], "br": db[1],
-             "wh": dw[2], "uh": duh, "bh": db[2]}
-    return LayerGradients(grads, dx)
+    layer.grads = {"wz": dw[0], "uz": du[0], "bz": db[0],
+                   "wr": dw[1], "ur": du[1], "br": db[1],
+                   "wh": dw[2], "uh": duh, "bh": db[2]}
+    return np.ascontiguousarray(dx.reshape(t_steps, b, d).transpose(1, 0, 2))
 
 
 # ---------------------------------------------------------------------------
 # Dilated 1-D convolution, zero-padded to preserve sequence length
 # ---------------------------------------------------------------------------
-
-@dataclass
-class ConvCache:
-    x: np.ndarray   # (B, T, C) input, C-contiguous
-
 
 class Conv1d(Layer):
     """Convolution bank: kernels (filters, in_channels, width), per-filter
@@ -408,9 +396,7 @@ class Conv1d(Layer):
         return conv1d_forward(self, x)
 
     def _backward(self, cache, upstream):
-        g = conv1d_backward(self, cache, upstream)
-        self.grads = g.params
-        return g.x
+        return conv1d_backward(self, cache, upstream)
 
 
 def _taps(layer: Conv1d, t_steps: int) -> list:
@@ -473,10 +459,10 @@ def conv1d_forward(layer: Conv1d, x):
         for j in range(1, n):
             at, src = _overlap(taps[j][1], t_steps)
             y_blk[:, at] += parts[:, src, j]
-    return y, ConvCache(x)
+    return y, x
 
 
-def conv1d_backward(layer: Conv1d, cache: ConvCache, upstream) -> LayerGradients:
+def conv1d_backward(layer: Conv1d, x: np.ndarray, upstream) -> np.ndarray:
     """Exact gradients of :func:`conv1d_forward`.
 
     The kernels of the taps that touch the sequence are stacked into one
@@ -490,7 +476,6 @@ def conv1d_backward(layer: Conv1d, cache: ConvCache, upstream) -> LayerGradients
     """
     upstream = as_tensor(upstream)
     filters, in_channels, width = layer.kernels.shape
-    x = cache.x
     b, t_steps, _ = x.shape
     if upstream.shape != (b, t_steps, filters):
         raise ShapeError(
@@ -526,19 +511,13 @@ def conv1d_backward(layer: Conv1d, cache: ConvCache, upstream) -> LayerGradients
             dx_blk[:, src] += parts[:, at, j]
     dkernels = np.zeros_like(layer.kernels)
     dkernels[:, :, kept] = d_stacked.reshape(filters, n, in_channels).transpose(0, 2, 1)
-    return LayerGradients({"kernels": dkernels, "bias": u.sum(axis=0)}, dx)
+    layer.grads = {"kernels": dkernels, "bias": u.sum(axis=0)}
+    return dx
 
 
 # ---------------------------------------------------------------------------
 # Batch normalization over (batch, time) per channel
 # ---------------------------------------------------------------------------
-
-@dataclass
-class BnCache:
-    xhat: np.ndarray    # (B, T, C) normalized input
-    inv_std: np.ndarray
-    train: bool
-
 
 class BatchNorm(Layer):
     """Per-channel affine normalization with running statistics, which are
@@ -560,20 +539,19 @@ class BatchNorm(Layer):
         return batchnorm_forward(self, x, train)
 
     def _backward(self, cache, upstream):
-        g = batchnorm_backward(self, cache, upstream)
-        self.grads = g.params
-        return g.x
+        return batchnorm_backward(self, cache, upstream)
 
 
 def batchnorm_forward(layer: BatchNorm, x, train: bool):
     """Standardize each channel over batch and time.
 
     Train mode uses batch statistics (biased variance) and folds them into
-    the running estimates with the layer's momentum; eval mode applies the
-    running estimates. All steps run on the (B*T, C) rows with two buffers:
-    the centred rows, which are scaled in place into the cached xhat, and
-    the output. In train mode the output buffer first holds the squares of
-    the centred rows, whose column means are the variance.
+    the running estimates with the layer's momentum. It works on the
+    (B*T, C) rows with two buffers: the centred rows, which are scaled in
+    place into xhat, and the output, which first holds their squares, whose
+    column means are the variance. The cache is the pair (xhat, inv_std).
+    Eval mode applies the running estimates in one buffer and returns no
+    cache, as it has no backward.
     """
     x = as_tensor(x)
     if x.ndim != 3 or x.shape[2] != layer.gamma.shape[0]:
@@ -581,58 +559,58 @@ def batchnorm_forward(layer: BatchNorm, x, train: bool):
             f"batchnorm expects (B, T, {layer.gamma.shape[0]}) input, got {x.shape}"
         )
     rows = x.reshape(-1, x.shape[2])
-    if train:
-        n = rows.shape[0]
-        if n < 2:
-            raise ShapeError("train-mode batchnorm needs at least 2 positions per channel")
-        mean = rows.mean(axis=0)
-        xhat = rows - mean
-        y = np.multiply(xhat, xhat)
-        var = y.sum(axis=0) / n
-        inv_std = 1.0 / np.sqrt(var + layer.eps)
-        layer.running_mean[:] = (1.0 - layer.momentum) * layer.running_mean + layer.momentum * mean
-        layer.running_var[:] = (1.0 - layer.momentum) * layer.running_var + layer.momentum * var
-    else:
-        inv_std = 1.0 / np.sqrt(layer.running_var + layer.eps)
-        xhat = rows - layer.running_mean
-        y = np.empty_like(xhat)
+    if not train:
+        y = rows - layer.running_mean
+        y *= 1.0 / np.sqrt(layer.running_var + layer.eps)
+        y *= layer.gamma
+        y += layer.beta
+        return y.reshape(x.shape), None
+    n = rows.shape[0]
+    if n < 2:
+        raise ShapeError("train-mode batchnorm needs at least 2 positions per channel")
+    mean = rows.mean(axis=0)
+    xhat = rows - mean
+    y = np.multiply(xhat, xhat)
+    var = y.sum(axis=0) / n
+    inv_std = 1.0 / np.sqrt(var + layer.eps)
+    layer.running_mean[:] = (1.0 - layer.momentum) * layer.running_mean + layer.momentum * mean
+    layer.running_var[:] = (1.0 - layer.momentum) * layer.running_var + layer.momentum * var
     xhat *= inv_std
     np.multiply(xhat, layer.gamma, out=y)
     y += layer.beta
-    return y.reshape(x.shape), BnCache(xhat.reshape(x.shape), inv_std, train)
+    return y.reshape(x.shape), (xhat.reshape(x.shape), inv_std)
 
 
-def batchnorm_backward(layer: BatchNorm, cache: BnCache, upstream) -> LayerGradients:
-    """Exact gradients of :func:`batchnorm_forward` over the (B*T, C) rows.
+def batchnorm_backward(layer: BatchNorm, cache: tuple, upstream) -> np.ndarray:
+    """Exact gradients of a train-mode :func:`batchnorm_forward` over the
+    (B*T, C) rows.
 
-    dgamma = sum(u * xhat) and dbeta = sum(u), per channel. In train mode
-    the two sums the input gradient needs are these, scaled:
-    sum(dxhat) = gamma * dbeta and sum(dxhat * xhat) = gamma * dgamma, so
+    dgamma = sum(u * xhat) and dbeta = sum(u), per channel. The two sums
+    the input gradient needs are these, scaled: sum(dxhat) = gamma * dbeta
+    and sum(dxhat * xhat) = gamma * dgamma, so
     dx = gamma * inv_std / n * (n * u - dbeta - xhat * dgamma), computed as
     gamma * inv_std * (u - dbeta / n - xhat * dgamma / n) in the buffer
     that held u * xhat.
     """
+    xhat, inv_std = cache
     upstream = as_tensor(upstream)
-    if upstream.shape != cache.xhat.shape:
+    if upstream.shape != xhat.shape:
         raise ShapeError(
-            f"upstream shape {upstream.shape} does not match output {cache.xhat.shape}"
+            f"upstream shape {upstream.shape} does not match output {xhat.shape}"
         )
     channels = upstream.shape[2]
     u = upstream.reshape(-1, channels)
-    xhat = cache.xhat.reshape(-1, channels)
+    xhat = xhat.reshape(-1, channels)
+    n = u.shape[0]
     dbeta = u.sum(axis=0)
     dx = np.multiply(u, xhat)
     dgamma = dx.sum(axis=0)
-    if cache.train:
-        n = u.shape[0]
-        np.multiply(xhat, dgamma / -n, out=dx)
-        dx -= dbeta / n
-        dx += u
-        dx *= layer.gamma * cache.inv_std
-    else:
-        np.multiply(u, layer.gamma, out=dx)
-        dx *= cache.inv_std
-    return LayerGradients({"gamma": dgamma, "beta": dbeta}, dx.reshape(upstream.shape))
+    np.multiply(xhat, dgamma / -n, out=dx)
+    dx -= dbeta / n
+    dx += u
+    dx *= layer.gamma * inv_std
+    layer.grads = {"gamma": dgamma, "beta": dbeta}
+    return dx.reshape(upstream.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -691,9 +669,7 @@ class Dense(Layer):
         return dense_forward(self, x)
 
     def _backward(self, cache, upstream):
-        g = dense_backward(self, cache, upstream)
-        self.grads = g.params
-        return g.x
+        return dense_backward(self, cache, upstream)
 
 
 def dense_forward(layer: Dense, x):
@@ -707,12 +683,11 @@ def dense_forward(layer: Dense, x):
     return x @ layer.weights.T + layer.bias, x
 
 
-def dense_backward(layer: Dense, cache_x, upstream) -> LayerGradients:
+def dense_backward(layer: Dense, x: np.ndarray, upstream) -> np.ndarray:
     """Exact gradients of :func:`dense_forward`; 3-D input is flattened to
     (B*T, features) so both weight reductions are 2-D BLAS calls."""
     weights = layer.weights
     upstream = as_tensor(upstream)
-    x = cache_x
     if x.ndim not in (2, 3):
         raise ShapeError(f"dense_backward supports 2-D or 3-D input, got {x.ndim}-D")
     if upstream.shape != x.shape[:-1] + (weights.shape[0],):
@@ -720,7 +695,5 @@ def dense_backward(layer: Dense, cache_x, upstream) -> LayerGradients:
             f"upstream shape {upstream.shape} does not match input {x.shape}"
         )
     u = upstream.reshape(-1, weights.shape[0])
-    dw = u.T @ x.reshape(-1, x.shape[-1])
-    db = u.sum(axis=0)
-    dx = (u @ weights).reshape(x.shape)
-    return LayerGradients({"weights": dw, "bias": db}, dx)
+    layer.grads = {"weights": u.T @ x.reshape(-1, x.shape[-1]), "bias": u.sum(axis=0)}
+    return (u @ weights).reshape(x.shape)

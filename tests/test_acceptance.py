@@ -80,10 +80,10 @@ def test_c01_gradient_oracle_suite():
                 return float(np.sum(out * up))
 
             _, cache = gru_forward(p, x)
-            g = gru_backward(p, cache, up)
-            pairs = [(k, g.params[k], numeric_gradient(loss, arr))
+            dx = gru_backward(p, cache, up)
+            pairs = [(k, p.grads[k], numeric_gradient(loss, arr))
                      for k, arr in p.param_tensors().items()]
-            pairs.append(("x", g.x, numeric_gradient(loss, x)))
+            pairs.append(("x", dx, numeric_gradient(loss, x)))
             _check_gradients(pairs)
 
         for dilation in (1, 2, 4):  # conv1d at the three stated dilations
@@ -103,11 +103,11 @@ def test_c01_gradient_oracle_suite():
                     return float(np.sum(y * up))
 
                 _, cache = conv1d_forward(p, x)
-                g = conv1d_backward(p, cache, up)
+                dx = conv1d_backward(p, cache, up)
                 _check_gradients([
-                    ("kernels", g.params["kernels"], numeric_gradient(loss, p.kernels)),
-                    ("bias", g.params["bias"], numeric_gradient(loss, p.bias)),
-                    ("x", g.x, numeric_gradient(loss, x)),
+                    ("kernels", p.grads["kernels"], numeric_gradient(loss, p.kernels)),
+                    ("bias", p.grads["bias"], numeric_gradient(loss, p.bias)),
+                    ("x", dx, numeric_gradient(loss, x)),
                 ])
 
         for _ in range(20):  # batchnorm (train mode)
@@ -129,11 +129,11 @@ def test_c01_gradient_oracle_suite():
                 return float(np.sum(y * up))
 
             _, cache = batchnorm_forward(p, x, train=True)
-            g = batchnorm_backward(p, cache, up)
+            dx = batchnorm_backward(p, cache, up)
             _check_gradients([
-                ("gamma", g.params["gamma"], numeric_gradient(loss, p.gamma)),
-                ("beta", g.params["beta"], numeric_gradient(loss, p.beta)),
-                ("x", g.x, numeric_gradient(loss, x)),
+                ("gamma", p.grads["gamma"], numeric_gradient(loss, p.gamma)),
+                ("beta", p.grads["beta"], numeric_gradient(loss, p.beta)),
+                ("x", dx, numeric_gradient(loss, x)),
             ])
 
         for _ in range(20):  # dense (flat and time-distributed)
@@ -152,11 +152,11 @@ def test_c01_gradient_oracle_suite():
                 return float(np.sum(y * up))
 
             _, cache = dense_forward(d, x)
-            g = dense_backward(d, cache, up)
+            dx = dense_backward(d, cache, up)
             _check_gradients([
-                ("weights", g.params["weights"], numeric_gradient(loss, w)),
-                ("bias", g.params["bias"], numeric_gradient(loss, bias)),
-                ("x", g.x, numeric_gradient(loss, x)),
+                ("weights", d.grads["weights"], numeric_gradient(loss, w)),
+                ("bias", d.grads["bias"], numeric_gradient(loss, bias)),
+                ("x", dx, numeric_gradient(loss, x)),
             ])
 
         for _ in range(20):  # maxpool over time
@@ -199,15 +199,15 @@ def test_c01_gradient_oracle_suite():
             z, cache2 = dense_forward(d2, r)
             s = sigmoid(z)
             dz = sigmoid_backward(s, up)
-            g2 = dense_backward(d2, cache2, dz)
-            da = relu_backward(a, g2.x)
-            g1 = dense_backward(d1, cache1, da)
+            dr = dense_backward(d2, cache2, dz)
+            da = relu_backward(a, dr)
+            dx = dense_backward(d1, cache1, da)
             _check_gradients([
-                ("w2", g2.params["weights"], numeric_gradient(loss, w2)),
-                ("b2", g2.params["bias"], numeric_gradient(loss, b2)),
-                ("w1", g1.params["weights"], numeric_gradient(loss, w1)),
-                ("b1", g1.params["bias"], numeric_gradient(loss, b1)),
-                ("x", g1.x, numeric_gradient(loss, x)),
+                ("w2", d2.grads["weights"], numeric_gradient(loss, w2)),
+                ("b2", d2.grads["bias"], numeric_gradient(loss, b2)),
+                ("w1", d1.grads["weights"], numeric_gradient(loss, w1)),
+                ("b1", d1.grads["bias"], numeric_gradient(loss, b1)),
+                ("x", dx, numeric_gradient(loss, x)),
             ])
 
         for _ in range(20):  # cross-entropy loss

@@ -11,9 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mlenn import layers
 from mlenn.ensemble import save_ensemble, train_ensemble
 from mlenn.layers import Conv1d, Gru, conv1d_backward, conv1d_forward, gru_backward, gru_forward
-from mlenn.network import NetworkSpec
+from mlenn.network import TOPOLOGIES, NetworkSpec, build_network
 from mlenn.numerics import RngStream
 from mlenn.training import TrainConfig, clip_gradients_l2
 
@@ -38,6 +39,27 @@ def test_every_target_resolves(tracer):
             assert callable(owner), f"{span}: {module_name}.{attr}"
 
 
+def test_layers_call_kernels_through_their_traced_names(tracer, monkeypatch):
+    # The tracer replaces the mlenn.layers attributes; a layer class that
+    # bound a kernel directly would run it unwrapped and drop its span.
+    calls = {attr: 0 for _, locations, _ in tracer.TARGETS
+             for module_name, attr in locations if module_name == "mlenn.layers"}
+    for name in calls:
+        def counted(*args, _name=name, _kernel=getattr(layers, name), **kwargs):
+            calls[_name] += 1
+            return _kernel(*args, **kwargs)
+        monkeypatch.setattr(layers, name, counted)
+    x = np.asarray(RngStream(14).uniform((3, 6)))
+    for topology in TOPOLOGIES:
+        spec = NetworkSpec(topology=topology, n_labels=2, hidden_units=3, tcn_filters=4,
+                           tcn_blocks=2, pre_conv_filters=3)
+        net = build_network(spec, RngStream(15))
+        out = net.forward(x, train=True, rng=RngStream(16))
+        net.backward(np.ones_like(out))
+    assert len(calls) == 16
+    assert [name for name, n in calls.items() if n == 0] == []
+
+
 def test_gru_hooks_read_real_kernel_calls(tracer):
     b, t, d, n = 3, 7, 4, 5
     rng = RngStream(11)
@@ -47,8 +69,8 @@ def test_gru_hooks_read_real_kernel_calls(tracer):
     counts = defaultdict(float)
     out = gru_forward(layer, x)
     tracer._gru_fwd(counts, (layer, x), out)
-    grads = gru_backward(layer, out[1], upstream)
-    tracer._gru_bwd(counts, (layer, out[1], upstream), grads)
+    dx = gru_backward(layer, out[1], upstream)
+    tracer._gru_bwd(counts, (layer, out[1], upstream), dx)
     assert counts["gru.fwd.flop"] == 6.0 * b * t * n * (d + n)
     assert counts["gru.bwd.flop"] == 12.0 * b * t * n * (d + n)
 
@@ -62,8 +84,8 @@ def test_conv_hooks_read_real_kernel_calls(tracer):
     counts = defaultdict(float)
     out = conv1d_forward(layer, x)
     tracer._conv_fwd(counts, (layer, x), out)
-    grads = conv1d_backward(layer, out[1], upstream)
-    tracer._conv_bwd(counts, (layer, out[1], upstream), grads)
+    dx = conv1d_backward(layer, out[1], upstream)
+    tracer._conv_bwd(counts, (layer, out[1], upstream), dx)
     assert counts["conv1d.fwd.flop"] == 2.0 * b * t * c * f * w
     assert counts["conv1d.bwd.flop"] == 4.0 * b * t * c * f * w
 

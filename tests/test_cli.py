@@ -101,6 +101,22 @@ def _wz_bytes(doc) -> bytes:
     return base64.b64decode(_wz(doc)["data"])
 
 
+def _pca(doc, k: int, missing_columns: int = 0, drop: str | None = None) -> None:
+    """Give the preprocess block a PCA basis of k components over its
+    columns, less ``missing_columns``, without the key ``drop``."""
+    d = len(doc["preprocess"]["lo"]) - missing_columns
+    pca = {"mean": [0.0] * d, "components": [[0.0] * d] * k,
+           "explained_variance_ratio": [1.0 / k] * k}
+    pca.pop(drop, None)
+    doc["preprocess"]["pca"] = pca
+
+
+def _widen(doc) -> None:
+    """One more fitted column than the dataset has."""
+    doc["preprocess"]["lo"].append(0.0)
+    doc["preprocess"]["hi"].append(1.0)
+
+
 class TestTrainEvaluateCommands:
     def test_round_trip(self, dataset_file, tmp_path, capsys):
         model_dir = tmp_path / "model"
@@ -154,9 +170,22 @@ class TestTrainEvaluateCommands:
         (lambda doc: _wz(doc).update(data=base64.b64encode(_wz_bytes(doc)[8:]).decode()),
          "bytes"),
         (lambda doc: doc.update(format="mlenn-ensemble v1"), "v1"),
+        (lambda doc: doc["preprocess"].pop("hi"), "'hi'"),
+        (lambda doc: doc["preprocess"]["hi"].pop(), "'hi'"),
+        (lambda doc: doc["preprocess"].update(lo=[doc["preprocess"]["lo"]]), "'lo'"),
+        (lambda doc: doc["preprocess"].update(lo={"a": 1}), "'lo'"),
+        (lambda doc: doc.update(preprocess=[1.0]), "'lo'"),
+        (lambda doc: _pca(doc, 2, drop="components"), "'components'"),
+        (lambda doc: _pca(doc, 2, missing_columns=1), "pca"),
+        (lambda doc: (_pca(doc, 2), doc["preprocess"]["pca"]["explained_variance_ratio"].pop()),
+         "pca"),
+        (_widen, "5 feature columns, the data has 4"),
     ], ids=["unknown-spec-key", "missing-spec-key", "no-members", "no-spec",
             "no-params", "no-buffers", "no-tensor-data", "float-list-data",
-            "invalid-base64", "short-data", "v1-format"])
+            "invalid-base64", "short-data", "v1-format", "preprocess-no-hi",
+            "preprocess-short-hi", "preprocess-2d-lo", "preprocess-dict-lo",
+            "preprocess-not-a-block", "pca-no-components", "pca-short-mean",
+            "pca-ratio-mismatch", "column-mismatch"])
     def test_malformed_model_file_is_a_typed_error(self, dataset_file, tmp_path, capsys,
                                                    edit, named):
         # Each edit of a real train output must reach the evaluate stage

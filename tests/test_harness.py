@@ -105,6 +105,15 @@ class TestDatasetFile:
         with pytest.raises(DatasetFormatError, match=":2"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("row,message", [("0.5,x", ":5: non-numeric"),
+                                             ("0.5,2", ":5: labels"),
+                                             ("0.5", ":5: expected 2 fields")])
+    def test_line_numbers_count_blank_lines(self, tmp_path, row, message):
+        path = tmp_path / "bad.mlkit"
+        path.write_text(f"mlkit-dataset v1, n=2, d=1, l=1, sparse=0\n\n0.5,1\n\n{row}\n")
+        with pytest.raises(DatasetFormatError, match=message):
+            load_dataset(path)
+
 
 class TestExternalScores:
     def test_parse_fidelity(self, tmp_path):
@@ -117,6 +126,15 @@ class TestExternalScores:
         path = tmp_path / "scores.csv"
         path.write_text("0.1,0.9\n0.4\n")
         with pytest.raises(DatasetFormatError, match=":2"):
+            load_external_scores(path, 2, 2)
+
+    @pytest.mark.parametrize("row,message", [("0.4,x", ":3: non-numeric"),
+                                             ("0.4,inf", ":3: non-finite"),
+                                             ("0.4", ":3: expected 2 fields")])
+    def test_line_numbers_count_blank_lines(self, tmp_path, row, message):
+        path = tmp_path / "scores.csv"
+        path.write_text(f"\n0.1,0.9\n{row}\n")
+        with pytest.raises(DatasetFormatError, match=message):
             load_external_scores(path, 2, 2)
 
     def test_out_of_range_warns_but_loads(self, tmp_path):

@@ -94,10 +94,10 @@ class TestGruBackward:
         p = Gru.glorot("gru", 2, 2, rng)
         x = np.asarray(rng.uniform((2, 3, 2)))
         _, cache = gru_forward(p, x)
-        g = gru_backward(p, cache, np.zeros((2, 3, 2)))
-        for arr in g.params.values():
+        dx = gru_backward(p, cache, np.zeros((2, 3, 2)))
+        for arr in p.grads.values():
             npt.assert_array_equal(arr, 0.0)
-        npt.assert_array_equal(g.x, 0.0)
+        npt.assert_array_equal(dx, 0.0)
 
     @pytest.mark.parametrize("dims,tol", [((1, 1, 1, 1), 1e-5), ((2, 3, 2, 3), 1e-4),
                                           ((3, 6, 4, 5), 1e-4)])
@@ -113,10 +113,10 @@ class TestGruBackward:
             return float(np.sum(out * upstream))
 
         _, cache = gru_forward(p, x)
-        g = gru_backward(p, cache, upstream)
+        dx = gru_backward(p, cache, upstream)
         for name, arr in p.param_tensors().items():
-            assert max_rel_error(g.params[name], numeric_gradient(loss, arr)) < tol, name
-        assert max_rel_error(g.x, numeric_gradient(loss, x)) < tol
+            assert max_rel_error(p.grads[name], numeric_gradient(loss, arr)) < tol, name
+        assert max_rel_error(dx, numeric_gradient(loss, x)) < tol
 
 
 def _reference_gru(p: Gru, x, upstream):
@@ -180,15 +180,15 @@ class TestGruOracle:
     @staticmethod
     def _check(p, x, upstream):
         h, cache = gru_forward(p, x)
-        g = gru_backward(p, cache, upstream)
+        dx = gru_backward(p, cache, upstream)
         oh, ograds, odx = _reference_gru(p, x, upstream)
         npt.assert_allclose(h, oh, rtol=0, atol=1e-12)
-        assert set(g.params) == set(p.PARAMS)
+        assert set(p.grads) == set(p.PARAMS)
         for name in p.PARAMS:
-            assert g.params[name].shape == getattr(p, name).shape, name
-            npt.assert_allclose(g.params[name], ograds[name], rtol=0, atol=1e-12, err_msg=name)
-        assert g.x.shape == x.shape
-        npt.assert_allclose(g.x, odx, rtol=0, atol=1e-12)
+            assert p.grads[name].shape == getattr(p, name).shape, name
+            npt.assert_allclose(p.grads[name], ograds[name], rtol=0, atol=1e-12, err_msg=name)
+        assert dx.shape == x.shape
+        npt.assert_allclose(dx, odx, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("b,t,d,n", list(itertools.product(
         (1, 3, 30), (1, 2, 17), (1, 5, 32), (1, 4, 50))))
@@ -266,10 +266,10 @@ class TestConv1d:
         p = Conv1d.glorot("conv", 2, 2, 3, 1, rng)
         x = np.asarray(rng.uniform((1, 4, 2)))
         _, cache = conv1d_forward(p, x)
-        g = conv1d_backward(p, cache, np.zeros((1, 4, 2)))
-        npt.assert_array_equal(g.params["kernels"], 0.0)
-        npt.assert_array_equal(g.params["bias"], 0.0)
-        npt.assert_array_equal(g.x, 0.0)
+        dx = conv1d_backward(p, cache, np.zeros((1, 4, 2)))
+        npt.assert_array_equal(p.grads["kernels"], 0.0)
+        npt.assert_array_equal(p.grads["bias"], 0.0)
+        npt.assert_array_equal(dx, 0.0)
 
     @pytest.mark.parametrize("dilation,tol", [(1, 1e-5), (4, 1e-4)])
     def test_matches_finite_differences(self, dilation, tol):
@@ -283,10 +283,10 @@ class TestConv1d:
             return float(np.sum(y * upstream))
 
         _, cache = conv1d_forward(p, x)
-        g = conv1d_backward(p, cache, upstream)
-        assert max_rel_error(g.params["kernels"], numeric_gradient(loss, p.kernels)) < tol
-        assert max_rel_error(g.params["bias"], numeric_gradient(loss, p.bias)) < tol
-        assert max_rel_error(g.x, numeric_gradient(loss, x)) < tol
+        dx = conv1d_backward(p, cache, upstream)
+        assert max_rel_error(p.grads["kernels"], numeric_gradient(loss, p.kernels)) < tol
+        assert max_rel_error(p.grads["bias"], numeric_gradient(loss, p.bias)) < tol
+        assert max_rel_error(dx, numeric_gradient(loss, x)) < tol
 
     def test_matches_finite_differences_at_dilation_8(self):
         # TCN block 4 dilation; T=19 so the outer taps reach real positions.
@@ -300,10 +300,10 @@ class TestConv1d:
             return float(np.sum(y * upstream))
 
         _, cache = conv1d_forward(p, x)
-        g = conv1d_backward(p, cache, upstream)
-        assert max_rel_error(g.params["kernels"], numeric_gradient(loss, p.kernels)) < 1e-4
-        assert max_rel_error(g.params["bias"], numeric_gradient(loss, p.bias)) < 1e-4
-        assert max_rel_error(g.x, numeric_gradient(loss, x)) < 1e-4
+        dx = conv1d_backward(p, cache, upstream)
+        assert max_rel_error(p.grads["kernels"], numeric_gradient(loss, p.kernels)) < 1e-4
+        assert max_rel_error(p.grads["bias"], numeric_gradient(loss, p.bias)) < 1e-4
+        assert max_rel_error(dx, numeric_gradient(loss, x)) < 1e-4
 
     def test_even_kernel_width_rejected(self):
         with pytest.raises(ShapeError):
@@ -343,12 +343,12 @@ class TestConv1dOracle:
     @staticmethod
     def _check(p, x, upstream):
         y, cache = conv1d_forward(p, x)
-        g = conv1d_backward(p, cache, upstream)
+        dx = conv1d_backward(p, cache, upstream)
         oy, odk, odb, odx = _conv_oracle(p.kernels, p.bias, p.dilation, x, upstream)
         npt.assert_allclose(y, oy, rtol=0, atol=1e-12)
-        npt.assert_allclose(g.params["kernels"], odk, rtol=0, atol=1e-12)
-        npt.assert_allclose(g.params["bias"], odb, rtol=0, atol=1e-12)
-        npt.assert_allclose(g.x, odx, rtol=0, atol=1e-12)
+        npt.assert_allclose(p.grads["kernels"], odk, rtol=0, atol=1e-12)
+        npt.assert_allclose(p.grads["bias"], odb, rtol=0, atol=1e-12)
+        npt.assert_allclose(dx, odx, rtol=0, atol=1e-12)
 
     # pad = d*(W-1)/2 reaches or exceeds T in many of these cases, e.g. TCN
     # block 4 (dilation 8) under single-step encoding (T=1).
@@ -406,8 +406,9 @@ class TestBatchNorm:
     def test_eval_mode_with_identity_stats(self):
         p = BatchNorm("bn", 2)
         x = np.random.default_rng(2).normal(size=(3, 4, 2))
-        y, _ = batchnorm_forward(p, x, train=False)
+        y, cache = batchnorm_forward(p, x, train=False)
         npt.assert_allclose(y, x / np.sqrt(1.0 + p.eps), atol=1e-12)
+        assert cache is None  # eval mode has no backward
 
     def test_running_stats_update(self):
         p = BatchNorm("bn", 1)
@@ -435,30 +436,10 @@ class TestBatchNorm:
             return float(np.sum(y * upstream))
 
         _, cache = batchnorm_forward(p, x, train=True)
-        g = batchnorm_backward(p, cache, upstream)
-        assert max_rel_error(g.params["gamma"], numeric_gradient(loss, p.gamma)) < 1e-5
-        assert max_rel_error(g.params["beta"], numeric_gradient(loss, p.beta)) < 1e-5
-        assert max_rel_error(g.x, numeric_gradient(loss, x)) < 1e-4
-
-    def test_eval_mode_matches_finite_differences(self):
-        rng = RngStream(8)
-        p = BatchNorm("bn", 3)
-        p.gamma[:] = np.asarray(rng.uniform(3)) + 0.5
-        p.beta[:] = np.asarray(rng.uniform(3)) - 0.5
-        p.running_mean[:] = np.asarray(rng.uniform(3)) - 0.5
-        p.running_var[:] = np.asarray(rng.uniform(3)) + 0.5
-        x = np.asarray(rng.uniform((2, 4, 3))) * 2.0
-        upstream = np.asarray(rng.uniform((2, 4, 3))) - 0.5
-
-        def loss():
-            y, _ = batchnorm_forward(p, x, train=False)
-            return float(np.sum(y * upstream))
-
-        _, cache = batchnorm_forward(p, x, train=False)
-        g = batchnorm_backward(p, cache, upstream)
-        assert max_rel_error(g.params["gamma"], numeric_gradient(loss, p.gamma)) < 1e-5
-        assert max_rel_error(g.params["beta"], numeric_gradient(loss, p.beta)) < 1e-5
-        assert max_rel_error(g.x, numeric_gradient(loss, x)) < 1e-5
+        dx = batchnorm_backward(p, cache, upstream)
+        assert max_rel_error(p.grads["gamma"], numeric_gradient(loss, p.gamma)) < 1e-5
+        assert max_rel_error(p.grads["beta"], numeric_gradient(loss, p.beta)) < 1e-5
+        assert max_rel_error(dx, numeric_gradient(loss, x)) < 1e-4
 
     def test_backward_rejects_reshaped_upstream(self):
         p = BatchNorm("bn", 2)
@@ -470,8 +451,9 @@ class TestBatchNorm:
 
 def _bn_oracle(p, x, upstream, train):
     """Textbook batchnorm: x.mean/x.var statistics, the explicit dxhat sums
-    in the train-mode input gradient. Returns y, the gradients and the
-    running statistics the forward leaves behind."""
+    in the train-mode input gradient. Returns y, the gradients (None in
+    eval mode, which has no backward) and the running statistics the
+    forward leaves behind."""
     channels = x.shape[2]
     if train:
         mean, var = x.mean(axis=(0, 1)), x.var(axis=(0, 1))
@@ -483,15 +465,14 @@ def _bn_oracle(p, x, upstream, train):
     inv_std = 1.0 / np.sqrt(var + p.eps)
     xhat = (x - mean) * inv_std
     y = p.gamma * xhat + p.beta
+    if not train:
+        return y, None, running
     u = upstream.reshape(-1, channels)
     xh = xhat.reshape(-1, channels)
     dxhat = u * p.gamma
-    if train:
-        n = u.shape[0]
-        dx = (inv_std / n) * (n * dxhat - dxhat.sum(axis=0) - xh * (dxhat * xh).sum(axis=0))
-    else:
-        dx = dxhat * inv_std
-    return y, (u * xh).sum(axis=0), u.sum(axis=0), dx.reshape(x.shape), running
+    n = u.shape[0]
+    dx = (inv_std / n) * (n * dxhat - dxhat.sum(axis=0) - xh * (dxhat * xh).sum(axis=0))
+    return y, ((u * xh).sum(axis=0), u.sum(axis=0), dx.reshape(x.shape)), running
 
 
 class TestBatchNormOracle:
@@ -506,15 +487,19 @@ class TestBatchNormOracle:
 
     @staticmethod
     def _check(p, x, upstream, train):
-        oy, odgamma, odbeta, odx, (omean, ovar) = _bn_oracle(p, x, upstream, train)
+        oy, ograds, (omean, ovar) = _bn_oracle(p, x, upstream, train)
         y, cache = batchnorm_forward(p, x, train=train)
-        g = batchnorm_backward(p, cache, upstream)
         npt.assert_allclose(y, oy, rtol=0, atol=1e-12)
-        npt.assert_allclose(g.params["gamma"], odgamma, rtol=0, atol=1e-12)
-        npt.assert_allclose(g.params["beta"], odbeta, rtol=0, atol=1e-12)
-        npt.assert_allclose(g.x, odx, rtol=0, atol=1e-12)
         npt.assert_allclose(p.running_mean, omean, rtol=0, atol=1e-12)
         npt.assert_allclose(p.running_var, ovar, rtol=0, atol=1e-12)
+        if not train:
+            assert cache is None
+            return
+        odgamma, odbeta, odx = ograds
+        dx = batchnorm_backward(p, cache, upstream)
+        npt.assert_allclose(p.grads["gamma"], odgamma, rtol=0, atol=1e-12)
+        npt.assert_allclose(p.grads["beta"], odbeta, rtol=0, atol=1e-12)
+        npt.assert_allclose(dx, odx, rtol=0, atol=1e-12)
 
     # (1, 2, C) and (2, 1, C) are the smallest train-mode batches: B*T = 2.
     @pytest.mark.parametrize("train", [True, False])
@@ -578,8 +563,14 @@ class TestKernelsLeaveInputsUnchanged:
         p = BatchNorm("bn", 3)
         x = np.asarray(rng.uniform((2, 5, 3))) - 0.5
         upstream = np.asarray(rng.uniform((2, 5, 3))) - 0.5
-        self._run_unchanged(lambda a: batchnorm_forward(p, a, train),
-                            lambda c, u: batchnorm_backward(p, c, u), x, upstream)
+        if train:
+            self._run_unchanged(lambda a: batchnorm_forward(p, a, True),
+                                lambda c, u: batchnorm_backward(p, c, u), x, upstream)
+        else:  # eval mode has no backward
+            x_bits = _bits(x)
+            _, cache = batchnorm_forward(p, x, False)
+            npt.assert_array_equal(_bits(x), x_bits)
+            assert cache is None
 
     def test_relu(self):
         rng = RngStream(360)
@@ -652,10 +643,10 @@ class TestDense:
             return float(np.sum(y * upstream))
 
         _, cache = dense_forward(d, x)
-        g = dense_backward(d, cache, upstream)
-        assert max_rel_error(g.params["weights"], numeric_gradient(loss, w)) < 1e-5
-        assert max_rel_error(g.params["bias"], numeric_gradient(loss, b)) < 1e-5
-        assert max_rel_error(g.x, numeric_gradient(loss, x)) < 1e-5
+        dx = dense_backward(d, cache, upstream)
+        assert max_rel_error(d.grads["weights"], numeric_gradient(loss, w)) < 1e-5
+        assert max_rel_error(d.grads["bias"], numeric_gradient(loss, b)) < 1e-5
+        assert max_rel_error(dx, numeric_gradient(loss, x)) < 1e-5
 
     def test_backward_rejects_wrong_output_width(self):
         d = Dense("dense", np.zeros((2, 3)), np.zeros(2))
