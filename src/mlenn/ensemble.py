@@ -202,7 +202,7 @@ def ensemble_from_dict(doc: dict) -> EnsembleModel:
             # A bad spec in a model file is bad input, not a bad run
             # configuration; an unknown or missing key raises TypeError.
             raise ValueError(f"model member {i} spec: {exc}") from None
-        net = build_network(spec, RngStream(0))
+        net = build_network(spec, None)
         _load_arrays(params, net.param_items(), "parameter")
         _load_arrays(buffers, net.state_items(), "buffer")
         members.append(EnsembleMember(net, dict(tags)))

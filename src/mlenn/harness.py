@@ -9,6 +9,12 @@ Dataset file format (one header line, then one line per sample)::
 External score files carry one comma-separated line of l reals per
 dataset row, aligned with the dataset file's row order; experiment folds
 select their test rows from that matrix.
+
+Fields use Python ``float()`` syntax. ``#`` does not start a comment, and
+blank lines are skipped but counted in the line numbers of errors. Rows
+of plain ASCII numbers are parsed in one ``np.loadtxt`` call; everything
+else takes the per-line ``float()`` parse, which gives the same bits and
+alone words the errors.
 """
 
 from __future__ import annotations
@@ -61,11 +67,69 @@ def _parse_header(line: str, path: str) -> tuple[int, int, int, bool]:
     return n, d, l, values["sparse"] == "1"
 
 
+# Every byte that a row of plain numbers may hold. Over this alphabet
+# np.loadtxt and float() accept the same fields and give the same bits.
+# Outside it they differ both ways: float() takes "1_0" and non-ASCII
+# digits, which loadtxt refuses, and loadtxt takes "\x1f1.5", which float()
+# refuses.
+_FAST_ALPHABET = b"0123456789+-.eEinfatyINFATY, \t\r\n"
+
+
+def _read_lines(path: str) -> tuple[bytes, list]:
+    """The file's bytes and its UTF-8 text split into lines, the same
+    lines that a text-mode read would split into."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    return raw, raw.decode("utf-8").splitlines()
+
+
+def _parse_rows(path: str, raw: bytes, body: list, d: int, l: int, nouns: tuple) -> np.ndarray:
+    """The (len(body), d + l) matrix of ``body``, a list of (file line
+    number, line) pairs, each line holding d finite reals and then l labels
+    of 0 or 1. ``raw`` holds at least every byte of those lines, and
+    ``nouns`` name a field and a feature in error messages.
+
+    When every byte of ``raw`` is in the alphabet above, the lines are
+    parsed by one ``np.loadtxt`` call. It refuses a line whose field count
+    differs from the first line's, so a result of d + l columns means that
+    every line holds d + l fields. Anything that call or its checks refuse
+    goes to the per-line parse, which gives the same bits and alone decides
+    whether the file loads and which line an error names."""
+    width = d + l
+    if body and not raw.translate(None, _FAST_ALPHABET):
+        try:
+            rows = np.loadtxt([line for _, line in body], delimiter=",", comments=None,
+                              dtype=np.float64, ndmin=2)
+        except ValueError:
+            rows = None
+        if (rows is not None and rows.shape == (len(body), width)
+                and np.isfinite(rows[:, :d]).all()
+                and ((rows[:, d:] == 0.0) | (rows[:, d:] == 1.0)).all()):
+            return rows
+
+    field, feature = nouns
+    out = np.empty((len(body), width))
+    for i, (lineno, line) in enumerate(body):
+        fields = line.split(",")
+        if len(fields) != width:
+            raise DatasetFormatError(f"{path}:{lineno}: expected {width} fields, found {len(fields)}")
+        try:
+            row = np.asarray([float(v) for v in fields], dtype=np.float64)
+        except ValueError:
+            raise DatasetFormatError(f"{path}:{lineno}: non-numeric {field}") from None
+        if not np.all(np.isfinite(row[:d])):
+            raise DatasetFormatError(f"{path}:{lineno}: non-finite {feature}")
+        labels = row[d:]
+        if not np.all((labels == 0.0) | (labels == 1.0)):
+            raise DatasetFormatError(f"{path}:{lineno}: labels must be 0 or 1")
+        out[i] = row
+    return out
+
+
 def load_dataset(path) -> Dataset:
     """Parse a dataset file, reporting malformed rows with line numbers."""
     path = str(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    raw, lines = _read_lines(path)
     if not lines:
         raise DatasetFormatError(f"{path}: empty file")
     n, d, l, sparse = _parse_header(lines[0], path)
@@ -74,25 +138,10 @@ def load_dataset(path) -> Dataset:
     if len(body) != n:
         raise DatasetFormatError(f"{path}: header declares n={n} but found {len(body)} rows")
 
-    x = np.empty((n, d))
-    y = np.empty((n, l))
-    for i, (lineno, line) in enumerate(body):
-        fields = line.split(",")
-        if len(fields) != d + l:
-            raise DatasetFormatError(
-                f"{path}:{lineno}: expected {d + l} fields, found {len(fields)}"
-            )
-        try:
-            row = np.asarray([float(v) for v in fields], dtype=np.float64)
-        except ValueError:
-            raise DatasetFormatError(f"{path}:{lineno}: non-numeric field") from None
-        if not np.all(np.isfinite(row[:d])):
-            raise DatasetFormatError(f"{path}:{lineno}: non-finite feature value")
-        labels = row[d:]
-        if not np.all((labels == 0.0) | (labels == 1.0)):
-            raise DatasetFormatError(f"{path}:{lineno}: labels must be 0 or 1")
-        x[i] = row[:d]
-        y[i] = labels
+    # A character takes at least one byte, so the bytes after the header's
+    # length in characters hold the whole body.
+    rows = _parse_rows(path, raw[len(lines[0]):], body, d, l, ("field", "feature value"))
+    x, y = rows[:, :d].copy(), rows[:, d:].copy()
 
     name = os.path.splitext(os.path.basename(path))[0]
     return Dataset(x, y, name=name, sparse=sparse)
@@ -114,22 +163,11 @@ def load_external_scores(path, n: int, l: int) -> np.ndarray:
     outside [0, 1] are accepted with a warning (external classifiers may
     emit margins)."""
     path = str(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        body = [(i, ln) for i, ln in enumerate(fh.read().splitlines(), start=1) if ln.strip()]
+    raw, lines = _read_lines(path)
+    body = [(i, ln) for i, ln in enumerate(lines, start=1) if ln.strip()]
     if len(body) != n:
         raise DatasetFormatError(f"{path}: expected {n} rows of scores, found {len(body)}")
-    out = np.empty((n, l))
-    for i, (lineno, line) in enumerate(body):
-        fields = line.split(",")
-        if len(fields) != l:
-            raise DatasetFormatError(f"{path}:{lineno}: expected {l} fields, found {len(fields)}")
-        try:
-            row = np.asarray([float(v) for v in fields], dtype=np.float64)
-        except ValueError:
-            raise DatasetFormatError(f"{path}:{lineno}: non-numeric score") from None
-        if not np.all(np.isfinite(row)):
-            raise DatasetFormatError(f"{path}:{lineno}: non-finite score")
-        out[i] = row
+    out = _parse_rows(path, raw, body, l, 0, ("score", "score"))
     if out.size and (out.min() < 0.0 or out.max() > 1.0):
         warnings.warn(f"{path}: scores fall outside [0, 1]; using them as-is")
     return out
@@ -183,14 +221,21 @@ def holdout_split(n: int, fraction: float, rng: RngStream) -> list:
 
 def index_file_split(n: int, path) -> list:
     """Single split whose test rows are listed (one index per line) in a file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        body = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
-    try:
-        test = np.unique(np.asarray([int(v) for v in body], dtype=np.int64))
-    except ValueError:
-        raise DatasetFormatError(f"{path}: index lines must be integers") from None
-    if test.size == 0 or test.min() < 0 or test.max() >= n:
-        raise DatasetFormatError(f"{path}: indices must fall in [0, {n})")
+    indices = []
+    for lineno, line in enumerate(_read_lines(path)[1], start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            index = int(line)
+        except ValueError:
+            raise DatasetFormatError(f"{path}:{lineno}: index lines must be integers") from None
+        if not 0 <= index < n:
+            raise DatasetFormatError(f"{path}:{lineno}: indices must fall in [0, {n})")
+        indices.append(index)
+    test = np.unique(np.asarray(indices, dtype=np.int64))
+    if test.size == 0:
+        raise DatasetFormatError(f"{path}: no index lines")
     if test.size >= n:
         raise DatasetFormatError(f"{path}: at least one row must remain for training")
     train = np.setdiff1d(np.arange(n), test)

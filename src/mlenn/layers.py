@@ -84,8 +84,10 @@ class Layer:
         return self._backward(cache, upstream)
 
 
-def glorot_uniform(shape: tuple, rng: RngStream) -> np.ndarray:
-    """Glorot-uniform init; fan counts follow the trailing two axes."""
+def glorot_uniform(shape: tuple, rng: RngStream | None) -> np.ndarray:
+    """Glorot-uniform init; fan counts follow the trailing two axes. With
+    ``rng=None`` the tensor is left undrawn, as zeros, for a caller that
+    overwrites it (a model load)."""
     if len(shape) == 2:
         fan_out, fan_in = shape
     elif len(shape) == 3:  # conv kernels (filters, channels, width)
@@ -93,6 +95,8 @@ def glorot_uniform(shape: tuple, rng: RngStream) -> np.ndarray:
         fan_in = shape[1] * shape[2]
     else:
         raise ShapeError(f"no fan convention for shape {shape}")
+    if rng is None:
+        return np.zeros(shape)
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return (rng.uniform(size=shape) * 2.0 - 1.0) * limit
 

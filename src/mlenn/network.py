@@ -135,7 +135,7 @@ class Network:
                 for layer in self.layers for key, arr in layer.state_tensors().items()]
 
 
-def _tcn_stack(spec: NetworkSpec, in_channels: int, rng: RngStream) -> tuple[list, int]:
+def _tcn_stack(spec: NetworkSpec, in_channels: int, rng: RngStream | None) -> tuple[list, int]:
     stack: list = []
     channels = in_channels
     for k in range(1, spec.tcn_blocks + 1):
@@ -155,7 +155,7 @@ def _tcn_stack(spec: NetworkSpec, in_channels: int, rng: RngStream) -> tuple[lis
     return stack, channels
 
 
-def _tcn_head(spec: NetworkSpec, channels: int, rng: RngStream) -> list:
+def _tcn_head(spec: NetworkSpec, channels: int, rng: RngStream | None) -> list:
     # Time-distributed dense first, then the pool, then the output sigmoid.
     return [
         Dense.glorot("head_dense", spec.n_labels, channels, rng),
@@ -164,9 +164,10 @@ def _tcn_head(spec: NetworkSpec, channels: int, rng: RngStream) -> list:
     ]
 
 
-def build_network(spec: NetworkSpec, rng: RngStream) -> Network:
+def build_network(spec: NetworkSpec, rng: RngStream | None) -> Network:
     """Initialize a network for the spec's topology; identical (spec, rng)
-    pairs produce bitwise-identical parameters."""
+    pairs produce bitwise-identical parameters. ``rng=None`` draws nothing
+    and leaves every parameter at zero, for a loader to fill."""
     c_in = spec.input_channels
 
     if spec.topology == "GRU_A":

@@ -4,7 +4,8 @@ bit for bit.
 These are the straightforward forms: Lloyd k-means with distances from an
 explicit (n, c, d) difference tensor and one boolean mask per center, the
 ranking indicators as one Python-level pass per row, and the Adam variants
-as one modulation function each over a state that keeps every field. The
+as one modulation function each over a state that keeps every field, and
+the dataset and score loaders as one float() call per field. The
 library's faster forms promise the same floats, ties and skipped rows
 included, so the tests compare with ``==`` rather than a tolerance.
 """
@@ -12,12 +13,16 @@ included, so the tests compare with ``==`` rather than a tolerance.
 from __future__ import annotations
 
 import math
+import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from mlenn.harness import DatasetFormatError, _parse_header
 from mlenn.layers import sigmoid
 from mlenn.numerics import KMeansModel, RngStream, as_tensor
+from mlenn.pipeline import Dataset
 
 
 def pairwise_sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -224,3 +229,66 @@ def optimizer_step(state: AdamState, theta, g) -> np.ndarray:
         step = step * xi
     state.prev_grad = g.copy()
     return theta - step
+
+
+def load_dataset(path) -> Dataset:
+    """Parse a dataset file, reporting malformed rows with line numbers."""
+    path = str(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise DatasetFormatError(f"{path}: empty file")
+    n, d, l, sparse = _parse_header(lines[0], path)
+    # (file line number, line) for every non-blank line after the header
+    body = [(i, ln) for i, ln in enumerate(lines[1:], start=2) if ln.strip()]
+    if len(body) != n:
+        raise DatasetFormatError(f"{path}: header declares n={n} but found {len(body)} rows")
+
+    x = np.empty((n, d))
+    y = np.empty((n, l))
+    for i, (lineno, line) in enumerate(body):
+        fields = line.split(",")
+        if len(fields) != d + l:
+            raise DatasetFormatError(
+                f"{path}:{lineno}: expected {d + l} fields, found {len(fields)}"
+            )
+        try:
+            row = np.asarray([float(v) for v in fields], dtype=np.float64)
+        except ValueError:
+            raise DatasetFormatError(f"{path}:{lineno}: non-numeric field") from None
+        if not np.all(np.isfinite(row[:d])):
+            raise DatasetFormatError(f"{path}:{lineno}: non-finite feature value")
+        labels = row[d:]
+        if not np.all((labels == 0.0) | (labels == 1.0)):
+            raise DatasetFormatError(f"{path}:{lineno}: labels must be 0 or 1")
+        x[i] = row[:d]
+        y[i] = labels
+
+    name = os.path.splitext(os.path.basename(path))[0]
+    return Dataset(x, y, name=name, sparse=sparse)
+
+
+def load_external_scores(path, n: int, l: int) -> np.ndarray:
+    """Parse an n-row matrix of l comma-separated reals per line. Scores
+    outside [0, 1] are accepted with a warning (external classifiers may
+    emit margins)."""
+    path = str(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        body = [(i, ln) for i, ln in enumerate(fh.read().splitlines(), start=1) if ln.strip()]
+    if len(body) != n:
+        raise DatasetFormatError(f"{path}: expected {n} rows of scores, found {len(body)}")
+    out = np.empty((n, l))
+    for i, (lineno, line) in enumerate(body):
+        fields = line.split(",")
+        if len(fields) != l:
+            raise DatasetFormatError(f"{path}:{lineno}: expected {l} fields, found {len(fields)}")
+        try:
+            row = np.asarray([float(v) for v in fields], dtype=np.float64)
+        except ValueError:
+            raise DatasetFormatError(f"{path}:{lineno}: non-numeric score") from None
+        if not np.all(np.isfinite(row)):
+            raise DatasetFormatError(f"{path}:{lineno}: non-finite score")
+        out[i] = row
+    if out.size and (out.min() < 0.0 or out.max() > 1.0):
+        warnings.warn(f"{path}: scores fall outside [0, 1]; using them as-is")
+    return out

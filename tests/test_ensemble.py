@@ -12,7 +12,7 @@ from mlenn.ensemble import (EnsembleModel, ensemble_from_dict, fuse_average,
                             train_ensemble)
 from mlenn.metrics import PredictionSet, average_precision
 from mlenn.network import NetworkSpec
-from mlenn.numerics import ShapeError
+from mlenn.numerics import RngStream, ShapeError
 from mlenn.training import TrainConfig
 
 from synth import noisy_teacher_task, separable_task
@@ -163,6 +163,19 @@ class TestSerialization:
         model, x = self._trained()
         path = tmp_path / "model.json"
         save_ensemble(model, path)
+        loaded, _ = load_ensemble(path)
+        npt.assert_array_equal(model.predict_scores(x[:8]), loaded.predict_scores(x[:8]))
+
+    def test_load_draws_no_initial_weights(self, tmp_path, monkeypatch):
+        # Every tensor comes from the file, so loading draws nothing.
+        model, x = self._trained()
+        path = tmp_path / "model.json"
+        save_ensemble(model, path)
+
+        def no_draw(self, size=None):
+            raise AssertionError("load_ensemble drew initial weights")
+
+        monkeypatch.setattr(RngStream, "uniform", no_draw)
         loaded, _ = load_ensemble(path)
         npt.assert_array_equal(model.predict_scores(x[:8]), loaded.predict_scores(x[:8]))
 

@@ -1,10 +1,11 @@
 import json
+import warnings
 from dataclasses import asdict
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mlenn.ensemble import fuse_weighted_external, normalize_enn
@@ -15,6 +16,7 @@ from mlenn.metrics import METRIC_NAMES
 from mlenn.numerics import RngStream
 from mlenn.pipeline import Dataset
 
+import oracles
 from synth import banded_task
 
 
@@ -145,6 +147,113 @@ class TestExternalScores:
         npt.assert_allclose(out, [[1.5, -0.2]])
 
 
+# Fields the per-line parse treats in its own way: non-finite words,
+# underscores, non-ASCII digits, padding that float() strips or refuses,
+# empty fields, '#', and labels other than "0"/"1" that do or do not equal
+# 0 or 1.
+_ODD_FIELDS = st.sampled_from([
+    "inf", "-Infinity", "nan", "-NaN", "1e400", "1_0", "١٢", "\xa01.5", "2.5\xa0",
+    "\x1f1.5", "1\x1f", "", " ", "#", "# 1", " 1\t", "1.5e", ".", "+.5", "E5",
+    "0.0", "1e0", "-0", "2",
+])
+_NUMBERS = st.one_of(
+    st.floats(-1e6, 1e6).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.17e}"),
+    st.integers(-9, 9).map(str),
+)
+
+
+@st.composite
+def _row_lines(draw, d: int, l: int) -> list:
+    """Rows of numbers and 0/1 labels among blank lines, then up to three
+    edits: an odd field, a dropped, extra or trailing field, or a '#' line."""
+    rows = [draw(st.lists(_NUMBERS, min_size=d, max_size=d))
+            + draw(st.lists(st.sampled_from(["0", "1"]), min_size=l, max_size=l))
+            for _ in range(draw(st.integers(1, 5)))]
+    comments = []
+    for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2, 3]))):
+        i = draw(st.integers(0, len(rows) - 1))
+        edit = draw(st.sampled_from(["odd"] * 5 + ["drop", "extra", "trailing", "#"]))
+        if edit == "odd":
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(_ODD_FIELDS)
+        elif edit == "drop" and len(rows[i]) > 1:
+            rows[i].pop()
+        elif edit in ("extra", "trailing"):
+            rows[i].append("0" if edit == "extra" else "")
+        elif edit == "#":
+            comments.append(i)
+    lines = []
+    for i, row in enumerate(rows):
+        lines += draw(st.lists(st.sampled_from(["", "  ", "\t"]), max_size=1))
+        lines += ["#"] * comments.count(i) + [",".join(row)]
+    return lines
+
+
+_NEWLINES = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def _dataset_files(draw) -> str:
+    d, l = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    lines = draw(_row_lines(d, l))
+    n = sum(1 for ln in lines if ln.strip()) + draw(st.sampled_from([0] * 9 + [1]))
+    newline = draw(_NEWLINES)
+    return newline.join([f"mlkit-dataset v1, n={n}, d={d}, l={l}, sparse=0"] + lines) + newline
+
+
+@st.composite
+def _score_files(draw) -> tuple:
+    l = draw(st.integers(1, 4))
+    lines = draw(_row_lines(l, 0))
+    newline = draw(_NEWLINES)
+    return newline.join(lines) + newline, sum(1 for ln in lines if ln.strip()), l
+
+
+def _outcome(load, *args):
+    """What a loader gives: its arrays' bytes and warnings, or its error."""
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = load(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    arrays = (out.x, out.y) if isinstance(out, Dataset) else (out,)
+    return ([(a.shape, a.tobytes()) for a in arrays], [str(w.message) for w in caught])
+
+
+class TestLoadersMatchPerLineParse:
+    """Both loaders give the bits or the error of the per-line float()
+    parse in oracles.py on every file."""
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @example(content="mlkit-dataset v1, n=1, d=2, l=1, sparse=0\n\x1f1.5,2,1\n")
+    @example(content="mlkit-dataset v1, n=1, d=2, l=1, sparse=0\n1_0,١٢,1e0\n")
+    @given(content=_dataset_files())
+    def test_dataset(self, tmp_path, content):
+        path = tmp_path / "fuzz.mlkit"
+        path.write_bytes(content.encode("utf-8"))
+        assert _outcome(load_dataset, path) == _outcome(oracles.load_dataset, path)
+
+    def test_invalid_utf8(self, tmp_path):
+        path = tmp_path / "bad.mlkit"
+        path.write_bytes(b"mlkit-dataset v1, n=1, d=1, l=1, sparse=0\n0.5,\xff1\n")
+        assert _outcome(load_dataset, path) == _outcome(oracles.load_dataset, path)
+        assert _outcome(load_dataset, path)[0] == "UnicodeDecodeError"
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @example(case=("0.5,\x1f0.25\n", 1, 2))
+    @example(case=("0.5,1_0\n\n2.5\xa0,nan\n", 2, 2))
+    @given(case=_score_files())
+    def test_scores(self, tmp_path, case):
+        content, n, l = case
+        path = tmp_path / "fuzz.csv"
+        path.write_bytes(content.encode("utf-8"))
+        assert (_outcome(load_external_scores, path, n, l)
+                == _outcome(oracles.load_external_scores, path, n, l))
+
+
 class TestFoldSchemes:
     def test_partition_property(self):
         folds = kfold_split(10, 5, RngStream(0))
@@ -232,6 +341,18 @@ class TestFoldSchemes:
         path = tmp_path / "idx.txt"
         path.write_text("9\n")
         with pytest.raises(DatasetFormatError):
+            index_file_split(5, path)
+
+    @pytest.mark.parametrize("content,message", [
+        ("1\n\n3\nx\n", r"idx\.txt:4: index lines must be integers"),
+        ("\n2\n5\n", r"idx\.txt:3: indices must fall in \[0, 5\)"),
+        ("1\n-1\nx\n", r"idx\.txt:2: indices must fall"),
+        ("\n \n", r"idx\.txt: no index lines"),
+    ])
+    def test_index_file_errors_name_first_bad_line(self, tmp_path, content, message):
+        path = tmp_path / "idx.txt"
+        path.write_text(content)
+        with pytest.raises(DatasetFormatError, match=message):
             index_file_split(5, path)
 
 
