@@ -2,14 +2,17 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from mlenn.network import NetworkSpec, build_network
+import mlenn.training
+from mlenn.metrics import bce_loss
+from mlenn.network import ENCODINGS, TOPOLOGIES, NetworkSpec, build_network
 from mlenn.numerics import ConfigError, RngStream
 from mlenn.optim import STOCHASTIC_POOL
 from mlenn.training import (TrainConfig, assign_optimizers_fixed,
                             assign_optimizers_stochastic, make_optimizer_states,
                             train_network)
 
-from synth import logistic_regression_bce, separable_task
+from gradcheck import numeric_gradient
+from synth import banded_task, logistic_regression_bce, separable_task
 
 
 def small_net(seed=0, topology="GRU_A", n_labels=3, **kw):
@@ -151,3 +154,53 @@ class TestTrainNetwork:
         net = small_net(seed=11, topology=topology)
         losses = train_network(net, x, y, TrainConfig(epochs=1), RngStream(12))
         assert len(losses) == 1 and np.isfinite(losses[0])
+
+
+class TestWholeNetworkGradient:
+    """Each gradient that reaches the optimizer during one full-batch step
+    matches central differences of the weighted loss through the whole
+    network, tensor by tensor in the order the optimizer takes them."""
+
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_optimizer_receives_exact_gradients(self, topology, encoding, monkeypatch):
+        x, y = banded_task(21, 4, 5, 3)
+        weights = np.array([1.0, 0.5, 0.0, 2.0])
+        spec = NetworkSpec(topology=topology, n_labels=3, hidden_units=3, tcn_filters=4,
+                           tcn_blocks=2, dropout_p=0.0, input_encoding=encoding, input_dim=5)
+
+        seen = []
+        step = mlenn.training.optimizer_step
+
+        def spy(state, arr, grad):
+            seen.append((arr, grad.copy()))
+            return step(state, arr, grad)
+
+        monkeypatch.setattr(mlenn.training, "optimizer_step", spy)
+        net = build_network(spec, RngStream(1))
+        tags = {layer.name: "adam" for layer in net.trainable_layers()}
+        cfg = TrainConfig(epochs=1, minibatch=4, clip_threshold=1e9)
+        train_network(net, x, y, cfg, RngStream(2), optimizer_tags=tags,
+                      sample_weights=weights)
+
+        # Earlier tensors are updated before later ones reach the optimizer,
+        # so the differences are taken on a twin with the initial weights,
+        # fed the rows in the order the step drew them.
+        twin = build_network(spec, RngStream(1))
+        order = RngStream(2).permutation(4)
+
+        def loss():
+            scores = twin.forward(x[order], train=True)
+            return bce_loss(y[order], scores, weights[order])[0]
+
+        params = net.param_items()
+        assert len(seen) == len(params)
+        for (arr, grad), (key, live), (_, initial) in zip(seen, params, twin.param_items()):
+            assert arr is live, key
+            numeric = numeric_gradient(loss, initial)
+            # Norm-wise, so that one near-zero entry does not decide; the
+            # floor lets a tensor whose exact gradient is zero (GRU_B's
+            # pre_conv bias, the recurrent weights at T = 1) pass on
+            # rounding noise alone.
+            scale = max(np.linalg.norm(grad), np.linalg.norm(numeric), 1e-4)
+            assert np.linalg.norm(grad - numeric) / scale < 1e-5, key
