@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngStream, ShapeError, as_tensor
+from .numerics import RngStream, ShapeError, as_tensor, logistic_in_place
 
 
 class CacheError(RuntimeError):
@@ -289,10 +289,7 @@ def gru_forward(layer: Gru, x):
             h_prev, h = hs[t], hs[t + 1]
             zr, c = gates[t, :2], gates[t, 2]
             zr += np.matmul(h_prev, u_zr, out=proj)
-            np.negative(zr, out=zr)
-            np.exp(zr, out=zr)
-            zr += 1.0
-            np.reciprocal(zr, out=zr)
+            logistic_in_place(zr)
             np.multiply(zr[1], h_prev, out=rh)
             c += np.matmul(rh, uh, out=proj[0])
             np.tanh(c, out=c)

@@ -30,6 +30,19 @@ def as_tensor(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
+def logistic_in_place(x) -> np.ndarray:
+    """1 / (1 + e^-x) written into x's own buffer, which it returns. For
+    x >= 0 it gives the bits of ``layers.sigmoid`` without its temporaries.
+    For x < -709 e^-x overflows to inf, and the result is the exact limit 0;
+    a caller that expects such x silences the overflow warning."""
+    x = np.asarray(x)  # np.abs of a 0-d array returns a scalar
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    x += 1.0
+    np.reciprocal(x, out=x)
+    return x
+
+
 def require_finite(x: np.ndarray, what: str = "tensor") -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise NonFiniteError(f"{what} contains NaN or infinite entries")

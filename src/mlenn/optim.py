@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import NonFiniteError, RngStream, ShapeError, as_tensor
+from .numerics import NonFiniteError, RngStream, ShapeError, as_tensor, logistic_in_place
 
 VARIANTS = ("adam", "diffgrad", "dgrad", "cos1", "exp", "sto")
 STOCHASTIC_POOL = ("dgrad", "cos1", "exp", "sto")
@@ -82,17 +82,6 @@ def cyclic_lr(t: int) -> float:
     return 2.0 - abs(math.cos(math.pi * (phase / COS1_PERIOD))) * math.exp(-0.01 * (phase + 1))
 
 
-def _logistic_nonnegative(x) -> np.ndarray:
-    """1 / (1 + e^-x) for x >= 0, computed in x's own buffer. For such x
-    it gives the bits of ``layers.sigmoid`` without its temporaries."""
-    x = np.asarray(x)  # np.abs of a 0-d array returns a scalar
-    np.negative(x, out=x)
-    np.exp(x, out=x)
-    x += 1.0
-    np.reciprocal(x, out=x)
-    return x
-
-
 def modulation(state: OptimizerState, g: np.ndarray):
     """The factor xi for gradient ``g`` from the state before this step
     (None for adam). Advances the variant's memory: the previous gradient
@@ -101,7 +90,7 @@ def modulation(state: OptimizerState, g: np.ndarray):
     if variant == "adam":
         return None
     if variant == "diffgrad":
-        xi = _logistic_nonnegative(np.abs(state.prev_grad - g))
+        xi = logistic_in_place(np.abs(state.prev_grad - g))
         state.prev_grad = g.copy()
         return xi
 
@@ -128,7 +117,7 @@ def modulation(state: OptimizerState, g: np.ndarray):
         x *= scale
     else:
         x = np.zeros_like(x)
-    xi = _logistic_nonnegative(x) if variant in ("dgrad", "cos1") else x
+    xi = logistic_in_place(x) if variant in ("dgrad", "cos1") else x
 
     state.avg *= state.rho2
     state.avg += (1.0 - state.rho2) * g

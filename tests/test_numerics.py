@@ -8,7 +8,26 @@ from hypothesis import strategies as st
 
 import oracles
 from mlenn import numerics
-from mlenn.numerics import RngStream, ShapeError, group_means, kmeans, pca_fit, pca_transform
+from mlenn.layers import sigmoid
+from mlenn.numerics import (RngStream, ShapeError, group_means, kmeans, logistic_in_place,
+                            pca_fit, pca_transform)
+
+
+class TestLogisticInPlace:
+    def test_nonnegative_input_gives_the_sigmoid_bits_in_place(self):
+        x = np.abs(np.random.default_rng(0).normal(scale=5.0, size=(4, 6)))
+        expected = sigmoid(x)
+        out = logistic_in_place(x)
+        assert out is x
+        npt.assert_array_equal(out, expected)
+
+    def test_zero_dimensional_input(self):
+        assert logistic_in_place(np.abs(np.float64(-2.0))) == sigmoid(np.array(2.0))
+
+    def test_overflow_gives_the_exact_limit(self):
+        with np.errstate(over="ignore"):
+            out = logistic_in_place(np.array([-800.0, 0.0]))
+        npt.assert_array_equal(out, [0.0, 0.5])
 
 
 class TestRngStream:
