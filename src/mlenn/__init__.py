@@ -13,7 +13,7 @@ from .metrics import PredictionSet, bce_loss, compute_all
 from .network import NetworkSpec, build_network
 from .numerics import RngStream, kmeans, pca_fit, pca_transform
 from .pipeline import Dataset, build_training_set, imcc_augment, minmax_normalize
-from .training import TrainConfig, assign_optimizers_stochastic, train_network
+from .training import TrainConfig, assign_optimizers, train_network
 
 __version__ = "0.1.0"
 
@@ -26,7 +26,7 @@ __all__ = [
     "RunConfig",
     "TrainConfig",
     "__version__",
-    "assign_optimizers_stochastic",
+    "assign_optimizers",
     "bce_loss",
     "build_network",
     "build_training_set",

@@ -18,8 +18,7 @@ import numpy as np
 
 from .network import Network, NetworkSpec, build_network
 from .numerics import ConfigError, RngStream, ShapeError, as_tensor
-from .training import (TrainConfig, assign_optimizers_fixed,
-                       assign_optimizers_stochastic, train_network)
+from .training import TrainConfig, assign_optimizers, train_network
 
 MODEL_FORMAT = "mlenn-ensemble v2"
 
@@ -34,8 +33,6 @@ class EnsembleMember:
 @dataclass
 class EnsembleModel:
     members: list
-    fusion: str = "average"
-    external_weight: float = 0.0
     master_seed: int = 0
 
     def __post_init__(self):
@@ -44,12 +41,6 @@ class EnsembleModel:
         labels = {m.network.spec.n_labels for m in self.members}
         if len(labels) > 1:
             raise ShapeError(f"members disagree on label count: {sorted(labels)}")
-        if self.fusion != "average":
-            raise ValueError(f"unknown fusion rule {self.fusion!r}")
-
-    @property
-    def n_labels(self) -> int:
-        return self.members[0].network.spec.n_labels
 
     def predict_scores(self, features) -> np.ndarray:
         """Average-rule fusion of all member confidence matrices."""
@@ -72,10 +63,7 @@ def train_ensemble(specs: list, x, y, cfg: TrainConfig, seed,
         for _ in range(cfg.members):
             member_rng = master.child(index)
             net = build_network(spec, member_rng.child(0))
-            if cfg.optimizer == "stochastic":
-                tags = assign_optimizers_stochastic(net, member_rng.child(1))
-            else:
-                tags = assign_optimizers_fixed(net, cfg.optimizer)
+            tags = assign_optimizers(net, cfg.optimizer, member_rng.child(1))
             trace = train_network(net, x, y, cfg, member_rng.child(2),
                                   optimizer_tags=tags, sample_weights=sample_weights)
             members.append(EnsembleMember(net, tags, trace))
@@ -149,8 +137,10 @@ def _container(model: EnsembleModel, tensor) -> dict:
     return {
         "format": MODEL_FORMAT,
         "master_seed": model.master_seed,
-        "fusion": model.fusion,
-        "external_weight": model.external_weight,
+        # The container keeps the fields of the format: only the average
+        # rule exists, and external scores enter at evaluation time.
+        "fusion": "average",
+        "external_weight": 0.0,
         "members": members,
     }
 
@@ -189,6 +179,13 @@ def ensemble_from_dict(doc: dict) -> EnsembleModel:
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         found = doc.get("format") if isinstance(doc, dict) else type(doc).__name__
         raise ValueError(f"unsupported model format {found!r}")
+    fusion = doc.get("fusion", "average")
+    if fusion != "average":
+        raise ValueError(f"unknown fusion rule {fusion!r}")
+    try:
+        master_seed = int(doc.get("master_seed", 0))
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"model 'master_seed' {doc['master_seed']!r} is not an integer") from None
     entries = doc.get("members")
     if not isinstance(entries, list):
         raise ValueError("model file has no 'members' list")
@@ -196,6 +193,8 @@ def ensemble_from_dict(doc: dict) -> EnsembleModel:
     for i, entry in enumerate(entries):
         spec_doc, params, buffers, tags = (_member_field(entry, key, i) for key in
                                            ("spec", "params", "buffers", "optimizer_tags"))
+        if not isinstance(tags, dict):
+            raise ValueError(f"model member {i} 'optimizer_tags' is not an object")
         try:
             spec = NetworkSpec(**spec_doc)
         except (ConfigError, TypeError) as exc:
@@ -206,10 +205,7 @@ def ensemble_from_dict(doc: dict) -> EnsembleModel:
         _load_arrays(params, net.param_items(), "parameter")
         _load_arrays(buffers, net.state_items(), "buffer")
         members.append(EnsembleMember(net, dict(tags)))
-    return EnsembleModel(members,
-                         fusion=doc.get("fusion", "average"),
-                         external_weight=float(doc.get("external_weight", 0.0)),
-                         master_seed=int(doc.get("master_seed", 0)))
+    return EnsembleModel(members, master_seed=master_seed)
 
 
 def _write_json(fh, obj) -> None:

@@ -374,8 +374,7 @@ def _run_fold(cfg: RunConfig, ds: Dataset, train_idx, test_idx,
         c = cfg.augment_clusters or int(round(math.sqrt(len(train_idx))))
         c = max(1, min(c, len(train_idx)))
         aug = imcc_augment(fold_ds, c, fold_rng.child(7))
-        tset = build_training_set(fold_ds, aug, cfg.augment_weight)
-        x_tr, y_tr, weights = tset.x, tset.y, tset.weights
+        x_tr, y_tr, weights = build_training_set(fold_ds, aug, cfg.augment_weight)
 
     specs = make_network_specs(cfg, ds.n_labels, x_tr.shape[1])
     model = train_ensemble(specs, x_tr, y_tr, cfg, fold_rng.child(1), sample_weights=weights)

@@ -227,14 +227,15 @@ def format_record(dataset: str, model: str, fold, values: dict) -> str:
     return f"{head} {body}"
 
 
-def bce_loss(y, p, weights=None, normalizer: float | None = None):
+def bce_loss(y, p, weights=None):
     """Binary cross entropy between targets ``y`` (binary or soft, in [0, 1])
     and predicted probabilities ``p``.
 
-        loss = -(1/normalizer) * sum_i w_i * sum_j
+        loss = -(1/n) * sum_i w_i * sum_j
                [ y_ij log p_ij + (1 - y_ij) log(1 - p_ij) ]
 
-    ``normalizer`` defaults to the number of rows and ``w`` to ones.
+    ``n`` is the number of rows, zero-weight rows included; ``w`` defaults
+    to ones.
     Probabilities are clamped to [1e-12, 1 - 1e-12] before the logs.
     Returns (loss, gradient w.r.t. p).
     """
@@ -242,7 +243,7 @@ def bce_loss(y, p, weights=None, normalizer: float | None = None):
     p = as_tensor(p)
     if y.shape != p.shape or y.ndim != 2:
         raise ShapeError(f"targets {y.shape} and predictions {p.shape} must be equal 2-D shapes")
-    norm = float(y.shape[0]) if normalizer is None else float(normalizer)
+    norm = float(y.shape[0])
     pc = np.clip(p, 1e-12, 1.0 - 1e-12)
     row_terms = np.sum(y * np.log(pc) + (1.0 - y) * np.log1p(-pc), axis=1)
     grad = -(y / pc - (1.0 - y) / (1.0 - pc)) / norm

@@ -60,16 +60,6 @@ class AugmentedSet:
     t: np.ndarray
 
 
-@dataclass(frozen=True)
-class TrainingSet:
-    """Concatenated real and virtual rows with per-sample loss weights."""
-
-    x: np.ndarray
-    y: np.ndarray
-    weights: np.ndarray
-    base_rows: int
-
-
 def minmax_normalize(train, apply_to) -> np.ndarray:
     """Map each column of ``apply_to`` through the [0, 1] range observed in
     ``train``; constant columns go to 0 and out-of-range values clip."""
@@ -98,17 +88,15 @@ def imcc_augment(ds: Dataset, c: int, rng: RngStream) -> AugmentedSet:
     return AugmentedSet(km.centers.copy(), group_means(ds.y, km.assignments, c))
 
 
-def build_training_set(ds: Dataset, aug: AugmentedSet | None, weight: float) -> TrainingSet:
+def build_training_set(ds: Dataset, aug: AugmentedSet, weight: float) -> tuple:
     """Concatenate the dataset (weight 1) with the augmented rows at the
-    given loss weight; the cross-entropy loss accepts the soft labels
-    unchanged."""
+    given loss weight; returns the (x, y, weights) rows. The cross-entropy
+    loss accepts the soft labels unchanged."""
     if weight < 0:
         raise ValueError(f"augmentation weight must be >= 0, got {weight}")
-    if aug is None:
-        return TrainingSet(ds.x, ds.y, np.ones(ds.n_samples), ds.n_samples)
     if aug.z.shape[1] != ds.n_features or aug.t.shape[1] != ds.n_labels:
         raise ShapeError("augmented set does not match the dataset's feature/label widths")
     x = np.concatenate([ds.x, aug.z], axis=0)
     y = np.concatenate([ds.y, aug.t], axis=0)
     weights = np.concatenate([np.ones(ds.n_samples), np.full(aug.z.shape[0], float(weight))])
-    return TrainingSet(x, y, weights, ds.n_samples)
+    return x, y, weights

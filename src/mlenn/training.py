@@ -72,19 +72,16 @@ class TrainConfig:
         return 150 if topology in GRU_FAMILY else 100
 
 
-def assign_optimizers_stochastic(net: Network, rng: RngStream) -> dict:
-    """Draw one variant per trainable layer, uniformly from the stochastic
-    pool (dgrad, cos1, exp, sto)."""
-    tags = {}
-    for layer in net.trainable_layers():
-        tags[layer.name] = STOCHASTIC_POOL[int(rng.integers(len(STOCHASTIC_POOL)))]
-    return tags
-
-
-def assign_optimizers_fixed(net: Network, variant: str) -> dict:
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown optimizer variant {variant!r}")
-    return {layer.name: variant for layer in net.trainable_layers()}
+def assign_optimizers(net: Network, policy: str, rng: RngStream) -> dict:
+    """One variant per trainable layer. The ``"stochastic"`` policy draws
+    each layer's variant from ``rng``, uniformly from the stochastic pool
+    (dgrad, cos1, exp, sto); a fixed variant name draws nothing."""
+    if policy == "stochastic":
+        return {layer.name: STOCHASTIC_POOL[int(rng.integers(len(STOCHASTIC_POOL)))]
+                for layer in net.trainable_layers()}
+    if policy not in VARIANTS:
+        raise ValueError(f"unknown optimizer variant {policy!r}")
+    return {layer.name: policy for layer in net.trainable_layers()}
 
 
 def make_optimizer_states(net: Network, tags: dict, cfg: TrainConfig,
@@ -105,18 +102,18 @@ def make_optimizer_states(net: Network, tags: dict, cfg: TrainConfig,
 
 
 def train_network(net: Network, x, y, cfg: TrainConfig, rng: RngStream,
-                  optimizer_tags: dict | None = None,
-                  sample_weights=None) -> list:
+                  optimizer_tags: dict, sample_weights=None) -> list:
     """Train in place and return the per-epoch mean losses.
 
-    Minibatches are drawn by reshuffling every epoch from ``rng``; the same
-    stream also feeds the dropout masks, so a (network, data, config, rng)
-    quadruple fully determines the trajectory.
+    ``optimizer_tags`` maps each trainable layer to its variant, as
+    ``assign_optimizers`` returns it. Minibatches are drawn by reshuffling
+    every epoch from ``rng``; the same stream also feeds the dropout masks,
+    so a (network, data, config, tags, rng) tuple fully determines the
+    trajectory.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    tags = optimizer_tags if optimizer_tags is not None else assign_optimizers_fixed(net, "adam")
-    states = make_optimizer_states(net, tags, cfg, rng)
+    states = make_optimizer_states(net, optimizer_tags, cfg, rng)
     weights = None if sample_weights is None else np.asarray(sample_weights, dtype=np.float64)
 
     # Parameters are updated in place, so the (key, tensor) list holds for the run.
@@ -132,7 +129,7 @@ def train_network(net: Network, x, y, cfg: TrainConfig, rng: RngStream,
             idx = order[start:start + cfg.minibatch]
             wb = None if weights is None else weights[idx]
             scores = net.forward(x[idx], train=True, rng=rng)
-            loss, d_scores = bce_loss(y[idx], scores, weights=wb, normalizer=len(idx))
+            loss, d_scores = bce_loss(y[idx], scores, weights=wb)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch, batch_index)
             net.backward(d_scores)

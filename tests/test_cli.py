@@ -180,12 +180,16 @@ class TestTrainEvaluateCommands:
         (lambda doc: (_pca(doc, 2), doc["preprocess"]["pca"]["explained_variance_ratio"].pop()),
          "pca"),
         (_widen, "5 feature columns, the data has 4"),
+        (lambda doc: doc.update(master_seed=[3]), "master_seed"),
+        (lambda doc: doc["members"][0].update(optimizer_tags=["adam"]), "optimizer_tags"),
+        (lambda doc: doc.update(fusion="max"), "fusion rule 'max'"),
     ], ids=["unknown-spec-key", "missing-spec-key", "no-members", "no-spec",
             "no-params", "no-buffers", "no-tensor-data", "float-list-data",
             "invalid-base64", "short-data", "v1-format", "preprocess-no-hi",
             "preprocess-short-hi", "preprocess-2d-lo", "preprocess-dict-lo",
             "preprocess-not-a-block", "pca-no-components", "pca-short-mean",
-            "pca-ratio-mismatch", "column-mismatch"])
+            "pca-ratio-mismatch", "column-mismatch", "list-master-seed", "list-optimizer-tags",
+            "max-fusion"])
     def test_malformed_model_file_is_a_typed_error(self, dataset_file, tmp_path, capsys,
                                                    edit, named):
         # Each edit of a real train output must reach the evaluate stage

@@ -421,21 +421,26 @@ class TestBceLoss:
         _, grad = bce_loss(y, p)
         assert max_rel_error(grad, numeric_gradient(loss, p)) < 1e-6
 
-    def test_weighted_rows_and_normalizer(self):
+    def test_weighted_rows_and_row_mean(self):
         rng = np.random.default_rng(1)
         y = (rng.uniform(size=(4, 3)) < 0.5).astype(float)
         p = rng.uniform(0.2, 0.8, size=(4, 3))
         base, _ = bce_loss(y, p)
-        doubled, _ = bce_loss(np.vstack([y, y]), np.vstack([p, p]),
-                              weights=np.ones(8), normalizer=4)
+        stacked, _ = bce_loss(np.vstack([y, y]), np.vstack([p, p]), weights=np.ones(8))
+        npt.assert_allclose(stacked, base, atol=1e-12)
+        doubled, _ = bce_loss(y, p, weights=np.full(4, 2.0))
         npt.assert_allclose(doubled, 2.0 * base, atol=1e-12)
 
     def test_zero_weight_rows_do_not_contribute(self):
+        # A zero-weight row adds nothing to the sum but still counts in the
+        # row mean, and it gets no gradient.
         y = np.array([[1.0, 0.0], [0.0, 1.0]])
         p = np.array([[0.7, 0.3], [0.2, 0.6]])
-        full, _ = bce_loss(y, p, weights=np.array([1.0, 0.0]), normalizer=1)
-        only_first, _ = bce_loss(y[:1], p[:1], normalizer=1)
-        npt.assert_allclose(full, only_first, atol=1e-15)
+        full, grad = bce_loss(y, p, weights=np.array([1.0, 0.0]))
+        only_first, grad_first = bce_loss(y[:1], p[:1])
+        npt.assert_allclose(full, only_first / 2.0, atol=1e-15)
+        npt.assert_allclose(grad[0], grad_first[0] / 2.0, atol=1e-15)
+        npt.assert_array_equal(grad[1], 0.0)
 
     def test_soft_target_half(self):
         loss, _ = bce_loss([[0.5]], [[0.5]])

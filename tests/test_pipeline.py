@@ -106,21 +106,23 @@ class TestBuildTrainingSet:
     def test_zero_weight_matches_plain_loss(self):
         ds = self._toy()
         aug = imcc_augment(ds, 3, RngStream(0))
-        tset = build_training_set(ds, aug, 0.0)
-        p = np.random.default_rng(8).uniform(0.2, 0.8, size=tset.y.shape)
-        weighted, _ = bce_loss(tset.y, p, weights=tset.weights, normalizer=tset.base_rows)
-        plain, _ = bce_loss(ds.y, p[:6], normalizer=6)
-        npt.assert_allclose(weighted, plain, atol=1e-12)
+        _, y, weights = build_training_set(ds, aug, 0.0)
+        p = np.random.default_rng(8).uniform(0.2, 0.8, size=y.shape)
+        weighted, _ = bce_loss(y, p, weights=weights)
+        plain, _ = bce_loss(ds.y, p[:6])
+        # The row mean counts the zero-weight virtual rows: 9 rows, 6 real.
+        npt.assert_allclose(weighted * 9, plain * 6, atol=1e-12)
 
     def test_duplicated_dataset_doubles_loss(self):
         ds = self._toy()
         aug = imcc_augment(ds, ds.n_samples, RngStream(1))  # c = n duplicates rows
-        tset = build_training_set(ds, aug, 1.0)
+        _, y, weights = build_training_set(ds, aug, 1.0)
         p_base = np.random.default_rng(9).uniform(0.2, 0.8, size=ds.y.shape)
         p = np.vstack([p_base, p_base])
-        doubled, _ = bce_loss(tset.y, p, weights=tset.weights, normalizer=tset.base_rows)
-        single, _ = bce_loss(ds.y, p_base, normalizer=ds.n_samples)
-        npt.assert_allclose(doubled, 2.0 * single, atol=1e-12)
+        doubled, _ = bce_loss(y, p, weights=weights)
+        single, _ = bce_loss(ds.y, p_base)
+        # Twice the rows and twice the loss sum.
+        npt.assert_allclose(doubled * 12, 2.0 * single * 6, atol=1e-12)
 
     def test_soft_target_midpoint_loss(self):
         loss, _ = bce_loss([[0.5]], [[0.5]])
@@ -129,22 +131,17 @@ class TestBuildTrainingSet:
     def test_weights_layout(self):
         ds = self._toy()
         aug = imcc_augment(ds, 2, RngStream(2))
-        tset = build_training_set(ds, aug, 0.25)
-        npt.assert_array_equal(tset.weights[:6], 1.0)
-        npt.assert_array_equal(tset.weights[6:], 0.25)
-        assert tset.base_rows == 6
-        assert tset.x.shape == (8, 2)
+        x, y, weights = build_training_set(ds, aug, 0.25)
+        npt.assert_array_equal(weights[:6], 1.0)
+        npt.assert_array_equal(weights[6:], 0.25)
+        npt.assert_array_equal(x[:6], ds.x)
+        npt.assert_array_equal(y[6:], aug.t)
+        assert x.shape == (8, 2) and y.shape == (8, 2)
 
     def test_negative_weight_rejected(self):
         ds = self._toy()
         with pytest.raises(ValueError):
             build_training_set(ds, imcc_augment(ds, 2, RngStream(0)), -0.5)
-
-    def test_no_augmentation_passthrough(self):
-        ds = self._toy()
-        tset = build_training_set(ds, None, 0.0)
-        npt.assert_array_equal(tset.x, ds.x)
-        npt.assert_array_equal(tset.weights, 1.0)
 
 
 class TestDataset:

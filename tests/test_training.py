@@ -7,9 +7,7 @@ from mlenn.metrics import bce_loss
 from mlenn.network import ENCODINGS, TOPOLOGIES, NetworkSpec, build_network
 from mlenn.numerics import ConfigError, RngStream
 from mlenn.optim import STOCHASTIC_POOL
-from mlenn.training import (TrainConfig, assign_optimizers_fixed,
-                            assign_optimizers_stochastic, make_optimizer_states,
-                            train_network)
+from mlenn.training import TrainConfig, assign_optimizers, make_optimizer_states, train_network
 
 from gradcheck import numeric_gradient
 from synth import banded_task, logistic_regression_bce, separable_task
@@ -21,6 +19,10 @@ def small_net(seed=0, topology="GRU_A", n_labels=3, **kw):
     kw.setdefault("tcn_blocks", 2)
     spec = NetworkSpec(topology=topology, n_labels=n_labels, **kw)
     return build_network(spec, RngStream(seed))
+
+
+def adam(net):
+    return assign_optimizers(net, "adam", RngStream(0))
 
 
 class TestTrainConfig:
@@ -55,14 +57,14 @@ class TestTrainConfig:
 class TestOptimizerAssignment:
     def test_stochastic_draw_is_reproducible(self):
         net = small_net()
-        a = assign_optimizers_stochastic(net, RngStream(5))
-        b = assign_optimizers_stochastic(net, RngStream(5))
+        a = assign_optimizers(net, "stochastic", RngStream(5))
+        b = assign_optimizers(net, "stochastic", RngStream(5))
         assert a == b
         assert set(a) == {"gru", "out_dense"}
 
     def test_single_layer_gets_exactly_one_tag(self):
         net = small_net()
-        tags = assign_optimizers_stochastic(net, RngStream(1))
+        tags = assign_optimizers(net, "stochastic", RngStream(1))
         assert len(tags) == len(net.trainable_layers())
 
     def test_draws_are_uniform(self):
@@ -71,7 +73,7 @@ class TestOptimizerAssignment:
         rng = RngStream(9)
         draws = 0
         for _ in range(1000):
-            for tag in assign_optimizers_stochastic(net, rng.child(draws)).values():
+            for tag in assign_optimizers(net, "stochastic", rng.child(draws)).values():
                 counts[tag] += 1
                 draws += 1
         total = sum(counts.values())
@@ -80,14 +82,20 @@ class TestOptimizerAssignment:
 
     def test_fixed_assignment(self):
         net = small_net()
-        tags = assign_optimizers_fixed(net, "exp")
-        assert all(v == "exp" for v in tags.values())
-        with pytest.raises(ValueError):
-            assign_optimizers_fixed(net, "sgd")
+        tags = assign_optimizers(net, "exp", RngStream(0))
+        assert tags == {"gru": "exp", "out_dense": "exp"}
+        with pytest.raises(ValueError, match="unknown optimizer variant 'sgd'"):
+            assign_optimizers(net, "sgd", RngStream(0))
+
+    def test_fixed_policy_draws_nothing(self):
+        # Member streams must not move when a fixed policy replaces the draw.
+        rng = RngStream(3)
+        assign_optimizers(small_net(topology="TCN_A"), "sto", rng)
+        assert rng.integers(1 << 30) == RngStream(3).integers(1 << 30)
 
     def test_states_cover_every_parameter_tensor(self):
         net = small_net(topology="GRU_B")
-        tags = assign_optimizers_fixed(net, "sto")
+        tags = assign_optimizers(net, "sto", RngStream(0))
         states = make_optimizer_states(net, tags, TrainConfig(), RngStream(2))
         assert set(states) == {key for key, _ in net.param_items()}
         for state in states.values():
@@ -99,7 +107,7 @@ class TestTrainNetwork:
         net = small_net(seed=3)
         before = {k: a.copy() for k, a in net.param_items()}
         x, y = separable_task(0, n=40)
-        losses = train_network(net, x, y, TrainConfig(epochs=0), RngStream(0))
+        losses = train_network(net, x, y, TrainConfig(epochs=0), RngStream(0), adam(net))
         assert losses == []
         for key, arr in net.param_items():
             npt.assert_array_equal(arr, before[key])
@@ -109,13 +117,13 @@ class TestTrainNetwork:
         oracle = logistic_regression_bce(x, y)
         assert oracle < 0.1  # a linear model nails the task
         net = build_network(NetworkSpec(topology="GRU_A", n_labels=3), RngStream(0))
-        losses = train_network(net, x, y, TrainConfig(epochs=30), RngStream(1))
+        losses = train_network(net, x, y, TrainConfig(epochs=30), RngStream(1), adam(net))
         assert losses[-1] < 0.15
 
     def test_loss_mostly_decreases_early(self):
         x, y = separable_task(7)
         net = build_network(NetworkSpec(topology="GRU_A", n_labels=3), RngStream(2))
-        losses = train_network(net, x, y, TrainConfig(epochs=5), RngStream(3))
+        losses = train_network(net, x, y, TrainConfig(epochs=5), RngStream(3), adam(net))
         violations = sum(1 for a, b in zip(losses, losses[1:]) if b > a)
         assert violations <= 1
 
@@ -124,7 +132,7 @@ class TestTrainNetwork:
 
         def run():
             net = small_net(seed=4)
-            train_network(net, x, y, TrainConfig(epochs=3), RngStream(5))
+            train_network(net, x, y, TrainConfig(epochs=3), RngStream(5), adam(net))
             return {k: a.copy() for k, a in net.param_items()}
 
         a, b = run(), run()
@@ -134,7 +142,7 @@ class TestTrainNetwork:
     def test_stochastic_tags_train(self):
         x, y = separable_task(13, n=60)
         net = small_net(seed=6)
-        tags = assign_optimizers_stochastic(net, RngStream(7))
+        tags = assign_optimizers(net, "stochastic", RngStream(7))
         losses = train_network(net, x, y, TrainConfig(epochs=4), RngStream(8),
                                optimizer_tags=tags)
         assert losses[-1] < losses[0]
@@ -144,7 +152,7 @@ class TestTrainNetwork:
         weights = np.ones(60)
         weights[:10] = 0.0
         net = small_net(seed=9)
-        losses = train_network(net, x, y, TrainConfig(epochs=2), RngStream(10),
+        losses = train_network(net, x, y, TrainConfig(epochs=2), RngStream(10), adam(net),
                                sample_weights=weights)
         assert len(losses) == 2
 
@@ -152,7 +160,7 @@ class TestTrainNetwork:
     def test_other_topologies_train_one_epoch(self, topology):
         x, y = separable_task(19, n=45)
         net = small_net(seed=11, topology=topology)
-        losses = train_network(net, x, y, TrainConfig(epochs=1), RngStream(12))
+        losses = train_network(net, x, y, TrainConfig(epochs=1), RngStream(12), adam(net))
         assert len(losses) == 1 and np.isfinite(losses[0])
 
 
@@ -178,10 +186,8 @@ class TestWholeNetworkGradient:
 
         monkeypatch.setattr(mlenn.training, "optimizer_step", spy)
         net = build_network(spec, RngStream(1))
-        tags = {layer.name: "adam" for layer in net.trainable_layers()}
         cfg = TrainConfig(epochs=1, minibatch=4, clip_threshold=1e9)
-        train_network(net, x, y, cfg, RngStream(2), optimizer_tags=tags,
-                      sample_weights=weights)
+        train_network(net, x, y, cfg, RngStream(2), adam(net), sample_weights=weights)
 
         # Earlier tensors are updated before later ones reach the optimizer,
         # so the differences are taken on a twin with the initial weights,
