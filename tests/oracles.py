@@ -3,9 +3,10 @@ bit for bit.
 
 These are the straightforward forms: Lloyd k-means with distances from an
 explicit (n, c, d) difference tensor and one boolean mask per center, the
-ranking indicators as one Python-level pass per row, and the Adam variants
-as one modulation function each over a state that keeps every field, and
-the dataset and score loaders as one float() call per field. The
+ranking indicators as one Python-level pass per row, the Adam variants
+as one modulation function each over a state that keeps every field, the
+training loop with one optimizer state and one step call per parameter
+tensor, and the dataset and score loaders as one float() call per field. The
 library's faster forms promise the same floats, ties and skipped rows
 included, so the tests compare with ``==`` rather than a tolerance.
 """
@@ -21,6 +22,7 @@ import numpy as np
 
 from mlenn.harness import DatasetFormatError, _parse_header
 from mlenn.layers import sigmoid
+from mlenn.metrics import bce_loss
 from mlenn.numerics import KMeansModel, RngStream, as_tensor
 from mlenn.pipeline import Dataset
 
@@ -229,6 +231,44 @@ def optimizer_step(state: AdamState, theta, g) -> np.ndarray:
         step = step * xi
     state.prev_grad = g.copy()
     return theta - step
+
+
+def train_network(net, x, y, cfg, rng: RngStream, optimizer_tags: dict,
+                  sample_weights=None) -> list:
+    """The training loop with one optimizer state per parameter tensor.
+
+    Tensor ``index`` of ``net.param_items()`` gets its own state of its
+    layer's variant, sto drawing from ``rng.child(5000 + index)``. The clip
+    sums one dot product per tensor in that order, and each tensor takes
+    its own step call. Returns the per-epoch mean losses.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    params = net.param_items()
+    states = [AdamState.create(optimizer_tags[key.split(".")[0]], arr.shape, rho1=cfg.rho1,
+                               rho2=cfg.rho2, lr=cfg.learning_rate, rng=rng.child(5000 + index))
+              for index, (key, arr) in enumerate(params)]
+    weights = None if sample_weights is None else np.asarray(sample_weights, dtype=np.float64)
+    n = x.shape[0]
+    losses = []
+    for _ in range(cfg.resolve_epochs(net.spec.topology)):
+        order = rng.permutation(n)
+        running = 0.0
+        for start in range(0, n, cfg.minibatch):
+            idx = order[start:start + cfg.minibatch]
+            scores = net.forward(x[idx], train=True, rng=rng)
+            loss, d_scores = bce_loss(y[idx], scores,
+                                      weights=None if weights is None else weights[idx])
+            net.backward(d_scores)
+            grads = [layer.grads[key] for layer in net.trainable_layers() for key in layer.PARAMS]
+            norm = math.sqrt(sum(float(g.ravel() @ g.ravel()) for g in grads))
+            if norm > cfg.clip_threshold:
+                grads = [g * (cfg.clip_threshold / norm) for g in grads]
+            for (_, arr), state, grad in zip(params, states, grads):
+                arr[...] = optimizer_step(state, arr, grad)
+            running += loss * len(idx)
+        losses.append(running / n)
+    return losses
 
 
 def load_dataset(path) -> Dataset:

@@ -38,6 +38,12 @@ _KFOLD_RUNS = [
                      "--external-scores", "scores.csv"]),
     ("kfold_gru_tcn", ["--topology", "GRU_TCN", "--encoding", "single-step",
                        "--augment-clusters", "5", "--augment-weight", "1"]),
+] + [
+    # The variants that normalise by a per-tensor max, at T = 1, where the
+    # GRU's recurrent weights get all-zero gradients.
+    (f"kfold_gru_a_{variant}", ["--topology", "GRU_A", "--encoding", "single-step",
+                                "--optimizer", variant])
+    for variant in ("dgrad", "cos1", "exp", "sto")
 ]
 
 GOLDEN = {
@@ -47,6 +53,18 @@ GOLDEN = {
     "kfold_gru_a/config.json": "2ce764ce52fb1f353bbe421e3eaffc455553f4fbe42e43282147fed3d1af2666",
     "kfold_gru_a/report.json": "2876a6fd9580cef11888e8456972012597b5fcb18a70bf33d22b1afe779048c2",
     "kfold_gru_a/report.txt": "8b9013679a7878f90286476ec49545e559103673abebe9abd0a065402a569e12",
+    "kfold_gru_a_cos1/config.json": "7cd251e46c58022f830133c89cc830bd8a58026943810016b7394c356802dde4",
+    "kfold_gru_a_cos1/report.json": "963128f4880f5dedf9cf84dc17c422ddd167cc6602e06c843d5d90045ddf4c08",
+    "kfold_gru_a_cos1/report.txt": "46ba32e8760f613b83c6beaadc42de941db93bdb456c4bb27cbd7518b8c36272",
+    "kfold_gru_a_dgrad/config.json": "377f8b051a9aaf0950d94e842352e34dcac11f9850ab0c234af96db8c4eb78f8",
+    "kfold_gru_a_dgrad/report.json": "b07501a14a80b0221ec8a7a86bded83bba4b835f6f45f9002b0b58ad459f4952",
+    "kfold_gru_a_dgrad/report.txt": "46ba32e8760f613b83c6beaadc42de941db93bdb456c4bb27cbd7518b8c36272",
+    "kfold_gru_a_exp/config.json": "48571e30fb9661bab663fb7a0cb26c5bebc825b8101f38e0c9ef70670b8d3472",
+    "kfold_gru_a_exp/report.json": "5d3d2ed6cae3a89347933029993e672ec6c4da5c1e098b5c672e667343d311b8",
+    "kfold_gru_a_exp/report.txt": "378a8ca0e1540791a3d295c756f762d3751f3f1e1e768daa151957eacb742612",
+    "kfold_gru_a_sto/config.json": "ae5b63066822d6820321a1eb4cd8ba64c2714e111ba0c10eb85e16b792ac14ad",
+    "kfold_gru_a_sto/report.json": "5f810a57b35752330ee53cf261d16e870b967d3f48e74ec0c4057cbc00c45e03",
+    "kfold_gru_a_sto/report.txt": "1285d8ff8c0d07bed4d7037d2ccc3a9b6b9faf899bcc97404f028ef1575cdbb1",
     "kfold_gru_b/config.json": "d93c81cddb2454fc98e59f636537030f3a154c24e9cf05d9eef777b39e79909b",
     "kfold_gru_b/report.json": "29fab257a6993e858bbd3f0de424a6455d6a7962d5a1856fa12bcdfd0bf985ad",
     "kfold_gru_b/report.txt": "0c4c9cf29d559454f830dbf7e2f78f5ccd4573d1a750ada905fa9841ab3f7b23",

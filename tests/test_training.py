@@ -6,9 +6,10 @@ import mlenn.training
 from mlenn.metrics import bce_loss
 from mlenn.network import ENCODINGS, TOPOLOGIES, NetworkSpec, build_network
 from mlenn.numerics import ConfigError, RngStream
-from mlenn.optim import STOCHASTIC_POOL
+from mlenn.optim import STOCHASTIC_POOL, VARIANTS
 from mlenn.training import TrainConfig, assign_optimizers, make_optimizer_states, train_network
 
+import oracles
 from gradcheck import numeric_gradient
 from synth import banded_task, logistic_regression_bce, separable_task
 
@@ -210,3 +211,30 @@ class TestWholeNetworkGradient:
             # rounding noise alone.
             scale = max(np.linalg.norm(grad), np.linalg.norm(numeric), 1e-4)
             assert np.linalg.norm(grad - numeric) / scale < 1e-5, key
+
+
+class TestPerTensorReference:
+    """``train_network`` against the loop in ``oracles``, which keeps one
+    optimizer state and makes one step call per parameter tensor: after 2
+    epochs with dropout and sample weights, every parameter, buffer and
+    loss is equal bit for bit."""
+
+    @pytest.mark.parametrize("policy", ("stochastic",) + VARIANTS)
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_matches_one_step_per_tensor(self, topology, encoding, policy):
+        x, y = banded_task(31, 9, 5, 3)
+        weights = np.linspace(0.0, 2.0, 9)
+        spec = NetworkSpec(topology=topology, n_labels=3, hidden_units=3, tcn_filters=4,
+                           tcn_blocks=2, pre_conv_filters=3, dropout_p=0.2,
+                           input_encoding=encoding, input_dim=5)
+        cfg = TrainConfig(epochs=2, minibatch=3)
+        net, ref = build_network(spec, RngStream(4)), build_network(spec, RngStream(4))
+        tags = assign_optimizers(net, policy, RngStream(5))
+        losses = train_network(net, x, y, cfg, RngStream(6), tags, sample_weights=weights)
+        ref_losses = oracles.train_network(ref, x, y, cfg, RngStream(6), tags,
+                                           sample_weights=weights)
+        for (key, arr), (_, expected) in zip(net.param_items() + net.state_items(),
+                                             ref.param_items() + ref.state_items(), strict=True):
+            assert arr.tobytes() == expected.tobytes(), key
+        assert losses == ref_losses
