@@ -1,24 +1,28 @@
 """The sequence-network layers, one class per layer.
 
-Each layer class owns its parameter tensors as attributes, the gradients
-of its last backward pass (``grads``, keyed like ``param_tensors()``) and
-the cache that backward consumes. The arithmetic lives in module-level
-kernels with one contract. A forward kernel returns ``(out, cache)``; only
-``relu`` and ``sigmoid`` return ``out`` alone, and their layers cache the
-input or the output. A backward kernel takes the layer (when it has
-parameters), the cache and the upstream gradient, and returns the input
-gradient as one array; the parametric backwards (GRU, convolution,
-batchnorm, dense) also set ``layer.grads`` to exact reverse-mode gradients
-of every parameter tensor. So each ``_backward`` is one kernel call.
-Sequences are batched as (batch, time, channels).
+Each layer class owns its parameter tensors, the gradients of its last
+backward pass and the cache that backward consumes. A layer with
+parameters keeps them end to end in one flat vector, ``param_vector``, and
+each tensor attribute is a view into it; its gradients live the same way
+in ``grad_vector``, with ``grads`` mapping each tensor's name to its view.
+So an optimizer can update a whole layer with one call. The arithmetic
+lives in module-level kernels with one contract. A forward kernel returns
+``(out, cache)``; only ``relu`` and ``sigmoid`` return ``out`` alone, and
+their layers cache the input or the output. A backward kernel takes the
+layer (when it has parameters), the cache and the upstream gradient, and
+returns the input gradient as one array; the parametric backwards (GRU,
+convolution, batchnorm, dense) also write exact reverse-mode gradients of
+every parameter tensor into a fresh ``grad_vector``. So each ``_backward``
+is one kernel call. Sequences are batched as (batch, time, channels).
 
-The GRU kernels stack the three gates (z | r | c) along one axis and keep
-their sequences time-major: the input projections of every step come from
-one batched matmul call before the recurrence, written into a (T, 3, B, N)
+The GRU kernels keep the three gates (z | r | c) along one axis and their
+sequences time-major: the input projections of every step come from one
+batched matmul call before the recurrence, written into a (T, 3, B, N)
 buffer that each step then overwrites with its activations. The gate
 gradients go into a gate-major (3, T, B, N) buffer, from which the weight
 gradients and the input gradient are built by matmuls over all T*B rows
-after the loop. Only the recurrent matmuls run once per step.
+after the loop. Only the recurrent matmuls run once per step, and step 0,
+which starts from h_0 = 0, runs none.
 
 The convolution never builds a zero-padded copy of its input. Its taps
 are stacked into one wide kernel matrix, so each block of whole sequences
@@ -56,7 +60,15 @@ class Layer:
     """A named layer. ``PARAMS`` and ``STATE`` name the trained and the
     serialized-but-untrained tensor attributes, in model-format order.
     Subclasses implement ``_forward`` (returning output and cache) and
-    ``_backward`` (returning the input gradient and setting ``grads``)."""
+    ``_backward`` (returning the input gradient and setting ``grads``).
+
+    A layer with ``PARAMS`` owns one contiguous float64 ``param_vector``
+    that holds its parameter tensors end to end in ``PARAMS`` order, and
+    each ``PARAMS`` attribute is a view into it: writing a tensor in place
+    (a model load) writes the vector, and writing the vector (an optimizer
+    step) updates every tensor. The constructors copy the tensors they are
+    given into the vector.
+    """
 
     PARAMS: tuple = ()
     STATE: tuple = ()
@@ -65,6 +77,28 @@ class Layer:
         self.name = name
         self.grads: dict = {}
         self.cache = None
+
+    def _own_params(self, *tensors) -> None:
+        """Copy ``tensors``, given in ``PARAMS`` order, into a new
+        ``param_vector`` and bind each attribute to its view."""
+        tensors = [as_tensor(t) for t in tensors]
+        self.param_vector = np.empty(sum(t.size for t in tensors))
+        self._layout = []
+        start = 0
+        for key, tensor in zip(self.PARAMS, tensors, strict=True):
+            self._layout.append((key, start, start + tensor.size, tensor.shape))
+            view = self.param_vector[start:start + tensor.size].reshape(tensor.shape)
+            view[...] = tensor
+            setattr(self, key, view)
+            start += tensor.size
+
+    def _new_grads(self) -> dict:
+        """Allocate a fresh ``grad_vector`` laid out like ``param_vector``
+        and return ``grads``, the per-tensor views a backward kernel fills."""
+        self.grad_vector = np.empty(self.param_vector.size)
+        self.grads = {key: self.grad_vector[start:stop].reshape(shape)
+                      for key, start, stop, shape in self._layout}
+        return self.grads
 
     def param_tensors(self) -> dict:
         return {key: getattr(self, key) for key in self.PARAMS}
@@ -210,20 +244,30 @@ class Gru(Layer):
     Candidate:   c_t = tanh(wh x_t + uh (r_t * h_{t-1}) + bh)
     State:       h_t = (1 - z_t) * h_{t-1} + z_t * c_t
 
-    The nine tensors are stored and serialized separately, in ``PARAMS``
-    order. The kernels stack them on each call, gates in z | r | c order:
-    the input weights [wz; wr; wh] with biases [bz; br; bh], and the gate
-    recurrences [uz; ur]. Inside the kernels sequences are time-major, so
-    that the rows one step reads or writes are contiguous.
+    The nine tensors are serialized separately, in ``PARAMS`` order. That
+    order makes the parameter vector gate-major: as a (3, N*D + N*N + N)
+    array its rows hold (w, u, b) of z, r and c. So the kernels read the
+    input weights [wz; wr; wh], the recurrences [uz; ur] and the biases
+    [bz; br; bh] as views (``gate_views``), and write the gradients the
+    same way. Inside the kernels sequences are time-major, so that the rows
+    one step reads or writes are contiguous.
     """
 
     PARAMS = ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh")
 
     def __init__(self, name: str, wz, uz, bz, wr, ur, br, wh, uh, bh):
         super().__init__(name)
-        self.wz, self.uz, self.bz = wz, uz, bz
-        self.wr, self.ur, self.br = wr, ur, br
-        self.wh, self.uh, self.bh = wh, uh, bh
+        self._own_params(wz, uz, bz, wr, ur, br, wh, uh, bh)
+        self.gate_params = self.gate_views(self.param_vector)
+
+    def gate_views(self, vector: np.ndarray) -> tuple:
+        """The (3, N, D) input weights, (3, N, N) recurrences and (3, N)
+        biases of a vector laid out like ``param_vector``, gates in
+        z | r | c order, as views."""
+        n, d = self.bz.shape[0], self.wz.shape[1]
+        rows = vector.reshape(3, -1)
+        return (rows[:, :n * d].reshape(3, n, d), rows[:, n * d:n * (d + n)].reshape(3, n, n),
+                rows[:, n * (d + n):])
 
     @classmethod
     def glorot(cls, name: str, hidden: int, channels: int, rng: RngStream) -> "Gru":
@@ -261,7 +305,8 @@ def gru_forward(layer: Gru, x):
     applies the logistic 1 / (1 + e^-a) in place, adds
     (r_t * h_{t-1}) uh^T to its candidate block and applies tanh in place,
     so the buffer ends up holding z | r | c. States are written into a
-    (T+1, B, N) buffer whose first step is the zero h_0.
+    (T+1, B, N) buffer whose first step is the zero h_0. Step 0 skips both
+    recurrent matmuls, whose input is h_0 = 0, and sets h_1 = z_1 * c_1.
 
     Returns the hidden-state sequence, a (B, T, N) view of that buffer, and
     the cache needed by :func:`gru_backward`.
@@ -274,18 +319,21 @@ def gru_forward(layer: Gru, x):
     if layer.channels != d:
         raise ShapeError(f"input has {d} channels but the layer expects {layer.channels}")
 
-    w = np.stack((layer.wz.T, layer.wr.T, layer.wh.T))
-    gates = np.matmul(x.transpose(1, 0, 2)[:, None], w)
-    gates += np.stack((layer.bz, layer.br, layer.bh))[:, None]
-    u_zr = np.stack((layer.uz.T, layer.ur.T))
-    uh = layer.uh.T
+    w, u, bias = layer.gate_params
+    gates = np.matmul(x.transpose(1, 0, 2)[:, None], w.transpose(0, 2, 1))
+    gates += bias[:, None]
+    u_zr = u[:2].transpose(0, 2, 1)
+    uh = u[2].T
     hs = np.empty((t_steps + 1, b, n))
     hs[0] = 0.0
     proj = np.empty((2, b, n))
     rh = np.empty((b, n))
     # exp(-a) overflows to inf for a < -709, and 1 / (1 + inf) is the exact limit 0.
     with np.errstate(over="ignore"):
-        for t in range(t_steps):
+        logistic_in_place(gates[0, :2])
+        np.tanh(gates[0, 2], out=gates[0, 2])
+        np.multiply(gates[0, 2], gates[0, 0], out=hs[1])
+        for t in range(1, t_steps):
             h_prev, h = hs[t], hs[t + 1]
             zr, c = gates[t, :2], gates[t, 2]
             zr += np.matmul(h_prev, u_zr, out=proj)
@@ -308,8 +356,11 @@ def gru_backward(layer: Gru, cache: GruCache, upstream) -> np.ndarray:
     gradients daz | dar | dac of every step into a gate-major (3, T, B, N)
     buffer G. After the loop the weight gradients are batched matmuls over
     the T*B rows of G: d[wz; wr; wh] = G^T X, d[uz; ur] = G_zr^T H_prev and
-    duh = G_c^T (r * H_prev). dx is the sum of the three per-gate matmuls
-    G_z wz + G_r wr + G_c wh, and db = the row sums.
+    duh = G_c^T (r * H_prev), each written into its view of the layer's
+    gradient vector. dx is the sum of the three per-gate matmuls
+    G_z wz + G_r wr + G_c wh, and db = the row sums. At t = 0, where
+    h_0 = 0, the step computes no dh_prev, which nothing reads, and sets
+    dar = 0; at T = 1 the recurrent gradients are zero without a matmul.
     """
     upstream = as_tensor(upstream)
     x, hs, gates = cache.x, cache.hs, cache.gates
@@ -319,14 +370,15 @@ def gru_backward(layer: Gru, cache: GruCache, upstream) -> np.ndarray:
         raise ShapeError(
             f"upstream shape {upstream.shape} does not match output {(b, t_steps, n)}"
         )
-    u_zr = np.stack((layer.uz, layer.ur))
+    w, u, _ = layer.gate_params
+    u_zr = u[:2]
     g_all = np.empty((3, t_steps, b, n))
     dh = np.empty((b, n))
     dh_next = np.zeros((b, n))
     d_rh = np.empty((b, n))
     dsig = np.empty((2, b, n))
     proj = np.empty((2, b, n))
-    for t in reversed(range(t_steps)):
+    for t in range(t_steps - 1, 0, -1):
         h_prev = hs[t]
         zr, z, r, c = gates[t, :2], gates[t, 0], gates[t, 1], gates[t, 2]
         g_zr, g_z, g_r, g_c = g_all[:2, t], g_all[0, t], g_all[1, t], g_all[2, t]
@@ -351,20 +403,34 @@ def gru_backward(layer: Gru, cache: GruCache, upstream) -> np.ndarray:
         dh_next += dh
         d_rh *= r
         dh_next += d_rh
+    # Step 0, the same arithmetic with h_prev = h_0 = 0.
+    z, c = gates[0, 0], gates[0, 2]
+    g_z, g_c = g_all[0, 0], g_all[2, 0]
+    np.add(upstream[:, 0], dh_next, out=dh)
+    np.multiply(c, c, out=g_c)
+    np.subtract(1.0, g_c, out=g_c)
+    g_c *= z
+    g_c *= dh
+    np.multiply(c, dh, out=g_z)
+    np.subtract(1.0, z, out=dsig[0])
+    dsig[0] *= z
+    g_z *= dsig[0]
+    g_all[1, 0] = 0.0
 
     g = g_all.reshape(3, t_steps * b, n)
     x_rows = x.transpose(1, 0, 2).reshape(t_steps * b, d)
-    h_prev = hs[:-1].reshape(t_steps * b, n)
-    dw = np.matmul(g.transpose(0, 2, 1), x_rows)
-    du = np.matmul(g[:2].transpose(0, 2, 1), h_prev)
-    duh = g[2].T @ (gates[:, 1] * hs[:-1]).reshape(t_steps * b, n)
-    db = g.sum(axis=1)
-    dx = g[0] @ layer.wz
-    dx += g[1] @ layer.wr
-    dx += g[2] @ layer.wh
-    layer.grads = {"wz": dw[0], "uz": du[0], "bz": db[0],
-                   "wr": dw[1], "ur": du[1], "br": db[1],
-                   "wh": dw[2], "uh": duh, "bh": db[2]}
+    layer._new_grads()
+    dw, du, db = layer.gate_views(layer.grad_vector)
+    np.matmul(g.transpose(0, 2, 1), x_rows, out=dw)
+    if t_steps == 1:
+        du[...] = 0.0
+    else:
+        np.matmul(g[:2].transpose(0, 2, 1), hs[:-1].reshape(t_steps * b, n), out=du[:2])
+        np.matmul(g[2].T, (gates[:, 1] * hs[:-1]).reshape(t_steps * b, n), out=du[2])
+    np.add.reduce(g, axis=1, out=db)
+    dx = g[0] @ w[0]
+    dx += g[1] @ w[1]
+    dx += g[2] @ w[2]
     return np.ascontiguousarray(dx.reshape(t_steps, b, d).transpose(1, 0, 2))
 
 
@@ -385,7 +451,8 @@ class Conv1d(Layer):
         if dilation < 1:
             raise ValueError(f"dilation must be >= 1, got {dilation}")
         super().__init__(name)
-        self.kernels, self.bias, self.dilation = kernels, bias, dilation
+        self._own_params(kernels, bias)
+        self.dilation = dilation
 
     @classmethod
     def glorot(cls, name: str, filters: int, in_channels: int, width: int,
@@ -510,9 +577,11 @@ def conv1d_backward(layer: Conv1d, x: np.ndarray, upstream) -> np.ndarray:
         for j in range(1, n):
             at, src = _overlap(taps[j][1], t_steps)
             dx_blk[:, src] += parts[:, at, j]
-    dkernels = np.zeros_like(layer.kernels)
-    dkernels[:, :, kept] = d_stacked.reshape(filters, n, in_channels).transpose(0, 2, 1)
-    layer.grads = {"kernels": dkernels, "bias": u.sum(axis=0)}
+    grads = layer._new_grads()
+    if n < width:
+        grads["kernels"][...] = 0.0
+    grads["kernels"][:, :, kept] = d_stacked.reshape(filters, n, in_channels).transpose(0, 2, 1)
+    np.add.reduce(u, axis=0, out=grads["bias"])
     return dx
 
 
@@ -531,8 +600,7 @@ class BatchNorm(Layer):
 
     def __init__(self, name: str, channels: int):
         super().__init__(name)
-        self.gamma = np.ones(channels)
-        self.beta = np.zeros(channels)
+        self._own_params(np.ones(channels), np.zeros(channels))
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
 
@@ -603,14 +671,15 @@ def batchnorm_backward(layer: BatchNorm, cache: tuple, upstream) -> np.ndarray:
     u = upstream.reshape(-1, channels)
     xhat = xhat.reshape(-1, channels)
     n = u.shape[0]
-    dbeta = u.sum(axis=0)
+    grads = layer._new_grads()
+    dgamma, dbeta = grads["gamma"], grads["beta"]
+    np.add.reduce(u, axis=0, out=dbeta)
     dx = np.multiply(u, xhat)
-    dgamma = dx.sum(axis=0)
+    np.add.reduce(dx, axis=0, out=dgamma)
     np.multiply(xhat, dgamma / -n, out=dx)
     dx -= dbeta / n
     dx += u
     dx *= layer.gamma * inv_std
-    layer.grads = {"gamma": dgamma, "beta": dbeta}
     return dx.reshape(upstream.shape)
 
 
@@ -628,25 +697,47 @@ class MaxPoolTime(Layer):
 
 def maxpool_time(x):
     """Collapse the time axis by per-channel max; returns (B, C) plus the
-    argmax cache (first maximal index on ties)."""
+    cache: the argmax indices (first maximal index on ties) and the input
+    shape.
+
+    At T = 1 the output is the one step itself, a view, with zero indices.
+    Otherwise the maxima are gathered with one flat index into x's memory,
+    laid out (B, T, C) or, for the GRU's states, time-major (T, B, C).
+    """
     x = as_tensor(x)
     if x.ndim != 3:
         raise ShapeError(f"maxpool_time expects (B, T, C) input, got {x.shape}")
+    b, t_steps, c = x.shape
+    if t_steps == 1:
+        return x[:, 0], (np.zeros((b, c), dtype=np.intp), x.shape)
     idx = x.argmax(axis=1)
-    pooled = np.take_along_axis(x, idx[:, None, :], axis=1)[:, 0, :]
-    return pooled, (idx, x.shape)
+    time_major = x.transpose(1, 0, 2)
+    if time_major.flags.c_contiguous:
+        src, t_stride, b_stride = time_major, b * c, c
+    else:
+        src, t_stride, b_stride = np.ascontiguousarray(x), c, t_steps * c
+    flat = idx * t_stride
+    flat += np.arange(0, b * b_stride, b_stride)[:, None]
+    flat += np.arange(c)
+    return src.reshape(-1)[flat], (idx, x.shape)
 
 
 def maxpool_time_backward(cache, upstream) -> np.ndarray:
+    """Route each upstream entry to its argmax step, through one flat
+    index into the (B, T, C) result; at T = 1, a copy of upstream."""
     idx, shape = cache
     upstream = as_tensor(upstream)
-    if upstream.shape != (shape[0], shape[2]):
-        raise ShapeError(
-            f"upstream shape {upstream.shape} does not match pooled {(shape[0], shape[2])}"
-        )
-    dx = np.zeros(shape)
-    np.put_along_axis(dx, idx[:, None, :], upstream[:, None, :], axis=1)
-    return dx
+    b, t_steps, c = shape
+    if upstream.shape != (b, c):
+        raise ShapeError(f"upstream shape {upstream.shape} does not match pooled {(b, c)}")
+    if t_steps == 1:
+        return upstream[:, None, :].copy()
+    flat = idx * c
+    flat += np.arange(0, b * t_steps * c, t_steps * c)[:, None]
+    flat += np.arange(c)
+    dx = np.zeros(b * t_steps * c)
+    dx[flat] = upstream
+    return dx.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +751,7 @@ class Dense(Layer):
 
     def __init__(self, name: str, weights, bias):
         super().__init__(name)
-        self.weights, self.bias = weights, bias
+        self._own_params(weights, bias)
 
     @classmethod
     def glorot(cls, name: str, out_dim: int, in_dim: int, rng: RngStream) -> "Dense":
@@ -696,5 +787,7 @@ def dense_backward(layer: Dense, x: np.ndarray, upstream) -> np.ndarray:
             f"upstream shape {upstream.shape} does not match input {x.shape}"
         )
     u = upstream.reshape(-1, weights.shape[0])
-    layer.grads = {"weights": u.T @ x.reshape(-1, x.shape[-1]), "bias": u.sum(axis=0)}
+    grads = layer._new_grads()
+    np.matmul(u.T, x.reshape(-1, x.shape[-1]), out=grads["weights"])
+    np.add.reduce(u, axis=0, out=grads["bias"])
     return (u @ weights).reshape(x.shape)

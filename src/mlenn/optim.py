@@ -20,8 +20,16 @@ where avg is the bias-corrected moving average of past gradients (decay
 rho2, zero before the first step) and U is a fresh uniform draw per
 element. A max(.) of zero gives dhat = 0 (dgrad, cos1) or xi = 0 (exp,
 sto). The constants are fixed: eps = 1e-8, the cos1 period is 30 steps,
-and the bump decays with k = 2 (exp) and k = 4 (sto). Each state governs
-exactly one parameter tensor and is mutated only by its own step call.
+and the bump decays with k = 2 (exp) and k = 4 (sto).
+
+A state governs one flat parameter vector, split into consecutive
+segments: a layer's tensors, packed end to end, or one tensor alone. All
+arithmetic is per element, except the max(.) above, which is taken per
+segment, and sto's U, which each segment draws from its own stream. So
+one step over a layer's vector gives the bits of one step per tensor. A
+step builds its temporaries in a few buffers, each updated in place in
+the textbook operation order, and a state is mutated only by its own step
+call.
 """
 
 from __future__ import annotations
@@ -43,10 +51,13 @@ EXP_K = 2.0
 
 @dataclass
 class OptimizerState:
-    """Moments, step counter and the variant's own memory for one tensor.
+    """Moments, step counter and the variant's own memory for one
+    parameter vector.
 
-    ``prev_grad`` (diffgrad) and ``avg`` (dgrad, cos1, exp, sto) are None
-    for the variants that do not read them; ``rng`` is sto's stream.
+    ``sizes`` holds the element count of each segment, in order, and
+    ``starts`` their offsets. ``prev_grad`` (diffgrad) and ``avg`` (dgrad,
+    cos1, exp, sto) are None for the variants that do not read them;
+    ``streams`` holds sto's streams, one per segment.
     """
 
     variant: str
@@ -55,24 +66,46 @@ class OptimizerState:
     rho1: float
     rho2: float
     lr: float
+    sizes: tuple
+    starts: np.ndarray
     prev_grad: np.ndarray | None = None
     avg: np.ndarray | None = None
     t: int = 0
-    rng: RngStream | None = None
+    streams: tuple = ()
 
     @classmethod
     def create(cls, variant: str, shape, *, rho1: float, rho2: float, lr: float,
-               rng: RngStream | None = None) -> "OptimizerState":
-        """Zeroed state of ``variant`` for a tensor of ``shape``."""
+               rng=None, sizes=None) -> "OptimizerState":
+        """Zeroed state of ``variant`` for a vector of ``shape``. ``sizes``
+        splits its elements, in C order, into segments; by default the
+        whole vector is one. sto needs ``rng``: a stream for one segment,
+        or a sequence of streams, one per segment."""
         if variant not in VARIANTS:
             raise ValueError(f"unknown optimizer variant {variant!r}")
-        if variant == "sto" and rng is None:
-            raise ValueError("sto variant requires an rng stream")
         shape = tuple(shape)
-        return cls(variant, np.zeros(shape), np.zeros(shape), rho1, rho2, lr,
+        total = math.prod(shape)
+        sizes = (total,) if sizes is None else tuple(int(n) for n in sizes)
+        if sum(sizes) != total or min(sizes) < 1:
+            raise ShapeError(f"segment sizes {sizes} do not split {total} elements")
+        streams = ()
+        if variant == "sto":
+            if rng is None:
+                raise ValueError("sto variant requires an rng stream")
+            streams = tuple(rng) if isinstance(rng, (list, tuple)) else (rng,)
+            if len(streams) != len(sizes):
+                raise ValueError(f"sto needs one stream per segment: {len(streams)} "
+                                 f"streams for {len(sizes)} segments")
+        starts = np.cumsum((0,) + sizes[:-1])
+        return cls(variant, np.zeros(shape), np.zeros(shape), rho1, rho2, lr, sizes, starts,
                    prev_grad=np.zeros(shape) if variant == "diffgrad" else None,
                    avg=np.zeros(shape) if variant in STOCHASTIC_POOL else None,
-                   rng=rng)
+                   streams=streams)
+
+    @property
+    def rng(self) -> RngStream:
+        """sto's stream of a one-segment state."""
+        (stream,) = self.streams
+        return stream
 
 
 def cyclic_lr(t: int) -> float:
@@ -90,33 +123,41 @@ def modulation(state: OptimizerState, g: np.ndarray):
     if variant == "adam":
         return None
     if variant == "diffgrad":
-        xi = logistic_in_place(np.abs(state.prev_grad - g))
-        state.prev_grad = g.copy()
+        xi = np.subtract(state.prev_grad, g, out=np.empty_like(g))
+        logistic_in_place(np.abs(xi, out=xi))
+        state.prev_grad[...] = g
         return xi
 
+    d = np.empty_like(g)
     if state.t == 0:
-        d = np.abs(g)
+        np.abs(g, out=d)
     else:
-        d = np.abs(g - state.avg / (1.0 - state.rho2 ** state.t))
-    # x is normalized to peak at 1 and then scaled; the temporaries are
-    # updated in place, which gives the same bits as the textbook order.
+        np.divide(state.avg, 1.0 - state.rho2 ** state.t, out=d)
+        np.subtract(g, d, out=d)
+        np.abs(d, out=d)
+    # x >= 0 is normalized to peak at 1 in each segment and then scaled; a
+    # segment whose max is 0 holds only zeros and stays so.
     if variant in ("dgrad", "cos1"):
         x = d
         scale = 4.0 if variant == "dgrad" else 4.0 * cyclic_lr(state.t + 1)
     elif variant in ("exp", "sto"):
-        x = np.exp(-(EXP_K if variant == "exp" else 4.0) * d)
+        x = np.multiply(d, -(EXP_K if variant == "exp" else 4.0), out=np.empty_like(d))
+        np.exp(x, out=x)
         x *= d
         if variant == "sto":
-            x *= state.rng.uniform(size=d.shape) + 0.5
+            draws = [stream.uniform(size=n) for stream, n in zip(state.streams, state.sizes)]
+            noise = np.concatenate(draws).reshape(d.shape)
+            noise += 0.5
+            x *= noise
         scale = 1.5
     else:
         raise ValueError(f"unknown optimizer variant {variant!r}")
-    mx = x.max()
-    if mx > 0.0:
-        x /= mx
-        x *= scale
-    else:
-        x = np.zeros_like(x)
+    flat = x.reshape(-1)
+    tops = np.maximum.reduceat(flat, state.starts)
+    for start, n, top in zip(state.starts, state.sizes, tops.tolist()):
+        if top > 0.0:
+            flat[start:start + n] /= top
+    x *= scale
     xi = logistic_in_place(x) if variant in ("dgrad", "cos1") else x
 
     state.avg *= state.rho2
@@ -132,40 +173,57 @@ def optimizer_step(state: OptimizerState, theta, g) -> np.ndarray:
         raise ShapeError(
             f"parameter {theta.shape}, gradient {g.shape} and state {state.m.shape} disagree"
         )
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NonFiniteError("gradient contains NaN or infinite entries")
 
     xi = modulation(state, g)
     state.t += 1
+    tmp = np.multiply(g, 1.0 - state.rho1, out=np.empty_like(g))
     state.m *= state.rho1
-    state.m += (1.0 - state.rho1) * g
-    g2 = (1.0 - state.rho2) * g
-    g2 *= g
+    state.m += tmp
+    np.multiply(g, 1.0 - state.rho2, out=tmp)
+    tmp *= g
     state.u *= state.rho2
-    state.u += g2
+    state.u += tmp
     # lr * mhat / (sqrt(uhat) + eps), then * xi
-    step = state.m / (1.0 - state.rho1 ** state.t)
+    step = np.divide(state.m, 1.0 - state.rho1 ** state.t, out=np.empty_like(g))
     step *= state.lr
-    denom = np.sqrt(state.u / (1.0 - state.rho2 ** state.t))
+    denom = np.divide(state.u, 1.0 - state.rho2 ** state.t, out=tmp)
+    np.sqrt(denom, out=denom)
     denom += EPS
     step /= denom
     if xi is not None:
         step *= xi
-    return theta - step
+    return np.subtract(theta, step, out=step)
 
 
-def clip_gradients_l2(grads: list, threshold: float) -> list:
-    """Scale a network's gradient tensors so their joint L2 norm does not
-    exceed ``threshold``; below the threshold the tensors pass through."""
+def clip_gradients_l2(grads: list, threshold: float, sizes: list | None = None) -> list:
+    """Scale a network's gradient arrays so their joint L2 norm does not
+    exceed ``threshold``; below the threshold the arrays pass through.
+
+    The squared norm sums one ``float(t @ t)`` per tensor, in list order.
+    An array may pack several tensors end to end, as a layer's gradient
+    vector does; ``sizes[i]`` then gives the element counts of the tensors
+    in ``grads[i]``. By default each array is one tensor. A NaN or infinite
+    entry raises NonFiniteError.
+    """
     if threshold <= 0.0:
         raise ValueError(f"clip threshold must be positive, got {threshold}")
     grads = [as_tensor(g) for g in grads]
     total = 0.0
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteError("gradient contains NaN or infinite entries")
+    for i, g in enumerate(grads):
         flat = g.ravel()
-        total += float(flat @ flat)
+        start = 0
+        for n in (flat.size,) if sizes is None else sizes[i]:
+            part = flat[start:start + n]
+            total += float(part @ part)
+            start += n
+        if start != flat.size:
+            raise ShapeError(f"tensor sizes {sizes[i]} do not split {flat.size} elements")
+    # A finite sum proves every entry finite; an infinite one may also come
+    # from squares of large finite entries, which clip to zero below.
+    if not math.isfinite(total) and not all(np.isfinite(g).all() for g in grads):
+        raise NonFiniteError("gradient contains NaN or infinite entries")
     norm = math.sqrt(total)
     if norm <= threshold:
         return grads

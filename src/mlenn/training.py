@@ -1,9 +1,10 @@
 """Minibatch training with per-layer optimizer variants.
 
-Each trainable layer carries one optimizer variant; every parameter
-tensor inside the layer gets its own state of that variant. A training
-step is: forward, cross-entropy loss, backward, joint L2 gradient clip,
-then one optimizer step per tensor.
+Each trainable layer carries one optimizer variant and one state of it,
+over the layer's flat parameter vector with one segment per tensor. A
+training step is: forward, cross-entropy loss, backward (which leaves one
+gradient vector per layer), joint L2 gradient clip, then one optimizer
+step per layer, which updates the layer's parameter vector in place.
 """
 
 from __future__ import annotations
@@ -86,18 +87,24 @@ def assign_optimizers(net: Network, policy: str, rng: RngStream) -> dict:
 
 def make_optimizer_states(net: Network, tags: dict, cfg: TrainConfig,
                           rng: RngStream) -> dict:
-    """One state per parameter tensor, keyed like Network.param_items()."""
+    """One state per trainable layer, keyed by layer name, over the layer's
+    parameter vector with one segment per tensor in ``PARAMS`` order.
+
+    sto draws the tensor at position ``index`` of ``Network.param_items()``
+    from ``rng.child(5000 + index)``.
+    """
     states = {}
     index = 0
     for layer in net.trainable_layers():
         variant = tags[layer.name]
-        for tname, arr in layer.param_tensors().items():
-            state_rng = rng.child(5000 + index) if variant == "sto" else None
-            states[f"{layer.name}.{tname}"] = OptimizerState.create(
-                variant, arr.shape, rho1=cfg.rho1, rho2=cfg.rho2,
-                lr=cfg.learning_rate, rng=state_rng,
-            )
-            index += 1
+        sizes = [arr.size for arr in layer.param_tensors().values()]
+        streams = ([rng.child(5000 + index + i) for i in range(len(sizes))]
+                   if variant == "sto" else None)
+        states[layer.name] = OptimizerState.create(
+            variant, layer.param_vector.shape, rho1=cfg.rho1, rho2=cfg.rho2,
+            lr=cfg.learning_rate, rng=streams, sizes=sizes,
+        )
+        index += len(sizes)
     return states
 
 
@@ -113,12 +120,12 @@ def train_network(net: Network, x, y, cfg: TrainConfig, rng: RngStream,
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    trainable = net.trainable_layers()
     states = make_optimizer_states(net, optimizer_tags, cfg, rng)
+    states = [states[layer.name] for layer in trainable]
+    sizes = [state.sizes for state in states]
     weights = None if sample_weights is None else np.asarray(sample_weights, dtype=np.float64)
 
-    # Parameters are updated in place, so the (key, tensor) list holds for the run.
-    params = net.param_items()
-    trainable = net.trainable_layers()
     epochs = cfg.resolve_epochs(net.spec.topology)
     n = x.shape[0]
     epoch_losses: list[float] = []
@@ -134,10 +141,10 @@ def train_network(net: Network, x, y, cfg: TrainConfig, rng: RngStream,
                 raise TrainingDivergedError(epoch, batch_index)
             net.backward(d_scores)
 
-            grads = [layer.grads[key] for layer in trainable for key in layer.PARAMS]
-            clipped = clip_gradients_l2(grads, cfg.clip_threshold)
-            for (key, arr), grad in zip(params, clipped):
-                arr[...] = optimizer_step(states[key], arr, grad)
+            grads = [layer.grad_vector for layer in trainable]
+            clipped = clip_gradients_l2(grads, cfg.clip_threshold, sizes)
+            for layer, state, grad in zip(trainable, states, clipped):
+                layer.param_vector[...] = optimizer_step(state, layer.param_vector, grad)
             running += loss * len(idx)
         epoch_losses.append(running / n)
     return epoch_losses

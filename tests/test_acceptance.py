@@ -154,8 +154,8 @@ def test_c01_gradient_oracle_suite():
             _, cache = dense_forward(d, x)
             dx = dense_backward(d, cache, up)
             _check_gradients([
-                ("weights", d.grads["weights"], numeric_gradient(loss, w)),
-                ("bias", d.grads["bias"], numeric_gradient(loss, bias)),
+                ("weights", d.grads["weights"], numeric_gradient(loss, d.weights)),
+                ("bias", d.grads["bias"], numeric_gradient(loss, d.bias)),
                 ("x", dx, numeric_gradient(loss, x)),
             ])
 
@@ -203,10 +203,10 @@ def test_c01_gradient_oracle_suite():
             da = relu_backward(a, dr)
             dx = dense_backward(d1, cache1, da)
             _check_gradients([
-                ("w2", d2.grads["weights"], numeric_gradient(loss, w2)),
-                ("b2", d2.grads["bias"], numeric_gradient(loss, b2)),
-                ("w1", d1.grads["weights"], numeric_gradient(loss, w1)),
-                ("b1", d1.grads["bias"], numeric_gradient(loss, b1)),
+                ("w2", d2.grads["weights"], numeric_gradient(loss, d2.weights)),
+                ("b2", d2.grads["bias"], numeric_gradient(loss, d2.bias)),
+                ("w1", d1.grads["weights"], numeric_gradient(loss, d1.weights)),
+                ("b1", d1.grads["bias"], numeric_gradient(loss, d1.bias)),
                 ("x", dx, numeric_gradient(loss, x)),
             ])
 

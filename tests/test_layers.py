@@ -644,8 +644,8 @@ class TestDense:
 
         _, cache = dense_forward(d, x)
         dx = dense_backward(d, cache, upstream)
-        assert max_rel_error(d.grads["weights"], numeric_gradient(loss, w)) < 1e-5
-        assert max_rel_error(d.grads["bias"], numeric_gradient(loss, b)) < 1e-5
+        assert max_rel_error(d.grads["weights"], numeric_gradient(loss, d.weights)) < 1e-5
+        assert max_rel_error(d.grads["bias"], numeric_gradient(loss, d.bias)) < 1e-5
         assert max_rel_error(dx, numeric_gradient(loss, x)) < 1e-5
 
     def test_backward_rejects_wrong_output_width(self):

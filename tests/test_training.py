@@ -95,12 +95,23 @@ class TestOptimizerAssignment:
         assert rng.integers(1 << 30) == RngStream(3).integers(1 << 30)
 
     def test_states_cover_every_parameter_tensor(self):
+        # One state per trainable layer over its parameter vector, one
+        # segment per tensor in PARAMS order, and for sto one stream per
+        # tensor, keyed by the tensor's position in param_items.
         net = small_net(topology="GRU_B")
         tags = assign_optimizers(net, "sto", RngStream(0))
         states = make_optimizer_states(net, tags, TrainConfig(), RngStream(2))
-        assert set(states) == {key for key, _ in net.param_items()}
-        for state in states.values():
-            assert state.rng is not None  # sto needs its own stream
+        assert list(states) == [layer.name for layer in net.trainable_layers()]
+        index = 0
+        for layer in net.trainable_layers():
+            state = states[layer.name]
+            assert state.m.shape == layer.param_vector.shape
+            assert state.sizes == tuple(arr.size for arr in layer.param_tensors().values())
+            assert len(state.streams) == len(layer.PARAMS)
+            for stream in state.streams:
+                assert stream.stream_id == RngStream(2).child(5000 + index).stream_id
+                index += 1
+        assert index == len(net.param_items())
 
 
 class TestTrainNetwork:
@@ -168,7 +179,8 @@ class TestTrainNetwork:
 class TestWholeNetworkGradient:
     """Each gradient that reaches the optimizer during one full-batch step
     matches central differences of the weighted loss through the whole
-    network, tensor by tensor in the order the optimizer takes them."""
+    network, tensor by tensor in param_items order, after each per-layer
+    gradient vector is split back into its tensors."""
 
     @pytest.mark.parametrize("encoding", ENCODINGS)
     @pytest.mark.parametrize("topology", TOPOLOGIES)
@@ -181,16 +193,33 @@ class TestWholeNetworkGradient:
         seen = []
         step = mlenn.training.optimizer_step
 
-        def spy(state, arr, grad):
-            seen.append((arr, grad.copy()))
-            return step(state, arr, grad)
+        def spy(state, vector, grad):
+            seen.append((vector, grad.copy()))
+            return step(state, vector, grad)
 
         monkeypatch.setattr(mlenn.training, "optimizer_step", spy)
         net = build_network(spec, RngStream(1))
         cfg = TrainConfig(epochs=1, minibatch=4, clip_threshold=1e9)
         train_network(net, x, y, cfg, RngStream(2), adam(net), sample_weights=weights)
 
-        # Earlier tensors are updated before later ones reach the optimizer,
+        # One call per trainable layer, on the layer's own vector; split the
+        # gradient by the PARAMS sizes, checking that each piece of the
+        # vector is the live tensor that param_items hands out.
+        layers = net.trainable_layers()
+        assert len(seen) == len(layers)
+        pieces = []
+        for layer, (vector, grad) in zip(layers, seen):
+            assert vector is layer.param_vector, layer.name
+            start = 0
+            for key in layer.PARAMS:
+                live = getattr(layer, key)
+                view = vector[start:start + live.size].reshape(live.shape)
+                assert view.__array_interface__ == live.__array_interface__, key
+                pieces.append((live, grad[start:start + live.size].reshape(live.shape)))
+                start += live.size
+            assert start == vector.size, layer.name
+
+        # Earlier layers are updated before later ones reach the optimizer,
         # so the differences are taken on a twin with the initial weights,
         # fed the rows in the order the step drew them.
         twin = build_network(spec, RngStream(1))
@@ -201,8 +230,8 @@ class TestWholeNetworkGradient:
             return bce_loss(y[order], scores, weights[order])[0]
 
         params = net.param_items()
-        assert len(seen) == len(params)
-        for (arr, grad), (key, live), (_, initial) in zip(seen, params, twin.param_items()):
+        assert len(pieces) == len(params)
+        for (arr, grad), (key, live), (_, initial) in zip(pieces, params, twin.param_items()):
             assert arr is live, key
             numeric = numeric_gradient(loss, initial)
             # Norm-wise, so that one near-zero entry does not decide; the
