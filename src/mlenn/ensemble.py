@@ -182,10 +182,11 @@ def ensemble_from_dict(doc: dict) -> EnsembleModel:
     fusion = doc.get("fusion", "average")
     if fusion != "average":
         raise ValueError(f"unknown fusion rule {fusion!r}")
-    try:
-        master_seed = int(doc.get("master_seed", 0))
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"model 'master_seed' {doc['master_seed']!r} is not an integer") from None
+    master_seed = doc.get("master_seed", 0)
+    # A JSON integer only: bool is a subclass of int, and int() would also
+    # take 7.9 or "12".
+    if type(master_seed) is not int:
+        raise ValueError(f"model 'master_seed' {master_seed!r} is not an integer")
     entries = doc.get("members")
     if not isinstance(entries, list):
         raise ValueError("model file has no 'members' list")

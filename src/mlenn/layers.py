@@ -619,6 +619,8 @@ def batchnorm_forward(layer: BatchNorm, x, train: bool):
     (B*T, C) rows with two buffers: the centred rows, which are scaled in
     place into xhat, and the output, which first holds their squares, whose
     column means are the variance. The cache is the pair (xhat, inv_std).
+    A single position per channel has variance 0, so xhat = 0 and y = beta,
+    with eps keeping inv_std finite.
     Eval mode applies the running estimates in one buffer and returns no
     cache, as it has no backward.
     """
@@ -635,8 +637,6 @@ def batchnorm_forward(layer: BatchNorm, x, train: bool):
         y += layer.beta
         return y.reshape(x.shape), None
     n = rows.shape[0]
-    if n < 2:
-        raise ShapeError("train-mode batchnorm needs at least 2 positions per channel")
     mean = rows.mean(axis=0)
     xhat = rows - mean
     y = np.multiply(xhat, xhat)

@@ -86,6 +86,11 @@ class RngStream:
         """U(0, 1) draws."""
         return self._gen.uniform(0.0, 1.0, size=size)
 
+    def skip(self, n: int) -> None:
+        """Move past ``n`` uniform draws without making them: each draw
+        reads one 64-bit output of the generator."""
+        self._gen.bit_generator.advance(n)
+
     def integers(self, high: int, size=None):
         """Uniform integers in [0, high)."""
         return self._gen.integers(0, high, size=size)
@@ -231,7 +236,10 @@ def group_means(v: np.ndarray, assignments: np.ndarray, c: int) -> np.ndarray:
     to group j.
 
     One stable sort gathers each group's rows, in their original order, into
-    a contiguous slice, so each row is bitwise ``v[assignments == j].mean(0)``.
+    a contiguous slice, so each row is bitwise ``v[assignments == j].mean(0)``:
+    the slice's sum, written into the row, divided by the row count, which
+    is ``np.mean``'s own arithmetic without its Python wrapper. A single
+    ``np.add.reduceat`` would sum in another order and change the bits.
     """
     order = np.argsort(assignments, kind="stable")
     ends = np.cumsum(np.bincount(assignments, minlength=c))
@@ -239,7 +247,8 @@ def group_means(v: np.ndarray, assignments: np.ndarray, c: int) -> np.ndarray:
     out = np.empty((c, v.shape[1]))
     start = 0
     for j, end in enumerate(ends):
-        out[j] = grouped[start:end].mean(axis=0)
+        np.add.reduce(grouped[start:end], axis=0, out=out[j])
+        out[j] /= end - start
         start = end
     return out
 

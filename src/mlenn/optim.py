@@ -30,12 +30,20 @@ one step over a layer's vector gives the bits of one step per tensor. A
 step builds its temporaries in a few buffers, each updated in place in
 the textbook operation order, and a state is mutated only by its own step
 call.
+
+A segment whose gradient has been zero at every step so far, this one
+included, has all-zero moments and memory. Its step is then exactly zero
+for every variant: its parameters pass through, and sto only moves the
+segment's stream past the draws it would make. Such a segment is left out
+of the arithmetic until its first nonzero gradient entry. In the
+single-step encoding the GRU's recurrent tensors are such segments
+throughout training, since h_0 = 0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,7 +65,9 @@ class OptimizerState:
     ``sizes`` holds the element count of each segment, in order, and
     ``starts`` their offsets. ``prev_grad`` (diffgrad) and ``avg`` (dgrad,
     cos1, exp, sto) are None for the variants that do not read them;
-    ``streams`` holds sto's streams, one per segment.
+    ``streams`` holds sto's streams, one per segment. ``live`` flags the
+    segments that have had a nonzero gradient entry, and ``live_index``
+    lists the elements of the live segments while some segment is not.
     """
 
     variant: str
@@ -72,6 +82,8 @@ class OptimizerState:
     avg: np.ndarray | None = None
     t: int = 0
     streams: tuple = ()
+    live: np.ndarray | None = None
+    live_index: np.ndarray | None = None
 
     @classmethod
     def create(cls, variant: str, shape, *, rho1: float, rho2: float, lr: float,
@@ -99,7 +111,7 @@ class OptimizerState:
         return cls(variant, np.zeros(shape), np.zeros(shape), rho1, rho2, lr, sizes, starts,
                    prev_grad=np.zeros(shape) if variant == "diffgrad" else None,
                    avg=np.zeros(shape) if variant in STOCHASTIC_POOL else None,
-                   streams=streams)
+                   streams=streams, live=np.zeros(len(sizes), dtype=bool))
 
     @property
     def rng(self) -> RngStream:
@@ -166,7 +178,12 @@ def modulation(state: OptimizerState, g: np.ndarray):
 
 
 def optimizer_step(state: OptimizerState, theta, g) -> np.ndarray:
-    """Advance the state by one step and return the updated parameter."""
+    """Advance the state by one step and return the updated parameter.
+
+    The segments that have only ever had zero gradients take no part in
+    the arithmetic (see the module docstring): the live ones are gathered
+    into a compact state, stepped, and scattered back.
+    """
     theta = as_tensor(theta)
     g = as_tensor(g)
     if theta.shape != g.shape or theta.shape != state.m.shape:
@@ -175,7 +192,51 @@ def optimizer_step(state: OptimizerState, theta, g) -> np.ndarray:
         )
     if not np.isfinite(g).all():
         raise NonFiniteError("gradient contains NaN or infinite entries")
+    if state.live.all() or not _wake(state, g.reshape(-1)):
+        return _step(state, theta, g)
 
+    for i in np.flatnonzero(~state.live) if state.streams else ():
+        state.streams[i].skip(state.sizes[i])
+    out = theta.copy()
+    keep = np.flatnonzero(state.live)
+    if keep.size:
+        idx = state.live_index
+        sizes = tuple(state.sizes[i] for i in keep)
+        flat = {name: getattr(state, name).reshape(-1)
+                for name in ("m", "u", "prev_grad", "avg") if getattr(state, name) is not None}
+        live = replace(state, sizes=sizes, starts=np.cumsum((0,) + sizes[:-1]),
+                       streams=tuple(state.streams[i] for i in keep) if state.streams else (),
+                       **{name: arr[idx] for name, arr in flat.items()})
+        out.reshape(-1)[idx] = _step(live, theta.reshape(-1)[idx], g.reshape(-1)[idx])
+        for name, arr in flat.items():
+            arr[idx] = getattr(live, name)
+    if state.prev_grad is not None:
+        state.prev_grad[...] = g
+    state.t += 1
+    return out
+
+
+def _wake(state: OptimizerState, g: np.ndarray) -> bool:
+    """Mark the segments with a nonzero entry in the flat gradient ``g`` as
+    live and refresh ``live_index``; True while some segment is not live."""
+    woke = state.live_index is None
+    for i in np.flatnonzero(~state.live):
+        start = state.starts[i]
+        if g[start:start + state.sizes[i]].any():
+            state.live[i] = woke = True
+    if state.live.all():
+        state.live_index = None
+        return False
+    if woke:
+        state.live_index = np.concatenate(
+            [np.arange(start, start + n)
+             for start, n, live in zip(state.starts, state.sizes, state.live) if live]
+            or [np.empty(0, dtype=np.intp)])
+    return True
+
+
+def _step(state: OptimizerState, theta: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """One step over every element of the state."""
     xi = modulation(state, g)
     state.t += 1
     tmp = np.multiply(g, 1.0 - state.rho1, out=np.empty_like(g))

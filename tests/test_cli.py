@@ -85,6 +85,20 @@ class TestKfoldCommand:
         assert "# fold 0 failed" in report and "# fold 1 failed" in report
         assert (out_dir / "report.json").exists() and (out_dir / "config.json").exists()
 
+    def test_one_row_minibatch_through_batchnorm(self, tmp_path, capsys):
+        # 17 training rows per fold in minibatches of 8 leave one 1-row
+        # minibatch per epoch; at T = 1 it reaches pre_bn as one position.
+        x, y = banded_task(41, 34, 4, 2)
+        path = tmp_path / "odd.mlkit"
+        save_dataset(Dataset(x, y, name="odd"), path)
+        code, stdout, err = run_cli(
+            capsys, "kfold", "--dataset", path, "--folds", "2", "--members", "1",
+            "--hidden-units", "4", "--epochs", "1", "--topology", "GRU_B",
+            "--encoding", "single-step", "--minibatch", "8", "--seed", "3",
+            "--output", tmp_path / "out")
+        assert code == 0, err
+        assert "failed" not in stdout + err
+
     def test_holdout_mode(self, dataset_file, capsys):
         code, stdout, _ = run_cli(
             capsys, "kfold", "--dataset", dataset_file, "--holdout", "0.25",
@@ -181,6 +195,9 @@ class TestTrainEvaluateCommands:
          "pca"),
         (_widen, "5 feature columns, the data has 4"),
         (lambda doc: doc.update(master_seed=[3]), "master_seed"),
+        (lambda doc: doc.update(master_seed=7.9), "master_seed"),
+        (lambda doc: doc.update(master_seed="12"), "master_seed"),
+        (lambda doc: doc.update(master_seed=True), "master_seed"),
         (lambda doc: doc["members"][0].update(optimizer_tags=["adam"]), "optimizer_tags"),
         (lambda doc: doc.update(fusion="max"), "fusion rule 'max'"),
     ], ids=["unknown-spec-key", "missing-spec-key", "no-members", "no-spec",
@@ -188,7 +205,8 @@ class TestTrainEvaluateCommands:
             "invalid-base64", "short-data", "v1-format", "preprocess-no-hi",
             "preprocess-short-hi", "preprocess-2d-lo", "preprocess-dict-lo",
             "preprocess-not-a-block", "pca-no-components", "pca-short-mean",
-            "pca-ratio-mismatch", "column-mismatch", "list-master-seed", "list-optimizer-tags",
+            "pca-ratio-mismatch", "column-mismatch", "list-master-seed", "float-master-seed",
+            "string-master-seed", "bool-master-seed", "list-optimizer-tags",
             "max-fusion"])
     def test_malformed_model_file_is_a_typed_error(self, dataset_file, tmp_path, capsys,
                                                    edit, named):

@@ -418,10 +418,19 @@ class TestBatchNorm:
         npt.assert_allclose(p.running_mean, 0.9 * 0.0 + 0.1 * x.mean(), atol=1e-12)
         npt.assert_allclose(p.running_var, 0.9 * 1.0 + 0.1 * x.var(), atol=1e-12)
 
-    def test_train_needs_two_positions(self):
+    def test_one_position_normalizes_to_beta(self):
+        # A 1-row minibatch at T = 1: variance 0, so xhat = 0 and y = beta;
+        # the input gradient is 0 and dbeta is the upstream row.
         p = BatchNorm("bn", 2)
-        with pytest.raises(ShapeError):
-            batchnorm_forward(p, np.zeros((1, 1, 2)), train=True)
+        p.gamma[:] = [1.5, -2.0]
+        p.beta[:] = [0.25, -0.5]
+        y, cache = batchnorm_forward(p, np.array([[[3.0, -7.0]]]), train=True)
+        npt.assert_array_equal(y, [[[0.25, -0.5]]])
+        upstream = np.array([[[0.75, -1.25]]])
+        dx = batchnorm_backward(p, cache, upstream)
+        npt.assert_array_equal(dx, 0.0)
+        npt.assert_array_equal(p.grads["beta"], [0.75, -1.25])
+        npt.assert_array_equal(p.grads["gamma"], 0.0)
 
     def test_matches_finite_differences(self):
         rng = RngStream(7)
