@@ -87,7 +87,7 @@ class RngStream:
         return self._gen.uniform(0.0, 1.0, size=size)
 
     def skip(self, n: int) -> None:
-        """Move past ``n`` uniform draws without making them: each draw
+        """Move past ``n`` uniform draws without making them; each draw
         reads one 64-bit output of the generator."""
         self._gen.bit_generator.advance(n)
 

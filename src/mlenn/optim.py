@@ -31,13 +31,13 @@ step builds its temporaries in a few buffers, each updated in place in
 the textbook operation order, and a state is mutated only by its own step
 call.
 
-A segment whose gradient has been zero at every step so far, this one
-included, has all-zero moments and memory. Its step is then exactly zero
-for every variant: its parameters pass through, and sto only moves the
-segment's stream past the draws it would make. Such a segment is left out
-of the arithmetic until its first nonzero gradient entry. In the
-single-step encoding the GRU's recurrent tensors are such segments
-throughout training, since h_0 = 0.
+A segment is live from its first nonzero gradient entry on. Until then
+its moments and memory are all zero, so its step is exactly zero for
+every variant: its parameters pass through, and sto only moves the
+segment's stream past the draws it would make. So the segments before the
+first live one and after the last are left out of the arithmetic. In the
+single-step encoding the GRU's recurrences, which end its vector, never
+become live, since h_0 = 0.
 """
 
 from __future__ import annotations
@@ -65,9 +65,8 @@ class OptimizerState:
     ``sizes`` holds the element count of each segment, in order, and
     ``starts`` their offsets. ``prev_grad`` (diffgrad) and ``avg`` (dgrad,
     cos1, exp, sto) are None for the variants that do not read them;
-    ``streams`` holds sto's streams, one per segment. ``live`` flags the
-    segments that have had a nonzero gradient entry, and ``live_index``
-    lists the elements of the live segments while some segment is not.
+    ``streams`` holds sto's streams, one per segment, and ``live`` flags
+    the segments that have had a nonzero gradient entry.
     """
 
     variant: str
@@ -82,8 +81,7 @@ class OptimizerState:
     avg: np.ndarray | None = None
     t: int = 0
     streams: tuple = ()
-    live: np.ndarray | None = None
-    live_index: np.ndarray | None = None
+    live: list | None = None
 
     @classmethod
     def create(cls, variant: str, shape, *, rho1: float, rho2: float, lr: float,
@@ -111,7 +109,7 @@ class OptimizerState:
         return cls(variant, np.zeros(shape), np.zeros(shape), rho1, rho2, lr, sizes, starts,
                    prev_grad=np.zeros(shape) if variant == "diffgrad" else None,
                    avg=np.zeros(shape) if variant in STOCHASTIC_POOL else None,
-                   streams=streams, live=np.zeros(len(sizes), dtype=bool))
+                   streams=streams, live=[False] * len(sizes))
 
     @property
     def rng(self) -> RngStream:
@@ -180,9 +178,8 @@ def modulation(state: OptimizerState, g: np.ndarray):
 def optimizer_step(state: OptimizerState, theta, g) -> np.ndarray:
     """Advance the state by one step and return the updated parameter.
 
-    The segments that have only ever had zero gradients take no part in
-    the arithmetic (see the module docstring): the live ones are gathered
-    into a compact state, stepped, and scattered back.
+    Only the span from the first live segment to the last takes part in
+    the arithmetic, on views of the state (see the module docstring).
     """
     theta = as_tensor(theta)
     g = as_tensor(g)
@@ -192,47 +189,37 @@ def optimizer_step(state: OptimizerState, theta, g) -> np.ndarray:
         )
     if not np.isfinite(g).all():
         raise NonFiniteError("gradient contains NaN or infinite entries")
-    if state.live.all() or not _wake(state, g.reshape(-1)):
+    lo, hi = _live_segments(state, g.reshape(-1))
+    if hi - lo == len(state.sizes):
         return _step(state, theta, g)
 
-    for i in np.flatnonzero(~state.live) if state.streams else ():
+    for i in (*range(lo), *range(hi, len(state.sizes))) if state.streams else ():
         state.streams[i].skip(state.sizes[i])
     out = theta.copy()
-    keep = np.flatnonzero(state.live)
-    if keep.size:
-        idx = state.live_index
-        sizes = tuple(state.sizes[i] for i in keep)
-        flat = {name: getattr(state, name).reshape(-1)
-                for name in ("m", "u", "prev_grad", "avg") if getattr(state, name) is not None}
-        live = replace(state, sizes=sizes, starts=np.cumsum((0,) + sizes[:-1]),
-                       streams=tuple(state.streams[i] for i in keep) if state.streams else (),
-                       **{name: arr[idx] for name, arr in flat.items()})
-        out.reshape(-1)[idx] = _step(live, theta.reshape(-1)[idx], g.reshape(-1)[idx])
-        for name, arr in flat.items():
-            arr[idx] = getattr(live, name)
+    if hi > lo:
+        a, b = state.starts[lo], state.starts[hi - 1] + state.sizes[hi - 1]
+        span = {name: arr.reshape(-1)[a:b] for name in ("m", "u", "prev_grad", "avg")
+                if (arr := getattr(state, name)) is not None}
+        part = replace(state, sizes=state.sizes[lo:hi], starts=state.starts[lo:hi] - a,
+                       streams=state.streams[lo:hi], **span)
+        out.reshape(-1)[a:b] = _step(part, theta.reshape(-1)[a:b], g.reshape(-1)[a:b])
     if state.prev_grad is not None:
         state.prev_grad[...] = g
     state.t += 1
     return out
 
 
-def _wake(state: OptimizerState, g: np.ndarray) -> bool:
-    """Mark the segments with a nonzero entry in the flat gradient ``g`` as
-    live and refresh ``live_index``; True while some segment is not live."""
-    woke = state.live_index is None
-    for i in np.flatnonzero(~state.live):
-        start = state.starts[i]
-        if g[start:start + state.sizes[i]].any():
-            state.live[i] = woke = True
-    if state.live.all():
-        state.live_index = None
-        return False
-    if woke:
-        state.live_index = np.concatenate(
-            [np.arange(start, start + n)
-             for start, n, live in zip(state.starts, state.sizes, state.live) if live]
-            or [np.empty(0, dtype=np.intp)])
-    return True
+def _live_segments(state: OptimizerState, g: np.ndarray) -> tuple:
+    """Flag the segments with a nonzero entry in the flat gradient ``g`` as
+    live, and return the range of segments from the first live one to the
+    last, (0, 0) while none is."""
+    live = state.live
+    if all(live):
+        return 0, len(live)
+    for i, (start, n) in enumerate(zip(state.starts, state.sizes)):
+        live[i] = live[i] or bool(g[start:start + n].any())
+    found = [i for i, flag in enumerate(live) if flag]
+    return (found[0], found[-1] + 1) if found else (0, 0)
 
 
 def _step(state: OptimizerState, theta: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -258,15 +245,15 @@ def _step(state: OptimizerState, theta: np.ndarray, g: np.ndarray) -> np.ndarray
     return np.subtract(theta, step, out=step)
 
 
-def clip_gradients_l2(grads: list, threshold: float, sizes: list | None = None) -> list:
+def clip_gradients_l2(grads: list, threshold: float, spans: list | None = None) -> list:
     """Scale a network's gradient arrays so their joint L2 norm does not
     exceed ``threshold``; below the threshold the arrays pass through.
 
     The squared norm sums one ``float(t @ t)`` per tensor, in list order.
-    An array may pack several tensors end to end, as a layer's gradient
-    vector does; ``sizes[i]`` then gives the element counts of the tensors
-    in ``grads[i]``. By default each array is one tensor. A NaN or infinite
-    entry raises NonFiniteError.
+    An array may pack several tensors, as a layer's gradient vector does;
+    ``spans[i]`` then lists the (start, stop) of each tensor in the flat
+    ``grads[i]``, in the order the norm takes them. By default each array
+    is one tensor. A NaN or infinite entry raises NonFiniteError.
     """
     if threshold <= 0.0:
         raise ValueError(f"clip threshold must be positive, got {threshold}")
@@ -274,13 +261,12 @@ def clip_gradients_l2(grads: list, threshold: float, sizes: list | None = None) 
     total = 0.0
     for i, g in enumerate(grads):
         flat = g.ravel()
-        start = 0
-        for n in (flat.size,) if sizes is None else sizes[i]:
-            part = flat[start:start + n]
+        parts = ((0, flat.size),) if spans is None else spans[i]
+        for start, stop in parts:
+            part = flat[start:stop]
             total += float(part @ part)
-            start += n
-        if start != flat.size:
-            raise ShapeError(f"tensor sizes {sizes[i]} do not split {flat.size} elements")
+        if sum(stop - start for start, stop in parts) != flat.size:
+            raise ShapeError(f"tensor spans {spans[i]} do not split {flat.size} elements")
     # A finite sum proves every entry finite; an infinite one may also come
     # from squares of large finite entries, which clip to zero below.
     if not math.isfinite(total) and not all(np.isfinite(g).all() for g in grads):

@@ -233,6 +233,86 @@ def optimizer_step(state: AdamState, theta, g) -> np.ndarray:
     return theta - step
 
 
+def gru_forward(layer, x):
+    """The recurrence with the gate weights stacked per call and h_0 = 0
+    entering step 0 like any other state. Returns (h, hs, gates)."""
+    b, t_steps, _ = x.shape
+    n = layer.hidden
+    w = np.stack((layer.wz.T, layer.wr.T, layer.wh.T))
+    gates = np.matmul(x.transpose(1, 0, 2)[:, None], w)
+    gates += np.stack((layer.bz, layer.br, layer.bh))[:, None]
+    u_zr = np.stack((layer.uz.T, layer.ur.T))
+    hs = np.empty((t_steps + 1, b, n))
+    hs[0] = 0.0
+    proj = np.empty((2, b, n))
+    rh = np.empty((b, n))
+    with np.errstate(over="ignore"):
+        for t in range(t_steps):
+            h_prev, h = hs[t], hs[t + 1]
+            zr, c = gates[t, :2], gates[t, 2]
+            zr += np.matmul(h_prev, u_zr, out=proj)
+            np.negative(zr, out=zr)
+            np.exp(zr, out=zr)
+            zr += 1.0
+            np.reciprocal(zr, out=zr)
+            np.multiply(zr[1], h_prev, out=rh)
+            c += np.matmul(rh, layer.uh.T, out=proj[0])
+            np.tanh(c, out=c)
+            np.subtract(c, h_prev, out=h)
+            h *= zr[0]
+            h += h_prev
+    return hs[1:].transpose(1, 0, 2), hs, gates
+
+
+def gru_backward(layer, x, hs, gates, upstream):
+    """Backpropagation through time for ``gru_forward`` with stacked
+    recurrences and the full dh_prev work at every step. Returns (dx, grads)."""
+    b, t_steps, d = x.shape
+    n = layer.hidden
+    u_zr = np.stack((layer.uz, layer.ur))
+    g_all = np.empty((3, t_steps, b, n))
+    dh = np.empty((b, n))
+    dh_next = np.zeros((b, n))
+    d_rh = np.empty((b, n))
+    dsig = np.empty((2, b, n))
+    proj = np.empty((2, b, n))
+    for t in reversed(range(t_steps)):
+        h_prev = hs[t]
+        zr, z, r, c = gates[t, :2], gates[t, 0], gates[t, 1], gates[t, 2]
+        g_zr, g_z, g_r, g_c = g_all[:2, t], g_all[0, t], g_all[1, t], g_all[2, t]
+        np.add(upstream[:, t], dh_next, out=dh)
+        np.multiply(c, c, out=g_c)
+        np.subtract(1.0, g_c, out=g_c)
+        g_c *= z
+        g_c *= dh
+        np.matmul(g_c, layer.uh, out=d_rh)
+        np.subtract(c, h_prev, out=g_z)
+        g_z *= dh
+        np.multiply(d_rh, h_prev, out=g_r)
+        np.subtract(1.0, zr, out=dsig)
+        dh *= dsig[0]
+        dsig *= zr
+        g_zr *= dsig
+        np.matmul(g_zr, u_zr, out=proj)
+        np.add(proj[0], proj[1], out=dh_next)
+        dh_next += dh
+        d_rh *= r
+        dh_next += d_rh
+    g = g_all.reshape(3, t_steps * b, n)
+    x_rows = x.transpose(1, 0, 2).reshape(t_steps * b, d)
+    h_prev = hs[:-1].reshape(t_steps * b, n)
+    dw = np.matmul(g.transpose(0, 2, 1), x_rows)
+    du = np.matmul(g[:2].transpose(0, 2, 1), h_prev)
+    duh = g[2].T @ (gates[:, 1] * hs[:-1]).reshape(t_steps * b, n)
+    db = g.sum(axis=1)
+    dx = g[0] @ layer.wz
+    dx += g[1] @ layer.wr
+    dx += g[2] @ layer.wh
+    grads = {"wz": dw[0], "uz": du[0], "bz": db[0], "wr": dw[1], "ur": du[1], "br": db[1],
+             "wh": dw[2], "uh": duh, "bh": db[2]}
+    return np.ascontiguousarray(dx.reshape(t_steps, b, d).transpose(1, 0, 2)), grads
+
+
 def train_network(net, x, y, cfg, rng: RngStream, optimizer_tags: dict,
                   sample_weights=None) -> list:
     """The training loop with one optimizer state per parameter tensor.

@@ -13,6 +13,7 @@ from mlenn.layers import (BatchNorm, Conv1d, Dense, Gru, ShapeError,
                           sigmoid_backward)
 from mlenn.numerics import RngStream
 
+import oracles
 from gradcheck import max_rel_error, numeric_gradient
 
 
@@ -195,6 +196,36 @@ class TestGruOracle:
     def test_matches_per_step_reference(self, b, t, d, n):
         rng = RngStream(1000 * b + 100 * t + 10 * d + n)
         self._check(*_random_gru(rng, b, t, d, n))
+
+    @pytest.mark.parametrize("b,t,d,n", list(itertools.product(
+        (1, 3, 30), (1, 2, 17), (1, 5, 32), (1, 4, 50))))
+    def test_bitwise_equal_to_stacked_form(self, b, t, d, n):
+        # The gate views and the step-0 shortcut give the floats of the
+        # form that stacks fresh copies per call and runs step 0 in full
+        # (== also holds for a zero whose sign the shortcut may flip).
+        p, x, upstream = _random_gru(RngStream(7000 + 1000 * b + 100 * t + 10 * d + n), b, t, d, n)
+        h, cache = gru_forward(p, x)
+        dx = gru_backward(p, cache, upstream)
+        oh, hs, gates = oracles.gru_forward(p, x)
+        odx, ograds = oracles.gru_backward(p, x, hs, gates, upstream)
+        npt.assert_array_equal(h, oh)
+        npt.assert_array_equal(cache.gates, gates)
+        npt.assert_array_equal(dx, odx)
+        for name in p.PARAMS:
+            npt.assert_array_equal(p.grads[name], ograds[name], err_msg=name)
+
+    def test_parameter_vector_holds_three_gate_blocks(self):
+        # [wz; wr; wh], [bz; br; bh], [uz; ur; uh], and the gradient vector
+        # has the same layout.
+        p, x, upstream = _random_gru(RngStream(79), 2, 3, 4, 5)
+        order = [kind + gate for kind in "wbu" for gate in "zrh"]
+        assert list(p.VECTOR_ORDER) == order
+        npt.assert_array_equal(p.param_vector,
+                               np.concatenate([getattr(p, key).ravel() for key in order]))
+        _, cache = gru_forward(p, x)
+        gru_backward(p, cache, upstream)
+        npt.assert_array_equal(p.grad_vector,
+                               np.concatenate([p.grads[key].ravel() for key in order]))
 
     def test_non_contiguous_input_and_upstream(self):
         rng = RngStream(77)
@@ -605,8 +636,33 @@ class TestKernelsLeaveInputsUnchanged:
 class TestMaxPoolTime:
     def test_single_step_is_identity(self):
         x = np.random.default_rng(0).normal(size=(3, 1, 4))
-        y, _ = maxpool_time(x)
+        y, cache = maxpool_time(x)
         npt.assert_array_equal(y, x[:, 0, :])
+        npt.assert_array_equal(cache[0], 0)
+        upstream = np.random.default_rng(1).normal(size=(3, 4))
+        dx = maxpool_time_backward(cache, upstream)
+        npt.assert_array_equal(dx, upstream[:, None, :])
+        assert not np.shares_memory(dx, upstream)
+
+    @pytest.mark.parametrize("layout", ["contiguous", "time-major", "strided"])
+    def test_flat_index_matches_take_along_axis(self, layout):
+        # The GRU's states reach the pool as a (B, T, C) view of a
+        # time-major buffer; any other layout is gathered as a copy.
+        rng = np.random.default_rng(2)
+        if layout == "contiguous":
+            x = rng.normal(size=(4, 6, 3))
+        elif layout == "time-major":
+            x = rng.normal(size=(6, 4, 3)).transpose(1, 0, 2)
+        else:
+            x = rng.normal(size=(4, 12, 5))[:, ::2, 1:4]
+        x[1, 2:4, 0] = 7.0  # a tie: the first maximal step wins
+        upstream = rng.normal(size=(4, 3))
+        y, cache = maxpool_time(x)
+        idx = x.argmax(axis=1)
+        npt.assert_array_equal(y, np.take_along_axis(x, idx[:, None, :], axis=1)[:, 0])
+        expected = np.zeros(x.shape)
+        np.put_along_axis(expected, idx[:, None, :], upstream[:, None, :], axis=1)
+        npt.assert_array_equal(maxpool_time_backward(cache, upstream), expected)
 
     def test_hand_max_and_gradient_routing(self):
         x = np.array([1.0, 3.0, 2.0]).reshape(1, 3, 1)
@@ -637,6 +693,20 @@ class TestDense:
         y, _ = dense_forward(Dense("dense", np.array([[1.0, 2.0]]), np.array([1.0])),
                              np.array([[3.0, 4.0]]))
         npt.assert_array_equal(y, [[12.0]])
+
+    def test_tensors_are_views_into_the_layer_vector(self):
+        # The constructor copies: the caller's arrays are not the layer's.
+        w, b = np.ones((2, 3)), np.zeros(2)
+        d = Dense("dense", w, b)
+        d.param_vector[...] = np.arange(8.0)
+        npt.assert_array_equal(d.weights, [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+        npt.assert_array_equal(d.bias, [6.0, 7.0])
+        d.bias[...] = -1.0
+        npt.assert_array_equal(d.param_vector[6:], -1.0)
+        assert w.sum() == 6.0 and not b.any()
+        dense_backward(d, dense_forward(d, np.ones((4, 3)))[1], np.ones((4, 2)))
+        npt.assert_array_equal(d.grad_vector, [4.0] * 6 + [4.0, 4.0])
+        assert np.shares_memory(d.grads["weights"], d.grad_vector)
 
     @pytest.mark.parametrize("shape", [(4, 3), (2, 5, 3)])
     def test_matches_finite_differences(self, shape):

@@ -369,3 +369,105 @@ class TestClipGradients:
 
 def test_stochastic_pool_is_the_four_variants():
     assert STOCHASTIC_POOL == ("dgrad", "cos1", "exp", "sto")
+
+
+SEGMENT_SHAPES = st.sampled_from([(), (1,), (3,), (2, 3), (4, 1), (3, 3, 2)])
+
+
+def _state(variant, shape, streams, **kw):
+    hyper = {"rho1": 0.5, "rho2": 0.999, "lr": 0.01}
+    return OptimizerState.create(variant, shape, rng=streams if variant == "sto" else None,
+                                 **hyper, **kw)
+
+
+class TestSegmentedState:
+    """One state over k segments, packed end to end, against k one-tensor
+    states: the same bits in the parameters and in every field. A segment
+    gets zero gradients before its wake step (``None``: at every step), so
+    the segments outside the live span take turns being skipped."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @settings(max_examples=30, deadline=None)
+    @given(segments=st.lists(st.tuples(SEGMENT_SHAPES, st.sampled_from([0, 4, 11, None])),
+                             min_size=1, max_size=6),
+           seed=st.integers(0, 2**31 - 1),
+           scale=st.floats(1e-3, 1e3),
+           steps=st.integers(30, 40))
+    # The single-step GRU, in vector order: wr and br get an all-zero
+    # gradient inside the live span, and uz, ur and uh after it.
+    @example(segments=[((3, 5), 0), ((3, 5), None), ((3, 5), 0), ((3,), 0), ((3,), None),
+                       ((3,), 0), ((3, 3), None), ((3, 3), None), ((3, 3), None)],
+             seed=2, scale=1.0, steps=30)
+    def test_bitwise_equal_to_one_state_per_tensor(self, variant, segments, seed, scale, steps):
+        shapes = [shape for shape, _ in segments]
+        sizes = [math.prod(shape) for shape in shapes]
+        layer = _state(variant, (sum(sizes),), [RngStream(seed, i) for i in range(len(shapes))],
+                       sizes=sizes)
+        singles = [_state(variant, shape, RngStream(seed, i)) for i, shape in enumerate(shapes)]
+        draws = np.random.default_rng(seed)
+        thetas = [draws.normal(size=shape) for shape in shapes]
+        vector = np.concatenate(thetas, axis=None)
+        for step in range(steps):
+            # Now and then every segment's gradient is zero at once.
+            grads = [np.zeros(shape) if wake is None or step < wake or step % 7 == 3
+                     else draws.normal(size=shape) * scale for shape, wake in segments]
+            vector = optimizer_step(layer, vector, np.concatenate(grads, axis=None))
+            thetas = [optimizer_step(s, th, g) for s, th, g in zip(singles, thetas, grads)]
+            npt.assert_array_equal(_bits(vector), _bits(np.concatenate(thetas, axis=None)))
+            for field in ("m", "u", "prev_grad", "avg"):
+                if getattr(layer, field) is None:
+                    assert all(getattr(s, field) is None for s in singles)
+                else:
+                    whole = np.concatenate([getattr(s, field) for s in singles], axis=None)
+                    npt.assert_array_equal(_bits(getattr(layer, field)), _bits(whole))
+            assert layer.t == singles[0].t == step + 1
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @settings(max_examples=10, deadline=None)
+    @given(shapes=st.lists(SEGMENT_SHAPES, min_size=1, max_size=5), data=st.data(),
+           bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_non_finite_entry_in_any_segment_raises(self, variant, shapes, data, bad):
+        sizes = [math.prod(shape) for shape in shapes]
+        layer = _state(variant, (sum(sizes),), [RngStream(0, i) for i in range(len(sizes))],
+                       sizes=sizes)
+        g = np.ones(sum(sizes))
+        g[data.draw(st.integers(0, g.size - 1))] = bad
+        with pytest.raises(NonFiniteError):
+            optimizer_step(layer, np.zeros(g.size), g)
+        assert layer.t == 0
+
+    def test_skipped_stream_moves_past_the_draws(self):
+        drawn, skipped = RngStream(9, 3), RngStream(9, 3)
+        drawn.uniform(size=17)
+        skipped.skip(17)
+        npt.assert_array_equal(_bits(skipped.uniform(size=5)), _bits(drawn.uniform(size=5)))
+
+    def test_sizes_must_split_the_vector(self):
+        with pytest.raises(ValueError, match="do not split"):
+            _state("adam", (5,), None, sizes=[2, 2])
+        with pytest.raises(ValueError, match="one stream per segment"):
+            _state("sto", (5,), [RngStream(0)], sizes=[2, 3])
+
+    def test_clip_sums_one_dot_per_tensor(self):
+        # The same norm, to the bit, as the tensors given one by one, also
+        # when a vector holds them in another order than the norm takes them.
+        rng = np.random.default_rng(5)
+        tensors = [rng.normal(size=n) * 0.3 for n in (7, 1, 40, 3)]
+        above = clip_gradients_l2(tensors, 0.5)
+        packed = [np.concatenate([tensors[2], tensors[0], tensors[1]]), tensors[3]]
+        spans = [((40, 47), (47, 48), (0, 40)), ((0, 3),)]
+        assert clip_gradients_l2(packed, 100.0, spans)[0] is packed[0]
+        clipped = clip_gradients_l2(packed, 0.5, spans)
+        npt.assert_array_equal(_bits(np.concatenate(clipped)),
+                               _bits(np.concatenate([above[i] for i in (2, 0, 1, 3)])))
+        with pytest.raises(ValueError, match="do not split"):
+            clip_gradients_l2(packed, 0.5, [((0, 7), (7, 8)), ((0, 3),)])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_clip_lets_large_finite_entries_through(self):
+        # 1e200 squared overflows the norm to inf; the entries are finite,
+        # so the clip scales them to zero instead of raising.
+        out = clip_gradients_l2([np.array([1e200, 1.0])], 1.0)
+        npt.assert_array_equal(out[0], 0.0)
+        with pytest.raises(NonFiniteError):
+            clip_gradients_l2([np.array([1e200, np.inf])], 1.0)

@@ -96,22 +96,26 @@ class TestOptimizerAssignment:
 
     def test_states_cover_every_parameter_tensor(self):
         # One state per trainable layer over its parameter vector, one
-        # segment per tensor in PARAMS order, and for sto one stream per
-        # tensor, keyed by the tensor's position in param_items.
+        # segment per tensor in the order the vector holds them, and for
+        # sto one stream per tensor, keyed by its position in param_items.
         net = small_net(topology="GRU_B")
         tags = assign_optimizers(net, "sto", RngStream(0))
         states = make_optimizer_states(net, tags, TrainConfig(), RngStream(2))
         assert list(states) == [layer.name for layer in net.trainable_layers()]
-        index = 0
+        keys = [key for key, _ in net.param_items()]
+        seen = []
         for layer in net.trainable_layers():
             state = states[layer.name]
             assert state.m.shape == layer.param_vector.shape
-            assert state.sizes == tuple(arr.size for arr in layer.param_tensors().values())
-            assert len(state.streams) == len(layer.PARAMS)
-            for stream in state.streams:
+            by_start = {start: (key, stop) for key, start, stop, _ in layer.spans}
+            assert len(state.streams) == len(state.sizes) == len(layer.PARAMS)
+            for start, size, stream in zip(state.starts, state.sizes, state.streams):
+                key, stop = by_start[start]
+                assert stop - start == size
+                index = keys.index(f"{layer.name}.{key}")
                 assert stream.stream_id == RngStream(2).child(5000 + index).stream_id
-                index += 1
-        assert index == len(net.param_items())
+                seen.append(index)
+        assert sorted(seen) == list(range(len(keys)))
 
 
 class TestTrainNetwork:
@@ -203,21 +207,19 @@ class TestWholeNetworkGradient:
         train_network(net, x, y, cfg, RngStream(2), adam(net), sample_weights=weights)
 
         # One call per trainable layer, on the layer's own vector; split the
-        # gradient by the PARAMS sizes, checking that each piece of the
+        # gradient by the layer's spans, checking that each piece of the
         # vector is the live tensor that param_items hands out.
         layers = net.trainable_layers()
         assert len(seen) == len(layers)
         pieces = []
         for layer, (vector, grad) in zip(layers, seen):
             assert vector is layer.param_vector, layer.name
-            start = 0
-            for key in layer.PARAMS:
+            for key, start, stop, shape in layer.spans:
                 live = getattr(layer, key)
-                view = vector[start:start + live.size].reshape(live.shape)
+                view = vector[start:stop].reshape(shape)
                 assert view.__array_interface__ == live.__array_interface__, key
-                pieces.append((live, grad[start:start + live.size].reshape(live.shape)))
-                start += live.size
-            assert start == vector.size, layer.name
+                pieces.append((live, grad[start:stop].reshape(shape)))
+            assert sum(stop - start for _, start, stop, _ in layer.spans) == vector.size
 
         # Earlier layers are updated before later ones reach the optimizer,
         # so the differences are taken on a twin with the initial weights,
