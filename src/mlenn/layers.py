@@ -721,13 +721,9 @@ def maxpool_time(x):
     idx = x.argmax(axis=1)
     time_major = x.transpose(1, 0, 2)
     if time_major.flags.c_contiguous:
-        src, t_stride, b_stride = time_major, b * c, c
-    else:
-        src, t_stride, b_stride = np.ascontiguousarray(x), c, t_steps * c
-    flat = idx * t_stride
-    flat += np.arange(0, b * b_stride, b_stride)[:, None]
-    flat += np.arange(c)
-    return src.reshape(-1)[flat], (idx, x.shape)
+        return time_major.reshape(-1)[_flat_index(idx, b * c, c)], (idx, x.shape)
+    flat = _flat_index(idx, c, t_steps * c)
+    return np.ascontiguousarray(x).reshape(-1)[flat], (idx, x.shape)
 
 
 def maxpool_time_backward(cache, upstream) -> np.ndarray:
@@ -740,12 +736,19 @@ def maxpool_time_backward(cache, upstream) -> np.ndarray:
         raise ShapeError(f"upstream shape {upstream.shape} does not match pooled {(b, c)}")
     if t_steps == 1:
         return upstream[:, None, :].copy()
-    flat = idx * c
-    flat += np.arange(0, b * t_steps * c, t_steps * c)[:, None]
-    flat += np.arange(c)
     dx = np.zeros(b * t_steps * c)
-    dx[flat] = upstream
+    dx[_flat_index(idx, c, t_steps * c)] = upstream
     return dx.reshape(shape)
+
+
+def _flat_index(idx: np.ndarray, t_stride: int, b_stride: int) -> np.ndarray:
+    """Flat position of element (b, idx[b, c], c) in memory whose time,
+    batch and channel strides are t_stride, b_stride and 1 elements."""
+    b, c = idx.shape
+    flat = idx * t_stride
+    flat += np.arange(0, b * b_stride, b_stride)[:, None]
+    flat += np.arange(c)
+    return flat
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import NonFiniteError, RngStream, ShapeError, as_tensor, logistic_in_place
+from .numerics import NonFiniteError, ShapeError, as_tensor, logistic_in_place
 
 VARIANTS = ("adam", "diffgrad", "dgrad", "cos1", "exp", "sto")
 STOCHASTIC_POOL = ("dgrad", "cos1", "exp", "sto")
@@ -110,12 +110,6 @@ class OptimizerState:
                    prev_grad=np.zeros(shape) if variant == "diffgrad" else None,
                    avg=np.zeros(shape) if variant in STOCHASTIC_POOL else None,
                    streams=streams, live=[False] * len(sizes))
-
-    @property
-    def rng(self) -> RngStream:
-        """sto's stream of a one-segment state."""
-        (stream,) = self.streams
-        return stream
 
 
 def cyclic_lr(t: int) -> float:

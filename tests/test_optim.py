@@ -192,7 +192,8 @@ class TestSto:
 
     def test_multiplier_range(self):
         s = make_state("sto", shape=(1000,), seed=5)
-        u = s.rng.uniform(1000)
+        (stream,) = s.streams
+        u = stream.uniform(1000)
         mult = u + 0.5
         assert mult.min() >= 0.5 and mult.max() < 1.5
 
