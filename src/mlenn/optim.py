@@ -187,15 +187,16 @@ def optimizer_step(state: OptimizerState, theta, g) -> np.ndarray:
     if hi - lo == len(state.sizes):
         return _step(state, theta, g)
 
-    for i in (*range(lo), *range(hi, len(state.sizes))) if state.streams else ():
-        state.streams[i].skip(state.sizes[i])
+    if state.streams:
+        for i in (*range(lo), *range(hi, len(state.sizes))):
+            state.streams[i].skip(state.sizes[i])
     out = theta.copy()
     if hi > lo:
         a, b = state.starts[lo], state.starts[hi - 1] + state.sizes[hi - 1]
-        span = {name: arr.reshape(-1)[a:b] for name in ("m", "u", "prev_grad", "avg")
-                if (arr := getattr(state, name)) is not None}
+        views = {name: getattr(state, name).reshape(-1)[a:b]
+                 for name in ("m", "u", "prev_grad", "avg") if getattr(state, name) is not None}
         part = replace(state, sizes=state.sizes[lo:hi], starts=state.starts[lo:hi] - a,
-                       streams=state.streams[lo:hi], **span)
+                       streams=state.streams[lo:hi], **views)
         out.reshape(-1)[a:b] = _step(part, theta.reshape(-1)[a:b], g.reshape(-1)[a:b])
     if state.prev_grad is not None:
         state.prev_grad[...] = g

@@ -3,12 +3,14 @@ bit for bit.
 
 These are the straightforward forms: Lloyd k-means with distances from an
 explicit (n, c, d) difference tensor and one boolean mask per center, the
-ranking indicators as one Python-level pass per row, the Adam variants
-as one modulation function each over a state that keeps every field, the
-training loop with one optimizer state and one step call per parameter
-tensor, and the dataset and score loaders as one float() call per field. The
-library's faster forms promise the same floats, ties and skipped rows
-included, so the tests compare with ``==`` rather than a tolerance.
+ranking indicators as one Python-level pass per row, the GRU kernels
+with their gate weights stacked into fresh arrays on every call and a
+full step 0, the Adam variants as one modulation function each over a
+state that keeps every field, the training loop with one optimizer state
+and one step call per parameter tensor, and the dataset and score loaders
+as one float() call per field. The library's faster forms promise the
+same floats, ties and skipped rows included, so the tests compare with
+``==`` rather than a tolerance.
 """
 
 from __future__ import annotations
