@@ -63,18 +63,16 @@ class Layer:
     ``_backward`` (returning the input gradient and setting ``grads``).
 
     A layer with ``PARAMS`` owns one contiguous float64 ``param_vector``
-    that holds its parameter tensors end to end, in ``VECTOR_ORDER`` when a
-    layer sets it and in ``PARAMS`` order otherwise, and each ``PARAMS``
-    attribute is a view into it: writing a tensor in place (a model load)
-    writes the vector, and writing the vector (an optimizer step) updates
-    every tensor. ``spans`` lists (name, start, stop, shape) of each tensor
-    in ``PARAMS`` order. The constructors copy the tensors they are given
-    into the vector.
+    that holds its parameter tensors end to end in ``PARAMS`` order, and
+    each ``PARAMS`` attribute is a view into it: writing a tensor in place
+    (a model load) writes the vector, and writing the vector (an optimizer
+    step) updates every tensor. ``spans`` lists (name, start, stop, shape)
+    of each tensor. The constructors copy the tensors they are given into
+    the vector.
     """
 
     PARAMS: tuple = ()
     STATE: tuple = ()
-    VECTOR_ORDER: tuple | None = None
 
     def __init__(self, name: str):
         self.name = name
@@ -84,19 +82,16 @@ class Layer:
     def _own_params(self, *tensors) -> None:
         """Copy ``tensors``, given in ``PARAMS`` order, into a new
         ``param_vector`` and bind each attribute to its view."""
-        tensors = dict(zip(self.PARAMS, (as_tensor(t) for t in tensors), strict=True))
-        starts, start = {}, 0
-        for key in self.VECTOR_ORDER or self.PARAMS:
-            starts[key] = start
-            start += tensors[key].size
-        self.param_vector = np.empty(start)
+        tensors = [as_tensor(t) for t in tensors]
+        self.param_vector = np.empty(sum(t.size for t in tensors))
         self.spans = []
-        for key, tensor in tensors.items():
-            start = starts[key]
+        start = 0
+        for key, tensor in zip(self.PARAMS, tensors, strict=True):
+            self.spans.append((key, start, start + tensor.size, tensor.shape))
             view = self.param_vector[start:start + tensor.size].reshape(tensor.shape)
             view[...] = tensor
             setattr(self, key, view)
-            self.spans.append((key, start, start + tensor.size, tensor.shape))
+            start += tensor.size
 
     def _new_grads(self) -> dict:
         """Allocate a fresh ``grad_vector`` laid out like ``param_vector``
@@ -250,18 +245,16 @@ class Gru(Layer):
     Candidate:   c_t = tanh(wh x_t + uh (r_t * h_{t-1}) + bh)
     State:       h_t = (1 - z_t) * h_{t-1} + z_t * c_t
 
-    The nine tensors are serialized separately, in ``PARAMS`` order. The
-    parameter vector holds them in three blocks, gates in z | r | c order:
-    the input weights [wz; wr; wh], the biases [bz; br; bh] and the
-    recurrences [uz; ur; uh]. So the kernels read each block as one
-    contiguous view (``gate_views``) and write the gradients the same way,
-    and the recurrences, which get zero gradients at T = 1, end the vector.
-    Inside the kernels sequences are time-major, so that the rows one step
-    reads or writes are contiguous.
+    The nine tensors are serialized separately, in ``PARAMS`` order. That
+    order makes the parameter vector gate-major: as a (3, N*D + N*N + N)
+    array its rows hold (w, u, b) of z, r and c. So the kernels read the
+    input weights [wz; wr; wh], the recurrences [uz; ur; uh] and the
+    biases [bz; br; bh] as strided views (``gate_views``), and write the
+    gradients the same way. Inside the kernels sequences are time-major,
+    so that the rows one step reads or writes are contiguous.
     """
 
     PARAMS = ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh")
-    VECTOR_ORDER = ("wz", "wr", "wh", "bz", "br", "bh", "uz", "ur", "uh")
 
     def __init__(self, name: str, wz, uz, bz, wr, ur, br, wh, uh, bh):
         super().__init__(name)
@@ -269,13 +262,13 @@ class Gru(Layer):
         self.gate_params = self.gate_views(self.param_vector)
 
     def gate_views(self, vector: np.ndarray) -> tuple:
-        """The (3, N, D) input weights, (3, N) biases and (3, N, N)
-        recurrences of a vector laid out like ``param_vector``, gates in
+        """The (3, N, D) input weights, (3, N, N) recurrences and (3, N)
+        biases of a vector laid out like ``param_vector``, gates in
         z | r | c order, as views."""
         n, d = self.bz.shape[0], self.wz.shape[1]
-        w_end, b_end = 3 * n * d, 3 * n * (d + 1)
-        return (vector[:w_end].reshape(3, n, d), vector[w_end:b_end].reshape(3, n),
-                vector[b_end:].reshape(3, n, n))
+        rows = vector.reshape(3, -1)
+        return (rows[:, :n * d].reshape(3, n, d), rows[:, n * d:n * (d + n)].reshape(3, n, n),
+                rows[:, n * (d + n):])
 
     @classmethod
     def glorot(cls, name: str, hidden: int, channels: int, rng: RngStream) -> "Gru":
@@ -327,7 +320,7 @@ def gru_forward(layer: Gru, x):
     if layer.channels != d:
         raise ShapeError(f"input has {d} channels but the layer expects {layer.channels}")
 
-    w, bias, u = layer.gate_params
+    w, u, bias = layer.gate_params
     gates = np.matmul(x.transpose(1, 0, 2)[:, None], w.transpose(0, 2, 1))
     gates += bias[:, None]
     u_zr = u[:2].transpose(0, 2, 1)
@@ -378,7 +371,7 @@ def gru_backward(layer: Gru, cache: GruCache, upstream) -> np.ndarray:
         raise ShapeError(
             f"upstream shape {upstream.shape} does not match output {(b, t_steps, n)}"
         )
-    w, _, u = layer.gate_params
+    w, u, _ = layer.gate_params
     u_zr = u[:2]
     g_all = np.empty((3, t_steps, b, n))
     dh = np.empty((b, n))
@@ -428,7 +421,7 @@ def gru_backward(layer: Gru, cache: GruCache, upstream) -> np.ndarray:
     g = g_all.reshape(3, t_steps * b, n)
     x_rows = x.transpose(1, 0, 2).reshape(t_steps * b, d)
     layer._new_grads()
-    dw, db, du = layer.gate_views(layer.grad_vector)
+    dw, du, db = layer.gate_views(layer.grad_vector)
     np.matmul(g.transpose(0, 2, 1), x_rows, out=dw)
     if t_steps == 1:
         du[...] = 0.0

@@ -86,11 +86,6 @@ class RngStream:
         """U(0, 1) draws."""
         return self._gen.uniform(0.0, 1.0, size=size)
 
-    def skip(self, n: int) -> None:
-        """Move past ``n`` uniform draws without making them; each draw
-        reads one 64-bit output of the generator."""
-        self._gen.bit_generator.advance(n)
-
     def integers(self, high: int, size=None):
         """Uniform integers in [0, high)."""
         return self._gen.integers(0, high, size=size)

@@ -27,23 +27,15 @@ segments: a layer's tensors, packed end to end, or one tensor alone. All
 arithmetic is per element, except the max(.) above, which is taken per
 segment, and sto's U, which each segment draws from its own stream. So
 one step over a layer's vector gives the bits of one step per tensor. A
-step builds its temporaries in a few buffers, each updated in place in
-the textbook operation order, and a state is mutated only by its own step
-call.
-
-A segment is live from its first nonzero gradient entry on. Until then
-its moments and memory are all zero, so its step is exactly zero for
-every variant: its parameters pass through, and sto only moves the
-segment's stream past the draws it would make. So the segments before the
-first live one and after the last are left out of the arithmetic. In the
-single-step encoding the GRU's recurrences, which end its vector, never
-become live, since h_0 = 0.
+step builds its temporaries in a few C-ordered buffers, each updated in
+place in the textbook operation order, and a state is mutated only by its
+own step call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,9 +56,8 @@ class OptimizerState:
 
     ``sizes`` holds the element count of each segment, in order, and
     ``starts`` their offsets. ``prev_grad`` (diffgrad) and ``avg`` (dgrad,
-    cos1, exp, sto) are None for the variants that do not read them;
-    ``streams`` holds sto's streams, one per segment, and ``live`` flags
-    the segments that have had a nonzero gradient entry.
+    cos1, exp, sto) are None for the variants that do not read them, and
+    ``streams`` holds sto's streams, one per segment.
     """
 
     variant: str
@@ -81,35 +72,29 @@ class OptimizerState:
     avg: np.ndarray | None = None
     t: int = 0
     streams: tuple = ()
-    live: list | None = None
 
     @classmethod
-    def create(cls, variant: str, shape, *, rho1: float, rho2: float, lr: float,
-               rng=None, sizes=None) -> "OptimizerState":
-        """Zeroed state of ``variant`` for a vector of ``shape``. ``sizes``
-        splits its elements, in C order, into segments; by default the
-        whole vector is one. sto needs ``rng``: a stream for one segment,
-        or a sequence of streams, one per segment."""
+    def create(cls, variant: str, shape, sizes, *, rho1: float, rho2: float, lr: float,
+               streams=None) -> "OptimizerState":
+        """Zeroed state of ``variant`` for a vector of ``shape`` whose
+        elements, in C order, ``sizes`` splits into segments. sto needs
+        ``streams``, one per segment; the other variants draw nothing."""
         if variant not in VARIANTS:
             raise ValueError(f"unknown optimizer variant {variant!r}")
         shape = tuple(shape)
         total = math.prod(shape)
-        sizes = (total,) if sizes is None else tuple(int(n) for n in sizes)
+        sizes = tuple(int(n) for n in sizes)
         if sum(sizes) != total or min(sizes) < 1:
             raise ShapeError(f"segment sizes {sizes} do not split {total} elements")
-        streams = ()
-        if variant == "sto":
-            if rng is None:
-                raise ValueError("sto variant requires an rng stream")
-            streams = tuple(rng) if isinstance(rng, (list, tuple)) else (rng,)
-            if len(streams) != len(sizes):
-                raise ValueError(f"sto needs one stream per segment: {len(streams)} "
-                                 f"streams for {len(sizes)} segments")
+        streams = () if variant != "sto" else tuple(streams or ())
+        if variant == "sto" and len(streams) != len(sizes):
+            raise ValueError(f"sto needs one stream per segment: {len(streams)} "
+                             f"streams for {len(sizes)} segments")
         starts = np.cumsum((0,) + sizes[:-1])
         return cls(variant, np.zeros(shape), np.zeros(shape), rho1, rho2, lr, sizes, starts,
                    prev_grad=np.zeros(shape) if variant == "diffgrad" else None,
                    avg=np.zeros(shape) if variant in STOCHASTIC_POOL else None,
-                   streams=streams, live=[False] * len(sizes))
+                   streams=streams)
 
 
 def cyclic_lr(t: int) -> float:
@@ -127,12 +112,14 @@ def modulation(state: OptimizerState, g: np.ndarray):
     if variant == "adam":
         return None
     if variant == "diffgrad":
-        xi = np.subtract(state.prev_grad, g, out=np.empty_like(g))
+        xi = np.subtract(state.prev_grad, g, out=np.empty(g.shape))
         logistic_in_place(np.abs(xi, out=xi))
         state.prev_grad[...] = g
         return xi
 
-    d = np.empty_like(g)
+    # C order, so that the per-segment division below writes through the
+    # flat view whatever the memory order of g.
+    d = np.empty(g.shape)
     if state.t == 0:
         np.abs(g, out=d)
     else:
@@ -145,7 +132,7 @@ def modulation(state: OptimizerState, g: np.ndarray):
         x = d
         scale = 4.0 if variant == "dgrad" else 4.0 * cyclic_lr(state.t + 1)
     elif variant in ("exp", "sto"):
-        x = np.multiply(d, -(EXP_K if variant == "exp" else 4.0), out=np.empty_like(d))
+        x = np.multiply(d, -(EXP_K if variant == "exp" else 4.0), out=np.empty(d.shape))
         np.exp(x, out=x)
         x *= d
         if variant == "sto":
@@ -170,11 +157,7 @@ def modulation(state: OptimizerState, g: np.ndarray):
 
 
 def optimizer_step(state: OptimizerState, theta, g) -> np.ndarray:
-    """Advance the state by one step and return the updated parameter.
-
-    Only the span from the first live segment to the last takes part in
-    the arithmetic, on views of the state (see the module docstring).
-    """
+    """Advance the state by one step and return the updated parameter."""
     theta = as_tensor(theta)
     g = as_tensor(g)
     if theta.shape != g.shape or theta.shape != state.m.shape:
@@ -183,45 +166,9 @@ def optimizer_step(state: OptimizerState, theta, g) -> np.ndarray:
         )
     if not np.isfinite(g).all():
         raise NonFiniteError("gradient contains NaN or infinite entries")
-    lo, hi = _live_segments(state, g.reshape(-1))
-    if hi - lo == len(state.sizes):
-        return _step(state, theta, g)
-
-    if state.streams:
-        for i in (*range(lo), *range(hi, len(state.sizes))):
-            state.streams[i].skip(state.sizes[i])
-    out = theta.copy()
-    if hi > lo:
-        a, b = state.starts[lo], state.starts[hi - 1] + state.sizes[hi - 1]
-        views = {name: getattr(state, name).reshape(-1)[a:b]
-                 for name in ("m", "u", "prev_grad", "avg") if getattr(state, name) is not None}
-        part = replace(state, sizes=state.sizes[lo:hi], starts=state.starts[lo:hi] - a,
-                       streams=state.streams[lo:hi], **views)
-        out.reshape(-1)[a:b] = _step(part, theta.reshape(-1)[a:b], g.reshape(-1)[a:b])
-    if state.prev_grad is not None:
-        state.prev_grad[...] = g
-    state.t += 1
-    return out
-
-
-def _live_segments(state: OptimizerState, g: np.ndarray) -> tuple:
-    """Flag the segments with a nonzero entry in the flat gradient ``g`` as
-    live, and return the range of segments from the first live one to the
-    last, (0, 0) while none is."""
-    live = state.live
-    if all(live):
-        return 0, len(live)
-    for i, (start, n) in enumerate(zip(state.starts, state.sizes)):
-        live[i] = live[i] or bool(g[start:start + n].any())
-    found = [i for i, flag in enumerate(live) if flag]
-    return (found[0], found[-1] + 1) if found else (0, 0)
-
-
-def _step(state: OptimizerState, theta: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """One step over every element of the state."""
     xi = modulation(state, g)
     state.t += 1
-    tmp = np.multiply(g, 1.0 - state.rho1, out=np.empty_like(g))
+    tmp = np.multiply(g, 1.0 - state.rho1, out=np.empty(g.shape))
     state.m *= state.rho1
     state.m += tmp
     np.multiply(g, 1.0 - state.rho2, out=tmp)
@@ -229,7 +176,7 @@ def _step(state: OptimizerState, theta: np.ndarray, g: np.ndarray) -> np.ndarray
     state.u *= state.rho2
     state.u += tmp
     # lr * mhat / (sqrt(uhat) + eps), then * xi
-    step = np.divide(state.m, 1.0 - state.rho1 ** state.t, out=np.empty_like(g))
+    step = np.divide(state.m, 1.0 - state.rho1 ** state.t, out=np.empty(g.shape))
     step *= state.lr
     denom = np.divide(state.u, 1.0 - state.rho2 ** state.t, out=tmp)
     np.sqrt(denom, out=denom)
@@ -240,15 +187,15 @@ def _step(state: OptimizerState, theta: np.ndarray, g: np.ndarray) -> np.ndarray
     return np.subtract(theta, step, out=step)
 
 
-def clip_gradients_l2(grads: list, threshold: float, spans: list | None = None) -> list:
+def clip_gradients_l2(grads: list, threshold: float, sizes: list | None = None) -> list:
     """Scale a network's gradient arrays so their joint L2 norm does not
     exceed ``threshold``; below the threshold the arrays pass through.
 
     The squared norm sums one ``float(t @ t)`` per tensor, in list order.
-    An array may pack several tensors, as a layer's gradient vector does;
-    ``spans[i]`` then lists the (start, stop) of each tensor in the flat
-    ``grads[i]``, in the order the norm takes them. By default each array
-    is one tensor. A NaN or infinite entry raises NonFiniteError.
+    An array may pack several tensors end to end, as a layer's gradient
+    vector does; ``sizes[i]`` then gives the element counts of the tensors
+    in ``grads[i]``. By default each array is one tensor. A NaN or infinite
+    entry raises NonFiniteError.
     """
     if threshold <= 0.0:
         raise ValueError(f"clip threshold must be positive, got {threshold}")
@@ -256,12 +203,13 @@ def clip_gradients_l2(grads: list, threshold: float, spans: list | None = None) 
     total = 0.0
     for i, g in enumerate(grads):
         flat = g.ravel()
-        parts = ((0, flat.size),) if spans is None else spans[i]
-        for start, stop in parts:
-            part = flat[start:stop]
+        start = 0
+        for n in (flat.size,) if sizes is None else sizes[i]:
+            part = flat[start:start + n]
             total += float(part @ part)
-        if sum(stop - start for start, stop in parts) != flat.size:
-            raise ShapeError(f"tensor spans {spans[i]} do not split {flat.size} elements")
+            start += n
+        if start != flat.size:
+            raise ShapeError(f"tensor sizes {sizes[i]} do not split {flat.size} elements")
     # A finite sum proves every entry finite; an infinite one may also come
     # from squares of large finite entries, which clip to zero below.
     if not math.isfinite(total) and not all(np.isfinite(g).all() for g in grads):

@@ -88,7 +88,7 @@ def assign_optimizers(net: Network, policy: str, rng: RngStream) -> dict:
 def make_optimizer_states(net: Network, tags: dict, cfg: TrainConfig,
                           rng: RngStream) -> dict:
     """One state per trainable layer, keyed by layer name, over the layer's
-    parameter vector with one segment per tensor, in vector order.
+    parameter vector with one segment per tensor in ``PARAMS`` order.
 
     sto draws the tensor at position ``index`` of ``Network.param_items()``
     from ``rng.child(5000 + index)``.
@@ -97,16 +97,14 @@ def make_optimizer_states(net: Network, tags: dict, cfg: TrainConfig,
     index = 0
     for layer in net.trainable_layers():
         variant = tags[layer.name]
-        # (position in PARAMS, span) in the order the vector holds them
-        spans = sorted(enumerate(layer.spans), key=lambda item: item[1][1])
-        streams = ([rng.child(5000 + index + i) for i, _ in spans]
+        sizes = [arr.size for arr in layer.param_tensors().values()]
+        streams = ([rng.child(5000 + index + i) for i in range(len(sizes))]
                    if variant == "sto" else None)
         states[layer.name] = OptimizerState.create(
-            variant, layer.param_vector.shape, rho1=cfg.rho1, rho2=cfg.rho2,
-            lr=cfg.learning_rate, rng=streams,
-            sizes=[stop - start for _, (_, start, stop, _) in spans],
+            variant, layer.param_vector.shape, sizes, rho1=cfg.rho1, rho2=cfg.rho2,
+            lr=cfg.learning_rate, streams=streams,
         )
-        index += len(spans)
+        index += len(sizes)
     return states
 
 
@@ -125,8 +123,7 @@ def train_network(net: Network, x, y, cfg: TrainConfig, rng: RngStream,
     trainable = net.trainable_layers()
     states = make_optimizer_states(net, optimizer_tags, cfg, rng)
     states = [states[layer.name] for layer in trainable]
-    # The clip sums the tensors' squares in param_items order.
-    spans = [[(start, stop) for _, start, stop, _ in layer.spans] for layer in trainable]
+    sizes = [state.sizes for state in states]
     weights = None if sample_weights is None else np.asarray(sample_weights, dtype=np.float64)
 
     epochs = cfg.resolve_epochs(net.spec.topology)
@@ -145,7 +142,7 @@ def train_network(net: Network, x, y, cfg: TrainConfig, rng: RngStream,
             net.backward(d_scores)
 
             grads = [layer.grad_vector for layer in trainable]
-            clipped = clip_gradients_l2(grads, cfg.clip_threshold, spans)
+            clipped = clip_gradients_l2(grads, cfg.clip_threshold, sizes)
             for layer, state, grad in zip(trainable, states, clipped):
                 layer.param_vector[...] = optimizer_step(state, layer.param_vector, grad)
             running += loss * len(idx)

@@ -238,18 +238,18 @@ ADAM = {"rho1": 0.9, "rho2": 0.999, "lr": 0.01}
 def test_c02_optimizer_exactness():
     with criterion(2, "optimizer exactness"):
         # adam first scalar step
-        s = OptimizerState.create("adam", (), **ADAM)
+        s = OptimizerState.create("adam", (), (1,), **ADAM)
         theta = optimizer_step(s, np.asarray(0.0), np.asarray(1.0))
         assert abs(float(theta) - (-0.01 * (1.0 / (1.0 + 1e-8)))) < 1e-9
 
         # diffgrad first-step modulation = Sig(1)
-        s = OptimizerState.create("diffgrad", (), **ADAM)
+        s = OptimizerState.create("diffgrad", (), (1,), **ADAM)
         theta = optimizer_step(s, np.asarray(0.0), np.asarray(1.0))
         assert abs(float(theta) - (-0.01 * _sig(1.0) / (1.0 + 1e-8))) < 1e-9
         assert abs(_sig(1.0) - 0.731058) < 1e-6
 
         # dgrad max element hits Sig(4)
-        s = OptimizerState.create("dgrad", (2,), **ADAM)
+        s = OptimizerState.create("dgrad", (2,), (2,), **ADAM)
         xi = modulation(s, np.array([0.5, -1.5]))
         assert abs(float(xi[1]) - _sig(4.0)) < 1e-9
         assert abs(_sig(4.0) - 0.982013) < 1e-6
@@ -260,7 +260,7 @@ def test_c02_optimizer_exactness():
 
         # exp on first-step distances [0.1, 0.5] with k=2; the expected pair
         # is the hand evaluation 1.5 * v / max(v), v = d * e^(-2d)
-        s = OptimizerState.create("exp", (2,), **ADAM)
+        s = OptimizerState.create("exp", (2,), (2,), **ADAM)
         xi = modulation(s, np.array([0.1, 0.5]))
         expected0 = 1.5 * (0.1 * math.exp(-0.2)) / (0.5 * math.exp(-1.0))
         npt.assert_allclose(xi, [expected0, 1.5], atol=1e-5)
@@ -269,7 +269,7 @@ def test_c02_optimizer_exactness():
         # sto equals the k=4 bump times (U + 0.5), with U drawn from a
         # same-seeded stream, bitwise (first step: d = |g|)
         g = np.array([0.3, 1.2, -0.7, 0.05])
-        s_sto = OptimizerState.create("sto", (4,), rng=RngStream(1), **ADAM)
+        s_sto = OptimizerState.create("sto", (4,), (4,), streams=[RngStream(1)], **ADAM)
         d = np.abs(g)
         v = d * np.exp(-4.0 * d) * (RngStream(1).uniform(size=4) + 0.5)
         npt.assert_array_equal(modulation(s_sto, g), 1.5 * (v / v.max()))
@@ -292,7 +292,7 @@ def test_c03_optimizer_ranges_and_period():
         }
         rng = np.random.default_rng(77)
         for variant in ("dgrad", "cos1", "exp", "sto"):
-            s = OptimizerState.create(variant, (size,), rng=RngStream(5), **ADAM)
+            s = OptimizerState.create(variant, (size,), (size,), streams=[RngStream(5)], **ADAM)
             lo, hi = ranges[variant]
             for _ in range(steps_per_variant):
                 g = rng.normal(size=size) * rng.uniform(0.01, 2.0)
@@ -301,7 +301,7 @@ def test_c03_optimizer_ranges_and_period():
                 assert xi.min() >= lo - 1e-15 and xi.max() <= hi + 1e-15, variant
 
         # diffgrad bounds ride along its full step
-        s = OptimizerState.create("diffgrad", (size,), **ADAM)
+        s = OptimizerState.create("diffgrad", (size,), (size,), **ADAM)
         theta = np.zeros(size)
         for _ in range(steps_per_variant // 5):
             g = rng.normal(size=size) * 2.0
@@ -327,8 +327,7 @@ def test_c03_optimizer_ranges_and_period():
 # ---------------------------------------------------------------------------
 
 def _smoke(variant, budget=2000):
-    s = OptimizerState.create(variant, (), rng=RngStream(3) if variant == "sto" else None,
-                              **ADAM)
+    s = OptimizerState.create(variant, (), (1,), streams=[RngStream(3)], **ADAM)
     theta = np.asarray(5.0)
     for step in range(1, budget + 1):
         theta = optimizer_step(s, theta, 2.0 * theta)

@@ -214,18 +214,22 @@ class TestGruOracle:
         for name in p.PARAMS:
             npt.assert_array_equal(p.grads[name], ograds[name], err_msg=name)
 
-    def test_parameter_vector_holds_three_gate_blocks(self):
-        # [wz; wr; wh], [bz; br; bh], [uz; ur; uh], and the gradient vector
-        # has the same layout.
+    def test_vectors_hold_the_tensors_in_params_order(self):
+        # The parameter and gradient vectors hold the nine tensors end to
+        # end in PARAMS order, and the gate views read them in place.
         p, x, upstream = _random_gru(RngStream(79), 2, 3, 4, 5)
-        order = [kind + gate for kind in "wbu" for gate in "zrh"]
-        assert list(p.VECTOR_ORDER) == order
         npt.assert_array_equal(p.param_vector,
-                               np.concatenate([getattr(p, key).ravel() for key in order]))
+                               np.concatenate([getattr(p, key).ravel() for key in p.PARAMS]))
+        w, u, bias = p.gate_params
+        for gate, (wk, uk, bk) in enumerate((("wz", "uz", "bz"), ("wr", "ur", "br"),
+                                             ("wh", "uh", "bh"))):
+            for views, key in ((w, wk), (u, uk), (bias, bk)):
+                assert np.shares_memory(views[gate], p.param_vector), key
+                npt.assert_array_equal(views[gate], getattr(p, key), err_msg=key)
         _, cache = gru_forward(p, x)
         gru_backward(p, cache, upstream)
         npt.assert_array_equal(p.grad_vector,
-                               np.concatenate([p.grads[key].ravel() for key in order]))
+                               np.concatenate([p.grads[key].ravel() for key in p.PARAMS]))
 
     def test_non_contiguous_input_and_upstream(self):
         rng = RngStream(77)

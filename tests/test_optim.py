@@ -17,9 +17,9 @@ def sig(x):
 
 
 def make_state(variant, shape=(), seed=0, **kw):
-    kw = {"rho1": 0.9, "rho2": 0.999, "lr": 0.01,
-          "rng": RngStream(seed) if variant == "sto" else None, **kw}
-    return OptimizerState.create(variant, shape, **kw)
+    """A one-segment state over ``shape``."""
+    kw = {"rho1": 0.9, "rho2": 0.999, "lr": 0.01, "streams": [RngStream(seed)], **kw}
+    return OptimizerState.create(variant, shape, (math.prod(shape),), **kw)
 
 
 class TestAdam:
@@ -185,7 +185,7 @@ class _MidpointStream:
 class TestSto:
     def test_forced_midpoint_matches_exp_with_k_four(self):
         g = np.array([0.3, 1.2, -0.7])
-        s_sto = make_state("sto", shape=(3,), rng=_MidpointStream())
+        s_sto = make_state("sto", shape=(3,), streams=[_MidpointStream()])
         s_exp = oracles.AdamState.create("exp", (3,), rho1=0.9, rho2=0.999, lr=0.01,
                                          k_exp=4.0)
         npt.assert_array_equal(modulation(s_sto, g), oracles.exp_xi(s_exp, g))  # bitwise
@@ -304,8 +304,8 @@ class TestMatchesReference:
     @example(shape=(), rho1=0.5, seed=1, scale=1.0, kinds=["zeros", "random", "repeat", "zeros"])
     def test_bitwise_equal_at_every_step(self, variant, shape, rho1, seed, scale, kinds):
         hyper = {"rho1": rho1, "rho2": 0.999, "lr": 0.01}
-        lib = OptimizerState.create(variant, shape, rng=RngStream(seed) if variant == "sto" else None,
-                                    **hyper)
+        lib = OptimizerState.create(variant, shape, (math.prod(shape),),
+                                    streams=[RngStream(seed)], **hyper)
         ref = oracles.AdamState.create(variant, shape, rng=RngStream(seed), **hyper)
         draws = np.random.default_rng(seed)
         theta_lib = theta_ref = draws.normal(size=shape)
@@ -329,6 +329,22 @@ class TestMatchesReference:
                 npt.assert_array_equal(_bits(lib.avg), _bits(ref.avg))
             else:
                 assert lib.avg is None
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_fortran_ordered_arrays(self, variant):
+        # A transposed parameter and gradient are stored in Fortran order;
+        # the per-segment max normalization must still reach every element.
+        hyper = {"rho1": 0.5, "rho2": 0.999, "lr": 0.01}
+        lib = OptimizerState.create(variant, (3, 4), (12,), streams=[RngStream(4)], **hyper)
+        ref = oracles.AdamState.create(variant, (3, 4), rng=RngStream(4), **hyper)
+        draws = np.random.default_rng(4)
+        theta_lib = theta_ref = draws.normal(size=(4, 3)).T
+        for _ in range(5):
+            g = draws.normal(size=(4, 3)).T
+            assert g.flags.f_contiguous and not g.flags.c_contiguous
+            theta_lib = optimizer_step(lib, theta_lib, g)
+            theta_ref = oracles.optimizer_step(ref, theta_ref, g)
+            npt.assert_array_equal(_bits(theta_lib), _bits(theta_ref))
 
 
 class TestClipGradients:
@@ -375,17 +391,15 @@ def test_stochastic_pool_is_the_four_variants():
 SEGMENT_SHAPES = st.sampled_from([(), (1,), (3,), (2, 3), (4, 1), (3, 3, 2)])
 
 
-def _state(variant, shape, streams, **kw):
+def _state(variant, shape, sizes, streams):
     hyper = {"rho1": 0.5, "rho2": 0.999, "lr": 0.01}
-    return OptimizerState.create(variant, shape, rng=streams if variant == "sto" else None,
-                                 **hyper, **kw)
+    return OptimizerState.create(variant, shape, sizes, streams=streams, **hyper)
 
 
 class TestSegmentedState:
     """One state over k segments, packed end to end, against k one-tensor
     states: the same bits in the parameters and in every field. A segment
-    gets zero gradients before its wake step (``None``: at every step), so
-    the segments outside the live span take turns being skipped."""
+    gets zero gradients before its wake step (``None``: at every step)."""
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @settings(max_examples=30, deadline=None)
@@ -394,17 +408,18 @@ class TestSegmentedState:
            seed=st.integers(0, 2**31 - 1),
            scale=st.floats(1e-3, 1e3),
            steps=st.integers(30, 40))
-    # The single-step GRU, in vector order: wr and br get an all-zero
-    # gradient inside the live span, and uz, ur and uh after it.
-    @example(segments=[((3, 5), 0), ((3, 5), None), ((3, 5), 0), ((3,), 0), ((3,), None),
-                       ((3,), 0), ((3, 3), None), ((3, 3), None), ((3, 3), None)],
+    # The single-step GRU in PARAMS order: uz, ur, uh, wr and br get an
+    # all-zero gradient at every step.
+    @example(segments=[((3, 5), 0), ((3, 3), None), ((3,), 0), ((3, 5), None), ((3, 3), None),
+                       ((3,), None), ((3, 5), 0), ((3, 3), None), ((3,), 0)],
              seed=2, scale=1.0, steps=30)
     def test_bitwise_equal_to_one_state_per_tensor(self, variant, segments, seed, scale, steps):
         shapes = [shape for shape, _ in segments]
         sizes = [math.prod(shape) for shape in shapes]
-        layer = _state(variant, (sum(sizes),), [RngStream(seed, i) for i in range(len(shapes))],
-                       sizes=sizes)
-        singles = [_state(variant, shape, RngStream(seed, i)) for i, shape in enumerate(shapes)]
+        layer = _state(variant, (sum(sizes),), sizes,
+                       [RngStream(seed, i) for i in range(len(shapes))])
+        singles = [_state(variant, shape, (n,), [RngStream(seed, i)])
+                   for i, (shape, n) in enumerate(zip(shapes, sizes))]
         draws = np.random.default_rng(seed)
         thetas = [draws.normal(size=shape) for shape in shapes]
         vector = np.concatenate(thetas, axis=None)
@@ -429,40 +444,34 @@ class TestSegmentedState:
            bad=st.sampled_from([np.nan, np.inf, -np.inf]))
     def test_non_finite_entry_in_any_segment_raises(self, variant, shapes, data, bad):
         sizes = [math.prod(shape) for shape in shapes]
-        layer = _state(variant, (sum(sizes),), [RngStream(0, i) for i in range(len(sizes))],
-                       sizes=sizes)
+        layer = _state(variant, (sum(sizes),), sizes,
+                       [RngStream(0, i) for i in range(len(sizes))])
         g = np.ones(sum(sizes))
         g[data.draw(st.integers(0, g.size - 1))] = bad
         with pytest.raises(NonFiniteError):
             optimizer_step(layer, np.zeros(g.size), g)
         assert layer.t == 0
 
-    def test_skipped_stream_moves_past_the_draws(self):
-        drawn, skipped = RngStream(9, 3), RngStream(9, 3)
-        drawn.uniform(size=17)
-        skipped.skip(17)
-        npt.assert_array_equal(_bits(skipped.uniform(size=5)), _bits(drawn.uniform(size=5)))
-
     def test_sizes_must_split_the_vector(self):
         with pytest.raises(ValueError, match="do not split"):
-            _state("adam", (5,), None, sizes=[2, 2])
+            _state("adam", (5,), [2, 2], None)
         with pytest.raises(ValueError, match="one stream per segment"):
-            _state("sto", (5,), [RngStream(0)], sizes=[2, 3])
+            _state("sto", (5,), [2, 3], [RngStream(0)])
+        with pytest.raises(ValueError, match="one stream per segment"):
+            _state("sto", (5,), [5], None)
 
     def test_clip_sums_one_dot_per_tensor(self):
-        # The same norm, to the bit, as the tensors given one by one, also
-        # when a vector holds them in another order than the norm takes them.
+        # The same norm, to the bit, as the tensors given one by one.
         rng = np.random.default_rng(5)
         tensors = [rng.normal(size=n) * 0.3 for n in (7, 1, 40, 3)]
         above = clip_gradients_l2(tensors, 0.5)
-        packed = [np.concatenate([tensors[2], tensors[0], tensors[1]]), tensors[3]]
-        spans = [((40, 47), (47, 48), (0, 40)), ((0, 3),)]
-        assert clip_gradients_l2(packed, 100.0, spans)[0] is packed[0]
-        clipped = clip_gradients_l2(packed, 0.5, spans)
-        npt.assert_array_equal(_bits(np.concatenate(clipped)),
-                               _bits(np.concatenate([above[i] for i in (2, 0, 1, 3)])))
+        packed = [np.concatenate(tensors[:3]), tensors[3]]
+        sizes = [(7, 1, 40), (3,)]
+        assert clip_gradients_l2(packed, 100.0, sizes)[0] is packed[0]
+        clipped = clip_gradients_l2(packed, 0.5, sizes)
+        npt.assert_array_equal(_bits(np.concatenate(clipped)), _bits(np.concatenate(above)))
         with pytest.raises(ValueError, match="do not split"):
-            clip_gradients_l2(packed, 0.5, [((0, 7), (7, 8)), ((0, 3),)])
+            clip_gradients_l2(packed, 0.5, [(7, 1), (3,)])
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_clip_lets_large_finite_entries_through(self):
