@@ -244,9 +244,10 @@ def bce_loss(y, p, weights=None):
     if y.shape != p.shape or y.ndim != 2:
         raise ShapeError(f"targets {y.shape} and predictions {p.shape} must be equal 2-D shapes")
     norm = float(y.shape[0])
-    pc = np.clip(p, 1e-12, 1.0 - 1e-12)
-    row_terms = np.sum(y * np.log(pc) + (1.0 - y) * np.log1p(-pc), axis=1)
-    grad = -(y / pc - (1.0 - y) / (1.0 - pc)) / norm
+    pc = np.minimum(np.maximum(p, 1e-12), 1.0 - 1e-12)
+    q = 1.0 - y
+    row_terms = (y * np.log(pc) + q * np.log1p(-pc)).sum(axis=1)
+    grad = -(y / pc - q / (1.0 - pc)) / norm
     if weights is not None:
         w = as_tensor(weights)
         if w.shape != (y.shape[0],):

@@ -7,7 +7,8 @@ ranking indicators as one Python-level pass per row, the GRU kernels
 with their gate weights stacked into fresh arrays on every call and a
 full step 0, the Adam variants as one modulation function each over a
 state that keeps every field, the training loop with one optimizer state
-and one step call per parameter tensor, and the dataset and score loaders
+and one step call per parameter tensor, the cross-entropy loss through
+``np.clip`` and ``np.sum``, and the dataset and score loaders
 as one float() call per field. The library's faster forms promise the
 same floats, ties and skipped rows included, so the tests compare with
 ``==`` rather than a tolerance.
@@ -27,6 +28,19 @@ from mlenn.layers import sigmoid
 from mlenn.metrics import bce_loss
 from mlenn.numerics import KMeansModel, RngStream, as_tensor
 from mlenn.pipeline import Dataset
+
+
+def bce_loss_reference(y, p, weights=None):
+    """``metrics.bce_loss`` written out with ``np.clip`` and ``np.sum``."""
+    y = np.asarray(y, dtype=np.float64)
+    norm = float(y.shape[0])
+    pc = np.clip(p, 1e-12, 1.0 - 1e-12)
+    row_terms = np.sum(y * np.log(pc) + (1.0 - y) * np.log1p(-pc), axis=1)
+    grad = -(y / pc - (1.0 - y) / (1.0 - pc)) / norm
+    if weights is not None:
+        row_terms = row_terms * weights
+        grad = grad * weights[:, None]
+    return float(-row_terms.sum() / norm), grad
 
 
 def pairwise_sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:

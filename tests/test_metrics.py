@@ -421,6 +421,20 @@ class TestBceLoss:
         _, grad = bce_loss(y, p)
         assert max_rel_error(grad, numeric_gradient(loss, p)) < 1e-6
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_bitwise_equal_to_reference(self, weighted):
+        # Binary and soft targets; predictions at and beyond the clamp.
+        rng = np.random.default_rng(7)
+        y = np.vstack([(rng.uniform(size=(20, 6)) < 0.3).astype(float),
+                       rng.uniform(size=(10, 6))])
+        p = rng.uniform(size=(30, 6))
+        p[0, :4] = [0.0, 1.0, 1e-15, 1.0 - 1e-15]
+        w = rng.uniform(0.0, 3.0, size=30) if weighted else None
+        loss, grad = bce_loss(y, p, weights=w)
+        ref_loss, ref_grad = oracles.bce_loss_reference(y, p, weights=w)
+        assert np.float64(loss).view(np.uint64) == np.float64(ref_loss).view(np.uint64)
+        npt.assert_array_equal(grad.view(np.uint64), ref_grad.view(np.uint64))
+
     def test_weighted_rows_and_row_mean(self):
         rng = np.random.default_rng(1)
         y = (rng.uniform(size=(4, 3)) < 0.5).astype(float)
