@@ -77,10 +77,17 @@ _FAST_ALPHABET = b"0123456789+-.eEinfatyINFATY, \t\r\n"
 
 def _read_lines(path: str) -> tuple[bytes, list]:
     """The file's bytes and its UTF-8 text split into lines, the same
-    lines that a text-mode read would split into."""
+    lines that a text-mode read would split into. A file that is not UTF-8
+    raises :class:`DatasetFormatError` naming the line, counted in newline
+    bytes, of the first byte that does not decode."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    return raw, raw.decode("utf-8").splitlines()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DatasetFormatError(f"{path}:{line}: not UTF-8 text") from None
+    return raw, text.splitlines()
 
 
 def _parse_rows(path: str, raw: bytes, body: list, d: int, l: int, nouns: tuple) -> np.ndarray:

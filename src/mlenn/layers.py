@@ -8,21 +8,25 @@ in ``grad_vector``, with ``grads`` mapping each tensor's name to its view.
 So an optimizer can update a whole layer with one call. The arithmetic
 lives in module-level kernels with one contract. A forward kernel returns
 ``(out, cache)``; only ``relu`` and ``sigmoid`` return ``out`` alone, and
-their layers cache the input or the output. A backward kernel takes the
-layer (when it has parameters), the cache and the upstream gradient, and
-returns the input gradient as one array; the parametric backwards (GRU,
-convolution, batchnorm, dense) also write exact reverse-mode gradients of
-every parameter tensor into a fresh ``grad_vector``. So each ``_backward``
-is one kernel call. Sequences are batched as (batch, time, channels).
+their layers cache the input's sign mask or the output. A backward kernel
+takes the layer (when it has parameters), the cache and the upstream
+gradient, and returns the input gradient as one array; the parametric
+backwards (GRU, convolution, batchnorm, dense) also write exact
+reverse-mode gradients of every parameter tensor into a fresh
+``grad_vector``. So each ``_backward`` is one kernel call. Sequences are
+batched as (batch, time, channels).
 
 The GRU kernels keep the three gates (z | r | c) along one axis and their
-sequences time-major: the input projections of every step come from one
-batched matmul call before the recurrence, written into a (T, 3, B, N)
-buffer that each step then overwrites with its activations. The gate
-gradients go into a gate-major (3, T, B, N) buffer, from which the weight
-gradients and the input gradient are built by matmuls over all T*B rows
-after the loop. Only the recurrent matmuls run once per step, and step 0,
-which starts from h_0 = 0, runs none.
+sequences time-major. In train mode the input projections of every step
+come from one batched matmul call before the recurrence, written into a
+(T, 3, B, N) buffer that each step then overwrites with its activations
+and that the cache keeps. In eval mode the same loop projects one step at
+a time into one (1, 3, B, N) scratch, so the state sequence is the only
+whole-sequence buffer. The gate gradients go into a gate-major
+(3, T, B, N) buffer, from which the weight gradients and the input
+gradient are built by matmuls over all T*B rows after the loop. Only the
+recurrent matmuls run once per step, and step 0, which starts from
+h_0 = 0, runs none.
 
 The convolution never builds a zero-padded copy of its input. Its taps
 are stacked into one wide kernel matrix, so each block of whole sequences
@@ -39,12 +43,22 @@ gradient or its cache.
 Cache rule: a layer stores a cache only on a train-mode forward, and
 backward drops it once used; backward without a cache raises
 :class:`CacheError`. An eval-mode forward leaves nothing behind: the
-eval-mode batchnorm cache is ``None``, and its backward kernel has only
-the train-mode formula.
+eval-mode GRU and batchnorm caches are ``None``, their backward kernels
+have only the train-mode formula, and eval-mode relu computes no mask.
+
+Buffer rule: every kernel output is a fresh array, except inside
+:func:`reused_buffers`, which ``train_network`` holds open for one
+network's training. There each GRU keeps its gate, state, gate-gradient
+and r * h buffers (``gates``, ``hs``, ``g_all``, ``rh``) in its own
+``workspace`` and overwrites them on every minibatch, so a train-mode
+output or cache lives until the next train-mode call of that layer. On
+exit the workspaces and any cache left by a raised step are dropped.
 """
 
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +92,7 @@ class Layer:
         self.name = name
         self.grads: dict = {}
         self.cache = None
+        self.workspace: dict | None = None
 
     def _own_params(self, *tensors) -> None:
         """Copy ``tensors``, given in ``PARAMS`` order, into a new
@@ -101,6 +116,20 @@ class Layer:
                       for key, start, stop, shape in self.spans}
         return self.grads
 
+    def _buffer(self, key: str, shape: tuple) -> np.ndarray:
+        """An uninitialized C-ordered float64 array of ``shape``. It is
+        fresh unless a workspace is installed (see :func:`reused_buffers`);
+        then it is a prefix of the layer's flat buffer ``key``, which grows
+        when a call needs more, so every call with that key overwrites the
+        array the previous one returned."""
+        if self.workspace is None:
+            return np.empty(shape)
+        size = math.prod(shape)
+        flat = self.workspace.get(key)
+        if flat is None or flat.size < size:
+            flat = self.workspace[key] = np.empty(size)
+        return flat[:size].reshape(shape)
+
     def param_tensors(self) -> dict:
         return {key: getattr(self, key) for key in self.PARAMS}
 
@@ -117,6 +146,22 @@ class Layer:
             raise CacheError(f"layer {self.name!r}: backward needs a train-mode forward first")
         cache, self.cache = self.cache, None
         return self._backward(cache, upstream)
+
+
+@contextmanager
+def reused_buffers(layers):
+    """Install an empty workspace on each layer for the duration of the
+    block, and on exit remove it together with any cache, which may hold
+    its buffers when the block raised between a forward and its backward.
+    Inside, each layer's kernels reuse their own buffers from call to call;
+    no buffer is shared between two layers, and none outlives the block."""
+    for layer in layers:
+        layer.workspace = {}
+    try:
+        yield
+    finally:
+        for layer in layers:
+            layer.workspace = layer.cache = None
 
 
 def glorot_uniform(shape: tuple, rng: RngStream | None) -> np.ndarray:
@@ -158,8 +203,10 @@ def relu(x) -> np.ndarray:
 
 
 def relu_backward(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+    """Input gradient given the forward input ``x`` or its sign mask
+    ``x > 0``, which give the same bits: upstream * (x > 0)."""
     # Subgradient 0 at the kink. The 0/1 mask is written as float64 into the
-    # result buffer and scaled in place: bitwise upstream * (x > 0).
+    # result buffer and scaled in place.
     dx = np.greater(x, 0.0, out=np.empty(np.shape(x)))
     dx *= upstream
     return dx
@@ -195,8 +242,10 @@ def dropout_backward(mask: np.ndarray | None, p: float, upstream: np.ndarray) ->
 
 class Relu(Layer):
     def _forward(self, x, train, rng):
+        # A train-mode pass caches the sign mask, all that backward reads of
+        # the input, at one byte per element.
         x = as_tensor(x)
-        return relu(x), x
+        return relu(x), (np.greater(x, 0.0) if train else None)
 
     def _backward(self, cache, upstream):
         return relu_backward(cache, upstream)
@@ -291,26 +340,31 @@ class Gru(Layer):
         return self.wz.shape[1]
 
     def _forward(self, x, train, rng):
-        return gru_forward(self, x)
+        return gru_forward(self, x, train)
 
     def _backward(self, cache, upstream):
         return gru_backward(self, cache, upstream)
 
 
-def gru_forward(layer: Gru, x):
+def gru_forward(layer: Gru, x, train: bool = True):
     """Run the recurrence over the full sequence.
 
-    The input projections of all T steps are computed before the loop, in
-    one batched matmul call, into a (T, 3, B, N) buffer. Step t then adds
-    h_{t-1} [uz; ur]^T to its z | r block, a contiguous (2, B, N) slab,
-    applies the logistic 1 / (1 + e^-a) in place, adds
-    (r_t * h_{t-1}) uh^T to its candidate block and applies tanh in place,
-    so the buffer ends up holding z | r | c. States are written into a
-    (T+1, B, N) buffer whose first step is the zero h_0. Step 0 skips both
-    recurrent matmuls, whose input is h_0 = 0, and sets h_1 = z_1 * c_1.
+    The input projections are computed a block of time steps at a time,
+    each block by one batched matmul call into a (steps, 3, B, N) buffer,
+    just before its steps run. Step t then adds h_{t-1} [uz; ur]^T to its
+    z | r block, a contiguous (2, B, N) slab, applies the logistic
+    1 / (1 + e^-a) in place, adds (r_t * h_{t-1}) uh^T to its candidate
+    block and applies tanh in place, so the buffer ends up holding
+    z | r | c. States are written into a (T+1, B, N) buffer whose first
+    step is the zero h_0. Step 0 skips both recurrent matmuls, whose input
+    is h_0 = 0, and sets h_1 = z_1 * c_1.
 
-    Returns the hidden-state sequence, a (B, T, N) view of that buffer, and
-    the cache needed by :func:`gru_backward`.
+    A train-mode call projects all T steps as one block and returns the
+    cache needed by :func:`gru_backward`, which holds that (T, 3, B, N)
+    buffer. An eval-mode call projects one step at a time into one reused
+    (1, 3, B, N) scratch and returns a ``None`` cache. Both run the same
+    loop, so their states are bitwise equal. Returns the hidden-state
+    sequence, a (B, T, N) view of the state buffer, and the cache.
     """
     x = as_tensor(x)
     if x.ndim != 3:
@@ -321,32 +375,45 @@ def gru_forward(layer: Gru, x):
         raise ShapeError(f"input has {d} channels but the layer expects {layer.channels}")
 
     w, u, bias = layer.gate_params
-    gates = np.matmul(x.transpose(1, 0, 2)[:, None], w.transpose(0, 2, 1))
-    gates += bias[:, None]
+    x_steps = x.transpose(1, 0, 2)[:, None]
+    w_t = w.transpose(0, 2, 1)
     u_zr = u[:2].transpose(0, 2, 1)
     uh = u[2].T
-    hs = np.empty((t_steps + 1, b, n))
+    if train:
+        block = t_steps
+        gates = layer._buffer("gates", (t_steps, 3, b, n))
+        hs = layer._buffer("hs", (t_steps + 1, b, n))
+    else:
+        block = 1
+        gates = np.empty((1, 3, b, n))
+        hs = np.empty((t_steps + 1, b, n))
     hs[0] = 0.0
     proj = np.empty((2, b, n))
     rh = np.empty((b, n))
     # exp(-a) overflows to inf for a < -709, and 1 / (1 + inf) is the exact limit 0.
     with np.errstate(over="ignore"):
-        logistic_in_place(gates[0, :2])
-        np.tanh(gates[0, 2], out=gates[0, 2])
-        np.multiply(gates[0, 2], gates[0, 0], out=hs[1])
-        for t in range(1, t_steps):
-            h_prev, h = hs[t], hs[t + 1]
-            zr, c = gates[t, :2], gates[t, 2]
-            zr += np.matmul(h_prev, u_zr, out=proj)
-            logistic_in_place(zr)
-            np.multiply(zr[1], h_prev, out=rh)
-            c += np.matmul(rh, uh, out=proj[0])
-            np.tanh(c, out=c)
-            # h_t = h_{t-1} + z_t * (c_t - h_{t-1})
-            np.subtract(c, h_prev, out=h)
-            h *= zr[0]
-            h += h_prev
-    return hs[1:].transpose(1, 0, 2), GruCache(x, hs, gates)
+        for t0 in range(0, t_steps, block):
+            steps = gates[:min(block, t_steps - t0)]
+            np.matmul(x_steps[t0:t0 + block], w_t, out=steps)
+            steps += bias[:, None]
+            for t, gate in enumerate(steps, start=t0):
+                zr, c = gate[:2], gate[2]
+                if t == 0:
+                    logistic_in_place(zr)
+                    np.tanh(c, out=c)
+                    np.multiply(c, zr[0], out=hs[1])
+                    continue
+                h_prev, h = hs[t], hs[t + 1]
+                zr += np.matmul(h_prev, u_zr, out=proj)
+                logistic_in_place(zr)
+                np.multiply(zr[1], h_prev, out=rh)
+                c += np.matmul(rh, uh, out=proj[0])
+                np.tanh(c, out=c)
+                # h_t = h_{t-1} + z_t * (c_t - h_{t-1})
+                np.subtract(c, h_prev, out=h)
+                h *= zr[0]
+                h += h_prev
+    return hs[1:].transpose(1, 0, 2), (GruCache(x, hs, gates) if train else None)
 
 
 def gru_backward(layer: Gru, cache: GruCache, upstream) -> np.ndarray:
@@ -373,7 +440,7 @@ def gru_backward(layer: Gru, cache: GruCache, upstream) -> np.ndarray:
         )
     w, u, _ = layer.gate_params
     u_zr = u[:2]
-    g_all = np.empty((3, t_steps, b, n))
+    g_all = layer._buffer("g_all", (3, t_steps, b, n))
     dh = np.empty((b, n))
     dh_next = np.zeros((b, n))
     d_rh = np.empty((b, n))
@@ -419,15 +486,15 @@ def gru_backward(layer: Gru, cache: GruCache, upstream) -> np.ndarray:
     g_all[1, 0] = 0.0
 
     g = g_all.reshape(3, t_steps * b, n)
-    x_rows = x.transpose(1, 0, 2).reshape(t_steps * b, d)
     layer._new_grads()
     dw, du, db = layer.gate_views(layer.grad_vector)
-    np.matmul(g.transpose(0, 2, 1), x_rows, out=dw)
+    np.matmul(g.transpose(0, 2, 1), x.transpose(1, 0, 2).reshape(t_steps * b, d), out=dw)
     if t_steps == 1:
         du[...] = 0.0
     else:
         np.matmul(g[:2].transpose(0, 2, 1), hs[:-1].reshape(t_steps * b, n), out=du[:2])
-        np.matmul(g[2].T, (gates[:, 1] * hs[:-1]).reshape(t_steps * b, n), out=du[2])
+        rh = np.multiply(gates[:, 1], hs[:-1], out=layer._buffer("rh", (t_steps, b, n)))
+        np.matmul(g[2].T, rh.reshape(t_steps * b, n), out=du[2])
     np.add.reduce(g, axis=1, out=db)
     dx = g[0] @ w[0]
     dx += g[1] @ w[1]

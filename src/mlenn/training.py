@@ -5,6 +5,11 @@ over the layer's flat parameter vector with one segment per tensor. A
 training step is: forward, cross-entropy loss, backward (which leaves one
 gradient vector per layer), joint L2 gradient clip, then one optimizer
 step per layer, which updates the layer's parameter vector in place.
+
+The layers' reused kernel buffers (``layers.reused_buffers``) live exactly
+as long as one ``train_network`` call: each GRU allocates its buffers on
+the first minibatch, overwrites them on every later one, and releases
+them when the call returns or raises, before the next member trains.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .layers import reused_buffers
 from .metrics import bce_loss
 from .network import GRU_FAMILY, Network
 from .numerics import ConfigError, RngStream
@@ -129,22 +135,23 @@ def train_network(net: Network, x, y, cfg: TrainConfig, rng: RngStream,
     epochs = cfg.resolve_epochs(net.spec.topology)
     n = x.shape[0]
     epoch_losses: list[float] = []
-    for epoch in range(epochs):
-        order = rng.permutation(n)
-        running = 0.0
-        for batch_index, start in enumerate(range(0, n, cfg.minibatch)):
-            idx = order[start:start + cfg.minibatch]
-            wb = None if weights is None else weights[idx]
-            scores = net.forward(x[idx], train=True, rng=rng)
-            loss, d_scores = bce_loss(y[idx], scores, weights=wb)
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(epoch, batch_index)
-            net.backward(d_scores)
+    with reused_buffers(net.layers):
+        for epoch in range(epochs):
+            order = rng.permutation(n)
+            running = 0.0
+            for batch_index, start in enumerate(range(0, n, cfg.minibatch)):
+                idx = order[start:start + cfg.minibatch]
+                wb = None if weights is None else weights[idx]
+                scores = net.forward(x[idx], train=True, rng=rng)
+                loss, d_scores = bce_loss(y[idx], scores, weights=wb)
+                if not np.isfinite(loss):
+                    raise TrainingDivergedError(epoch, batch_index)
+                net.backward(d_scores)
 
-            grads = [layer.grad_vector for layer in trainable]
-            clipped = clip_gradients_l2(grads, cfg.clip_threshold, sizes)
-            for layer, state, grad in zip(trainable, states, clipped):
-                layer.param_vector[...] = optimizer_step(state, layer.param_vector, grad)
-            running += loss * len(idx)
-        epoch_losses.append(running / n)
+                grads = [layer.grad_vector for layer in trainable]
+                clipped = clip_gradients_l2(grads, cfg.clip_threshold, sizes)
+                for layer, state, grad in zip(trainable, states, clipped):
+                    layer.param_vector[...] = optimizer_step(state, layer.param_vector, grad)
+                running += loss * len(idx)
+            epoch_losses.append(running / n)
     return epoch_losses

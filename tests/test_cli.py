@@ -99,6 +99,24 @@ class TestKfoldCommand:
         assert code == 0, err
         assert "failed" not in stdout + err
 
+    @pytest.mark.parametrize("bad", ["dataset", "external-scores", "holdout-indices"])
+    def test_non_utf8_file_is_a_data_loading_error(self, dataset_file, tmp_path, capsys, bad):
+        # Line 2 of each file holds a byte that does not decode.
+        files = {"dataset": dataset_file, "external-scores": tmp_path / "scores.csv",
+                 "holdout-indices": tmp_path / "test.idx"}
+        files["external-scores"].write_text("0.5,0.5\n" * 36)
+        files["holdout-indices"].write_text("0\n1\n")
+        lines = files[bad].read_bytes().splitlines(keepends=True)
+        lines[1] = b"\xff" + lines[1]
+        files[bad].write_bytes(b"".join(lines))
+        code, _, err = run_cli(
+            capsys, "kfold", "--dataset", files["dataset"],
+            "--external-scores", files["external-scores"],
+            "--holdout-indices", files["holdout-indices"], "--members", "1",
+            "--hidden-units", "4", "--epochs", "1")
+        assert code == 1
+        assert err == f"error [stage=data-loading]: {files[bad]}:2: not UTF-8 text\n"
+
     def test_holdout_mode(self, dataset_file, capsys):
         code, stdout, _ = run_cli(
             capsys, "kfold", "--dataset", dataset_file, "--holdout", "0.25",

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -239,13 +240,50 @@ class TestGruOracle:
         assert not x.flags.c_contiguous and not upstream.flags.c_contiguous
         self._check(p, x, upstream)
 
-    def test_eval_output_equals_train_output_bitwise(self):
-        p, x, _ = _random_gru(RngStream(78), 4, 9, 3, 6)
+    @pytest.mark.parametrize("b,t,d,n", list(itertools.product(
+        (1, 3, 30), (1, 2, 17), (1, 5, 32), (1, 4, 50))))
+    def test_eval_output_equals_train_output_bitwise(self, b, t, d, n):
+        # The eval path projects one step at a time into a reused scratch;
+        # the train path projects all steps at once. Same loop, same bits.
+        p, x, _ = _random_gru(RngStream(8000 + 1000 * b + 100 * t + 10 * d + n), b, t, d, n)
         h_train = p.forward(x, train=True)
         assert p.cache is not None
         h_eval = p.forward(x, train=False)
         assert p.cache is None
         npt.assert_array_equal(h_eval, h_train)
+        h_kernel, cache = gru_forward(p, x, train=False)
+        assert cache is None
+        npt.assert_array_equal(h_kernel, h_train)
+
+    def test_eval_peak_memory_is_output_plus_step_scratch(self):
+        # At yeast's test-fold shape the whole-sequence gate buffer alone
+        # would take 3 * T * B * N * 8 bytes = 14.8 MB. An eval forward holds
+        # its (T+1, B, N) state buffer and a few (B, N) blocks per step.
+        b, t, d, n = 120, 103, 1, 50
+        p, x, _ = _random_gru(RngStream(81), b, t, d, n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            h = p.forward(x, train=False)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        output = (t + 1) * b * n * 8
+        # gates (3, B, N), proj (2, B, N), r * h (B, N), and the (B, N)
+        # temporary numpy makes to broadcast the strided bias view
+        scratch = 7 * b * n * 8
+        assert h.base.nbytes == output
+        assert peak < output + scratch + 64 * 1024, peak
+
+    def test_train_forward_outside_training_returns_fresh_arrays(self):
+        # Buffers are reused only inside train_network; elsewhere a held
+        # train-mode output survives the next call.
+        p, x, _ = _random_gru(RngStream(82), 3, 5, 2, 4)
+        h1 = p.forward(x, train=True)
+        kept = h1.copy()
+        h2 = p.forward(x[::-1], train=True)
+        assert not np.shares_memory(h1, h2)
+        npt.assert_array_equal(h1, kept)
 
     def test_extreme_preactivations_saturate(self):
         # exp(-a) overflows for a < -709; the logistic must return the exact
@@ -616,12 +654,17 @@ class TestKernelsLeaveInputsUnchanged:
             npt.assert_array_equal(_bits(x), x_bits)
             assert cache is None
 
-    def test_relu(self):
+    @pytest.mark.parametrize("cached", ["input", "mask"])
+    def test_relu(self, cached):
+        # relu_backward gets the float input or, as the Relu layer caches
+        # it, the bool sign mask; both give the same bits.
         rng = RngStream(360)
         x = np.asarray(rng.uniform((2, 5, 3))) - 0.5
         upstream = np.asarray(rng.uniform((2, 5, 3))) - 0.5
-        out = self._run_unchanged(lambda a: (relu(a), a), relu_backward, x, upstream)
-        npt.assert_array_equal(_bits(relu_backward(x, upstream)), _bits(upstream * (x > 0.0)))
+        cache = (lambda a: a) if cached == "input" else (lambda a: a > 0.0)
+        out = self._run_unchanged(lambda a: (relu(a), cache(a)), relu_backward, x, upstream)
+        npt.assert_array_equal(_bits(relu_backward(cache(x), upstream)),
+                               _bits(upstream * (x > 0.0)))
         assert out is not x
 
     @pytest.mark.parametrize("p", [0.0, 0.3])

@@ -1,10 +1,13 @@
+import contextlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import mlenn.training
+from mlenn.layers import Dense, Gru, MaxPoolTime, Sigmoid
 from mlenn.metrics import bce_loss
-from mlenn.network import ENCODINGS, TOPOLOGIES, NetworkSpec, build_network
+from mlenn.network import ENCODINGS, TOPOLOGIES, Network, NetworkSpec, build_network
 from mlenn.numerics import ConfigError, RngStream
 from mlenn.optim import STOCHASTIC_POOL, VARIANTS
 from mlenn.training import TrainConfig, assign_optimizers, make_optimizer_states, train_network
@@ -269,3 +272,102 @@ class TestPerTensorReference:
                                              ref.param_items() + ref.state_items(), strict=True):
             assert arr.tobytes() == expected.tobytes(), key
         assert losses == ref_losses
+
+
+def _arrays(obj) -> list:
+    """Every ndarray reachable from obj through dicts, sequences, dataclass
+    fields and layer attributes."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        return [a for v in obj.values() for a in _arrays(v)]
+    if isinstance(obj, (list, tuple)):
+        return [a for v in obj for a in _arrays(v)]
+    if hasattr(obj, "__dict__"):
+        return _arrays(vars(obj))
+    return []
+
+
+class TestReusedBuffers:
+    """Inside ``train_network`` each layer's kernels reuse their own buffers
+    from minibatch to minibatch. No buffer is shared between two layers, and
+    none is left on a layer once the call returns or raises."""
+
+    @staticmethod
+    def _spy(monkeypatch, net, diverge_at=None):
+        """Record each layer's workspace at every loss call; the call
+        numbered ``diverge_at`` returns a NaN loss."""
+        seen = []
+        loss_fn = mlenn.training.bce_loss
+
+        def spy(*args, **kwargs):
+            seen.append([dict(layer.workspace) for layer in net.layers])
+            loss, grad = loss_fn(*args, **kwargs)
+            return (np.nan if len(seen) == diverge_at else loss), grad
+
+        monkeypatch.setattr(mlenn.training, "bce_loss", spy)
+        return seen
+
+    @staticmethod
+    def _assert_released(net, seen):
+        buffers = [buf for step in seen for workspace in step for buf in workspace.values()]
+        assert buffers
+        for layer in net.layers:
+            assert layer.workspace is None and layer.cache is None, layer.name
+            for arr in _arrays(layer):
+                assert not any(np.shares_memory(arr, buf) for buf in buffers), layer.name
+
+    def test_released_after_training(self, monkeypatch):
+        # 10 rows in minibatches of 4 end each epoch on a 2-row minibatch,
+        # which takes a prefix of the 4-row buffers.
+        x, y = banded_task(33, 10, 5, 3)
+        net = small_net(seed=12, topology="GRU_TCN")
+        seen = self._spy(monkeypatch, net)
+        train_network(net, x, y, TrainConfig(epochs=2, minibatch=4), RngStream(13), adam(net))
+        # The forward's buffers exist from the first loss call on, the
+        # backward's from the second; each is the same array throughout.
+        gru = [layer.name for layer in net.layers].index("gru")
+        assert set(seen[0][gru]) == {"gates", "hs"}
+        assert set(seen[-1][gru]) == {"gates", "hs", "g_all", "rh"}
+        for step in seen:
+            for key, buf in step[gru].items():
+                assert buf is seen[-1][gru][key], key
+        self._assert_released(net, seen)
+
+    def test_released_when_training_diverges(self, monkeypatch):
+        x, y = banded_task(34, 10, 5, 3)
+        net = small_net(seed=14, topology="GRU_B")
+        seen = self._spy(monkeypatch, net, diverge_at=2)
+        with pytest.raises(mlenn.training.TrainingDivergedError):
+            train_network(net, x, y, TrainConfig(epochs=2, minibatch=4), RngStream(15),
+                          adam(net))
+        assert len(seen) == 2
+        self._assert_released(net, seen)
+
+    def test_two_grus_share_no_buffer(self, monkeypatch):
+        # Two same-shape GRUs ask for buffers of the same shapes; each gets
+        # its own, and the trained weights are those of a run that
+        # allocates every buffer fresh.
+        def two_gru_net():
+            rng = RngStream(16)
+            layers = [Gru.glorot("gru1", 4, 1, rng), Gru.glorot("gru2", 4, 4, rng),
+                      MaxPoolTime("pool"), Dense.glorot("out_dense", 3, 4, rng),
+                      Sigmoid("out_sigmoid")]
+            return Network(NetworkSpec(topology="GRU_A", n_labels=3, hidden_units=4), layers)
+
+        x, y = banded_task(35, 10, 5, 3)
+        cfg = TrainConfig(epochs=2, minibatch=4)
+        fresh = two_gru_net()
+        with monkeypatch.context() as m:
+            m.setattr(mlenn.training, "reused_buffers", lambda layers: contextlib.nullcontext())
+            train_network(fresh, x, y, cfg, RngStream(17), adam(fresh))
+
+        net = two_gru_net()
+        seen = self._spy(monkeypatch, net)
+        train_network(net, x, y, cfg, RngStream(17), adam(net))
+        for step in seen[1:]:
+            first, second = step[0].values(), step[1].values()
+            assert len(first) == len(second) == 4
+            assert not any(np.shares_memory(a, b) for a in first for b in second)
+        for (key, arr), (_, expected) in zip(net.param_items(), fresh.param_items(), strict=True):
+            assert arr.tobytes() == expected.tobytes(), key
