@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from mlenn.layers import (BatchNorm, Conv1d, Dense, Gru, ShapeError,
+from mlenn.layers import (BatchNorm, Conv1d, Dense, Gru, Relu, ShapeError,
                           batchnorm_backward, batchnorm_forward, conv1d_backward,
                           conv1d_forward, dense_backward, dense_forward, dropout,
                           dropout_backward, gru_backward, gru_forward, maxpool_time,
@@ -791,6 +791,15 @@ class TestActivations:
 
     def test_relu(self):
         npt.assert_array_equal(relu(np.array([-2.0, 0.0, 3.0])), [0.0, 0.0, 3.0])
+
+    def test_relu_layer_caches_sign_mask_in_train_mode_only(self):
+        layer, x = Relu("relu"), np.array([[[-1.0], [0.0], [2.0]]])
+        layer.forward(x, train=False)
+        assert layer.cache is None
+        layer.forward(x, train=True)
+        assert layer.cache.dtype == np.bool_
+        npt.assert_array_equal(layer.cache, x > 0.0)
+        npt.assert_array_equal(layer.backward(np.ones_like(x)), [[[0.0], [0.0], [1.0]]])
 
     def test_relu_gradient_zero_at_kink(self):
         dx = relu_backward(np.array([-1.0, 0.0, 2.0]), np.ones(3))
