@@ -37,8 +37,8 @@ added. Train-mode batchnorm works on the (B*T, C) rows with two buffers:
 the centred rows, scaled in place into the cached xhat, and the output.
 Its backward takes the two sums the input gradient needs from dgamma and
 dbeta. The pointwise backward kernels and dropout scale the one buffer
-they allocate in place. No kernel writes into its input, its upstream
-gradient or its cache.
+they allocate in place. No kernel writes into its upstream gradient or its
+cache, and none writes into its input unless it is handed over (below).
 
 Cache rule: a layer stores a cache only on a train-mode forward, and
 backward drops it once used; backward without a cache raises
@@ -46,13 +46,19 @@ backward drops it once used; backward without a cache raises
 eval-mode GRU and batchnorm caches are ``None``, their backward kernels
 have only the train-mode formula, and eval-mode relu computes no mask.
 
-Buffer rule: every kernel output is a fresh array, except inside
-:func:`reused_buffers`, which ``train_network`` holds open for one
-network's training. There each GRU keeps its gate, state, gate-gradient
-and r * h buffers (``gates``, ``hs``, ``g_all``, ``rh``) in its own
+Buffer rule: every kernel output is a fresh array, with two exceptions.
+Inside :func:`reused_buffers`, which ``train_network`` holds open for one
+network's training, each GRU keeps its gate, state, gate-gradient and
+r * h buffers (``gates``, ``hs``, ``g_all``, ``rh``) in its own
 ``workspace`` and overwrites them on every minibatch, so a train-mode
 output or cache lives until the next train-mode call of that layer. On
-exit the workspaces and any cache left by a raised step are dropped.
+exit the workspaces and any cache left by a raised step are dropped. And
+an eval-mode forward called with ``overwrite=True``, as ``Network.forward``
+calls every layer after the first, writes into the activation it is
+given: relu through ``relu(x, out=x)``, batchnorm into the input's
+(B*T, C) rows, and a convolution with as many input channels as filters
+into its C-ordered input (a strided input is copied first). The other
+layers ignore the flag, and a train-mode forward is never given it.
 """
 
 from __future__ import annotations
@@ -136,8 +142,13 @@ class Layer:
     def state_tensors(self) -> dict:
         return {key: getattr(self, key) for key in self.STATE}
 
-    def forward(self, x, train: bool = False, rng: RngStream | None = None):
-        out, cache = self._forward(x, train, rng)
+    def forward(self, x, train: bool = False, rng: RngStream | None = None,
+                overwrite: bool = False):
+        """Return the layer's output for ``x``. ``overwrite=True``, which
+        only an eval-mode forward takes, hands ``x`` over to the layer,
+        which may then write its output into it (see the buffer rule in
+        the module docstring)."""
+        out, cache = self._forward(x, train, rng, overwrite)
         self.cache = cache if train else None
         return out
 
@@ -198,8 +209,8 @@ def sigmoid_backward(y: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     return upstream * y * (1.0 - y)
 
 
-def relu(x) -> np.ndarray:
-    return np.maximum(as_tensor(x), 0.0)
+def relu(x, out: np.ndarray | None = None) -> np.ndarray:
+    return np.maximum(as_tensor(x), 0.0, out=out)
 
 
 def relu_backward(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
@@ -241,18 +252,20 @@ def dropout_backward(mask: np.ndarray | None, p: float, upstream: np.ndarray) ->
 
 
 class Relu(Layer):
-    def _forward(self, x, train, rng):
+    def _forward(self, x, train, rng, overwrite):
         # A train-mode pass caches the sign mask, all that backward reads of
         # the input, at one byte per element.
         x = as_tensor(x)
-        return relu(x), (np.greater(x, 0.0) if train else None)
+        if train:
+            return relu(x), np.greater(x, 0.0)
+        return relu(x, out=x if overwrite else None), None
 
     def _backward(self, cache, upstream):
         return relu_backward(cache, upstream)
 
 
 class Sigmoid(Layer):
-    def _forward(self, x, train, rng):
+    def _forward(self, x, train, rng, overwrite):
         y = sigmoid(x)
         return y, y
 
@@ -265,7 +278,7 @@ class Dropout(Layer):
         super().__init__(name)
         self.p = p
 
-    def _forward(self, x, train, rng):
+    def _forward(self, x, train, rng, overwrite):
         out, mask = dropout(x, self.p, rng, train)
         # Wrapped because the mask of a p = 0 train-mode pass is None.
         return out, (mask,)
@@ -339,7 +352,7 @@ class Gru(Layer):
     def channels(self) -> int:
         return self.wz.shape[1]
 
-    def _forward(self, x, train, rng):
+    def _forward(self, x, train, rng, overwrite):
         return gru_forward(self, x, train)
 
     def _backward(self, cache, upstream):
@@ -528,8 +541,8 @@ class Conv1d(Layer):
         kernels = glorot_uniform((filters, in_channels, width), rng)
         return cls(name, kernels, np.zeros(filters), dilation)
 
-    def _forward(self, x, train, rng):
-        return conv1d_forward(self, x)
+    def _forward(self, x, train, rng, overwrite):
+        return conv1d_forward(self, x, overwrite)
 
     def _backward(self, cache, upstream):
         return conv1d_backward(self, cache, upstream)
@@ -558,7 +571,7 @@ def _overlap(s: int, t_steps: int) -> tuple:
     return slice(-s, t_steps), slice(0, t_steps + s)
 
 
-def conv1d_forward(layer: Conv1d, x):
+def conv1d_forward(layer: Conv1d, x, overwrite: bool = False):
     """y[b,t,f] = bias[f] + sum_{c,k} kernels[f,c,k] * x[b, t + d*(k - mid), c]
     with zeros outside the sequence; output length equals input length.
 
@@ -569,6 +582,10 @@ def conv1d_forward(layer: Conv1d, x):
     than the output. The centre tap's columns plus the bias start the
     output block, and each side tap's columns, shifted by s in time, are
     added into it. The cache is the input itself.
+
+    With ``overwrite``, an input of F channels takes the output: each
+    block's GEMM reads the block's whole sequences before their output
+    rows are written, and no block reads another's rows.
     """
     x = np.ascontiguousarray(as_tensor(x))
     if x.ndim != 3:
@@ -585,7 +602,7 @@ def conv1d_forward(layer: Conv1d, x):
     # The output is allocated before the scratch buffer, so that the buffer
     # is freed at the top of the heap; in the other order the yeast_tcn
     # benchmark's peak RSS read ~6 MB higher, with no more live memory.
-    y = np.empty((b, t_steps, filters))
+    y = x if overwrite and in_channels == filters else np.empty((b, t_steps, filters))
     buf = np.empty((step * t_steps, n * filters))
     for start in range(0, b, step):
         x_rows = x[start:start + step].reshape(-1, in_channels)
@@ -672,14 +689,14 @@ class BatchNorm(Layer):
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
 
-    def _forward(self, x, train, rng):
-        return batchnorm_forward(self, x, train)
+    def _forward(self, x, train, rng, overwrite):
+        return batchnorm_forward(self, x, train, overwrite)
 
     def _backward(self, cache, upstream):
         return batchnorm_backward(self, cache, upstream)
 
 
-def batchnorm_forward(layer: BatchNorm, x, train: bool):
+def batchnorm_forward(layer: BatchNorm, x, train: bool, overwrite: bool = False):
     """Standardize each channel over batch and time.
 
     Train mode uses batch statistics (biased variance) and folds them into
@@ -689,8 +706,9 @@ def batchnorm_forward(layer: BatchNorm, x, train: bool):
     column means are the variance. The cache is the pair (xhat, inv_std).
     A single position per channel has variance 0, so xhat = 0 and y = beta,
     with eps keeping inv_std finite.
-    Eval mode applies the running estimates in one buffer and returns no
-    cache, as it has no backward.
+    Eval mode applies the running estimates in one buffer, with
+    ``overwrite`` the input's own rows, and returns no cache, as it has no
+    backward.
     """
     x = as_tensor(x)
     if x.ndim != 3 or x.shape[2] != layer.gamma.shape[0]:
@@ -699,7 +717,7 @@ def batchnorm_forward(layer: BatchNorm, x, train: bool):
         )
     rows = x.reshape(-1, x.shape[2])
     if not train:
-        y = rows - layer.running_mean
+        y = np.subtract(rows, layer.running_mean, out=rows if overwrite else None)
         y *= 1.0 / np.sqrt(layer.running_var + layer.eps)
         y *= layer.gamma
         y += layer.beta
@@ -756,11 +774,14 @@ def batchnorm_backward(layer: BatchNorm, cache: tuple, upstream) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class MaxPoolTime(Layer):
-    def _forward(self, x, train, rng):
+    def _forward(self, x, train, rng, overwrite):
         return maxpool_time(x)
 
     def _backward(self, cache, upstream):
         return maxpool_time_backward(cache, upstream)
+
+
+ARGMAX_BLOCK = 1 << 16
 
 
 def maxpool_time(x):
@@ -771,6 +792,9 @@ def maxpool_time(x):
     At T = 1 the output is the one step itself, a view, with zero indices.
     Otherwise the maxima are gathered with one flat index into x's memory,
     laid out (B, T, C) or, for the GRU's states, time-major (T, B, C).
+    numpy's argmax copies its input unless the reduced axis is last and
+    contiguous, so the indices are taken a block of whole sequences at a
+    time, and no copy exceeds ``ARGMAX_BLOCK`` elements or one sequence.
     """
     x = as_tensor(x)
     if x.ndim != 3:
@@ -778,7 +802,10 @@ def maxpool_time(x):
     b, t_steps, c = x.shape
     if t_steps == 1:
         return x[:, 0], (np.zeros((b, c), dtype=np.intp), x.shape)
-    idx = x.argmax(axis=1)
+    idx = np.empty((b, c), dtype=np.intp)
+    step = max(1, ARGMAX_BLOCK // (t_steps * c))
+    for start in range(0, b, step):
+        x[start:start + step].argmax(axis=1, out=idx[start:start + step])
     time_major = x.transpose(1, 0, 2)
     if time_major.flags.c_contiguous:
         return time_major.reshape(-1)[_flat_index(idx, b * c, c)], (idx, x.shape)
@@ -828,7 +855,7 @@ class Dense(Layer):
     def glorot(cls, name: str, out_dim: int, in_dim: int, rng: RngStream) -> "Dense":
         return cls(name, glorot_uniform((out_dim, in_dim), rng), np.zeros(out_dim))
 
-    def _forward(self, x, train, rng):
+    def _forward(self, x, train, rng, overwrite):
         return dense_forward(self, x)
 
     def _backward(self, cache, upstream):

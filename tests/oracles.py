@@ -5,7 +5,8 @@ These are the straightforward forms: Lloyd k-means with distances from an
 explicit (n, c, d) difference tensor and one boolean mask per center, the
 ranking indicators as one Python-level pass per row, the GRU kernels
 with their gate weights stacked into fresh arrays on every call and a
-full step 0, the Adam variants as one modulation function each over a
+full step 0, the eval-mode network forward with every layer's output in
+a fresh array, the Adam variants as one modulation function each over a
 state that keeps every field, the training loop with one optimizer state
 and one step call per parameter tensor, the cross-entropy loss through
 ``np.clip`` and ``np.sum``, and the dataset and score loaders
@@ -26,6 +27,7 @@ import numpy as np
 from mlenn.harness import DatasetFormatError, _parse_header
 from mlenn.layers import sigmoid
 from mlenn.metrics import bce_loss
+from mlenn.network import encode_features
 from mlenn.numerics import KMeansModel, RngStream, as_tensor
 from mlenn.pipeline import Dataset
 
@@ -247,6 +249,15 @@ def optimizer_step(state: AdamState, theta, g) -> np.ndarray:
         step = step * xi
     state.prev_grad = g.copy()
     return theta - step
+
+
+def network_forward(net, features) -> np.ndarray:
+    """The eval-mode forward with no layer writing into its input, so
+    every layer's output is a fresh array."""
+    x = encode_features(features, net.spec.input_encoding)
+    for layer in net.layers:
+        x = layer.forward(x)
+    return x
 
 
 def gru_forward(layer, x):

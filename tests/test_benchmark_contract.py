@@ -42,11 +42,15 @@ def test_every_target_resolves(tracer):
 def test_layers_call_kernels_through_their_traced_names(tracer, monkeypatch):
     # The tracer replaces the mlenn.layers attributes; a layer class that
     # bound a kernel directly would run it unwrapped and drop its span.
-    calls = {attr: 0 for _, locations, _ in tracer.TARGETS
-             for module_name, attr in locations if module_name == "mlenn.layers"}
-    for name in calls:
+    # An eval-mode forward, whose layers write into their inputs, must go
+    # through the same names as a train-mode one.
+    names = [attr for _, locations, _ in tracer.TARGETS
+             for module_name, attr in locations if module_name == "mlenn.layers"]
+    calls = {mode: dict.fromkeys(names, 0) for mode in ("eval", "train")}
+    mode = None
+    for name in names:
         def counted(*args, _name=name, _kernel=getattr(layers, name), **kwargs):
-            calls[_name] += 1
+            calls[mode][_name] += 1
             return _kernel(*args, **kwargs)
         monkeypatch.setattr(layers, name, counted)
     x = np.asarray(RngStream(14).uniform((3, 6)))
@@ -54,10 +58,17 @@ def test_layers_call_kernels_through_their_traced_names(tracer, monkeypatch):
         spec = NetworkSpec(topology=topology, n_labels=2, hidden_units=3, tcn_filters=4,
                            tcn_blocks=2, pre_conv_filters=3)
         net = build_network(spec, RngStream(15))
+        mode = "eval"
+        net.forward(x)
+        mode = "train"
         out = net.forward(x, train=True, rng=RngStream(16))
         net.backward(np.ones_like(out))
-    assert len(calls) == 16
-    assert [name for name, n in calls.items() if n == 0] == []
+    assert len(names) == 16
+    assert [name for name, n in calls["train"].items() if n == 0] == []
+    forwards = [name for name in names if "backward" not in name]
+    assert len(forwards) == 8
+    assert {name: calls["eval"][name] for name in forwards} == {
+        name: calls["train"][name] for name in forwards}
 
 
 def test_gru_hooks_read_real_kernel_calls(tracer):

@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from mlenn.harness import RunConfig
-from mlenn.layers import CacheError, Dropout
-from mlenn.network import TOPOLOGIES, NetworkSpec, build_network, encode_features
+from mlenn.layers import CacheError, Dropout, reused_buffers
+from mlenn.network import ENCODINGS, TOPOLOGIES, NetworkSpec, build_network, encode_features
 from mlenn.numerics import ConfigError, RngStream
+
+import oracles
 
 
 def small_spec(topology, **kw):
@@ -197,6 +201,87 @@ class TestCacheLifetime:
         npt.assert_array_equal(layer.backward(x), x)
         with pytest.raises(CacheError):
             layer.backward(x)
+
+
+class TestEvalForwardOverwrites:
+    """An eval-mode forward lets every layer after the first write into
+    the activation it is given. The scores must be the bits of a forward
+    that allocates every output, and no array outside the call may change."""
+
+    D = 7
+
+    @classmethod
+    def _net(cls, topology, encoding, seed):
+        # Every filter count equals D, so in the single-step encoding the
+        # first convolution could write into the caller's features, and
+        # TCN_B's block1_conv1 writes into pre_conv's output. Three blocks
+        # reach dilation 4 at T = 7.
+        spec = small_spec(topology, tcn_blocks=3, tcn_filters=cls.D, pre_conv_filters=cls.D,
+                          input_encoding=encoding, input_dim=cls.D)
+        return build_network(spec, RngStream(seed))
+
+    @pytest.mark.parametrize("b", [1, 2, 5, 60])
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_bitwise_equal_to_fresh_allocation(self, topology, encoding, b):
+        net = self._net(topology, encoding, 40)
+        x = np.asarray(RngStream(41).uniform((b, self.D))) - 0.5
+        expected = oracles.network_forward(net, x)
+        assert net.forward(x).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_features_and_earlier_scores_unchanged(self, topology, encoding):
+        net = self._net(topology, encoding, 42)
+        x = np.asarray(RngStream(43).uniform((6, self.D))) - 0.5
+        x_bits = x.tobytes()
+        first = net.forward(x)
+        first_bits = first.tobytes()
+        second = net.forward(x)
+        assert x.tobytes() == x_bits
+        assert first.tobytes() == first_bits == second.tobytes()
+        assert not np.shares_memory(first, second)
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_eval_between_train_forward_and_backward(self, topology):
+        # An eval forward drops the layers' references to their caches (the
+        # cache rule), so they are kept and put back: what is checked is
+        # that it writes into no array that a pending train-mode forward
+        # holds, with the training workspaces installed as in train_network.
+        x = np.asarray(RngStream(44).uniform((5, self.D))) - 0.5
+        upstream = np.asarray(RngStream(45).uniform((5, 3))) - 0.5
+
+        def grad_vectors(eval_between):
+            net = self._net(topology, "sequence-of-scalars", 46)
+            with reused_buffers(net.layers):
+                net.forward(x, train=True, rng=RngStream(47))
+                if eval_between:
+                    caches = [layer.cache for layer in net.layers]
+                    net.forward(x)
+                    for layer, cache in zip(net.layers, caches):
+                        layer.cache = cache
+                net.backward(upstream)
+            return [layer.grad_vector.tobytes() for layer in net.trainable_layers()]
+
+        assert grad_vectors(True) == grad_vectors(False)
+
+    def test_tcn_a_peak_memory(self):
+        # At the paper's shape the TCN stack runs on one (B, T, 175)
+        # activation, which every convolution but the first overwrites, plus
+        # each convolution's block scratch of the same size. A fresh output
+        # per layer peaks at three such arrays.
+        b, t = 60, 103
+        net = build_network(NetworkSpec(topology="TCN_A", n_labels=14), RngStream(48))
+        x = np.asarray(RngStream(49).uniform((b, t)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            net.forward(x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        activation = b * t * 175 * 8
+        assert peak < 2 * activation + 2 * 1024 * 1024, peak
 
 
 class TestSpecValidation:

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import mlenn.layers
 import mlenn.training
 from mlenn.layers import Dense, Gru, MaxPoolTime, Sigmoid
 from mlenn.metrics import bce_loss
@@ -371,3 +372,36 @@ class TestReusedBuffers:
             assert not any(np.shares_memory(a, b) for a in first for b in second)
         for (key, arr), (_, expected) in zip(net.param_items(), fresh.param_items(), strict=True):
             assert arr.tobytes() == expected.tobytes(), key
+
+    def test_convs_share_no_memory(self, monkeypatch):
+        # In train mode a convolution's output feeds the next layers, its
+        # cache waits for backward and its gradient vector for the
+        # optimizer, so no array of one may alias any array of another. In
+        # TCN_A no convolution feeds another directly, so an output is never
+        # another's cache.
+        held = {}
+        forward, backward = mlenn.layers.conv1d_forward, mlenn.layers.conv1d_backward
+
+        def spy_forward(layer, x, *args):
+            y, cache = forward(layer, x, *args)
+            held.setdefault(layer.name, []).extend((y, cache))
+            return y, cache
+
+        def spy_backward(layer, cache, upstream):
+            dx = backward(layer, cache, upstream)
+            held[layer.name].append(layer.grad_vector)
+            return dx
+
+        monkeypatch.setattr(mlenn.layers, "conv1d_forward", spy_forward)
+        monkeypatch.setattr(mlenn.layers, "conv1d_backward", spy_backward)
+        x, y = banded_task(36, 10, 5, 3)
+        net = small_net(seed=18, topology="TCN_A")
+        train_network(net, x, y, TrainConfig(epochs=2, minibatch=4), RngStream(19), adam(net))
+        names = sorted(held)
+        assert len(names) == 4
+        # 3 minibatches x 2 epochs, each with an output, a cache and a gradient
+        assert all(len(held[name]) == 18 for name in names)
+        for i, first in enumerate(names):
+            for second in names[i + 1:]:
+                assert not any(np.shares_memory(a, b) for a in held[first]
+                               for b in held[second]), (first, second)
