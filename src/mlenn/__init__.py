@@ -6,7 +6,7 @@ average rule, and evaluates with the standard multilabel indicators.
 """
 
 from .ensemble import (EnsembleModel, fuse_average, fuse_weighted_external,
-                       load_ensemble, normalize_enn, save_ensemble, train_ensemble)
+                       load_ensemble, normalize_enn, save_ensemble)
 from .harness import (RunConfig, kfold_split, load_dataset, load_external_scores,
                       run_experiment, save_dataset)
 from .metrics import PredictionSet, bce_loss, compute_all
@@ -46,6 +46,5 @@ __all__ = [
     "run_experiment",
     "save_dataset",
     "save_ensemble",
-    "train_ensemble",
     "train_network",
 ]

@@ -19,10 +19,10 @@ import os
 import sys
 from dataclasses import fields
 
-from .ensemble import load_ensemble, save_ensemble, train_ensemble
+from .ensemble import load_ensemble, save_ensemble
 from .harness import (ConfigError, DatasetFormatError, ExperimentReport, Preprocess,
-                      RunConfig, evaluate_model, load_dataset, load_external_scores,
-                      make_network_specs, run_experiment)
+                      RunConfig, evaluate_model, fit_training_set, load_dataset,
+                      load_external_scores, run_experiment, train_members)
 from .network import ENCODINGS, GRU_FAMILY, TCN_FAMILY, TOPOLOGIES
 from .numerics import RngStream
 from .optim import VARIANTS
@@ -134,9 +134,9 @@ def _cmd_kfold(args) -> int:
 def _cmd_train(args) -> int:
     cfg = _run_config(args)
     ds = load_dataset(cfg.dataset)
-    pre, x = Preprocess.fit(ds.x, ds.sparse)
-    specs = make_network_specs(cfg, ds.n_labels, x.shape[1])
-    model = train_ensemble(specs, x, ds.y, cfg, RngStream(cfg.seed))
+    rng = RngStream(cfg.seed)
+    pre, x, y, weights = fit_training_set(cfg, ds.x, ds.y, ds.sparse, rng)
+    model = train_members(cfg, x, y, rng, weights)
     os.makedirs(cfg.output, exist_ok=True)
     path = os.path.join(cfg.output, "model.json")
     save_ensemble(model, path, extra={"preprocess": pre.to_dict()})
@@ -146,7 +146,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     model, extra = load_ensemble(args.model)
-    pre = Preprocess.from_dict(extra["preprocess"]) if extra.get("preprocess") else None
+    pre = Preprocess.from_dict(extra.get("preprocess"))
     ds = load_dataset(args.dataset)
     external = None
     if args.external_scores:

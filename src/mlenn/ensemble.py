@@ -1,18 +1,19 @@
-"""Ensemble construction, score fusion and model serialization.
+"""Member training, score fusion and model serialization.
 
-Members train independently on the same data, each seeded from its own
-deterministic stream split off the master seed; prediction fuses member
-confidences by the average rule. A trained ensemble round-trips through a
-self-describing JSON container that is byte-stable for a fixed seed. Each
-tensor in it is its shape and the base64 text of its little-endian float64
-bytes, so the round trip is bit-exact.
+``train_member`` trains one (topology, member) unit from the stream it is
+given; ``mlenn.harness`` owns the member loop, the unit streams and the
+training set. Prediction fuses member confidences by the average rule. A
+trained ensemble round-trips through a self-describing JSON container
+that is byte-stable for a fixed seed. Each tensor in it is its shape and
+the base64 text of its little-endian float64 bytes, so the round trip is
+bit-exact.
 """
 
 from __future__ import annotations
 
 import binascii
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,7 +28,6 @@ MODEL_FORMAT = "mlenn-ensemble v2"
 class EnsembleMember:
     network: Network
     optimizer_tags: dict
-    loss_trace: list = field(default_factory=list)
 
 
 @dataclass
@@ -47,28 +47,16 @@ class EnsembleModel:
         return fuse_average([m.network.forward(features) for m in self.members])
 
 
-def train_ensemble(specs: list, x, y, cfg: TrainConfig, seed,
-                   sample_weights=None) -> EnsembleModel:
-    """Build and train ``cfg.members`` networks per spec.
-
-    ``cfg.optimizer`` is either ``"stochastic"`` (one variant drawn per
-    layer per member) or the name of a fixed variant. ``seed`` may be an
-    integer or an already-derived RngStream; member i draws all of its
-    randomness from child stream i.
-    """
-    master = seed if isinstance(seed, RngStream) else RngStream(int(seed))
-    members: list[EnsembleMember] = []
-    index = 0
-    for spec in specs:
-        for _ in range(cfg.members):
-            member_rng = master.child(index)
-            net = build_network(spec, member_rng.child(0))
-            tags = assign_optimizers(net, cfg.optimizer, member_rng.child(1))
-            trace = train_network(net, x, y, cfg, member_rng.child(2),
-                                  optimizer_tags=tags, sample_weights=sample_weights)
-            members.append(EnsembleMember(net, tags, trace))
-            index += 1
-    return EnsembleModel(members, master_seed=master.seed)
+def train_member(spec: NetworkSpec, x, y, cfg: TrainConfig, rng: RngStream,
+                 sample_weights=None) -> EnsembleMember:
+    """Build a ``spec`` network from ``rng.child(0)``, draw its per-layer
+    ``cfg.optimizer`` variants from ``rng.child(1)`` and train it on the
+    weighted rows from ``rng.child(2)``."""
+    net = build_network(spec, rng.child(0))
+    tags = assign_optimizers(net, cfg.optimizer, rng.child(1))
+    train_network(net, x, y, cfg, rng.child(2), optimizer_tags=tags,
+                  sample_weights=sample_weights)
+    return EnsembleMember(net, tags)
 
 
 def fuse_average(scores: list) -> np.ndarray:

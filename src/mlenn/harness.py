@@ -1,4 +1,11 @@
-"""Dataset files, cross-validation orchestration and metric reports.
+"""Dataset files, the training path of both commands, cross-validation
+orchestration and metric reports.
+
+``kfold`` and ``train`` train through ``fit_training_set`` (the fitted
+preprocessing and the possibly augmented rows) and ``train_members``
+(unit (topology s, member m) on ``rng.child(s * members + m)``). Fold i
+gives them children 7 and 1 of ``RngStream(seed).child(100 + i)``;
+``train`` gives both ``RngStream(seed)``.
 
 Dataset file format (one header line, then one line per sample)::
 
@@ -28,7 +35,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .ensemble import (EnsembleModel, fuse_weighted_external, fused_threshold,
-                       normalize_enn, train_ensemble)
+                       normalize_enn, train_member)
 from .metrics import METRIC_NAMES, PredictionSet, compute_all, format_record
 from .network import NetworkSpec, check_architecture
 from .numerics import ConfigError, PcaModel, RngStream, ShapeError, pca_fit, pca_transform
@@ -347,16 +354,36 @@ class ExperimentReport:
         return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
-def make_network_specs(cfg: RunConfig, n_labels: int, input_dim: int) -> list:
-    specs = []
-    for topology in cfg.topologies:
-        specs.append(NetworkSpec(
-            topology=topology, n_labels=n_labels,
+def fit_training_set(cfg: RunConfig, x, y, sparse: bool, rng: RngStream) -> tuple:
+    """Fit ``Preprocess`` on the rows ``x``, append the cluster-centre rows
+    drawn from ``rng`` when ``cfg.augment_clusters`` is set, and return the
+    preprocessing and the rows ``x, y, weights`` (None without them)."""
+    pre, x = Preprocess.fit(x, sparse)
+    weights = None
+    if cfg.augment_clusters is not None:
+        rows = Dataset(x, y)
+        c = cfg.augment_clusters or int(round(math.sqrt(rows.n_samples)))
+        c = max(1, min(c, rows.n_samples))
+        x, y, weights = build_training_set(rows, imcc_augment(rows, c, rng),
+                                           cfg.augment_weight)
+    return pre, x, y, weights
+
+
+def train_members(cfg: RunConfig, x, y, rng: RngStream, sample_weights=None) -> EnsembleModel:
+    """Train ``cfg.members`` networks of each of ``cfg.topologies`` on the
+    same rows, unit (topology s, member m) on ``rng.child(s * members + m)``."""
+    members = []
+    for s, topology in enumerate(cfg.topologies):
+        spec = NetworkSpec(
+            topology=topology, n_labels=y.shape[1],
             hidden_units=cfg.hidden_units, tcn_filters=cfg.tcn_filters,
             tcn_blocks=cfg.tcn_blocks, input_encoding=cfg.encoding,
-            input_dim=input_dim if cfg.encoding == "single-step" else None,
-        ))
-    return specs
+            input_dim=x.shape[1] if cfg.encoding == "single-step" else None,
+        )
+        for m in range(cfg.members):
+            members.append(train_member(spec, x, y, cfg, rng.child(s * cfg.members + m),
+                                        sample_weights))
+    return EnsembleModel(members, master_seed=rng.seed)
 
 
 def _resolve_splits(cfg: RunConfig, ds: Dataset, rng: RngStream) -> list:
@@ -366,27 +393,6 @@ def _resolve_splits(cfg: RunConfig, ds: Dataset, rng: RngStream) -> list:
     if cfg.holdout is not None:
         return holdout_split(ds.n_samples, cfg.holdout, rng)
     return index_file_split(ds.n_samples, cfg.holdout_indices)
-
-
-def _run_fold(cfg: RunConfig, ds: Dataset, train_idx, test_idx,
-              external, fold_rng: RngStream) -> dict:
-    pre, x_tr = Preprocess.fit(ds.x[train_idx], ds.sparse)
-    x_te = pre.apply(ds.x[test_idx])
-    y_tr = ds.y[train_idx]
-    y_te = ds.y[test_idx]
-
-    weights = None
-    if cfg.augment_clusters is not None:
-        fold_ds = Dataset(x_tr, y_tr, name=ds.name)
-        c = cfg.augment_clusters or int(round(math.sqrt(len(train_idx))))
-        c = max(1, min(c, len(train_idx)))
-        aug = imcc_augment(fold_ds, c, fold_rng.child(7))
-        x_tr, y_tr, weights = build_training_set(fold_ds, aug, cfg.augment_weight)
-
-    specs = make_network_specs(cfg, ds.n_labels, x_tr.shape[1])
-    model = train_ensemble(specs, x_tr, y_tr, cfg, fold_rng.child(1), sample_weights=weights)
-    scores = model.predict_scores(x_te)
-    return _score_models(y_te, scores, None if external is None else external[test_idx])
 
 
 def _score_models(y, scores, external) -> dict:
@@ -417,9 +423,15 @@ def run_experiment(cfg: RunConfig) -> ExperimentReport:
     failures: list[str] = []
     by_model: dict[str, list[dict]] = {}
     for i, (train_idx, test_idx) in enumerate(splits):
+        fold_rng = master.child(100 + i)
         try:
-            fold_results = _run_fold(cfg, ds, train_idx, test_idx,
-                                     external, master.child(100 + i))
+            pre, x, y, weights = fit_training_set(cfg, ds.x[train_idx], ds.y[train_idx],
+                                                  ds.sparse, fold_rng.child(7))
+            # the fold's networks are freed once they have scored its test rows
+            scores = train_members(cfg, x, y, fold_rng.child(1), weights).predict_scores(
+                pre.apply(ds.x[test_idx]))
+            fold_results = _score_models(ds.y[test_idx], scores,
+                                         None if external is None else external[test_idx])
         except (TrainingDivergedError, ValueError) as exc:
             failures.append(f"fold {i} failed: {exc}")
             continue
@@ -516,11 +528,10 @@ def _float_array(doc, key: str, ndim: int, where: str) -> np.ndarray:
     return arr
 
 
-def evaluate_model(model: EnsembleModel, ds: Dataset, preprocess: Preprocess | None = None,
+def evaluate_model(model: EnsembleModel, ds: Dataset, preprocess: Preprocess,
                    external: np.ndarray | None = None) -> ExperimentReport:
-    """Apply a trained ensemble to a dataset and report all ten indicators."""
-    x = ds.x if preprocess is None else preprocess.apply(ds.x)
-    results = _score_models(ds.y, model.predict_scores(x), external)
+    """Apply a trained ensemble and its preprocessing; report all ten indicators."""
+    results = _score_models(ds.y, model.predict_scores(preprocess.apply(ds.x)), external)
     records = [ReportRecord(ds.name, name, "eval", values)
                for name, values in results.items()]
     config = {"dataset": ds.name, "seed": model.master_seed}

@@ -14,21 +14,18 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from mlenn.ensemble import (fuse_average, fuse_weighted_external, normalize_enn,
-                            train_ensemble)
-from mlenn.harness import RunConfig, load_dataset, run_experiment, save_dataset
+from mlenn.ensemble import fuse_average, fuse_weighted_external, normalize_enn
+from mlenn.harness import RunConfig, load_dataset, run_experiment, save_dataset, train_members
 from mlenn.layers import (BatchNorm, Conv1d, Dense, Gru, batchnorm_backward,
                           batchnorm_forward, conv1d_backward, conv1d_forward,
                           dense_backward, dense_forward, gru_backward, gru_forward,
                           maxpool_time, maxpool_time_backward, relu, relu_backward,
                           sigmoid, sigmoid_backward)
 from mlenn.metrics import PredictionSet, average_precision, bce_loss
-from mlenn.network import NetworkSpec
 from mlenn.numerics import RngStream, kmeans
 from mlenn.optim import (OptimizerState, clip_gradients_l2, cyclic_lr, modulation,
                          optimizer_step)
 from mlenn.pipeline import Dataset, imcc_augment
-from mlenn.training import TrainConfig
 
 from gradcheck import max_rel_error, numeric_gradient
 from synth import banded_task, noisy_teacher_task
@@ -474,16 +471,16 @@ def test_c07_synthetic_end_to_end():
             PredictionSet.from_scores(y[te], 1.0 / (1.0 + np.exp(-teacher[te]))))
         assert bayes > 0.90, f"oracle scorer reaches only {bayes:.3f}"
 
-        spec = NetworkSpec(topology="GRU_A", n_labels=5)
-        cfg = TrainConfig(epochs=30)
-        single = TrainConfig(epochs=30, members=1, optimizer="adam")
+        # train_members never reads the dataset path
+        cfg = RunConfig(dataset="unused.mlkit", epochs=30)
+        single = RunConfig(dataset="unused.mlkit", epochs=30, members=1, optimizer="adam")
 
         singles, ensembles = [], []
         for seed in range(5):
-            one = train_ensemble([spec], x[tr], y[tr], single, seed=1000 + seed)
+            one = train_members(single, x[tr], y[tr], RngStream(1000 + seed))
             singles.append(average_precision(
                 PredictionSet.from_scores(y[te], one.predict_scores(x[te]))))
-            ten = train_ensemble([spec], x[tr], y[tr], cfg, seed=2000 + seed)
+            ten = train_members(cfg, x[tr], y[tr], RngStream(2000 + seed))
             ensembles.append(average_precision(
                 PredictionSet.from_scores(y[te], ten.predict_scores(x[te]))))
 
@@ -559,8 +556,7 @@ def test_c10_scene_dataset_if_supplied():
         (tr, te), = holdout_split(ds.n_samples, 0.3, master.child(1))
         x_tr = minmax_normalize(ds.x[tr], ds.x[tr])
         x_te = minmax_normalize(ds.x[tr], ds.x[te])
-        spec = NetworkSpec(topology="GRU_A", n_labels=ds.n_labels)
-        model = train_ensemble([spec], x_tr, ds.y[tr], TrainConfig(), master.child(2))
+        model = train_members(RunConfig(dataset=path), x_tr, ds.y[tr], master.child(2))
         ap = average_precision(
             PredictionSet.from_scores(ds.y[te], model.predict_scores(x_te)))
         assert ap >= 0.85, f"holdout average precision {ap:.3f}"

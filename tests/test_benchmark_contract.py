@@ -5,20 +5,26 @@ cache field would otherwise break only a traced benchmark run."""
 
 import importlib
 import importlib.util
+import sys
 from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mlenn import layers
-from mlenn.ensemble import save_ensemble, train_ensemble
+from mlenn import cli, layers
+from mlenn.ensemble import EnsembleModel, save_ensemble, train_member
+from mlenn.harness import save_dataset
 from mlenn.layers import Conv1d, Gru, conv1d_backward, conv1d_forward, gru_backward, gru_forward
 from mlenn.network import TOPOLOGIES, NetworkSpec, build_network
 from mlenn.numerics import RngStream
+from mlenn.pipeline import Dataset
 from mlenn.training import TrainConfig, clip_gradients_l2
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+from synth import banded_task
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER_PATH = PERFBENCH / "tracer.py"
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +43,54 @@ def test_every_target_resolves(tracer):
                 assert hasattr(owner, part), f"{span}: {module_name}.{attr}"
                 owner = getattr(owner, part)
             assert callable(owner), f"{span}: {module_name}.{attr}"
+
+
+def test_every_required_span_is_reached(tracer, monkeypatch, tmp_path, capsys):
+    # The tracer wraps each function under the name its caller looks up,
+    # so a call moved off that name drops its span without an error. One
+    # tiny kfold covers what every kfold workload must reach: GRU_B and
+    # TCN_A, a sparse set (PCA), augmentation, external scores and a
+    # stratified split. train + evaluate covers the model workload.
+    for name in ("gen", "workloads"):  # workloads.py imports gen
+        spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, workloads)
+        spec.loader.exec_module(workloads)
+    traced = tracer.Tracer()
+    for span, locations, hook in tracer.TARGETS:
+        for module_name, attr in locations:
+            owner = importlib.import_module(module_name)
+            *path, leaf = attr.split(".")
+            for part in path:
+                owner = getattr(owner, part)
+            monkeypatch.setattr(owner, leaf, traced.wrap(span, getattr(owner, leaf), hook))
+
+    x, y = banded_task(21, 24, 6, 3)
+    dataset = tmp_path / "sparse.mlkit"
+    save_dataset(Dataset(x, y, sparse=True), dataset)
+    scores = tmp_path / "scores.csv"
+    scores.write_text("".join(",".join(f"{v:.3f}" for v in row) + "\n"
+                              for row in np.asarray(RngStream(22).uniform(y.shape))))
+    small = ["--members", "1", "--epochs", "1", "--hidden-units", "3", "--tcn-filters", "4",
+             "--tcn-blocks", "1", "--topology", "GRU_B", "--topology", "TCN_A"]
+    # cli.main, looked up when called, is the traced one
+    assert cli.main(["kfold", "--dataset", str(dataset), "--folds", "2", "--stratified",
+                     "--augment-clusters", "0", "--external-scores", str(scores), *small]) == 0
+    kfold_calls = {name: record[0] for name, record in traced.spans.items()}
+    model = tmp_path / "model"
+    assert cli.main(["train", "--dataset", str(dataset), *small, "--output", str(model)]) == 0
+    assert cli.main(["evaluate", "--model", str(model / "model.json"),
+                     "--dataset", str(dataset)]) == 0
+    capsys.readouterr()
+
+    for workload in workloads.WORKLOADS.values():
+        for name in workload.required_spans:
+            calls = traced.spans[name][0]
+            if workload.folds is None:
+                calls -= kfold_calls.get(name, 0)
+            else:
+                calls = kfold_calls.get(name, 0)
+            assert calls > 0, f"{workload.name}: span {name} recorded no call"
 
 
 def test_layers_call_kernels_through_their_traced_names(tracer, monkeypatch):
@@ -105,7 +159,8 @@ def test_save_hook_reads_real_save_call(tracer, tmp_path):
     x = np.asarray(RngStream(13).uniform((6, 5)))
     y = (x[:, :2] > 0.5).astype(float)
     spec = NetworkSpec(topology="GRU_A", n_labels=2, hidden_units=3)
-    model = train_ensemble([spec], x, y, TrainConfig(epochs=0, members=1), seed=13)
+    member = train_member(spec, x, y, TrainConfig(epochs=0), RngStream(13).child(0))
+    model = EnsembleModel([member], master_seed=13)
     args = (model, tmp_path / "model.json")
     counts = defaultdict(float)
     out = save_ensemble(*args)

@@ -207,6 +207,9 @@ class TestTrainEvaluateCommands:
         (lambda doc: doc["preprocess"].update(lo=[doc["preprocess"]["lo"]]), "'lo'"),
         (lambda doc: doc["preprocess"].update(lo={"a": 1}), "'lo'"),
         (lambda doc: doc.update(preprocess=[1.0]), "'lo'"),
+        (lambda doc: doc.pop("preprocess"), "preprocess"),
+        (lambda doc: doc.update(preprocess=None), "preprocess"),
+        (lambda doc: doc.update(preprocess={}), "preprocess"),
         (lambda doc: _pca(doc, 2, drop="components"), "'components'"),
         (lambda doc: _pca(doc, 2, missing_columns=1), "pca"),
         (lambda doc: (_pca(doc, 2), doc["preprocess"]["pca"]["explained_variance_ratio"].pop()),
@@ -222,7 +225,8 @@ class TestTrainEvaluateCommands:
             "no-params", "no-buffers", "no-tensor-data", "float-list-data",
             "invalid-base64", "short-data", "v1-format", "preprocess-no-hi",
             "preprocess-short-hi", "preprocess-2d-lo", "preprocess-dict-lo",
-            "preprocess-not-a-block", "pca-no-components", "pca-short-mean",
+            "preprocess-not-a-block", "no-preprocess", "null-preprocess",
+            "empty-preprocess", "pca-no-components", "pca-short-mean",
             "pca-ratio-mismatch", "column-mismatch", "list-master-seed", "float-master-seed",
             "string-master-seed", "bool-master-seed", "list-optimizer-tags",
             "max-fusion"])

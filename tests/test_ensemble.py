@@ -9,7 +9,8 @@ import pytest
 from mlenn.ensemble import (EnsembleModel, ensemble_from_dict, fuse_average,
                             fuse_weighted_external, fused_threshold,
                             load_ensemble, normalize_enn, save_ensemble,
-                            train_ensemble)
+                            train_member)
+from mlenn.harness import RunConfig, train_members
 from mlenn.metrics import PredictionSet, average_precision
 from mlenn.network import NetworkSpec
 from mlenn.numerics import RngStream, ShapeError
@@ -23,6 +24,12 @@ def small_spec(**kw):
     kw.setdefault("n_labels", 3)
     kw.setdefault("hidden_units", 4)
     return NetworkSpec(**kw)
+
+
+def run_cfg(**kw):
+    """A RunConfig for train_members, which never reads its dataset path."""
+    kw.setdefault("hidden_units", 4)
+    return RunConfig(dataset="unused.mlkit", **kw)
 
 
 class TestFuseAverage:
@@ -90,12 +97,12 @@ class TestFuseWeightedExternal:
         assert fused_threshold(3.0) == 2.0
 
 
-class TestTrainEnsemble:
+class TestTrainMembers:
     def test_members_and_determinism(self):
         x, y = separable_task(5, n=45)
-        cfg = TrainConfig(epochs=2, members=2)
-        a = train_ensemble([small_spec()], x, y, cfg, seed=3)
-        b = train_ensemble([small_spec()], x, y, cfg, seed=3)
+        cfg = run_cfg(epochs=2, members=2)
+        a = train_members(cfg, x, y, RngStream(3))
+        b = train_members(cfg, x, y, RngStream(3))
         assert len(a.members) == 2
         for ma, mb in zip(a.members, b.members):
             assert ma.optimizer_tags == mb.optimizer_tags
@@ -105,16 +112,16 @@ class TestTrainEnsemble:
 
     def test_members_differ_from_each_other(self):
         x, y = separable_task(6, n=45)
-        model = train_ensemble([small_spec()], x, y, TrainConfig(epochs=1, members=2),
-                               seed=4)
+        model = train_members(run_cfg(epochs=1, members=2), x, y, RngStream(4))
         first = dict(model.members[0].network.param_items())
         second = dict(model.members[1].network.param_items())
         assert any(not np.array_equal(first[k], second[k]) for k in first)
 
     def test_multiple_topologies(self):
         x, y = separable_task(7, n=45)
-        specs = [small_spec(), small_spec(topology="TCN_A", tcn_filters=4, tcn_blocks=1)]
-        model = train_ensemble(specs, x, y, TrainConfig(epochs=1, members=2), seed=5)
+        cfg = run_cfg(topologies=("GRU_A", "TCN_A"), tcn_filters=4, tcn_blocks=1,
+                      epochs=1, members=2)
+        model = train_members(cfg, x, y, RngStream(5))
         assert len(model.members) == 4
         scores = model.predict_scores(x[:6])
         assert scores.shape == (6, 3)
@@ -122,25 +129,27 @@ class TestTrainEnsemble:
 
     def test_fixed_policy(self):
         x, y = separable_task(8, n=45)
-        model = train_ensemble([small_spec()], x, y,
-                               TrainConfig(epochs=1, members=1, optimizer="adam"), seed=6)
-        assert all(v == "adam" for v in model.members[0].optimizer_tags.values())
+        member = train_member(small_spec(), x, y, TrainConfig(epochs=1, optimizer="adam"),
+                              RngStream(6).child(0))
+        assert all(v == "adam" for v in member.optimizer_tags.values())
 
     def test_label_count_consistency_enforced(self):
         x, y = separable_task(9, n=45)
-        m1 = train_ensemble([small_spec()], x, y, TrainConfig(epochs=0, members=1), seed=1)
+        m1 = train_member(small_spec(), x, y, TrainConfig(epochs=0), RngStream(1).child(0))
         x2, y2 = separable_task(9, n=45, l=2)
-        m2 = train_ensemble([small_spec(n_labels=2)], x2, y2,
-                            TrainConfig(epochs=0, members=1), seed=1)
+        m2 = train_member(small_spec(n_labels=2), x2, y2, TrainConfig(epochs=0),
+                          RngStream(1).child(0))
         with pytest.raises(ShapeError):
-            EnsembleModel(m1.members + m2.members)
+            EnsembleModel([m1, m2])
 
 
 class TestSerialization:
     def _trained(self, epochs=1):
         x, y = separable_task(10, n=45)
         specs = [small_spec(), small_spec(topology="GRU_B", pre_conv_filters=3)]
-        return train_ensemble(specs, x, y, TrainConfig(epochs=epochs, members=1), seed=7), x
+        members = [train_member(spec, x, y, TrainConfig(epochs=epochs), RngStream(7).child(s))
+                   for s, spec in enumerate(specs)]
+        return EnsembleModel(members, master_seed=7), x
 
     def test_round_trip_preserves_parameters(self, tmp_path):
         model, x = self._trained()
@@ -258,10 +267,11 @@ class TestSerialization:
         # peak allocation stays near the one-member figure and far below
         # the file size.
         x, y = separable_task(10, n=20)
-        spec = small_spec(topology="TCN_A", tcn_filters=24, tcn_blocks=3)
         peaks, sizes = [], []
         for members in (1, 4):
-            model = train_ensemble([spec], x, y, TrainConfig(epochs=0, members=members), seed=7)
+            cfg = run_cfg(topologies=("TCN_A",), tcn_filters=24, tcn_blocks=3, epochs=0,
+                          members=members)
+            model = train_members(cfg, x, y, RngStream(7))
             path = tmp_path / f"m{members}.json"
             tracemalloc.start()
             try:
@@ -284,13 +294,12 @@ class TestEnsembleVariance:
         # noisy task) keeps the singles genuinely seed-sensitive.
         x, y, _ = noisy_teacher_task(909, n=200, d=16, l=5, noisy_rows=0.2)
         tr, te = slice(0, 133), slice(133, 200)
-        spec = small_spec(n_labels=5, hidden_units=8)
-        cfg = TrainConfig(epochs=3)
-        single = TrainConfig(epochs=3, members=1, optimizer="adam")
+        cfg = run_cfg(hidden_units=8, epochs=3)
+        single = run_cfg(hidden_units=8, epochs=3, members=1, optimizer="adam")
         singles, ensembles = [], []
         for seed in range(10):
-            one = train_ensemble([spec], x[tr], y[tr], single, seed=100 + seed)
-            ten = train_ensemble([spec], x[tr], y[tr], cfg, seed=500 + seed)
+            one = train_members(single, x[tr], y[tr], RngStream(100 + seed))
+            ten = train_members(cfg, x[tr], y[tr], RngStream(500 + seed))
             singles.append(average_precision(
                 PredictionSet.from_scores(y[te], one.predict_scores(x[te]))))
             ensembles.append(average_precision(

@@ -8,11 +8,14 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from mlenn.ensemble import fuse_weighted_external, normalize_enn
+import mlenn.harness as harness
+from mlenn.cli import _run_config, build_parser, main
+from mlenn.ensemble import fuse_weighted_external, load_ensemble, normalize_enn, train_member
 from mlenn.harness import (ConfigError, DatasetFormatError, Preprocess, RunConfig,
                            holdout_split, index_file_split, kfold_split, load_dataset,
                            load_external_scores, run_experiment, save_dataset)
 from mlenn.metrics import METRIC_NAMES
+from mlenn.network import NetworkSpec
 from mlenn.numerics import RngStream
 from mlenn.pipeline import Dataset
 
@@ -457,18 +460,18 @@ class TestRunExperiment:
         models = {r.model for r in report.records}
         assert models == {"ensemble", "ensemble+external", "ensemble+3x_external"}
         # cross-check one fused fold record by recomputation
-        from mlenn.ensemble import train_ensemble
+        from mlenn.ensemble import EnsembleModel
         from mlenn.harness import kfold_split as ksplit
         from mlenn.metrics import PredictionSet, compute_all
-        from mlenn.network import NetworkSpec
         from mlenn.pipeline import minmax_normalize
         master = RngStream(cfg.seed)
         (tr, te) = ksplit(ds.n_samples, 2, master.child(1))[0]
         x_tr = minmax_normalize(ds.x[tr], ds.x[tr])
         x_te = minmax_normalize(ds.x[tr], ds.x[te])
-        model = train_ensemble(
-            [NetworkSpec(topology="GRU_A", n_labels=2, hidden_units=4)],
-            x_tr, ds.y[tr], cfg, master.child(100).child(1))
+        spec = NetworkSpec(topology="GRU_A", n_labels=2, hidden_units=4)
+        model = EnsembleModel([train_member(spec, x_tr, ds.y[tr], cfg,
+                                            master.child(100).child(1).child(m))
+                               for m in range(cfg.members)])
         fused = fuse_weighted_external(normalize_enn(model.predict_scores(x_te)),
                                        ext[te], 3.0)
         expected = compute_all(PredictionSet.from_scores(ds.y[te], fused, threshold=2.0))
@@ -504,9 +507,8 @@ class TestRunExperiment:
         assert any(r.fold == "mean" for r in report.records)
 
     def test_failed_fold_continues(self, small_dataset_file, monkeypatch):
-        import mlenn.harness as harness
         from mlenn.training import TrainingDivergedError
-        real = harness.train_ensemble
+        real = harness.train_members
         calls = {"n": 0}
 
         def flaky(*args, **kwargs):
@@ -515,7 +517,7 @@ class TestRunExperiment:
                 raise TrainingDivergedError(0, 3)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "train_ensemble", flaky)
+        monkeypatch.setattr(harness, "train_members", flaky)
         path, _ = small_dataset_file
         report = run_experiment(fast_config(path))
         assert len(report.failures) == 1 and "fold 0" in report.failures[0]
@@ -532,6 +534,72 @@ class TestRunExperiment:
             assert fields["dataset"] == "synth"
             for name in METRIC_NAMES:
                 float(fields[name])  # six-decimal numeric
+
+
+class TestTrainingUnit:
+    """One (topology s, member m) unit trained alone, on one training set
+    built alone, has the bits of the same member inside a full run."""
+
+    TOPOLOGIES = ("GRU_A", "TCN_A")
+
+    def _assert_same_member(self, alone, member):
+        assert alone.network.spec == member.network.spec
+        assert alone.optimizer_tags == member.optimizer_tags
+        ours, theirs = alone.network.param_items(), member.network.param_items()
+        assert [key for key, _ in ours] == [key for key, _ in theirs]
+        for (key, a), (_, b) in zip(ours, theirs):
+            assert a.tobytes() == b.tobytes(), key
+
+    def _units_alone(self, cfg, x, y, sparse, rng, aug_rng):
+        _, x, y, weights = harness.fit_training_set(cfg, x, y, sparse, aug_rng)
+        for s, topology in enumerate(cfg.topologies):
+            spec = NetworkSpec(topology=topology, n_labels=y.shape[1],
+                               hidden_units=cfg.hidden_units, tcn_filters=cfg.tcn_filters,
+                               tcn_blocks=cfg.tcn_blocks)
+            for m in range(cfg.members):
+                yield s * cfg.members + m, train_member(
+                    spec, x, y, cfg, rng.child(s * cfg.members + m), weights)
+
+    def test_unit_matches_train_command(self, small_dataset_file, tmp_path):
+        path, _ = small_dataset_file
+        argv = ["train", "--dataset", str(path), "--members", "2", "--epochs", "2",
+                "--hidden-units", "3", "--tcn-filters", "4", "--tcn-blocks", "1",
+                "--seed", "9", "--output", str(tmp_path / "model")]
+        for topology in self.TOPOLOGIES:
+            argv += ["--topology", topology]
+        assert main(argv) == 0
+        saved, _ = load_ensemble(tmp_path / "model" / "model.json")
+        cfg = _run_config(build_parser().parse_args(argv))
+        ds = load_dataset(path)
+        rng = RngStream(cfg.seed)
+        units = list(self._units_alone(cfg, ds.x, ds.y, ds.sparse, rng, rng))
+        assert [index for index, _ in units] == [0, 1, 2, 3]
+        assert len(saved.members) == 4
+        for index, alone in units:
+            self._assert_same_member(alone, saved.members[index])
+
+    def test_unit_matches_kfold_fold(self, small_dataset_file, monkeypatch):
+        path, ds = small_dataset_file
+        cfg = fast_config(path, topologies=self.TOPOLOGIES, members=2, tcn_filters=4,
+                          tcn_blocks=1, augment_clusters=0, augment_weight=0.5)
+        trained = []
+        real = harness.train_member
+
+        def spy(*args, **kwargs):
+            trained.append(real(*args, **kwargs))
+            return trained[-1]
+
+        monkeypatch.setattr(harness, "train_member", spy)
+        report = run_experiment(cfg)
+        assert report.failures == [] and len(trained) == 2 * 4
+        monkeypatch.undo()
+        master = RngStream(cfg.seed)
+        train_idx, _ = kfold_split(ds.n_samples, cfg.folds, master.child(1))[1]
+        fold = master.child(101)
+        units = self._units_alone(cfg, ds.x[train_idx], ds.y[train_idx], ds.sparse,
+                                  fold.child(1), fold.child(7))
+        for index, alone in units:
+            self._assert_same_member(alone, trained[4 + index])
 
 
 class TestPreprocess:
