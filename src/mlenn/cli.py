@@ -5,7 +5,8 @@ Subcommands:
     kfold            cross-validated experiment with full metric report
     train            fit an ensemble on a whole dataset file and save it
     evaluate         apply a saved ensemble to a dataset file
-    augment-preview  show the cluster-center virtual examples for a dataset
+    augment-preview  k-means centres of a file's raw (unscaled, unprojected)
+                     feature rows: not the virtual rows that training adds
 
 All randomness is governed by the single --seed flag; identical
 invocations write identical bytes.
@@ -91,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--external-scores", default=None)
     p_eval.add_argument("--output", default=None)
 
-    p_aug = sub.add_parser("augment-preview", help="print cluster-center virtual examples")
+    p_aug = sub.add_parser("augment-preview", help="print the cluster centres of the raw "
+                           "feature rows (no scaling or PCA; not the rows kfold adds)")
     p_aug.add_argument("--dataset", required=True)
     p_aug.add_argument("--clusters", type=int, required=True)
     p_aug.add_argument("--seed", type=int, default=0)
@@ -157,6 +159,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_augment_preview(args) -> int:
+    if args.seed < 0:
+        raise ConfigError("field seed: must be >= 0")
     ds = load_dataset(args.dataset)
     aug = imcc_augment(ds, args.clusters, RngStream(args.seed))
     lines = [f"# {args.clusters} cluster centers for {ds.name} "

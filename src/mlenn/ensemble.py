@@ -6,7 +6,9 @@ training set. Prediction fuses member confidences by the average rule. A
 trained ensemble round-trips through a self-describing JSON container
 that is byte-stable for a fixed seed. Each tensor in it is its shape and
 the base64 text of its little-endian float64 bytes, so the round trip is
-bit-exact.
+bit-exact. The file's bytes are those of ``json.dumps(doc, sort_keys=True)``,
+produced by the standard encoder's ``iterencode``, which holds one tensor's
+base64 text at a time.
 """
 
 from __future__ import annotations
@@ -98,29 +100,27 @@ def fused_threshold(w: float) -> float:
     return 0.5 * (1.0 + w)
 
 
-def _array_payload(arr: np.ndarray) -> dict:
-    raw = arr.astype("<f8", copy=False).tobytes()
-    return {"shape": list(arr.shape),
-            "data": binascii.b2a_base64(raw, newline=False).decode("ascii")}
+class _ModelEncoder(json.JSONEncoder):
+    """Encodes a tensor, when the encoder reaches it, as its shape and the
+    base64 text of its little-endian float64 bytes."""
+
+    def default(self, o):
+        if not isinstance(o, np.ndarray):
+            return super().default(o)  # json's own TypeError
+        raw = o.astype("<f8", copy=False).tobytes()
+        return {"shape": list(o.shape),
+                "data": binascii.b2a_base64(raw, newline=False).decode("ascii")}
 
 
-class _Tensor:
-    """A tensor in the document that save_ensemble writes; its payload is
-    built and encoded only when the writer reaches it."""
-
-    def __init__(self, arr: np.ndarray):
-        self.arr = arr
-
-
-def _container(model: EnsembleModel, tensor) -> dict:
-    """The model document, with ``tensor(arr)`` in the place of each tensor."""
+def _container(model: EnsembleModel) -> dict:
+    """The model document; each tensor in it is the layer's own array."""
     members = []
     for m in model.members:
         members.append({
             "spec": asdict(m.network.spec),
             "optimizer_tags": dict(m.optimizer_tags),
-            "params": {key: tensor(arr) for key, arr in m.network.param_items()},
-            "buffers": {key: tensor(arr) for key, arr in m.network.state_items()},
+            "params": dict(m.network.param_items()),
+            "buffers": dict(m.network.state_items()),
         })
     return {
         "format": MODEL_FORMAT,
@@ -197,51 +197,22 @@ def ensemble_from_dict(doc: dict) -> EnsembleModel:
     return EnsembleModel(members, master_seed=master_seed)
 
 
-def _write_json(fh, obj) -> None:
-    """Write the bytes of ``json.dumps(obj, sort_keys=True)``, one tensor
-    payload at a time.
-
-    Dicts with string keys and lists that hold a dict are written item by
-    item with json's default separators; a ``_Tensor`` is written as its
-    payload; anything else is encoded whole by the C encoder.
-    """
-    if isinstance(obj, _Tensor):
-        fh.write(json.dumps(_array_payload(obj.arr), sort_keys=True))
-    elif isinstance(obj, dict) and all(isinstance(key, str) for key in obj):
-        fh.write("{")
-        for i, key in enumerate(sorted(obj)):
-            if i:
-                fh.write(", ")
-            fh.write(json.dumps(key) + ": ")
-            _write_json(fh, obj[key])
-        fh.write("}")
-    elif isinstance(obj, list) and any(isinstance(item, dict) for item in obj):
-        fh.write("[")
-        for i, item in enumerate(obj):
-            if i:
-                fh.write(", ")
-            _write_json(fh, item)
-        fh.write("]")
-    else:
-        fh.write(json.dumps(obj, sort_keys=True))
-
-
 def save_ensemble(model: EnsembleModel, path, extra: dict | None = None) -> None:
     """Write the container; ``extra`` adds top-level keys beside the model.
 
     The file holds ``json.dumps(doc, sort_keys=True)`` and a newline, one
     line with sorted keys, where ``doc`` is the model document updated with
     ``extra``. Each tensor is ``{"data": ..., "shape": [...]}``, with the
-    base64 text of the tensor's little-endian float64 bytes as its data. It
-    is written one tensor at a time, so no more than one tensor's bytes and
-    their base64 text are held at once. Each piece goes through the C
-    encoder; ``json.dump`` and any ``indent`` run the pure-Python one.
+    base64 text of the tensor's little-endian float64 bytes as its data.
+    The bytes come chunk by chunk from the encoder's ``iterencode``, which
+    builds a tensor's payload only when it reaches it, so no more than one
+    tensor's bytes and their base64 text are held at once.
     """
-    doc = _container(model, _Tensor)
+    doc = _container(model)
     if extra:
         doc.update(extra)
     with open(path, "w", encoding="utf-8") as fh:
-        _write_json(fh, doc)
+        fh.writelines(_ModelEncoder(sort_keys=True).iterencode(doc))
         fh.write("\n")
 
 

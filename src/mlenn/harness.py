@@ -307,6 +307,8 @@ class RunConfig(TrainConfig):
             raise ConfigError("field augment_clusters: must be >= 0 (0 = auto)")
         if not self.augment_weight >= 0:
             raise ConfigError("field augment_weight: must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("field seed: must be >= 0")
 
     def validate(self) -> None:
         """Check that exactly one fold scheme is chosen; run_experiment's check."""

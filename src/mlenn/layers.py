@@ -14,7 +14,10 @@ gradient, and returns the input gradient as one array; the parametric
 backwards (GRU, convolution, batchnorm, dense) also write exact
 reverse-mode gradients of every parameter tensor into a fresh
 ``grad_vector``. So each ``_backward`` is one kernel call. Sequences are
-batched as (batch, time, channels).
+batched as (batch, time, channels). Kernels coerce nothing: data becomes
+float64 where it enters, parameters in ``Layer._own_params``, features in
+``network.encode_features`` and the rows, labels and weights of a training
+run in ``training.train_network``.
 
 The GRU kernels keep the three gates (z | r | c) along one axis and their
 sequences time-major. In train mode the input projections of every step
@@ -198,7 +201,6 @@ def glorot_uniform(shape: tuple, rng: RngStream | None) -> np.ndarray:
 
 def sigmoid(x) -> np.ndarray:
     """Logistic function 1 / (1 + e^-x), overflow-safe on both tails."""
-    x = as_tensor(x)
     t = np.exp(-np.abs(x))
     d = 1.0 + t
     return np.where(x >= 0, 1.0 / d, t / d)
@@ -210,7 +212,7 @@ def sigmoid_backward(y: np.ndarray, upstream: np.ndarray) -> np.ndarray:
 
 
 def relu(x, out: np.ndarray | None = None) -> np.ndarray:
-    return np.maximum(as_tensor(x), 0.0, out=out)
+    return np.maximum(x, 0.0, out=out)
 
 
 def relu_backward(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
@@ -231,7 +233,6 @@ def dropout(x, p: float, rng: RngStream | None, train: bool):
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must lie in [0, 1), got {p}")
-    x = as_tensor(x)
     if not train or p == 0.0:
         return x, None
     if rng is None:
@@ -255,7 +256,6 @@ class Relu(Layer):
     def _forward(self, x, train, rng, overwrite):
         # A train-mode pass caches the sign mask, all that backward reads of
         # the input, at one byte per element.
-        x = as_tensor(x)
         if train:
             return relu(x), np.greater(x, 0.0)
         return relu(x, out=x if overwrite else None), None
@@ -379,7 +379,6 @@ def gru_forward(layer: Gru, x, train: bool = True):
     loop, so their states are bitwise equal. Returns the hidden-state
     sequence, a (B, T, N) view of the state buffer, and the cache.
     """
-    x = as_tensor(x)
     if x.ndim != 3:
         raise ShapeError(f"gru_forward expects (B, T, C) input, got shape {x.shape}")
     b, t_steps, d = x.shape
@@ -443,7 +442,6 @@ def gru_backward(layer: Gru, cache: GruCache, upstream) -> np.ndarray:
     h_0 = 0, the step computes no dh_prev, which nothing reads, and sets
     dar = 0; at T = 1 the recurrent gradients are zero without a matmul.
     """
-    upstream = as_tensor(upstream)
     x, hs, gates = cache.x, cache.hs, cache.gates
     b, t_steps, d = x.shape
     n = layer.hidden
@@ -587,7 +585,7 @@ def conv1d_forward(layer: Conv1d, x, overwrite: bool = False):
     block's GEMM reads the block's whole sequences before their output
     rows are written, and no block reads another's rows.
     """
-    x = np.ascontiguousarray(as_tensor(x))
+    x = np.ascontiguousarray(x)
     if x.ndim != 3:
         raise ShapeError(f"conv1d_forward expects (B, T, C) input, got {x.shape}")
     filters, in_channels, width = layer.kernels.shape
@@ -627,7 +625,6 @@ def conv1d_backward(layer: Conv1d, x: np.ndarray, upstream) -> np.ndarray:
     time, are summed into the input gradient. Taps that touch no step get a
     zero kernel gradient.
     """
-    upstream = as_tensor(upstream)
     filters, in_channels, width = layer.kernels.shape
     b, t_steps, _ = x.shape
     if upstream.shape != (b, t_steps, filters):
@@ -710,7 +707,6 @@ def batchnorm_forward(layer: BatchNorm, x, train: bool, overwrite: bool = False)
     ``overwrite`` the input's own rows, and returns no cache, as it has no
     backward.
     """
-    x = as_tensor(x)
     if x.ndim != 3 or x.shape[2] != layer.gamma.shape[0]:
         raise ShapeError(
             f"batchnorm expects (B, T, {layer.gamma.shape[0]}) input, got {x.shape}"
@@ -748,7 +744,6 @@ def batchnorm_backward(layer: BatchNorm, cache: tuple, upstream) -> np.ndarray:
     that held u * xhat.
     """
     xhat, inv_std = cache
-    upstream = as_tensor(upstream)
     if upstream.shape != xhat.shape:
         raise ShapeError(
             f"upstream shape {upstream.shape} does not match output {xhat.shape}"
@@ -796,7 +791,6 @@ def maxpool_time(x):
     contiguous, so the indices are taken a block of whole sequences at a
     time, and no copy exceeds ``ARGMAX_BLOCK`` elements or one sequence.
     """
-    x = as_tensor(x)
     if x.ndim != 3:
         raise ShapeError(f"maxpool_time expects (B, T, C) input, got {x.shape}")
     b, t_steps, c = x.shape
@@ -817,7 +811,6 @@ def maxpool_time_backward(cache, upstream) -> np.ndarray:
     """Route each upstream entry to its argmax step, through one flat
     index into the (B, T, C) result; at T = 1, a copy of upstream."""
     idx, shape = cache
-    upstream = as_tensor(upstream)
     b, t_steps, c = shape
     if upstream.shape != (b, c):
         raise ShapeError(f"upstream shape {upstream.shape} does not match pooled {(b, c)}")
@@ -865,7 +858,6 @@ class Dense(Layer):
 def dense_forward(layer: Dense, x):
     """Affine map y = x W^T + b applied per position; 3-D input shares the
     same weights at every time step. The cache is the input."""
-    x = as_tensor(x)
     if x.shape[-1] != layer.weights.shape[1]:
         raise ShapeError(
             f"dense input has {x.shape[-1]} features, weights expect {layer.weights.shape[1]}"
@@ -877,7 +869,6 @@ def dense_backward(layer: Dense, x: np.ndarray, upstream) -> np.ndarray:
     """Exact gradients of :func:`dense_forward`; 3-D input is flattened to
     (B*T, features) so both weight reductions are 2-D BLAS calls."""
     weights = layer.weights
-    upstream = as_tensor(upstream)
     if x.ndim not in (2, 3):
         raise ShapeError(f"dense_backward supports 2-D or 3-D input, got {x.ndim}-D")
     if upstream.shape != x.shape[:-1] + (weights.shape[0],):

@@ -29,7 +29,7 @@ segment, and sto's U, which each segment draws from its own stream. So
 one step over a layer's vector gives the bits of one step per tensor. A
 step builds its temporaries in a few C-ordered buffers, each updated in
 place in the textbook operation order, and a state is mutated only by its
-own step call.
+own step call. The step and the clip coerce nothing: arrays are float64.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import NonFiniteError, ShapeError, as_tensor, logistic_in_place
+from .numerics import NonFiniteError, ShapeError, logistic_in_place
 
 VARIANTS = ("adam", "diffgrad", "dgrad", "cos1", "exp", "sto")
 STOCHASTIC_POOL = ("dgrad", "cos1", "exp", "sto")
@@ -158,8 +158,6 @@ def modulation(state: OptimizerState, g: np.ndarray):
 
 def optimizer_step(state: OptimizerState, theta, g) -> np.ndarray:
     """Advance the state by one step and return the updated parameter."""
-    theta = as_tensor(theta)
-    g = as_tensor(g)
     if theta.shape != g.shape or theta.shape != state.m.shape:
         raise ShapeError(
             f"parameter {theta.shape}, gradient {g.shape} and state {state.m.shape} disagree"
@@ -199,7 +197,6 @@ def clip_gradients_l2(grads: list, threshold: float, sizes: list | None = None) 
     """
     if threshold <= 0.0:
         raise ValueError(f"clip threshold must be positive, got {threshold}")
-    grads = [as_tensor(g) for g in grads]
     total = 0.0
     for i, g in enumerate(grads):
         flat = g.ravel()

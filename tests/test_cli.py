@@ -268,6 +268,7 @@ _BAD_VALUES = [
     ("--members", "0", "members"),
     ("--optimizer", "sgd", "optimizer"),
     ("--hidden-units", "0", "hidden_units"),
+    ("--seed", "-1", "seed"),
 ]
 
 
@@ -332,3 +333,12 @@ class TestAugmentPreview:
         code, _, err = run_cli(capsys, "augment-preview", "--dataset",
                                dataset_file, "--clusters", "999")
         assert code == 1
+
+    def test_negative_seed_is_a_configuration_error(self, dataset_file, capsys, tmp_path):
+        out_file = tmp_path / "aug.txt"
+        code, stdout, err = run_cli(capsys, "augment-preview", "--dataset", dataset_file,
+                                    "--clusters", "3", "--seed", "-1", "--output", out_file)
+        assert code == 2
+        assert "stage=configuration" in err and "seed" in err
+        assert stdout == ""
+        assert not out_file.exists()

@@ -284,6 +284,13 @@ class TestSerialization:
         assert peaks[1] < 1.5 * peaks[0]
         assert peaks[1] < sizes[1] / 2
 
+    def test_unencodable_extra_raises_jsons_type_error(self, tmp_path):
+        # The save hook encodes arrays only; any other object keeps the
+        # encoder's own TypeError.
+        model, _ = self._trained(epochs=0)
+        with pytest.raises(TypeError, match="^Object of type set is not JSON serializable$"):
+            save_ensemble(model, tmp_path / "model.json", extra={"s": {1, 2}})
+
 
 @pytest.mark.slow
 class TestEnsembleVariance:
