@@ -95,7 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_aug = sub.add_parser("augment-preview", help="print the cluster centres of the raw "
                            "feature rows (no scaling or PCA; not the rows kfold adds)")
     p_aug.add_argument("--dataset", required=True)
-    p_aug.add_argument("--clusters", type=int, required=True)
+    p_aug.add_argument("--clusters", type=int, required=True,
+                       help=">= 1; a count above the row count fails once the file is read")
     p_aug.add_argument("--seed", type=int, default=0)
     p_aug.add_argument("--output", default=None, help="optional file for the preview")
 
@@ -161,6 +162,8 @@ def _cmd_evaluate(args) -> int:
 def _cmd_augment_preview(args) -> int:
     if args.seed < 0:
         raise ConfigError("field seed: must be >= 0")
+    if args.clusters < 1:
+        raise ConfigError("field clusters: must be >= 1")
     ds = load_dataset(args.dataset)
     aug = imcc_augment(ds, args.clusters, RngStream(args.seed))
     lines = [f"# {args.clusters} cluster centers for {ds.name} "

@@ -438,9 +438,9 @@ def gru_backward(layer: Gru, cache: GruCache, upstream) -> np.ndarray:
     the T*B rows of G: d[wz; wr; wh] = G^T X, d[uz; ur] = G_zr^T H_prev and
     duh = G_c^T (r * H_prev), each written into its view of the layer's
     gradient vector. dx is the sum of the three per-gate matmuls
-    G_z wz + G_r wr + G_c wh, and db = the row sums. At t = 0, where
-    h_0 = 0, the step computes no dh_prev, which nothing reads, and sets
-    dar = 0; at T = 1 the recurrent gradients are zero without a matmul.
+    G_z wz + G_r wr + G_c wh, and db = the row sums. Step 0 (h_0 = 0) runs
+    in the loop but skips both recurrent matmuls: dar = 0, and no dh_prev;
+    at T = 1 the recurrent gradients are zero without a matmul.
     """
     x, hs, gates = cache.x, cache.hs, cache.gates
     b, t_steps, d = x.shape
@@ -457,20 +457,28 @@ def gru_backward(layer: Gru, cache: GruCache, upstream) -> np.ndarray:
     d_rh = np.empty((b, n))
     dsig = np.empty((2, b, n))
     proj = np.empty((2, b, n))
-    for t in range(t_steps - 1, 0, -1):
+    for t in range(t_steps - 1, -1, -1):
         h_prev = hs[t]
-        zr, z, r, c = gates[t, :2], gates[t, 0], gates[t, 1], gates[t, 2]
-        g_zr, g_z, g_r, g_c = g_all[:2, t], g_all[0, t], g_all[1, t], g_all[2, t]
+        z, c = gates[t, 0], gates[t, 2]
+        g_z, g_c = g_all[0, t], g_all[2, t]
         np.add(upstream[:, t], dh_next, out=dh)
         # dac = dh * z * (1 - c^2)
         np.multiply(c, c, out=g_c)
         np.subtract(1.0, g_c, out=g_c)
         g_c *= z
         g_c *= dh
-        np.matmul(g_c, layer.uh, out=d_rh)
         # [daz; dar] = [dh * (c - h_prev); d_rh * h_prev] * s * (1 - s), s = [z; r]
         np.subtract(c, h_prev, out=g_z)
         g_z *= dh
+        if t == 0:
+            dz = np.subtract(1.0, z, out=dsig[0])
+            dz *= z
+            g_z *= dz
+            g_all[1, 0] = 0.0
+            break
+        zr, r = gates[t, :2], gates[t, 1]
+        g_zr, g_r = g_all[:2, t], g_all[1, t]
+        np.matmul(g_c, layer.uh, out=d_rh)
         np.multiply(d_rh, h_prev, out=g_r)
         np.subtract(1.0, zr, out=dsig)
         dh *= dsig[0]
@@ -482,19 +490,6 @@ def gru_backward(layer: Gru, cache: GruCache, upstream) -> np.ndarray:
         dh_next += dh
         d_rh *= r
         dh_next += d_rh
-    # Step 0, the same arithmetic with h_prev = h_0 = 0.
-    z, c = gates[0, 0], gates[0, 2]
-    g_z, g_c = g_all[0, 0], g_all[2, 0]
-    np.add(upstream[:, 0], dh_next, out=dh)
-    np.multiply(c, c, out=g_c)
-    np.subtract(1.0, g_c, out=g_c)
-    g_c *= z
-    g_c *= dh
-    np.multiply(c, dh, out=g_z)
-    np.subtract(1.0, z, out=dsig[0])
-    dsig[0] *= z
-    g_z *= dsig[0]
-    g_all[1, 0] = 0.0
 
     g = g_all.reshape(3, t_steps * b, n)
     layer._new_grads()
@@ -785,8 +780,7 @@ def maxpool_time(x):
     shape.
 
     At T = 1 the output is the one step itself, a view, with zero indices.
-    Otherwise the maxima are gathered with one flat index into x's memory,
-    laid out (B, T, C) or, for the GRU's states, time-major (T, B, C).
+    Otherwise ``np.take_along_axis`` gathers the maxima, from any layout.
     numpy's argmax copies its input unless the reduced axis is last and
     contiguous, so the indices are taken a block of whole sequences at a
     time, and no copy exceeds ``ARGMAX_BLOCK`` elements or one sequence.
@@ -800,35 +794,21 @@ def maxpool_time(x):
     step = max(1, ARGMAX_BLOCK // (t_steps * c))
     for start in range(0, b, step):
         x[start:start + step].argmax(axis=1, out=idx[start:start + step])
-    time_major = x.transpose(1, 0, 2)
-    if time_major.flags.c_contiguous:
-        return time_major.reshape(-1)[_flat_index(idx, b * c, c)], (idx, x.shape)
-    flat = _flat_index(idx, c, t_steps * c)
-    return np.ascontiguousarray(x).reshape(-1)[flat], (idx, x.shape)
+    return np.take_along_axis(x, idx[:, None], axis=1)[:, 0], (idx, x.shape)
 
 
 def maxpool_time_backward(cache, upstream) -> np.ndarray:
-    """Route each upstream entry to its argmax step, through one flat
-    index into the (B, T, C) result; at T = 1, a copy of upstream."""
+    """Route each upstream entry to its argmax step with
+    ``np.put_along_axis`` into zeros; at T = 1, a copy of upstream."""
     idx, shape = cache
     b, t_steps, c = shape
     if upstream.shape != (b, c):
         raise ShapeError(f"upstream shape {upstream.shape} does not match pooled {(b, c)}")
     if t_steps == 1:
         return upstream[:, None, :].copy()
-    dx = np.zeros(b * t_steps * c)
-    dx[_flat_index(idx, c, t_steps * c)] = upstream
-    return dx.reshape(shape)
-
-
-def _flat_index(idx: np.ndarray, t_stride: int, b_stride: int) -> np.ndarray:
-    """Flat position of element (b, idx[b, c], c) in memory whose time,
-    batch and channel strides are t_stride, b_stride and 1 elements."""
-    b, c = idx.shape
-    flat = idx * t_stride
-    flat += np.arange(0, b * b_stride, b_stride)[:, None]
-    flat += np.arange(c)
-    return flat
+    dx = np.zeros(shape)
+    np.put_along_axis(dx, idx[:, None], upstream[:, None], axis=1)
+    return dx
 
 
 # ---------------------------------------------------------------------------

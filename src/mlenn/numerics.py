@@ -251,11 +251,11 @@ def group_means(v: np.ndarray, assignments: np.ndarray, c: int) -> np.ndarray:
 def kmeans(x, c: int, rng: RngStream, max_iter: int = 300) -> KMeansModel:
     """Partition rows of ``x`` into ``c`` clusters by Lloyd iteration.
 
-    Seeding picks a random first center from ``rng`` and then repeatedly
-    takes the point farthest from the chosen set. Iteration stops when the
-    assignment vector is a fixed point (or at ``max_iter``); an emptied
-    cluster is reseeded with the point farthest from its own center among
-    the clusters that keep a member after giving it up.
+    Seeding picks a random first center from ``rng``, then repeatedly the
+    point farthest (by ``_exact_sq_dists``) from the chosen set. Iteration
+    stops when the assignment vector is a fixed point (or at ``max_iter``);
+    an emptied cluster is reseeded with the point farthest from its own
+    center among the clusters that keep a member after giving it up.
 
     The assignments are those of the difference form
     ``D_ij = sum_k (x_ik - c_jk)^2`` with ties to the lowest index, but
@@ -287,12 +287,11 @@ def kmeans(x, c: int, rng: RngStream, max_iter: int = 300) -> KMeansModel:
         return KMeansModel(x.copy(), np.arange(n), 0.0, (0.0,))
 
     chosen = [int(rng.integers(n))]
-    min_d2 = np.einsum("nd,nd->n", x - x[chosen[0]], x - x[chosen[0]])
+    min_d2 = _exact_sq_dists(x, x[chosen[0]:chosen[0] + 1])[:, 0]
     while len(chosen) < c:
         nxt = int(np.argmax(min_d2))
         chosen.append(nxt)
-        d2 = np.einsum("nd,nd->n", x - x[nxt], x - x[nxt])
-        min_d2 = np.minimum(min_d2, d2)
+        np.minimum(min_d2, _exact_sq_dists(x, x[nxt:nxt + 1])[:, 0], out=min_d2)
     centers = x[chosen].copy()
 
     xx = np.einsum("nd,nd->n", x, x)

@@ -333,6 +333,7 @@ class TestAugmentPreview:
         code, _, err = run_cli(capsys, "augment-preview", "--dataset",
                                dataset_file, "--clusters", "999")
         assert code == 1
+        assert "stage=augment-preview" in err
 
     def test_negative_seed_is_a_configuration_error(self, dataset_file, capsys, tmp_path):
         out_file = tmp_path / "aug.txt"
@@ -340,5 +341,16 @@ class TestAugmentPreview:
                                     "--clusters", "3", "--seed", "-1", "--output", out_file)
         assert code == 2
         assert "stage=configuration" in err and "seed" in err
+        assert stdout == ""
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("clusters", ["0", "-1"])
+    def test_nonpositive_clusters_is_a_configuration_error(self, dataset_file, capsys,
+                                                           tmp_path, clusters):
+        out_file = tmp_path / "aug.txt"
+        code, stdout, err = run_cli(capsys, "augment-preview", "--dataset", dataset_file,
+                                    "--clusters", clusters, "--output", out_file)
+        assert code == 2
+        assert "stage=configuration" in err and "clusters" in err
         assert stdout == ""
         assert not out_file.exists()

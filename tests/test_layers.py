@@ -776,12 +776,17 @@ class TestMaxPoolTime:
         _, (idx, _) = maxpool_time(x)
         npt.assert_array_equal(idx, x.argmax(axis=1))
 
-    def test_peak_memory_is_one_block(self):
+    @pytest.mark.parametrize("layout", ["gru-states", "strided"])
+    def test_peak_memory_is_one_block(self, layout):
         # numpy's argmax over the time axis copies its input; taken a
-        # block of sequences at a time, the copy is at most one block.
+        # block of sequences at a time, the copy is at most one block,
+        # and the gather copies nothing, whatever the input's layout.
         b, t, c = 120, 103, 50
-        h = Gru.glorot("gru", c, 1, RngStream(83)).forward(
-            np.asarray(RngStream(84).uniform((b, t, 1))))
+        if layout == "gru-states":
+            h = Gru.glorot("gru", c, 1, RngStream(83)).forward(
+                np.asarray(RngStream(84).uniform((b, t, 1))))
+        else:
+            h = np.asarray(RngStream(84).uniform((b, 2 * t, c)))[:, ::2]
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -790,7 +795,7 @@ class TestMaxPoolTime:
         finally:
             tracemalloc.stop()
         npt.assert_array_equal(idx, h.argmax(axis=1))
-        # the block copy, then y, idx and the flat gather index
+        # the block copy, then y, idx and the gather's index arrays
         assert peak < layers.ARGMAX_BLOCK * 8 + 3 * b * c * 8 + 64 * 1024, peak
 
     def test_hand_max_and_gradient_routing(self):

@@ -188,15 +188,19 @@ class TestWholeNetworkGradient:
     """Each gradient that reaches the optimizer during one full-batch step
     matches central differences of the weighted loss through the whole
     network, tensor by tensor in param_items order, after each per-layer
-    gradient vector is split back into its tensors."""
+    gradient vector is split back into its tensors, with dropout off and
+    on."""
 
+    @pytest.mark.parametrize("dropout_p", [0.0, 0.3])
     @pytest.mark.parametrize("encoding", ENCODINGS)
     @pytest.mark.parametrize("topology", TOPOLOGIES)
-    def test_optimizer_receives_exact_gradients(self, topology, encoding, monkeypatch):
+    def test_optimizer_receives_exact_gradients(self, topology, encoding, dropout_p,
+                                                monkeypatch):
         x, y = banded_task(21, 4, 5, 3)
         weights = np.array([1.0, 0.5, 0.0, 2.0])
         spec = NetworkSpec(topology=topology, n_labels=3, hidden_units=3, tcn_filters=4,
-                           tcn_blocks=2, dropout_p=0.0, input_encoding=encoding, input_dim=5)
+                           tcn_blocks=2, dropout_p=dropout_p, input_encoding=encoding,
+                           input_dim=5)
 
         seen = []
         step = mlenn.training.optimizer_step
@@ -227,12 +231,14 @@ class TestWholeNetworkGradient:
 
         # Earlier layers are updated before later ones reach the optimizer,
         # so the differences are taken on a twin with the initial weights,
-        # fed the rows in the order the step drew them.
+        # fed the rows in the order the step drew them and, from the same
+        # stream, the same dropout masks.
         twin = build_network(spec, RngStream(1))
-        order = RngStream(2).permutation(4)
 
         def loss():
-            scores = twin.forward(x[order], train=True)
+            rng = RngStream(2)
+            order = rng.permutation(4)
+            scores = twin.forward(x[order], train=True, rng=rng)
             return bce_loss(y[order], scores, weights[order])[0]
 
         params = net.param_items()
