@@ -8,7 +8,11 @@ that is byte-stable for a fixed seed. Each tensor in it is its shape and
 the base64 text of its little-endian float64 bytes, so the round trip is
 bit-exact. The file's bytes are those of ``json.dumps(doc, sort_keys=True)``,
 produced by the standard encoder's ``iterencode``, which holds one tensor's
-base64 text at a time.
+base64 text at a time. The loader keeps the file's bytes referenced until
+the parse has ended, so that glibc maps each tensor's base64 text apart
+and unmaps it when it is freed, instead of leaving it on the heap under
+the model's arrays (see ``load_ensemble``). The bytes are decoded as
+strict UTF-8.
 """
 
 from __future__ import annotations
@@ -219,8 +223,17 @@ def save_ensemble(model: EnsembleModel, path, extra: dict | None = None) -> None
 def load_ensemble(path) -> tuple[EnsembleModel, dict]:
     """Read a container written by save_ensemble; returns the model and the
     ``extra`` keys that were saved beside it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    # The file's bytes stay referenced until the parse has ended. A read
+    # buffer freed before the parse (text-mode ``json.load``) raises
+    # glibc's dynamic mmap threshold to the file's size, so every tensor's
+    # base64 text then lands on the brk heap below the model's arrays, and
+    # ~6.5 MB of it stays resident under the forward once it is freed.
+    # ``decode`` rather than ``json.loads(raw)``, whose encoding detection
+    # would accept a UTF-8 BOM and UTF-16 files.
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    doc = json.loads(raw.decode("utf-8"))
+    del raw
     model = ensemble_from_dict(doc)
     container = ("format", "master_seed", "fusion", "external_weight", "members")
     return model, {key: value for key, value in doc.items() if key not in container}

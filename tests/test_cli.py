@@ -249,6 +249,27 @@ class TestTrainEvaluateCommands:
         assert named in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("reencode,named", [
+        (lambda raw: b"\xef\xbb\xbf" + raw, "Unexpected UTF-8 BOM"),
+        (lambda raw: raw.decode("utf-8").encode("utf-16"), "can't decode byte 0xff"),
+        (lambda raw: b"\xff" + raw, "can't decode byte 0xff"),
+    ], ids=["utf8-bom", "utf16", "leading-0xff"])
+    def test_model_file_is_strict_utf8(self, dataset_file, tmp_path, capsys, reencode, named):
+        # The model file is UTF-8 without a BOM. json's own encoding
+        # detection would accept the first two; they must stay typed errors.
+        model_path = tmp_path / "model" / "model.json"
+        code, _, _ = run_cli(capsys, "train", "--dataset", dataset_file, "--members", "1",
+                             "--hidden-units", "4", "--epochs", "0",
+                             "--output", model_path.parent)
+        assert code == 0
+        model_path.write_bytes(reencode(model_path.read_bytes()))
+        code, _, err = run_cli(capsys, "evaluate", "--model", model_path,
+                               "--dataset", dataset_file)
+        assert code == 1
+        assert err.startswith("error [stage=evaluate]: ")
+        assert named in err
+        assert err.count("\n") == 1
+
     def test_train_config_error_exit_code(self, dataset_file, tmp_path, capsys):
         code, _, err = run_cli(capsys, "train", "--dataset", dataset_file,
                                "--optimizer", "sgd", "--output", tmp_path / "model")

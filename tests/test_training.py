@@ -3,6 +3,8 @@ import contextlib
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mlenn.layers
 import mlenn.training
@@ -194,10 +196,28 @@ class TestWholeNetworkGradient:
     @pytest.mark.parametrize("dropout_p", [0.0, 0.3])
     @pytest.mark.parametrize("encoding", ENCODINGS)
     @pytest.mark.parametrize("topology", TOPOLOGIES)
-    def test_optimizer_receives_exact_gradients(self, topology, encoding, dropout_p,
-                                                monkeypatch):
-        x, y = banded_task(21, 4, 5, 3)
-        weights = np.array([1.0, 0.5, 0.0, 2.0])
+    def test_optimizer_receives_exact_gradients(self, topology, encoding, dropout_p):
+        self._check(topology, encoding, dropout_p, build_seed=1, train_seed=2, batch=4)
+
+    # The same oracle over the seeds and B = 1, 2, 5, without dropout: a
+    # dropped row meets a zero-initialised conv bias at ReLU's kink exactly,
+    # where central differences give half the slope. A norm floor of 1e-3
+    # admits the ~1e-9 rounding noise of the differences on tensors whose
+    # exact gradient is near zero. Derandomized: about one uniform draw in
+    # several hundred sits within a step of a max-pool tie or on a
+    # near-degenerate batchnorm, where the differences themselves are off.
+    @pytest.mark.parametrize("topology", ["GRU_A", "TCN_A"])
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(encoding=st.sampled_from(ENCODINGS), build_seed=st.integers(0, 2**31 - 1),
+           train_seed=st.integers(0, 2**31 - 1), batch=st.sampled_from([1, 2, 5]))
+    def test_exact_over_seeds_and_batch_sizes(self, topology, encoding, build_seed,
+                                              train_seed, batch):
+        self._check(topology, encoding, 0.0, build_seed, train_seed, batch, floor=1e-3)
+
+    @staticmethod
+    def _check(topology, encoding, dropout_p, build_seed, train_seed, batch, floor=1e-4):
+        x, y = banded_task(21, batch, 5, 3)
+        weights = np.array([1.0, 0.5, 0.0, 2.0, 1.5])[:batch]
         spec = NetworkSpec(topology=topology, n_labels=3, hidden_units=3, tcn_filters=4,
                            tcn_blocks=2, dropout_p=dropout_p, input_encoding=encoding,
                            input_dim=5)
@@ -209,10 +229,12 @@ class TestWholeNetworkGradient:
             seen.append((vector, grad.copy()))
             return step(state, vector, grad)
 
-        monkeypatch.setattr(mlenn.training, "optimizer_step", spy)
-        net = build_network(spec, RngStream(1))
-        cfg = TrainConfig(epochs=1, minibatch=4, clip_threshold=1e9)
-        train_network(net, x, y, cfg, RngStream(2), adam(net), sample_weights=weights)
+        net = build_network(spec, RngStream(build_seed))
+        cfg = TrainConfig(epochs=1, minibatch=batch, clip_threshold=1e9)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mlenn.training, "optimizer_step", spy)
+            train_network(net, x, y, cfg, RngStream(train_seed), adam(net),
+                          sample_weights=weights)
 
         # One call per trainable layer, on the layer's own vector; split the
         # gradient by the layer's spans, checking that each piece of the
@@ -233,11 +255,11 @@ class TestWholeNetworkGradient:
         # so the differences are taken on a twin with the initial weights,
         # fed the rows in the order the step drew them and, from the same
         # stream, the same dropout masks.
-        twin = build_network(spec, RngStream(1))
+        twin = build_network(spec, RngStream(build_seed))
 
         def loss():
-            rng = RngStream(2)
-            order = rng.permutation(4)
+            rng = RngStream(train_seed)
+            order = rng.permutation(batch)
             scores = twin.forward(x[order], train=True, rng=rng)
             return bce_loss(y[order], scores, weights[order])[0]
 
@@ -250,7 +272,7 @@ class TestWholeNetworkGradient:
             # floor lets a tensor whose exact gradient is zero (GRU_B's
             # pre_conv bias, the recurrent weights at T = 1) pass on
             # rounding noise alone.
-            scale = max(np.linalg.norm(grad), np.linalg.norm(numeric), 1e-4)
+            scale = max(np.linalg.norm(grad), np.linalg.norm(numeric), floor)
             assert np.linalg.norm(grad - numeric) / scale < 1e-5, key
 
 
