@@ -5,8 +5,8 @@ Subcommands:
     kfold            cross-validated experiment with full metric report
     train            fit an ensemble on a whole dataset file and save it
     evaluate         apply a saved ensemble to a dataset file
-    augment-preview  k-means centres of a file's raw (unscaled, unprojected)
-                     feature rows: not the virtual rows that training adds
+    augment-preview  the virtual rows that augmentation appends to a file's
+                     preprocessed rows
 
 All randomness is governed by the single --seed flag; identical
 invocations write identical bytes.
@@ -27,7 +27,6 @@ from .harness import (ConfigError, DatasetFormatError, ExperimentReport, Preproc
 from .network import ENCODINGS, GRU_FAMILY, TCN_FAMILY, TOPOLOGIES
 from .numerics import RngStream
 from .optim import VARIANTS
-from .pipeline import imcc_augment
 from .training import TrainConfig, TrainingDivergedError
 
 
@@ -92,8 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--external-scores", default=None)
     p_eval.add_argument("--output", default=None)
 
-    p_aug = sub.add_parser("augment-preview", help="print the cluster centres of the raw "
-                           "feature rows (no scaling or PCA; not the rows kfold adds)")
+    p_aug = sub.add_parser("augment-preview", help="print the virtual rows that augmentation "
+                           "appends to the file's preprocessed rows")
     p_aug.add_argument("--dataset", required=True)
     p_aug.add_argument("--clusters", type=int, required=True,
                        help=">= 1; a count above the row count fails once the file is read")
@@ -160,15 +159,20 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_augment_preview(args) -> int:
-    if args.seed < 0:
-        raise ConfigError("field seed: must be >= 0")
+    # fit_training_set clamps the cluster count into [1, rows]; a preview
+    # of a count it would not use is an error instead.
     if args.clusters < 1:
         raise ConfigError("field clusters: must be >= 1")
-    ds = load_dataset(args.dataset)
-    aug = imcc_augment(ds, args.clusters, RngStream(args.seed))
+    cfg = RunConfig(dataset=args.dataset, augment_clusters=args.clusters, seed=args.seed)
+    ds = load_dataset(cfg.dataset)
+    if args.clusters > ds.n_samples:
+        raise ValueError(f"cluster count must satisfy 1 <= c <= {ds.n_samples}, "
+                         f"got {args.clusters}")
+    _, x, y, _ = fit_training_set(cfg, ds.x, ds.y, ds.sparse, RngStream(cfg.seed))
+    # d is the width of the preprocessed rows, which PCA narrows for a sparse set.
     lines = [f"# {args.clusters} cluster centers for {ds.name} "
-             f"(n={ds.n_samples}, d={ds.n_features}, l={ds.n_labels})"]
-    for j, (z, t) in enumerate(zip(aug.z, aug.t)):
+             f"(n={ds.n_samples}, d={x.shape[1]}, l={ds.n_labels})"]
+    for j, (z, t) in enumerate(zip(x[ds.n_samples:], y[ds.n_samples:])):
         feats = ",".join(f"{v:.6f}" for v in z)
         labels = ",".join(f"{v:.6f}" for v in t)
         lines.append(f"center={j} features={feats} labels={labels}")

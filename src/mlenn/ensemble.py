@@ -2,17 +2,17 @@
 
 ``train_member`` trains one (topology, member) unit from the stream it is
 given; ``mlenn.harness`` owns the member loop, the unit streams and the
-training set. Prediction fuses member confidences by the average rule. A
-trained ensemble round-trips through a self-describing JSON container
-that is byte-stable for a fixed seed. Each tensor in it is its shape and
-the base64 text of its little-endian float64 bytes, so the round trip is
-bit-exact. The file's bytes are those of ``json.dumps(doc, sort_keys=True)``,
-produced by the standard encoder's ``iterencode``, which holds one tensor's
-base64 text at a time. The loader keeps the file's bytes referenced until
-the parse has ended, so that glibc maps each tensor's base64 text apart
-and unmaps it when it is freed, instead of leaving it on the heap under
-the model's arrays (see ``load_ensemble``). The bytes are decoded as
-strict UTF-8.
+training set. Prediction fuses member confidences by the average rule,
+``SCORE_ROWS`` rows at a time. A trained ensemble round-trips through a
+self-describing JSON container that is byte-stable for a fixed seed. Each
+tensor in it is its shape and the base64 text of its little-endian float64
+bytes, so the round trip is bit-exact. The file's bytes are those of
+``json.dumps(doc, sort_keys=True)``, produced by the standard encoder's
+``iterencode``, which holds one tensor's base64 text at a time. The loader
+keeps the file's bytes referenced until the parse has ended, so that glibc
+maps each tensor's base64 text apart and unmaps it when it is freed,
+instead of leaving it on the heap under the model's arrays (see
+``load_ensemble``). The bytes are decoded as strict UTF-8.
 """
 
 from __future__ import annotations
@@ -28,6 +28,10 @@ from .numerics import ConfigError, RngStream, ShapeError, as_tensor
 from .training import TrainConfig, assign_optimizers, train_network
 
 MODEL_FORMAT = "mlenn-ensemble v2"
+# Rows per scoring forward: the training minibatch. Fusion is element-wise,
+# so a chunk's fused scores are the bits of its rows in one whole fusion,
+# and a forward's memory does not grow with the file.
+SCORE_ROWS = 30
 
 
 @dataclass
@@ -49,8 +53,15 @@ class EnsembleModel:
             raise ShapeError(f"members disagree on label count: {sorted(labels)}")
 
     def predict_scores(self, features) -> np.ndarray:
-        """Average-rule fusion of all member confidence matrices."""
-        return fuse_average([m.network.forward(features) for m in self.members])
+        """Average-rule fusion of all member confidence matrices, forwarded
+        and fused ``SCORE_ROWS`` rows at a time."""
+        features = as_tensor(features)
+        scores = np.empty((len(features), self.members[0].network.spec.n_labels))
+        for start in range(0, len(features), SCORE_ROWS):
+            rows = features[start:start + SCORE_ROWS]
+            scores[start:start + SCORE_ROWS] = fuse_average(
+                [m.network.forward(rows) for m in self.members])
+        return scores
 
 
 def train_member(spec: NetworkSpec, x, y, cfg: TrainConfig, rng: RngStream,

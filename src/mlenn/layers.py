@@ -20,12 +20,10 @@ float64 where it enters, parameters in ``Layer._own_params``, features in
 run in ``training.train_network``.
 
 The GRU kernels keep the three gates (z | r | c) along one axis and their
-sequences time-major. In train mode the input projections of every step
-come from one batched matmul call before the recurrence, written into a
-(T, 3, B, N) buffer that each step then overwrites with its activations
-and that the cache keeps. In eval mode the same loop projects one step at
-a time into one (1, 3, B, N) scratch, so the state sequence is the only
-whole-sequence buffer. The gate gradients go into a gate-major
+sequences time-major. The input projections of every step come from one
+batched matmul call before the recurrence, written into a (T, 3, B, N)
+buffer that each step then overwrites with its activations and that a
+train-mode cache keeps. The gate gradients go into a gate-major
 (3, T, B, N) buffer, from which the weight gradients and the input
 gradient are built by matmuls over all T*B rows after the loop. Only the
 recurrent matmuls run once per step, and step 0, which starts from
@@ -40,8 +38,8 @@ added. Train-mode batchnorm works on the (B*T, C) rows with two buffers:
 the centred rows, scaled in place into the cached xhat, and the output.
 Its backward takes the two sums the input gradient needs from dgamma and
 dbeta. The pointwise backward kernels and dropout scale the one buffer
-they allocate in place. No kernel writes into its upstream gradient or its
-cache, and none writes into its input unless it is handed over (below).
+they allocate in place. No kernel writes into its input, its upstream
+gradient or its cache.
 
 Cache rule: a layer stores a cache only on a train-mode forward, and
 backward drops it once used; backward without a cache raises
@@ -49,19 +47,13 @@ backward drops it once used; backward without a cache raises
 eval-mode GRU and batchnorm caches are ``None``, their backward kernels
 have only the train-mode formula, and eval-mode relu computes no mask.
 
-Buffer rule: every kernel output is a fresh array, with two exceptions.
+Buffer rule: every kernel output is a fresh array, with one exception.
 Inside :func:`reused_buffers`, which ``train_network`` holds open for one
 network's training, each GRU keeps its gate, state, gate-gradient and
 r * h buffers (``gates``, ``hs``, ``g_all``, ``rh``) in its own
 ``workspace`` and overwrites them on every minibatch, so a train-mode
 output or cache lives until the next train-mode call of that layer. On
-exit the workspaces and any cache left by a raised step are dropped. And
-an eval-mode forward called with ``overwrite=True``, as ``Network.forward``
-calls every layer after the first, writes into the activation it is
-given: relu through ``relu(x, out=x)``, batchnorm into the input's
-(B*T, C) rows, and a convolution with as many input channels as filters
-into its C-ordered input (a strided input is copied first). The other
-layers ignore the flag, and a train-mode forward is never given it.
+exit the workspaces and any cache left by a raised step are dropped.
 """
 
 from __future__ import annotations
@@ -145,13 +137,8 @@ class Layer:
     def state_tensors(self) -> dict:
         return {key: getattr(self, key) for key in self.STATE}
 
-    def forward(self, x, train: bool = False, rng: RngStream | None = None,
-                overwrite: bool = False):
-        """Return the layer's output for ``x``. ``overwrite=True``, which
-        only an eval-mode forward takes, hands ``x`` over to the layer,
-        which may then write its output into it (see the buffer rule in
-        the module docstring)."""
-        out, cache = self._forward(x, train, rng, overwrite)
+    def forward(self, x, train: bool = False, rng: RngStream | None = None):
+        out, cache = self._forward(x, train, rng)
         self.cache = cache if train else None
         return out
 
@@ -211,8 +198,8 @@ def sigmoid_backward(y: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     return upstream * y * (1.0 - y)
 
 
-def relu(x, out: np.ndarray | None = None) -> np.ndarray:
-    return np.maximum(x, 0.0, out=out)
+def relu(x) -> np.ndarray:
+    return np.maximum(x, 0.0)
 
 
 def relu_backward(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
@@ -253,19 +240,17 @@ def dropout_backward(mask: np.ndarray | None, p: float, upstream: np.ndarray) ->
 
 
 class Relu(Layer):
-    def _forward(self, x, train, rng, overwrite):
+    def _forward(self, x, train, rng):
         # A train-mode pass caches the sign mask, all that backward reads of
         # the input, at one byte per element.
-        if train:
-            return relu(x), np.greater(x, 0.0)
-        return relu(x, out=x if overwrite else None), None
+        return relu(x), (np.greater(x, 0.0) if train else None)
 
     def _backward(self, cache, upstream):
         return relu_backward(cache, upstream)
 
 
 class Sigmoid(Layer):
-    def _forward(self, x, train, rng, overwrite):
+    def _forward(self, x, train, rng):
         y = sigmoid(x)
         return y, y
 
@@ -278,7 +263,7 @@ class Dropout(Layer):
         super().__init__(name)
         self.p = p
 
-    def _forward(self, x, train, rng, overwrite):
+    def _forward(self, x, train, rng):
         out, mask = dropout(x, self.p, rng, train)
         # Wrapped because the mask of a p = 0 train-mode pass is None.
         return out, (mask,)
@@ -352,7 +337,7 @@ class Gru(Layer):
     def channels(self) -> int:
         return self.wz.shape[1]
 
-    def _forward(self, x, train, rng, overwrite):
+    def _forward(self, x, train, rng):
         return gru_forward(self, x, train)
 
     def _backward(self, cache, upstream):
@@ -362,22 +347,21 @@ class Gru(Layer):
 def gru_forward(layer: Gru, x, train: bool = True):
     """Run the recurrence over the full sequence.
 
-    The input projections are computed a block of time steps at a time,
-    each block by one batched matmul call into a (steps, 3, B, N) buffer,
-    just before its steps run. Step t then adds h_{t-1} [uz; ur]^T to its
-    z | r block, a contiguous (2, B, N) slab, applies the logistic
-    1 / (1 + e^-a) in place, adds (r_t * h_{t-1}) uh^T to its candidate
-    block and applies tanh in place, so the buffer ends up holding
-    z | r | c. States are written into a (T+1, B, N) buffer whose first
-    step is the zero h_0. Step 0 skips both recurrent matmuls, whose input
-    is h_0 = 0, and sets h_1 = z_1 * c_1.
+    The input projections of all T steps are computed first, by one batched
+    matmul call into a (T, 3, B, N) buffer. Step t then adds
+    h_{t-1} [uz; ur]^T to its z | r block, a contiguous (2, B, N) slab,
+    applies the logistic 1 / (1 + e^-a) in place, adds (r_t * h_{t-1}) uh^T
+    to its candidate block and applies tanh in place, so the buffer ends up
+    holding z | r | c. States are written into a (T+1, B, N) buffer whose
+    first step is the zero h_0. Step 0 skips both recurrent matmuls, whose
+    input is h_0 = 0, and sets h_1 = z_1 * c_1.
 
-    A train-mode call projects all T steps as one block and returns the
-    cache needed by :func:`gru_backward`, which holds that (T, 3, B, N)
-    buffer. An eval-mode call projects one step at a time into one reused
-    (1, 3, B, N) scratch and returns a ``None`` cache. Both run the same
-    loop, so their states are bitwise equal. Returns the hidden-state
-    sequence, a (B, T, N) view of the state buffer, and the cache.
+    A train-mode call returns the cache needed by :func:`gru_backward`,
+    which holds the gate buffer, and takes both buffers from the layer's
+    workspace; an eval-mode call allocates them fresh, so it never writes
+    into a pending train-mode cache, and returns a ``None`` cache. Returns
+    the hidden-state sequence, a (B, T, N) view of the state buffer, and
+    the cache.
     """
     if x.ndim != 3:
         raise ShapeError(f"gru_forward expects (B, T, C) input, got shape {x.shape}")
@@ -392,39 +376,35 @@ def gru_forward(layer: Gru, x, train: bool = True):
     u_zr = u[:2].transpose(0, 2, 1)
     uh = u[2].T
     if train:
-        block = t_steps
         gates = layer._buffer("gates", (t_steps, 3, b, n))
         hs = layer._buffer("hs", (t_steps + 1, b, n))
     else:
-        block = 1
-        gates = np.empty((1, 3, b, n))
+        gates = np.empty((t_steps, 3, b, n))
         hs = np.empty((t_steps + 1, b, n))
     hs[0] = 0.0
     proj = np.empty((2, b, n))
     rh = np.empty((b, n))
+    np.matmul(x_steps, w_t, out=gates)
+    gates += bias[:, None]
     # exp(-a) overflows to inf for a < -709, and 1 / (1 + inf) is the exact limit 0.
     with np.errstate(over="ignore"):
-        for t0 in range(0, t_steps, block):
-            steps = gates[:min(block, t_steps - t0)]
-            np.matmul(x_steps[t0:t0 + block], w_t, out=steps)
-            steps += bias[:, None]
-            for t, gate in enumerate(steps, start=t0):
-                zr, c = gate[:2], gate[2]
-                if t == 0:
-                    logistic_in_place(zr)
-                    np.tanh(c, out=c)
-                    np.multiply(c, zr[0], out=hs[1])
-                    continue
-                h_prev, h = hs[t], hs[t + 1]
-                zr += np.matmul(h_prev, u_zr, out=proj)
+        for t, gate in enumerate(gates):
+            zr, c = gate[:2], gate[2]
+            if t == 0:
                 logistic_in_place(zr)
-                np.multiply(zr[1], h_prev, out=rh)
-                c += np.matmul(rh, uh, out=proj[0])
                 np.tanh(c, out=c)
-                # h_t = h_{t-1} + z_t * (c_t - h_{t-1})
-                np.subtract(c, h_prev, out=h)
-                h *= zr[0]
-                h += h_prev
+                np.multiply(c, zr[0], out=hs[1])
+                continue
+            h_prev, h = hs[t], hs[t + 1]
+            zr += np.matmul(h_prev, u_zr, out=proj)
+            logistic_in_place(zr)
+            np.multiply(zr[1], h_prev, out=rh)
+            c += np.matmul(rh, uh, out=proj[0])
+            np.tanh(c, out=c)
+            # h_t = h_{t-1} + z_t * (c_t - h_{t-1})
+            np.subtract(c, h_prev, out=h)
+            h *= zr[0]
+            h += h_prev
     return hs[1:].transpose(1, 0, 2), (GruCache(x, hs, gates) if train else None)
 
 
@@ -534,8 +514,8 @@ class Conv1d(Layer):
         kernels = glorot_uniform((filters, in_channels, width), rng)
         return cls(name, kernels, np.zeros(filters), dilation)
 
-    def _forward(self, x, train, rng, overwrite):
-        return conv1d_forward(self, x, overwrite)
+    def _forward(self, x, train, rng):
+        return conv1d_forward(self, x)
 
     def _backward(self, cache, upstream):
         return conv1d_backward(self, cache, upstream)
@@ -564,7 +544,7 @@ def _overlap(s: int, t_steps: int) -> tuple:
     return slice(-s, t_steps), slice(0, t_steps + s)
 
 
-def conv1d_forward(layer: Conv1d, x, overwrite: bool = False):
+def conv1d_forward(layer: Conv1d, x):
     """y[b,t,f] = bias[f] + sum_{c,k} kernels[f,c,k] * x[b, t + d*(k - mid), c]
     with zeros outside the sequence; output length equals input length.
 
@@ -575,10 +555,6 @@ def conv1d_forward(layer: Conv1d, x, overwrite: bool = False):
     than the output. The centre tap's columns plus the bias start the
     output block, and each side tap's columns, shifted by s in time, are
     added into it. The cache is the input itself.
-
-    With ``overwrite``, an input of F channels takes the output: each
-    block's GEMM reads the block's whole sequences before their output
-    rows are written, and no block reads another's rows.
     """
     x = np.ascontiguousarray(x)
     if x.ndim != 3:
@@ -595,7 +571,7 @@ def conv1d_forward(layer: Conv1d, x, overwrite: bool = False):
     # The output is allocated before the scratch buffer, so that the buffer
     # is freed at the top of the heap; in the other order the yeast_tcn
     # benchmark's peak RSS read ~6 MB higher, with no more live memory.
-    y = x if overwrite and in_channels == filters else np.empty((b, t_steps, filters))
+    y = np.empty((b, t_steps, filters))
     buf = np.empty((step * t_steps, n * filters))
     for start in range(0, b, step):
         x_rows = x[start:start + step].reshape(-1, in_channels)
@@ -681,14 +657,14 @@ class BatchNorm(Layer):
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
 
-    def _forward(self, x, train, rng, overwrite):
-        return batchnorm_forward(self, x, train, overwrite)
+    def _forward(self, x, train, rng):
+        return batchnorm_forward(self, x, train)
 
     def _backward(self, cache, upstream):
         return batchnorm_backward(self, cache, upstream)
 
 
-def batchnorm_forward(layer: BatchNorm, x, train: bool, overwrite: bool = False):
+def batchnorm_forward(layer: BatchNorm, x, train: bool):
     """Standardize each channel over batch and time.
 
     Train mode uses batch statistics (biased variance) and folds them into
@@ -698,9 +674,8 @@ def batchnorm_forward(layer: BatchNorm, x, train: bool, overwrite: bool = False)
     column means are the variance. The cache is the pair (xhat, inv_std).
     A single position per channel has variance 0, so xhat = 0 and y = beta,
     with eps keeping inv_std finite.
-    Eval mode applies the running estimates in one buffer, with
-    ``overwrite`` the input's own rows, and returns no cache, as it has no
-    backward.
+    Eval mode applies the running estimates in one buffer and returns no
+    cache, as it has no backward.
     """
     if x.ndim != 3 or x.shape[2] != layer.gamma.shape[0]:
         raise ShapeError(
@@ -708,7 +683,7 @@ def batchnorm_forward(layer: BatchNorm, x, train: bool, overwrite: bool = False)
         )
     rows = x.reshape(-1, x.shape[2])
     if not train:
-        y = np.subtract(rows, layer.running_mean, out=rows if overwrite else None)
+        y = rows - layer.running_mean
         y *= 1.0 / np.sqrt(layer.running_var + layer.eps)
         y *= layer.gamma
         y += layer.beta
@@ -764,14 +739,11 @@ def batchnorm_backward(layer: BatchNorm, cache: tuple, upstream) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class MaxPoolTime(Layer):
-    def _forward(self, x, train, rng, overwrite):
+    def _forward(self, x, train, rng):
         return maxpool_time(x)
 
     def _backward(self, cache, upstream):
         return maxpool_time_backward(cache, upstream)
-
-
-ARGMAX_BLOCK = 1 << 16
 
 
 def maxpool_time(x):
@@ -781,19 +753,13 @@ def maxpool_time(x):
 
     At T = 1 the output is the one step itself, a view, with zero indices.
     Otherwise ``np.take_along_axis`` gathers the maxima, from any layout.
-    numpy's argmax copies its input unless the reduced axis is last and
-    contiguous, so the indices are taken a block of whole sequences at a
-    time, and no copy exceeds ``ARGMAX_BLOCK`` elements or one sequence.
     """
     if x.ndim != 3:
         raise ShapeError(f"maxpool_time expects (B, T, C) input, got {x.shape}")
     b, t_steps, c = x.shape
     if t_steps == 1:
         return x[:, 0], (np.zeros((b, c), dtype=np.intp), x.shape)
-    idx = np.empty((b, c), dtype=np.intp)
-    step = max(1, ARGMAX_BLOCK // (t_steps * c))
-    for start in range(0, b, step):
-        x[start:start + step].argmax(axis=1, out=idx[start:start + step])
+    idx = x.argmax(axis=1)
     return np.take_along_axis(x, idx[:, None], axis=1)[:, 0], (idx, x.shape)
 
 
@@ -828,7 +794,7 @@ class Dense(Layer):
     def glorot(cls, name: str, out_dim: int, in_dim: int, rng: RngStream) -> "Dense":
         return cls(name, glorot_uniform((out_dim, in_dim), rng), np.zeros(out_dim))
 
-    def _forward(self, x, train, rng, overwrite):
+    def _forward(self, x, train, rng):
         return dense_forward(self, x)
 
     def _backward(self, cache, upstream):

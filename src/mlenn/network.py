@@ -18,15 +18,6 @@ is a real reduction; ``single-step`` packs it into one step of d channels.
 A Network is an ordered list of layers. Its parameters are the layers'
 own tensor attributes, exposed in model-format order as
 ``"<layer>.<tensor>"`` keys by ``param_items`` and ``state_items``.
-
-An eval-mode forward overwrites its activations: each layer after the
-first gets ``overwrite=True``, so relu, batchnorm and a convolution whose
-input has its output's shape write into the array they are given, and a
-TCN's (B, T, filters) activations share one array between convolutions.
-The first layer never writes into the caller's features, and every other
-layer's input was made by an earlier layer of the same call, so a score
-matrix returned earlier and the caches of a pending train-mode forward
-are never touched.
 """
 
 from __future__ import annotations
@@ -118,13 +109,10 @@ class Network:
         self.layers = layer_list
 
     def forward(self, features, train: bool = False, rng: RngStream | None = None) -> np.ndarray:
-        """Map (n, d) features to (n, l) scores. An eval-mode call hands
-        every layer after the first the activation it is given (see the
-        module docstring); train mode keeps every output, since the
-        layers' caches hold them until backward."""
+        """Map (n, d) features to (n, l) scores."""
         x = encode_features(features, self.spec.input_encoding)
-        for i, layer in enumerate(self.layers):
-            x = layer.forward(x, train=train, rng=rng, overwrite=not train and i > 0)
+        for layer in self.layers:
+            x = layer.forward(x, train=train, rng=rng)
         return x
 
     def backward(self, upstream) -> np.ndarray:

@@ -252,8 +252,7 @@ def optimizer_step(state: AdamState, theta, g) -> np.ndarray:
 
 
 def network_forward(net, features) -> np.ndarray:
-    """The eval-mode forward with no layer writing into its input, so
-    every layer's output is a fresh array."""
+    """The eval-mode forward of all of ``features`` at once, layer by layer."""
     x = encode_features(features, net.spec.input_encoding)
     for layer in net.layers:
         x = layer.forward(x)

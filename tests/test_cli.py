@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from mlenn.cli import _run_config, build_parser, main
-from mlenn.harness import RunConfig, save_dataset
+from mlenn.harness import RunConfig, fit_training_set, load_dataset, save_dataset
 from mlenn.network import GRU_FAMILY
+from mlenn.numerics import RngStream
 from mlenn.pipeline import Dataset
 from mlenn.training import TrainConfig
 
@@ -349,6 +350,29 @@ class TestAugmentPreview:
         assert code == 0
         assert stdout.count("center=") == 3
         assert out_file.read_text() == stdout
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_prints_the_virtual_rows_training_appends(self, tmp_path, capsys, sparse):
+        # The sparse file repeats its 4 columns, so its PCA keeps at most 4 of 8.
+        x, y = banded_task(41, 36, 4, 2)
+        path = tmp_path / "toy.mlkit"
+        save_dataset(Dataset(np.hstack([x, x]) if sparse else x, y, name="toy", sparse=sparse),
+                     path)
+        code, stdout, _ = run_cli(capsys, "augment-preview", "--dataset", path,
+                                  "--clusters", "4", "--seed", "5")
+        assert code == 0
+        ds = load_dataset(path)
+        cfg = RunConfig(dataset=str(path), augment_clusters=4, seed=5)
+        _, x, y, weights = fit_training_set(cfg, ds.x, ds.y, ds.sparse, RngStream(5))
+        assert x.shape[0] == ds.n_samples + 4 and weights[ds.n_samples:].tolist() == [1.0] * 4
+        assert x.shape[1] == 4
+        header, *lines = stdout.splitlines()
+        assert header == "# 4 cluster centers for toy (n=36, d=4, l=2)"
+        rows = [line.split() for line in lines]
+        assert len(rows) == 4
+        for (_, feats, labels), z, t in zip(rows, x[ds.n_samples:], y[ds.n_samples:]):
+            assert feats == "features=" + ",".join(f"{v:.6f}" for v in z)
+            assert labels == "labels=" + ",".join(f"{v:.6f}" for v in t)
 
     def test_cluster_count_error(self, dataset_file, capsys):
         code, _, err = run_cli(capsys, "augment-preview", "--dataset",

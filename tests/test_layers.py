@@ -1,12 +1,10 @@
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from mlenn import layers
 from mlenn.layers import (BatchNorm, Conv1d, Dense, Gru, Relu, ShapeError,
                           batchnorm_backward, batchnorm_forward, conv1d_backward,
                           conv1d_forward, dense_backward, dense_forward, dropout,
@@ -244,8 +242,8 @@ class TestGruOracle:
     @pytest.mark.parametrize("b,t,d,n", list(itertools.product(
         (1, 3, 30), (1, 2, 17), (1, 5, 32), (1, 4, 50))))
     def test_eval_output_equals_train_output_bitwise(self, b, t, d, n):
-        # The eval path projects one step at a time into a reused scratch;
-        # the train path projects all steps at once. Same loop, same bits.
+        # Train and eval run one projection and one loop; only where their
+        # buffers come from differs. Same loop, same bits.
         p, x, _ = _random_gru(RngStream(8000 + 1000 * b + 100 * t + 10 * d + n), b, t, d, n)
         h_train = p.forward(x, train=True)
         assert p.cache is not None
@@ -255,26 +253,6 @@ class TestGruOracle:
         h_kernel, cache = gru_forward(p, x, train=False)
         assert cache is None
         npt.assert_array_equal(h_kernel, h_train)
-
-    def test_eval_peak_memory_is_output_plus_step_scratch(self):
-        # At yeast's test-fold shape the whole-sequence gate buffer alone
-        # would take 3 * T * B * N * 8 bytes = 14.8 MB. An eval forward holds
-        # its (T+1, B, N) state buffer and a few (B, N) blocks per step.
-        b, t, d, n = 120, 103, 1, 50
-        p, x, _ = _random_gru(RngStream(81), b, t, d, n)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            h = p.forward(x, train=False)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        output = (t + 1) * b * n * 8
-        # gates (3, B, N), proj (2, B, N), r * h (B, N), and the (B, N)
-        # temporary numpy makes to broadcast the strided bias view
-        scratch = 7 * b * n * 8
-        assert h.base.nbytes == output
-        assert peak < output + scratch + 64 * 1024, peak
 
     def test_train_forward_outside_training_returns_fresh_arrays(self):
         # Buffers are reused only inside train_network; elsewhere a held
@@ -618,47 +596,6 @@ def _bits(a):
     return np.array(a, copy=True).view(np.uint8)
 
 
-class TestOverwrite:
-    """``overwrite=True`` hands the input to an eval-mode forward: relu,
-    batchnorm and a convolution whose output has the input's shape return
-    the input's own memory, with the bits of a fresh output."""
-
-    @staticmethod
-    def _layer(kind, channels):
-        if kind == "relu":
-            return Relu("relu")
-        if kind == "batchnorm":
-            layer = BatchNorm("bn", 4)
-            layer.running_mean[:] = [0.1, -0.2, 0.3, 0.0]
-            layer.running_var[:] = [0.5, 2.0, 1.0, 0.25]
-            return layer
-        return Conv1d.glorot("conv", 4, channels, 3, 2, RngStream(370))
-
-    @pytest.mark.parametrize("kind", ["relu", "batchnorm", "conv"])
-    def test_eval_writes_into_input(self, kind):
-        layer = self._layer(kind, 4)
-        x = np.asarray(RngStream(371).uniform((5, 9, 4))) - 0.5
-        expected = layer.forward(x)
-        y = layer.forward(x, overwrite=True)
-        assert np.shares_memory(x, y)
-        assert y.tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("case", ["channels", "layout"])
-    def test_conv_keeps_input_of_other_width_or_layout(self, case):
-        # A strided input is first copied to C order; the copy takes the
-        # output.
-        layer = self._layer("conv", 3 if case == "channels" else 4)
-        rng = RngStream(372)
-        if case == "layout":
-            x = (np.asarray(rng.uniform((9, 5, 4))) - 0.5).transpose(1, 0, 2)
-        else:
-            x = np.asarray(rng.uniform((5, 9, 3))) - 0.5
-        x_bits = x.tobytes()
-        y = layer.forward(x, overwrite=True)
-        assert not np.shares_memory(x, y)
-        assert x.tobytes() == x_bits
-
-
 class TestKernelsLeaveInputsUnchanged:
     """Forward and backward must not write into the caller's input or
     upstream, although they work in place on buffers they allocate."""
@@ -752,51 +689,6 @@ class TestMaxPoolTime:
         expected = np.zeros(x.shape)
         np.put_along_axis(expected, idx[:, None, :], upstream[:, None, :], axis=1)
         npt.assert_array_equal(maxpool_time_backward(cache, upstream), expected)
-
-    @pytest.mark.parametrize("layout", ["contiguous", "time-major", "strided"])
-    def test_blocked_argmax_equals_numpy(self, layout, monkeypatch):
-        # A 40-element block holds two 4x5 sequences, so 7 sequences take
-        # four blocks, the last one short. Ties, NaN and infinities pick
-        # the step numpy's argmax picks.
-        monkeypatch.setattr(layers, "ARGMAX_BLOCK", 40)
-        rng = np.random.default_rng(3)
-        if layout == "contiguous":
-            x = rng.normal(size=(7, 4, 5))
-        elif layout == "time-major":
-            x = rng.normal(size=(4, 7, 5)).transpose(1, 0, 2)
-        else:
-            x = rng.normal(size=(7, 8, 10))[:, ::2, ::2]
-        x[0, 1:3, 0] = 9.0
-        x[2, :, 1] = 0.0
-        x[3, 2, 2] = x[3, 0, 2] = np.nan
-        x[4, :, 3] = np.nan
-        x[5, 1, 4] = np.inf
-        x[5, 3, 4] = np.nan
-        x[6, :, 0] = -np.inf
-        _, (idx, _) = maxpool_time(x)
-        npt.assert_array_equal(idx, x.argmax(axis=1))
-
-    @pytest.mark.parametrize("layout", ["gru-states", "strided"])
-    def test_peak_memory_is_one_block(self, layout):
-        # numpy's argmax over the time axis copies its input; taken a
-        # block of sequences at a time, the copy is at most one block,
-        # and the gather copies nothing, whatever the input's layout.
-        b, t, c = 120, 103, 50
-        if layout == "gru-states":
-            h = Gru.glorot("gru", c, 1, RngStream(83)).forward(
-                np.asarray(RngStream(84).uniform((b, t, 1))))
-        else:
-            h = np.asarray(RngStream(84).uniform((b, 2 * t, c)))[:, ::2]
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            _, (idx, _) = maxpool_time(h)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        npt.assert_array_equal(idx, h.argmax(axis=1))
-        # the block copy, then y, idx and the gather's index arrays
-        assert peak < layers.ARGMAX_BLOCK * 8 + 3 * b * c * 8 + 64 * 1024, peak
 
     def test_hand_max_and_gradient_routing(self):
         x = np.array([1.0, 3.0, 2.0]).reshape(1, 3, 1)

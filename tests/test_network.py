@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from mlenn.ensemble import SCORE_ROWS, EnsembleMember, EnsembleModel
 from mlenn.harness import RunConfig
 from mlenn.layers import CacheError, Dropout, reused_buffers
 from mlenn.network import ENCODINGS, TOPOLOGIES, NetworkSpec, build_network, encode_features
@@ -203,44 +204,68 @@ class TestCacheLifetime:
             layer.backward(x)
 
 
-class TestEvalForwardOverwrites:
-    """An eval-mode forward lets every layer after the first write into
-    the activation it is given. The scores must be the bits of a forward
-    that allocates every output, and no array outside the call may change."""
+class TestChunkedScoring:
+    """``EnsembleModel.predict_scores`` forwards and fuses ``SCORE_ROWS``
+    rows at a time. Its scores must be the bits of the oracle's forward of
+    each chunk, no array outside the call may change, and a row's score
+    depends on its chunk alone, not on the rest of the file."""
 
     D = 7
 
     @classmethod
     def _net(cls, topology, encoding, seed):
-        # Every filter count equals D, so in the single-step encoding the
-        # first convolution could write into the caller's features, and
-        # TCN_B's block1_conv1 writes into pre_conv's output. Three blocks
-        # reach dilation 4 at T = 7.
+        # Three blocks reach dilation 4 at T = 7.
         spec = small_spec(topology, tcn_blocks=3, tcn_filters=cls.D, pre_conv_filters=cls.D,
                           input_encoding=encoding, input_dim=cls.D)
         return build_network(spec, RngStream(seed))
 
-    @pytest.mark.parametrize("b", [1, 2, 5, 60])
+    @classmethod
+    def _ensemble(cls, seed):
+        return EnsembleModel([EnsembleMember(cls._net(t, "sequence-of-scalars", seed + i), {})
+                              for i, t in enumerate(("GRU_A", "GRU_B", "TCN_A"))])
+
+    @classmethod
+    def _rows(cls, n, seed):
+        return np.asarray(RngStream(seed).uniform((n, cls.D))) - 0.5
+
+    @pytest.mark.parametrize("b", [1, 2, SCORE_ROWS, 2 * SCORE_ROWS + 7])
     @pytest.mark.parametrize("encoding", ENCODINGS)
     @pytest.mark.parametrize("topology", TOPOLOGIES)
-    def test_bitwise_equal_to_fresh_allocation(self, topology, encoding, b):
+    def test_bitwise_equal_to_oracle_per_chunk(self, topology, encoding, b):
         net = self._net(topology, encoding, 40)
-        x = np.asarray(RngStream(41).uniform((b, self.D))) - 0.5
-        expected = oracles.network_forward(net, x)
-        assert net.forward(x).tobytes() == expected.tobytes()
+        x = self._rows(b, 41)
+        expected = np.concatenate([oracles.network_forward(net, x[i:i + SCORE_ROWS])
+                                   for i in range(0, b, SCORE_ROWS)])
+        scores = EnsembleModel([EnsembleMember(net, {})]).predict_scores(x)
+        assert scores.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("encoding", ENCODINGS)
     @pytest.mark.parametrize("topology", TOPOLOGIES)
     def test_features_and_earlier_scores_unchanged(self, topology, encoding):
-        net = self._net(topology, encoding, 42)
-        x = np.asarray(RngStream(43).uniform((6, self.D))) - 0.5
+        model = EnsembleModel([EnsembleMember(self._net(topology, encoding, 42), {})])
+        x = self._rows(SCORE_ROWS + 6, 43)
         x_bits = x.tobytes()
-        first = net.forward(x)
+        first = model.predict_scores(x)
         first_bits = first.tobytes()
-        second = net.forward(x)
+        second = model.predict_scores(x)
         assert x.tobytes() == x_bits
         assert first.tobytes() == first_bits == second.tobytes()
         assert not np.shares_memory(first, second)
+
+    def test_file_scores_are_its_chunks_scores(self):
+        model = self._ensemble(50)
+        x = self._rows(3 * SCORE_ROWS + 11, 51)
+        chunks = [model.predict_scores(x[i:i + SCORE_ROWS]) for i in range(0, len(x), SCORE_ROWS)]
+        assert model.predict_scores(x).tobytes() == np.concatenate(chunks).tobytes()
+
+    def test_aligned_chunk_scores_equal_in_two_files(self):
+        model = self._ensemble(52)
+        chunk = self._rows(SCORE_ROWS, 53)
+        short = np.concatenate([chunk, self._rows(4, 54)])
+        long = np.concatenate([self._rows(SCORE_ROWS, 55), chunk, self._rows(2 * SCORE_ROWS, 56)])
+        in_short = model.predict_scores(short)[:SCORE_ROWS]
+        in_long = model.predict_scores(long)[SCORE_ROWS:2 * SCORE_ROWS]
+        assert in_short.tobytes() == in_long.tobytes()
 
     @pytest.mark.parametrize("topology", TOPOLOGIES)
     def test_eval_between_train_forward_and_backward(self, topology):
@@ -248,7 +273,7 @@ class TestEvalForwardOverwrites:
         # cache rule), so they are kept and put back: what is checked is
         # that it writes into no array that a pending train-mode forward
         # holds, with the training workspaces installed as in train_network.
-        x = np.asarray(RngStream(44).uniform((5, self.D))) - 0.5
+        x = self._rows(5, 44)
         upstream = np.asarray(RngStream(45).uniform((5, 3))) - 0.5
 
         def grad_vectors(eval_between):
@@ -265,23 +290,24 @@ class TestEvalForwardOverwrites:
 
         assert grad_vectors(True) == grad_vectors(False)
 
-    def test_tcn_a_peak_memory(self):
-        # At the paper's shape the TCN stack runs on one (B, T, 175)
-        # activation, which every convolution but the first overwrites, plus
-        # each convolution's block scratch of the same size. A fresh output
-        # per layer peaks at three such arrays.
-        b, t = 60, 103
+    def test_peak_memory_does_not_grow_with_rows(self):
+        # Scoring 4 chunks holds one chunk's forward plus the score matrix.
         net = build_network(NetworkSpec(topology="TCN_A", n_labels=14), RngStream(48))
-        x = np.asarray(RngStream(49).uniform((b, t)))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            net.forward(x)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        activation = b * t * 175 * 8
-        assert peak < 2 * activation + 2 * 1024 * 1024, peak
+        model = EnsembleModel([EnsembleMember(net, {})])
+        x = np.asarray(RngStream(49).uniform((4 * SCORE_ROWS, 64)))
+
+        def peak(rows):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                model.predict_scores(rows)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        one_chunk = peak(x[:SCORE_ROWS])
+        output = x.shape[0] * 14 * 8
+        assert peak(x) < one_chunk + output + 64 * 1024, (peak(x), one_chunk)
 
 
 class TestSpecValidation:

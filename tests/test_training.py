@@ -214,10 +214,43 @@ class TestWholeNetworkGradient:
                                               train_seed, batch):
         self._check(topology, encoding, 0.0, build_seed, train_seed, batch, floor=1e-3)
 
+    # The tensors whose exact gradient is 0 in the step of the oracle's
+    # first test. GRU_B's pre_conv bias feeds batchnorm, which subtracts it
+    # again. GRU_TCN's block1_conv1 bias meets ReLUs that are, per channel,
+    # active on every position of this batch (and then batchnorm cancels
+    # it) or on none. In the single-step encoding (T = 1, h_0 = 0) the
+    # GRU's recurrences and its reset gate never reach the output. The
+    # batchnorm cancellations leave rounding noise (~1e-15), hence the
+    # relative bound.
+    SINGLE_STEP_GRU = {"gru.uz", "gru.wr", "gru.ur", "gru.br", "gru.uh"}
+    DEAD = {
+        ("GRU_A", "single-step"): SINGLE_STEP_GRU,
+        ("GRU_B", "sequence-of-scalars"): {"pre_conv.bias"},
+        ("GRU_B", "single-step"): SINGLE_STEP_GRU | {"pre_conv.bias"},
+        ("GRU_TCN", "sequence-of-scalars"): {"block1_conv1.bias"},
+        ("GRU_TCN", "single-step"): SINGLE_STEP_GRU | {"block1_conv1.bias"},
+    }
+
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_dead_parameter_census(self, topology, encoding):
+        net, pieces, _ = self._step(topology, encoding, 0.0, build_seed=1, train_seed=2, batch=4)
+        largest = max(np.abs(grad).max() for _, grad in pieces)
+        dead = {key for (key, _), (_, grad) in zip(net.param_items(), pieces)
+                if np.abs(grad).max() <= 1e-12 * largest}
+        assert dead == self.DEAD.get((topology, encoding), set())
+
     @staticmethod
-    def _check(topology, encoding, dropout_p, build_seed, train_seed, batch, floor=1e-4):
+    def _task(batch):
         x, y = banded_task(21, batch, 5, 3)
-        weights = np.array([1.0, 0.5, 0.0, 2.0, 1.5])[:batch]
+        return x, y, np.array([1.0, 0.5, 0.0, 2.0, 1.5])[:batch]
+
+    @classmethod
+    def _step(cls, topology, encoding, dropout_p, build_seed, train_seed, batch):
+        """One full-batch ``train_network`` step; returns the network, the
+        (live tensor, gradient) pairs the optimizer received in
+        ``param_items`` order, and the spec."""
+        x, y, weights = cls._task(batch)
         spec = NetworkSpec(topology=topology, n_labels=3, hidden_units=3, tcn_filters=4,
                            tcn_blocks=2, dropout_p=dropout_p, input_encoding=encoding,
                            input_dim=5)
@@ -250,6 +283,13 @@ class TestWholeNetworkGradient:
                 assert view.__array_interface__ == live.__array_interface__, key
                 pieces.append((live, grad[start:stop].reshape(shape)))
             assert sum(stop - start for _, start, stop, _ in layer.spans) == vector.size
+        return net, pieces, spec
+
+    @classmethod
+    def _check(cls, topology, encoding, dropout_p, build_seed, train_seed, batch, floor=1e-4):
+        net, pieces, spec = cls._step(topology, encoding, dropout_p, build_seed, train_seed,
+                                      batch)
+        x, y, weights = cls._task(batch)
 
         # Earlier layers are updated before later ones reach the optimizer,
         # so the differences are taken on a twin with the initial weights,
