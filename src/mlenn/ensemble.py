@@ -3,21 +3,17 @@
 ``train_member`` trains one (topology, member) unit from the stream it is
 given; ``mlenn.harness`` owns the member loop, the unit streams and the
 training set. Prediction fuses member confidences by the average rule,
-``SCORE_ROWS`` rows at a time. A trained ensemble round-trips through a
-self-describing JSON container that is byte-stable for a fixed seed. Each
-tensor in it is its shape and the base64 text of its little-endian float64
-bytes, so the round trip is bit-exact. The file's bytes are those of
-``json.dumps(doc, sort_keys=True)``, produced by the standard encoder's
-``iterencode``, which holds one tensor's base64 text at a time. The loader
-keeps the file's bytes referenced until the parse has ended, so that glibc
-maps each tensor's base64 text apart and unmaps it when it is freed,
-instead of leaving it on the heap under the model's arrays (see
-``load_ensemble``). The bytes are decoded as strict UTF-8.
+``SCORE_ROWS`` rows at a time. A trained ensemble round-trips through one
+file: a line holding ``json.dumps(header, sort_keys=True)``, which is ASCII,
+and then every member's tensors as C-order little-endian float64 bytes,
+one after another. The header holds the metadata and each tensor's name
+and shape; the offsets follow from their order. The round trip is
+bit-exact and the file is byte-stable for a fixed seed. The header line is
+decoded as strict UTF-8.
 """
 
 from __future__ import annotations
 
-import binascii
 import json
 from dataclasses import asdict, dataclass
 
@@ -27,7 +23,7 @@ from .network import Network, NetworkSpec, build_network
 from .numerics import ConfigError, RngStream, ShapeError, as_tensor
 from .training import TrainConfig, assign_optimizers, train_network
 
-MODEL_FORMAT = "mlenn-ensemble v2"
+MODEL_FORMAT = "mlenn-ensemble v3"
 # Rows per scoring forward: the training minibatch. Fusion is element-wise,
 # so a chunk's fused scores are the bits of its rows in one whole fusion,
 # and a forward's memory does not grow with the file.
@@ -115,37 +111,37 @@ def fused_threshold(w: float) -> float:
     return 0.5 * (1.0 + w)
 
 
-class _ModelEncoder(json.JSONEncoder):
-    """Encodes a tensor, when the encoder reaches it, as its shape and the
-    base64 text of its little-endian float64 bytes."""
-
-    def default(self, o):
-        if not isinstance(o, np.ndarray):
-            return super().default(o)  # json's own TypeError
-        raw = o.astype("<f8", copy=False).tobytes()
-        return {"shape": list(o.shape),
-                "data": binascii.b2a_base64(raw, newline=False).decode("ascii")}
+def _tensors(net: Network) -> list:
+    """The ("layer.tensor", array) pairs of a model file, in its order."""
+    return net.param_items() + net.state_items()
 
 
-def _container(model: EnsembleModel) -> dict:
-    """The model document; each tensor in it is the layer's own array."""
-    members = []
-    for m in model.members:
-        members.append({
-            "spec": asdict(m.network.spec),
-            "optimizer_tags": dict(m.optimizer_tags),
-            "params": dict(m.network.param_items()),
-            "buffers": dict(m.network.state_items()),
-        })
-    return {
+def save_ensemble(model: EnsembleModel, path, extra: dict | None = None) -> None:
+    """Write the model file; ``extra`` adds top-level header keys beside the
+    model.
+
+    The file is ``json.dumps(header, sort_keys=True)``, a newline, and then
+    every member's tensors, each written straight from the layer's own
+    array. Per member, the header holds its ``spec``, its
+    ``optimizer_tags`` and its ``tensors``, the ``[name, shape]`` list of
+    its ``param_items()`` and then its ``state_items()``, the order of the
+    tensors' bytes.
+    """
+    header = {
         "format": MODEL_FORMAT,
         "master_seed": model.master_seed,
-        # The container keeps the fields of the format: only the average
-        # rule exists, and external scores enter at evaluation time.
-        "fusion": "average",
-        "external_weight": 0.0,
-        "members": members,
+        "members": [{"spec": asdict(m.network.spec),
+                     "optimizer_tags": dict(m.optimizer_tags),
+                     "tensors": [[name, list(arr.shape)] for name, arr in _tensors(m.network)]}
+                    for m in model.members],
     }
+    header.update(extra or {})
+    line = json.dumps(header, sort_keys=True)
+    with open(path, "wb") as fh:
+        fh.write(line.encode("ascii") + b"\n")
+        for m in model.members:
+            for _, arr in _tensors(m.network):
+                fh.write(np.ascontiguousarray(arr, "<f8"))
 
 
 def _member_field(entry, key: str, index: int):
@@ -154,49 +150,34 @@ def _member_field(entry, key: str, index: int):
     return entry[key]
 
 
-def _load_arrays(payloads, items: list, what: str) -> None:
-    names = {key for key, _ in items}
-    if not isinstance(payloads, dict) or names != set(payloads):
-        raise ValueError(f"{what} names do not match the network's layer graph")
-    for key, arr in items:
-        payload = payloads[key]
-        if not isinstance(payload, dict) or not {"shape", "data"} <= payload.keys():
-            raise ValueError(f"{what} {key!r} needs a 'shape' and a 'data' entry")
-        if payload["shape"] != list(arr.shape):
-            raise ShapeError(f"{what} {key!r} has shape {payload['shape']}, expected {list(arr.shape)}")
-        if not isinstance(payload["data"], str):
-            raise ValueError(f"{what} {key!r} data is not a base64 string")
-        try:
-            raw = binascii.a2b_base64(payload["data"])
-        except ValueError as exc:  # binascii.Error, or a non-ASCII string
-            raise ValueError(f"{what} {key!r} data is not valid base64: {exc}") from None
-        if len(raw) != 8 * arr.size:
-            raise ShapeError(f"{what} {key!r} data holds {len(raw)} bytes, "
-                             f"expected {8 * arr.size} for shape {list(arr.shape)}")
-        arr[...] = np.frombuffer(raw, "<f8").reshape(arr.shape)
-
-
-def ensemble_from_dict(doc: dict) -> EnsembleModel:
-    """Rebuild a model from its document. A malformed document raises
+def load_ensemble(path) -> tuple[EnsembleModel, dict]:
+    """Read a file written by save_ensemble; returns the model and the
+    ``extra`` keys that were saved beside it. A malformed file raises
     ``ValueError`` (or its subclass ``ShapeError``) naming what is wrong."""
-    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
-        found = doc.get("format") if isinstance(doc, dict) else type(doc).__name__
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    end = raw.find(b"\n")
+    if end < 0:
+        raise ValueError("model file has no newline after its header")
+    # ``decode`` rather than ``json.loads(bytes)``, whose encoding detection
+    # would accept a UTF-8 BOM and UTF-16 files.
+    header = json.loads(raw[:end].decode("utf-8"))
+    found = header.get("format") if isinstance(header, dict) else type(header).__name__
+    if found != MODEL_FORMAT:
         raise ValueError(f"unsupported model format {found!r}")
-    fusion = doc.get("fusion", "average")
-    if fusion != "average":
-        raise ValueError(f"unknown fusion rule {fusion!r}")
-    master_seed = doc.get("master_seed", 0)
+    master_seed = header.get("master_seed", 0)
     # A JSON integer only: bool is a subclass of int, and int() would also
     # take 7.9 or "12".
     if type(master_seed) is not int:
         raise ValueError(f"model 'master_seed' {master_seed!r} is not an integer")
-    entries = doc.get("members")
+    entries = header.get("members")
     if not isinstance(entries, list):
         raise ValueError("model file has no 'members' list")
     members = []
+    offset = end + 1
     for i, entry in enumerate(entries):
-        spec_doc, params, buffers, tags = (_member_field(entry, key, i) for key in
-                                           ("spec", "params", "buffers", "optimizer_tags"))
+        spec_doc, tags, tensors = (_member_field(entry, key, i) for key in
+                                   ("spec", "optimizer_tags", "tensors"))
         if not isinstance(tags, dict):
             raise ValueError(f"model member {i} 'optimizer_tags' is not an object")
         try:
@@ -206,45 +187,24 @@ def ensemble_from_dict(doc: dict) -> EnsembleModel:
             # configuration; an unknown or missing key raises TypeError.
             raise ValueError(f"model member {i} spec: {exc}") from None
         net = build_network(spec, None)
-        _load_arrays(params, net.param_items(), "parameter")
-        _load_arrays(buffers, net.state_items(), "buffer")
+        items = _tensors(net)
+        if not isinstance(tensors, list) or len(tensors) != len(items):
+            raise ValueError(f"model member {i} 'tensors' is not a list of its network's "
+                             f"{len(items)} tensors")
+        for listed, (name, arr) in zip(tensors, items):
+            if listed != [name, list(arr.shape)]:
+                raise ShapeError(f"model member {i} tensor {listed!r} is not the network's "
+                                 f"{[name, list(arr.shape)]!r}")
+            if offset + arr.nbytes > len(raw):
+                raise ValueError(f"model file ends inside member {i} tensor {name!r}")
+            values = np.frombuffer(raw, "<f8", arr.size, offset)
+            if not np.isfinite(values).all():
+                raise ValueError(f"model member {i} tensor {name!r} holds a non-finite value")
+            arr[...] = values.reshape(arr.shape)
+            offset += arr.nbytes
         members.append(EnsembleMember(net, dict(tags)))
-    return EnsembleModel(members, master_seed=master_seed)
-
-
-def save_ensemble(model: EnsembleModel, path, extra: dict | None = None) -> None:
-    """Write the container; ``extra`` adds top-level keys beside the model.
-
-    The file holds ``json.dumps(doc, sort_keys=True)`` and a newline, one
-    line with sorted keys, where ``doc`` is the model document updated with
-    ``extra``. Each tensor is ``{"data": ..., "shape": [...]}``, with the
-    base64 text of the tensor's little-endian float64 bytes as its data.
-    The bytes come chunk by chunk from the encoder's ``iterencode``, which
-    builds a tensor's payload only when it reaches it, so no more than one
-    tensor's bytes and their base64 text are held at once.
-    """
-    doc = _container(model)
-    if extra:
-        doc.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_ModelEncoder(sort_keys=True).iterencode(doc))
-        fh.write("\n")
-
-
-def load_ensemble(path) -> tuple[EnsembleModel, dict]:
-    """Read a container written by save_ensemble; returns the model and the
-    ``extra`` keys that were saved beside it."""
-    # The file's bytes stay referenced until the parse has ended. A read
-    # buffer freed before the parse (text-mode ``json.load``) raises
-    # glibc's dynamic mmap threshold to the file's size, so every tensor's
-    # base64 text then lands on the brk heap below the model's arrays, and
-    # ~6.5 MB of it stays resident under the forward once it is freed.
-    # ``decode`` rather than ``json.loads(raw)``, whose encoding detection
-    # would accept a UTF-8 BOM and UTF-16 files.
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    doc = json.loads(raw.decode("utf-8"))
-    del raw
-    model = ensemble_from_dict(doc)
-    container = ("format", "master_seed", "fusion", "external_weight", "members")
-    return model, {key: value for key, value in doc.items() if key not in container}
+    if offset != len(raw):
+        raise ValueError(f"model file holds {len(raw) - offset} bytes after its last tensor")
+    extra = {key: value for key, value in header.items()
+             if key not in ("format", "master_seed", "members")}
+    return EnsembleModel(members, master_seed=master_seed), extra

@@ -518,7 +518,8 @@ class Preprocess:
 
 
 def _float_array(doc, key: str, ndim: int, where: str) -> np.ndarray:
-    """``doc[key]`` as a float64 array with ``ndim`` axes, else ValueError."""
+    """``doc[key]`` as a finite float64 array with ``ndim`` axes, else
+    ValueError."""
     if not isinstance(doc, dict) or key not in doc:
         raise ValueError(f"{where} block has no {key!r}")
     try:
@@ -527,6 +528,9 @@ def _float_array(doc, key: str, ndim: int, where: str) -> np.ndarray:
         raise ValueError(f"{where} {key!r} is not an array of numbers") from None
     if arr.ndim != ndim:
         raise ValueError(f"{where} {key!r} must have {ndim} axes, got shape {arr.shape}")
+    # json reads NaN and Infinity literals.
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{where} {key!r} holds a non-finite value")
     return arr
 
 

@@ -96,8 +96,8 @@ def test_every_required_span_is_reached(tracer, monkeypatch, tmp_path, capsys):
 def test_layers_call_kernels_through_their_traced_names(tracer, monkeypatch):
     # The tracer replaces the mlenn.layers attributes; a layer class that
     # bound a kernel directly would run it unwrapped and drop its span.
-    # An eval-mode forward, whose layers write into their inputs, must go
-    # through the same names as a train-mode one.
+    # An eval-mode forward, whose layers return fresh outputs and keep no
+    # cache, must go through the same names as a train-mode one.
     names = [attr for _, locations, _ in tracer.TARGETS
              for module_name, attr in locations if module_name == "mlenn.layers"]
     calls = {mode: dict.fromkeys(names, 0) for mode in ("eval", "train")}

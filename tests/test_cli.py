@@ -1,7 +1,6 @@
 import argparse
-import base64
 import json
-from dataclasses import fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -126,12 +125,43 @@ class TestKfoldCommand:
         assert "fold=0" in stdout
 
 
-def _wz(doc) -> dict:
-    return doc["members"][0]["params"]["gru.wz"]
+@dataclass
+class _ModelFile:
+    """A model file as its header, the newline that ends the header's line
+    and the tensor bytes after it."""
+    header: dict
+    newline: bytes
+    payload: bytearray
+
+    @classmethod
+    def read(cls, path) -> "_ModelFile":
+        line, newline, payload = path.read_bytes().partition(b"\n")
+        return cls(json.loads(line), newline, bytearray(payload))
+
+    def write(self, path) -> None:
+        path.write_bytes(json.dumps(self.header).encode() + self.newline + self.payload)
 
 
-def _wz_bytes(doc) -> bytes:
-    return base64.b64decode(_wz(doc)["data"])
+def _first_tensor(f: _ModelFile) -> list:
+    """The header's ``[name, shape]`` entry of member 0's first tensor."""
+    return f.header["members"][0]["tensors"][0]
+
+
+def _header_only(f: _ModelFile) -> None:
+    """The header's JSON alone: no newline and no tensors."""
+    f.newline = b""
+    f.payload.clear()
+
+
+def _as_v2(f: _ModelFile) -> None:
+    """A file of format v2, one JSON line that holds the whole model."""
+    f.header["format"] = "mlenn-ensemble v2"
+    f.payload.clear()
+
+
+def _utf16_header(raw: bytes) -> bytes:
+    line, rest = raw.split(b"\n", 1)
+    return (line.decode("utf-8") + "\n").encode("utf-16") + rest
 
 
 def _pca(doc, k: int, missing_columns: int = 0, drop: str | None = None) -> None:
@@ -160,10 +190,10 @@ class TestTrainEvaluateCommands:
         assert code == 0
         model_path = model_dir / "model.json"
         assert model_path.exists()
-        doc = json.loads(model_path.read_text())
-        assert doc["format"] == "mlenn-ensemble v2"
-        assert doc["master_seed"] == 4
-        assert "preprocess" in doc
+        header = _ModelFile.read(model_path).header
+        assert header["format"] == "mlenn-ensemble v3"
+        assert header["master_seed"] == 4
+        assert "preprocess" in header
 
         eval_dir = tmp_path / "eval"
         code, stdout, _ = run_cli(
@@ -180,9 +210,9 @@ class TestTrainEvaluateCommands:
                              "--hidden-units", "4", "--epochs", "0",
                              "--output", model_path.parent)
         assert code == 0
-        doc = json.loads(model_path.read_text())
-        doc["members"][0]["spec"]["hidden_units"] = 0
-        model_path.write_text(json.dumps(doc))
+        model = _ModelFile.read(model_path)
+        model.header["members"][0]["spec"]["hidden_units"] = 0
+        model.write(model_path)
         code, _, err = run_cli(capsys, "evaluate", "--model", model_path,
                                "--dataset", dataset_file)
         assert code == 1
@@ -190,47 +220,52 @@ class TestTrainEvaluateCommands:
         assert "hidden_units" in err
 
     @pytest.mark.parametrize("edit,named", [
-        (lambda doc: doc["members"][0]["spec"].update(dilation=2), "dilation"),
-        (lambda doc: doc["members"][0]["spec"].pop("topology"), "topology"),
-        (lambda doc: doc.pop("members"), "members"),
-        (lambda doc: doc["members"][0].pop("spec"), "spec"),
-        (lambda doc: doc["members"][0].pop("params"), "params"),
-        (lambda doc: doc["members"][0].pop("buffers"), "buffers"),
-        (lambda doc: _wz(doc).pop("data"), "data"),
-        (lambda doc: _wz(doc).update(data=np.frombuffer(_wz_bytes(doc), "<f8").tolist()),
-         "base64"),
-        (lambda doc: _wz(doc).update(data="not base64!"), "base64"),
-        (lambda doc: _wz(doc).update(data=base64.b64encode(_wz_bytes(doc)[8:]).decode()),
-         "bytes"),
-        (lambda doc: doc.update(format="mlenn-ensemble v1"), "v1"),
-        (lambda doc: doc["preprocess"].pop("hi"), "'hi'"),
-        (lambda doc: doc["preprocess"]["hi"].pop(), "'hi'"),
-        (lambda doc: doc["preprocess"].update(lo=[doc["preprocess"]["lo"]]), "'lo'"),
-        (lambda doc: doc["preprocess"].update(lo={"a": 1}), "'lo'"),
-        (lambda doc: doc.update(preprocess=[1.0]), "'lo'"),
-        (lambda doc: doc.pop("preprocess"), "preprocess"),
-        (lambda doc: doc.update(preprocess=None), "preprocess"),
-        (lambda doc: doc.update(preprocess={}), "preprocess"),
-        (lambda doc: _pca(doc, 2, drop="components"), "'components'"),
-        (lambda doc: _pca(doc, 2, missing_columns=1), "pca"),
-        (lambda doc: (_pca(doc, 2), doc["preprocess"]["pca"]["explained_variance_ratio"].pop()),
-         "pca"),
-        (_widen, "5 feature columns, the data has 4"),
-        (lambda doc: doc.update(master_seed=[3]), "master_seed"),
-        (lambda doc: doc.update(master_seed=7.9), "master_seed"),
-        (lambda doc: doc.update(master_seed="12"), "master_seed"),
-        (lambda doc: doc.update(master_seed=True), "master_seed"),
-        (lambda doc: doc["members"][0].update(optimizer_tags=["adam"]), "optimizer_tags"),
-        (lambda doc: doc.update(fusion="max"), "fusion rule 'max'"),
+        (lambda f: f.header["members"][0]["spec"].update(dilation=2), "dilation"),
+        (lambda f: f.header["members"][0]["spec"].pop("topology"), "topology"),
+        (lambda f: f.header.pop("members"), "members"),
+        (lambda f: f.header["members"][0].pop("spec"), "spec"),
+        (lambda f: f.header["members"][0].pop("tensors"), "'tensors'"),
+        (lambda f: f.header["members"][0]["tensors"].pop(), "'tensors'"),
+        (lambda f: _first_tensor(f).__setitem__(0, "gru.wq"), "tensor ['gru.wq', [4, 1]]"),
+        (lambda f: _first_tensor(f)[1].reverse(), "tensor ['gru.wz', [1, 4]]"),
+        (lambda f: f.payload.__delitem__(slice(-8, None)), "ends inside member 0 tensor"),
+        (lambda f: f.payload.extend(bytes(8)), "8 bytes after its last tensor"),
+        (lambda f: f.payload.__setitem__(slice(0, 8), np.float64("nan").tobytes()),
+         "tensor 'gru.wz' holds a non-finite value"),
+        (_header_only, "no newline"),
+        (_as_v2, "unsupported model format 'mlenn-ensemble v2'"),
+        (lambda f: f.header.update(format="mlenn-ensemble v1"), "v1"),
+        (lambda f: f.header["preprocess"].pop("hi"), "'hi'"),
+        (lambda f: f.header["preprocess"]["hi"].pop(), "'hi'"),
+        (lambda f: f.header["preprocess"].update(lo=[f.header["preprocess"]["lo"]]), "'lo'"),
+        (lambda f: f.header["preprocess"].update(lo={"a": 1}), "'lo'"),
+        (lambda f: f.header["preprocess"]["lo"].__setitem__(0, float("nan")),
+         "'lo' holds a non-finite value"),
+        (lambda f: f.header["preprocess"]["hi"].__setitem__(1, float("inf")),
+         "'hi' holds a non-finite value"),
+        (lambda f: f.header.update(preprocess=[1.0]), "'lo'"),
+        (lambda f: f.header.pop("preprocess"), "preprocess"),
+        (lambda f: f.header.update(preprocess=None), "preprocess"),
+        (lambda f: f.header.update(preprocess={}), "preprocess"),
+        (lambda f: _pca(f.header, 2, drop="components"), "'components'"),
+        (lambda f: _pca(f.header, 2, missing_columns=1), "pca"),
+        (lambda f: (_pca(f.header, 2),
+                    f.header["preprocess"]["pca"]["explained_variance_ratio"].pop()), "pca"),
+        (lambda f: _widen(f.header), "5 feature columns, the data has 4"),
+        (lambda f: f.header.update(master_seed=[3]), "master_seed"),
+        (lambda f: f.header.update(master_seed=7.9), "master_seed"),
+        (lambda f: f.header.update(master_seed="12"), "master_seed"),
+        (lambda f: f.header.update(master_seed=True), "master_seed"),
+        (lambda f: f.header["members"][0].update(optimizer_tags=["adam"]), "optimizer_tags"),
     ], ids=["unknown-spec-key", "missing-spec-key", "no-members", "no-spec",
-            "no-params", "no-buffers", "no-tensor-data", "float-list-data",
-            "invalid-base64", "short-data", "v1-format", "preprocess-no-hi",
-            "preprocess-short-hi", "preprocess-2d-lo", "preprocess-dict-lo",
+            "no-tensors", "short-tensor-list", "renamed-tensor", "reshaped-tensor",
+            "truncated-payload", "trailing-bytes", "nan-tensor", "no-newline", "v2-format",
+            "v1-format", "preprocess-no-hi", "preprocess-short-hi", "preprocess-2d-lo",
+            "preprocess-dict-lo", "preprocess-nan-lo", "preprocess-inf-hi",
             "preprocess-not-a-block", "no-preprocess", "null-preprocess",
             "empty-preprocess", "pca-no-components", "pca-short-mean",
             "pca-ratio-mismatch", "column-mismatch", "list-master-seed", "float-master-seed",
-            "string-master-seed", "bool-master-seed", "list-optimizer-tags",
-            "max-fusion"])
+            "string-master-seed", "bool-master-seed", "list-optimizer-tags"])
     def test_malformed_model_file_is_a_typed_error(self, dataset_file, tmp_path, capsys,
                                                    edit, named):
         # Each edit of a real train output must reach the evaluate stage
@@ -240,9 +275,9 @@ class TestTrainEvaluateCommands:
                              "--hidden-units", "4", "--epochs", "0",
                              "--output", model_path.parent)
         assert code == 0
-        doc = json.loads(model_path.read_text())
-        edit(doc)
-        model_path.write_text(json.dumps(doc))
+        model = _ModelFile.read(model_path)
+        edit(model)
+        model.write(model_path)
         code, _, err = run_cli(capsys, "evaluate", "--model", model_path,
                                "--dataset", dataset_file)
         assert code == 1
@@ -252,7 +287,7 @@ class TestTrainEvaluateCommands:
 
     @pytest.mark.parametrize("reencode,named", [
         (lambda raw: b"\xef\xbb\xbf" + raw, "Unexpected UTF-8 BOM"),
-        (lambda raw: raw.decode("utf-8").encode("utf-16"), "can't decode byte 0xff"),
+        (_utf16_header, "can't decode byte 0xff"),
         (lambda raw: b"\xff" + raw, "can't decode byte 0xff"),
     ], ids=["utf8-bom", "utf16", "leading-0xff"])
     def test_model_file_is_strict_utf8(self, dataset_file, tmp_path, capsys, reencode, named):

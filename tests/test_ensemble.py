@@ -1,46 +1,20 @@
-import base64
 import json
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-import mlenn
-from mlenn.cli import main
-from mlenn.ensemble import (EnsembleModel, ensemble_from_dict, fuse_average,
-                            fuse_weighted_external, fused_threshold,
-                            load_ensemble, normalize_enn, save_ensemble,
-                            train_member)
-from mlenn.harness import RunConfig, save_dataset, train_members
+from mlenn.ensemble import (EnsembleModel, fuse_average, fuse_weighted_external,
+                            fused_threshold, load_ensemble, normalize_enn,
+                            save_ensemble, train_member)
+from mlenn.harness import RunConfig, train_members
 from mlenn.metrics import PredictionSet, average_precision
 from mlenn.network import NetworkSpec
 from mlenn.numerics import RngStream, ShapeError
-from mlenn.pipeline import Dataset
 from mlenn.training import TrainConfig
 
 from synth import banded_task, noisy_teacher_task, separable_task
-
-# Loads the model file named by argv[1] as `mlenn evaluate` does and prints
-# the bytes of free memory glibc holds in its heap afterwards.
-_HEAP_PROBE = """
-import ctypes, sys
-from mlenn.cli import load_ensemble
-
-class Mallinfo2(ctypes.Structure):
-    _fields_ = [(name, ctypes.c_size_t) for name in (
-        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
-        "uordblks", "fordblks", "keepcost")]
-
-mallinfo2 = ctypes.CDLL(None).mallinfo2
-mallinfo2.restype = Mallinfo2
-model = load_ensemble(sys.argv[1])
-print(mallinfo2().fordblks)
-"""
 
 
 def small_spec(**kw):
@@ -246,95 +220,90 @@ class TestSerialization:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_container_is_self_describing(self, tmp_path):
-        # Each tensor's data is the base64 text of prod(shape) little-endian
-        # float64 values: the tensor's own bits, in C order.
+        # After the header line come the members' tensors, in the order the
+        # header lists them, as their C-order little-endian float64 bytes,
+        # and nothing else.
         model, _ = self._trained()
         path = tmp_path / "model.json"
         save_ensemble(model, path)
-        doc = json.loads(path.read_text())
-        assert doc["format"] == "mlenn-ensemble v2"
-        assert doc["master_seed"] == 7
-        for m, member in zip(model.members, doc["members"]):
+        line, payload = path.read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        assert header["format"] == "mlenn-ensemble v3"
+        assert header["master_seed"] == 7
+        offset = 0
+        for m, member in zip(model.members, header["members"], strict=True):
             tensors = m.network.param_items() + m.network.state_items()
-            payloads = member["params"] | member["buffers"]
-            assert sorted(payloads) == sorted(key for key, _ in tensors)
+            assert member["tensors"] == [[key, list(arr.shape)] for key, arr in tensors]
             for key, arr in tensors:
-                payload = payloads[key]
-                values = np.frombuffer(base64.b64decode(payload["data"], validate=True), "<f8")
-                assert values.size == int(np.prod(payload["shape"]))
-                assert payload["shape"] == list(arr.shape)
-                assert values.tobytes() == arr.tobytes(), key
-        rebuilt = ensemble_from_dict(doc)
-        assert rebuilt.master_seed == 7
+                assert payload[offset:offset + arr.nbytes] == arr.astype("<f8").tobytes(), key
+                offset += arr.nbytes
+        assert offset == len(payload)
 
-    def test_format_tag_checked(self):
-        with pytest.raises(ValueError):
-            ensemble_from_dict({"format": "something-else", "members": []})
+    def test_format_tag_checked(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b'{"format": "something-else", "members": []}\n')
+        with pytest.raises(ValueError, match="^unsupported model format 'something-else'$"):
+            load_ensemble(path)
 
-    def test_file_bytes_are_json_dumps_of_the_document(self, tmp_path):
-        # Extra keys land before "external_weight" and after "members" in
-        # sorted order, and hold nested dicts, a list holding a dict, and a
-        # dict with non-string keys.
+    def test_first_line_is_json_dumps_of_the_header(self, tmp_path):
+        # Extra keys land before "format" and after "members" in sorted
+        # order, and hold nested dicts, a list holding a dict, a dict with
+        # non-string keys and a non-ASCII string, which the line escapes.
         model, _ = self._trained()
         extra = {"a_first": {"z": 1, "b": [0.5, None]},
                  "preprocess": {"lo": [0.0, 0.1], "hi": [1.0, 2.0], "pca": None},
-                 "zz": [1, {"k": [2, 3], "j": "x"}, [4.5]],
+                 "zz": [1, {"k": [2, 3], "j": "x\u00e9"}, [4.5]],
                  "numbered": {2: "b", 1: "a"}}
         path = tmp_path / "model.json"
         save_ensemble(model, path, extra=extra)
-        doc = json.loads(path.read_bytes())
-        assert path.read_bytes() == (json.dumps(doc, sort_keys=True) + "\n").encode()
-        assert {key: doc[key] for key in extra} == json.loads(json.dumps(extra))
+        line, _ = path.read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        assert line == json.dumps(header, sort_keys=True).encode("ascii")
+        assert {key: header[key] for key in extra} == json.loads(json.dumps(extra))
 
-    def test_save_holds_one_tensor_at_a_time(self, tmp_path):
-        # Four members write four times the bytes of one, but the save's
-        # peak allocation stays near the one-member figure and far below
-        # the file size.
+    def test_save_copies_no_tensor(self, tmp_path):
+        # Each tensor goes from the layer's own array straight to the file,
+        # so the save allocates less than half of the largest tensor: little
+        # more than the header line, whatever the tensors' size.
         x, y = separable_task(10, n=20)
-        peaks, sizes = [], []
-        for members in (1, 4):
-            cfg = run_cfg(topologies=("TCN_A",), tcn_filters=24, tcn_blocks=3, epochs=0,
-                          members=members)
-            model = train_members(cfg, x, y, RngStream(7))
-            path = tmp_path / f"m{members}.json"
-            tracemalloc.start()
-            try:
-                save_ensemble(model, path)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-            sizes.append(path.stat().st_size)
-        assert sizes[1] > 3.9 * sizes[0]
-        assert peaks[1] < 1.5 * peaks[0]
-        assert peaks[1] < sizes[1] / 2
+        cfg = run_cfg(topologies=("TCN_A",), tcn_filters=128, tcn_blocks=3, epochs=0,
+                      members=4)
+        model = train_members(cfg, x, y, RngStream(7))
+        largest = max(arr.nbytes for m in model.members for _, arr in m.network.param_items())
+        tracemalloc.start()
+        try:
+            save_ensemble(model, tmp_path / "model.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < largest / 2
 
-    @pytest.mark.glibc
-    def test_load_leaves_no_freed_tensor_text_on_the_heap(self, tmp_path):
-        # A GRU_A + TCN_A model at the yeast shape is a ~7 MB file. If its
-        # read buffer is freed before the parse, glibc's mmap threshold
-        # rises and the tensors' base64 text is put on the brk heap, where
-        # it stays once freed: 8.96 MiB of free heap after the load, against
-        # 2.43 MiB with the bytes held through the parse. tracemalloc sees
-        # the text freed either way, so a fresh process reads mallinfo2.
+    def test_load_peak_is_near_the_tensor_bytes(self, tmp_path):
+        # A GRU_A + TCN_A model at the yeast shape. The load holds the
+        # file's bytes and the model's own arrays: a peak near twice the
+        # tensor bytes, where a text container needs its text as well.
         x, y = banded_task(5, 20, 103, 14)
-        save_dataset(Dataset(x, y, name="yeast"), tmp_path / "yeast.mlkit")
-        model_path = tmp_path / "model" / "model.json"
-        assert main(["train", "--dataset", str(tmp_path / "yeast.mlkit"),
-                     "--topology", "GRU_A", "--topology", "TCN_A", "--members", "1",
-                     "--epochs", "0", "--output", str(model_path.parent)]) == 0
-        src = str(Path(mlenn.__file__).resolve().parent.parent)
-        done = subprocess.run([sys.executable, "-c", _HEAP_PROBE, str(model_path)],
-                              env=dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src),
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert int(done.stdout) < 5 * 2**20
+        cfg = RunConfig(dataset="unused.mlkit", topologies=("GRU_A", "TCN_A"), members=1,
+                        epochs=0)
+        path = tmp_path / "model.json"
+        save_ensemble(train_members(cfg, x, y, RngStream(5)), path)
+        tracemalloc.start()
+        try:
+            model, _ = load_ensemble(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tensor_bytes = sum(arr.nbytes for m in model.members
+                           for _, arr in m.network.param_items() + m.network.state_items())
+        assert peak < 2.5 * tensor_bytes
 
     def test_unencodable_extra_raises_jsons_type_error(self, tmp_path):
-        # The save hook encodes arrays only; any other object keeps the
-        # encoder's own TypeError.
+        # An extra value json cannot encode keeps the encoder's own
+        # TypeError, and no file is written.
         model, _ = self._trained(epochs=0)
         with pytest.raises(TypeError, match="^Object of type set is not JSON serializable$"):
             save_ensemble(model, tmp_path / "model.json", extra={"s": {1, 2}})
+        assert not (tmp_path / "model.json").exists()
 
 
 @pytest.mark.slow
