@@ -7,8 +7,7 @@ average rule, and evaluates with the standard multilabel indicators.
 
 from .ensemble import (EnsembleModel, fuse_average, fuse_weighted_external,
                        load_ensemble, normalize_enn, save_ensemble)
-from .harness import (RunConfig, kfold_split, load_dataset, load_external_scores,
-                      run_experiment, save_dataset)
+from .harness import RunConfig, kfold_split, load_dataset, load_external_scores, run_experiment
 from .metrics import PredictionSet, bce_loss, compute_all
 from .network import NetworkSpec, build_network
 from .numerics import RngStream, kmeans, pca_fit, pca_transform
@@ -44,7 +43,6 @@ __all__ = [
     "pca_fit",
     "pca_transform",
     "run_experiment",
-    "save_dataset",
     "save_ensemble",
     "train_network",
 ]

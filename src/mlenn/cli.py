@@ -15,13 +15,12 @@ invocations write identical bytes.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import fields
 
 from .ensemble import load_ensemble, save_ensemble
-from .harness import (ConfigError, DatasetFormatError, ExperimentReport, Preprocess,
+from .harness import (ConfigError, DatasetFormatError, Preprocess,
                       RunConfig, evaluate_model, fit_training_set, load_dataset,
                       load_external_scores, run_experiment, train_members)
 from .network import ENCODINGS, GRU_FAMILY, TCN_FAMILY, TOPOLOGIES
@@ -102,19 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_report(report: ExperimentReport, output: str | None) -> None:
-    text = report.text()
-    sys.stdout.write(text)
-    if output:
-        os.makedirs(output, exist_ok=True)
-        with open(os.path.join(output, "report.txt"), "w", encoding="utf-8") as fh:
-            fh.write(text)
-        with open(os.path.join(output, "report.json"), "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-        with open(os.path.join(output, "config.json"), "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(report.config, sort_keys=True, indent=1) + "\n")
-
-
 def _run_config(args) -> RunConfig:
     """RunConfig from the flags given; kfold and train declare no flag
     defaults, so every absent flag keeps the field's default."""
@@ -125,7 +111,9 @@ def _run_config(args) -> RunConfig:
 def _cmd_kfold(args) -> int:
     cfg = _run_config(args)
     report = run_experiment(cfg)
-    _write_report(report, cfg.output)
+    sys.stdout.write(report.text())
+    if cfg.output:
+        report.write(cfg.output)
     if not report.records:
         print(f"error [stage=kfold]: no fold produced a record "
               f"({len(report.failures)} failed)", file=sys.stderr)
@@ -141,20 +129,22 @@ def _cmd_train(args) -> int:
     model = train_members(cfg, x, y, rng, weights)
     os.makedirs(cfg.output, exist_ok=True)
     path = os.path.join(cfg.output, "model.json")
-    save_ensemble(model, path, extra={"preprocess": pre.to_dict()})
+    save_ensemble(model, path, preprocess=pre.to_dict())
     print(f"saved {len(model.members)}-member ensemble to {path}")
     return 0
 
 
 def _cmd_evaluate(args) -> int:
-    model, extra = load_ensemble(args.model)
-    pre = Preprocess.from_dict(extra.get("preprocess"))
+    model, preprocess = load_ensemble(args.model)
+    pre = Preprocess.from_dict(preprocess)
     ds = load_dataset(args.dataset)
     external = None
     if args.external_scores:
         external = load_external_scores(args.external_scores, ds.n_samples, ds.n_labels)
     report = evaluate_model(model, ds, preprocess=pre, external=external)
-    _write_report(report, args.output)
+    sys.stdout.write(report.text())
+    if args.output:
+        report.write(args.output)
     return 0
 
 

@@ -6,10 +6,10 @@ training set. Prediction fuses member confidences by the average rule,
 ``SCORE_ROWS`` rows at a time. A trained ensemble round-trips through one
 file: a line holding ``json.dumps(header, sort_keys=True)``, which is ASCII,
 and then every member's tensors as C-order little-endian float64 bytes,
-one after another. The header holds the metadata and each tensor's name
-and shape; the offsets follow from their order. The round trip is
-bit-exact and the file is byte-stable for a fixed seed. The header line is
-decoded as strict UTF-8.
+one after another. The header holds the metadata, the ``preprocess`` block
+that ``train`` fits, and each tensor's name and shape; the offsets follow
+from their order. The round trip is bit-exact and the file is byte-stable
+for a fixed seed. The header line is decoded as strict UTF-8.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ MODEL_FORMAT = "mlenn-ensemble v3"
 # Rows per scoring forward: the training minibatch. Fusion is element-wise,
 # so a chunk's fused scores are the bits of its rows in one whole fusion,
 # and a forward's memory does not grow with the file.
-SCORE_ROWS = 30
+SCORE_ROWS = TrainConfig.minibatch
 
 
 @dataclass
@@ -116,9 +116,9 @@ def _tensors(net: Network) -> list:
     return net.param_items() + net.state_items()
 
 
-def save_ensemble(model: EnsembleModel, path, extra: dict | None = None) -> None:
-    """Write the model file; ``extra`` adds top-level header keys beside the
-    model.
+def save_ensemble(model: EnsembleModel, path, preprocess: dict | None = None) -> None:
+    """Write the model file; ``preprocess``, the JSON block of the fitted
+    preprocessing, is the header's ``preprocess`` value (null without one).
 
     The file is ``json.dumps(header, sort_keys=True)``, a newline, and then
     every member's tensors, each written straight from the layer's own
@@ -130,12 +130,12 @@ def save_ensemble(model: EnsembleModel, path, extra: dict | None = None) -> None
     header = {
         "format": MODEL_FORMAT,
         "master_seed": model.master_seed,
+        "preprocess": preprocess,
         "members": [{"spec": asdict(m.network.spec),
                      "optimizer_tags": dict(m.optimizer_tags),
                      "tensors": [[name, list(arr.shape)] for name, arr in _tensors(m.network)]}
                     for m in model.members],
     }
-    header.update(extra or {})
     line = json.dumps(header, sort_keys=True)
     with open(path, "wb") as fh:
         fh.write(line.encode("ascii") + b"\n")
@@ -150,9 +150,9 @@ def _member_field(entry, key: str, index: int):
     return entry[key]
 
 
-def load_ensemble(path) -> tuple[EnsembleModel, dict]:
+def load_ensemble(path) -> tuple[EnsembleModel, dict | None]:
     """Read a file written by save_ensemble; returns the model and the
-    ``extra`` keys that were saved beside it. A malformed file raises
+    header's ``preprocess`` value, None if it has none. A malformed file raises
     ``ValueError`` (or its subclass ``ShapeError``) naming what is wrong."""
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -205,6 +205,4 @@ def load_ensemble(path) -> tuple[EnsembleModel, dict]:
         members.append(EnsembleMember(net, dict(tags)))
     if offset != len(raw):
         raise ValueError(f"model file holds {len(raw) - offset} bytes after its last tensor")
-    extra = {key: value for key, value in header.items()
-             if key not in ("format", "master_seed", "members")}
-    return EnsembleModel(members, master_seed=master_seed), extra
+    return EnsembleModel(members, master_seed=master_seed), header.get("preprocess")

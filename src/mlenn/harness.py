@@ -2,10 +2,12 @@
 orchestration and metric reports.
 
 ``kfold`` and ``train`` train through ``fit_training_set`` (the fitted
-preprocessing and the possibly augmented rows) and ``train_members``
+preprocessing and the possibly augmented rows) and ``train_units``
 (unit (topology s, member m) on ``rng.child(s * members + m)``). Fold i
-gives them children 7 and 1 of ``RngStream(seed).child(100 + i)``;
-``train`` gives both ``RngStream(seed)``.
+gives them children 7 and 1 of ``RngStream(seed).child(100 + i)`` and frees
+each member once it has scored the fold's test rows; ``train`` gives both
+``RngStream(seed)``. Only a diverged member or an undefined indicator fails
+a fold.
 
 Dataset file format (one header line, then one line per sample)::
 
@@ -34,9 +36,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .ensemble import (EnsembleModel, fuse_weighted_external, fused_threshold,
+from .ensemble import (EnsembleModel, fuse_average, fuse_weighted_external, fused_threshold,
                        normalize_enn, train_member)
-from .metrics import METRIC_NAMES, PredictionSet, compute_all, format_record
+from .metrics import METRIC_NAMES, PredictionSet, UndefinedMetricError, compute_all
 from .network import NetworkSpec, check_architecture
 from .numerics import ConfigError, PcaModel, RngStream, ShapeError, pca_fit, pca_transform
 from .pipeline import Dataset, build_training_set, imcc_augment, minmax_normalize, minmax_scale
@@ -159,17 +161,6 @@ def load_dataset(path) -> Dataset:
 
     name = os.path.splitext(os.path.basename(path))[0]
     return Dataset(x, y, name=name, sparse=sparse)
-
-
-def save_dataset(ds: Dataset, path) -> None:
-    """Write a Dataset in the file format load_dataset reads."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{HEADER_MAGIC}, n={ds.n_samples}, d={ds.n_features}, "
-                 f"l={ds.n_labels}, sparse={1 if ds.sparse else 0}\n")
-        for xi, yi in zip(ds.x, ds.y):
-            feats = ",".join(repr(float(v)) for v in xi)
-            labels = ",".join(str(int(v)) for v in yi)
-            fh.write(f"{feats},{labels}\n")
 
 
 def load_external_scores(path, n: int, l: int) -> np.ndarray:
@@ -344,7 +335,8 @@ class ExperimentReport:
         for failure in self.failures:
             lines.append(f"# {failure}")
         for rec in self.records:
-            lines.append(format_record(rec.dataset, rec.model, rec.fold, rec.metrics))
+            values = " ".join(f"{name}={rec.metrics[name]:.6f}" for name in METRIC_NAMES)
+            lines.append(f"dataset={rec.dataset} model={rec.model} fold={rec.fold} {values}")
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
@@ -354,6 +346,15 @@ class ExperimentReport:
             "failures": list(self.failures),
         }
         return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+    def write(self, output: str) -> None:
+        """Write report.txt, report.json and config.json into ``output``."""
+        os.makedirs(output, exist_ok=True)
+        config = json.dumps(self.config, sort_keys=True, indent=1) + "\n"
+        for name, text in (("report.txt", self.text()), ("report.json", self.to_json()),
+                           ("config.json", config)):
+            with open(os.path.join(output, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
 
 
 def fit_training_set(cfg: RunConfig, x, y, sparse: bool, rng: RngStream) -> tuple:
@@ -371,10 +372,10 @@ def fit_training_set(cfg: RunConfig, x, y, sparse: bool, rng: RngStream) -> tupl
     return pre, x, y, weights
 
 
-def train_members(cfg: RunConfig, x, y, rng: RngStream, sample_weights=None) -> EnsembleModel:
+def train_units(cfg: RunConfig, x, y, rng: RngStream, sample_weights=None):
     """Train ``cfg.members`` networks of each of ``cfg.topologies`` on the
-    same rows, unit (topology s, member m) on ``rng.child(s * members + m)``."""
-    members = []
+    same rows, unit (topology s, member m) on ``rng.child(s * members + m)``,
+    and yield each member as soon as it is trained."""
     for s, topology in enumerate(cfg.topologies):
         spec = NetworkSpec(
             topology=topology, n_labels=y.shape[1],
@@ -383,9 +384,12 @@ def train_members(cfg: RunConfig, x, y, rng: RngStream, sample_weights=None) -> 
             input_dim=x.shape[1] if cfg.encoding == "single-step" else None,
         )
         for m in range(cfg.members):
-            members.append(train_member(spec, x, y, cfg, rng.child(s * cfg.members + m),
-                                        sample_weights))
-    return EnsembleModel(members, master_seed=rng.seed)
+            yield train_member(spec, x, y, cfg, rng.child(s * cfg.members + m), sample_weights)
+
+
+def train_members(cfg: RunConfig, x, y, rng: RngStream, sample_weights=None) -> EnsembleModel:
+    """Every unit of :func:`train_units`, kept as one ensemble."""
+    return EnsembleModel(list(train_units(cfg, x, y, rng, sample_weights)), master_seed=rng.seed)
 
 
 def _resolve_splits(cfg: RunConfig, ds: Dataset, rng: RngStream) -> list:
@@ -429,12 +433,16 @@ def run_experiment(cfg: RunConfig) -> ExperimentReport:
         try:
             pre, x, y, weights = fit_training_set(cfg, ds.x[train_idx], ds.y[train_idx],
                                                   ds.sparse, fold_rng.child(7))
-            # the fold's networks are freed once they have scored its test rows
-            scores = train_members(cfg, x, y, fold_rng.child(1), weights).predict_scores(
-                pre.apply(ds.x[test_idx]))
-            fold_results = _score_models(ds.y[test_idx], scores,
+            test_x = pre.apply(ds.x[test_idx])
+            # Each network is freed before the next trains. Fusion is
+            # element-wise, so these are the bits of one ensemble's scores.
+            unit_scores = []
+            for member in train_units(cfg, x, y, fold_rng.child(1), weights):
+                unit_scores.append(EnsembleModel([member]).predict_scores(test_x))
+                del member
+            fold_results = _score_models(ds.y[test_idx], fuse_average(unit_scores),
                                          None if external is None else external[test_idx])
-        except (TrainingDivergedError, ValueError) as exc:
+        except (TrainingDivergedError, UndefinedMetricError) as exc:
             failures.append(f"fold {i} failed: {exc}")
             continue
         for model_name, values in fold_results.items():
@@ -497,17 +505,17 @@ class Preprocess:
     @classmethod
     def from_dict(cls, doc: dict) -> "Preprocess":
         """Rebuild a :meth:`to_dict` block; a missing key or a shape that
-        does not fit raises ``ValueError`` naming it."""
+        does not fit raises ``ValueError`` naming it. Only a missing or null
+        ``pca`` means no PCA; any other value must be a whole PCA block."""
         lo = _float_array(doc, "lo", 1, "preprocess")
         hi = _float_array(doc, "hi", 1, "preprocess")
         if hi.shape != lo.shape:
             raise ValueError(f"preprocess 'lo' has {lo.size} columns but 'hi' has {hi.size}")
-        pca = None
-        if doc.get("pca"):
-            p = doc["pca"]
-            mean = _float_array(p, "mean", 1, "preprocess pca")
-            components = _float_array(p, "components", 2, "preprocess pca")
-            ratio = _float_array(p, "explained_variance_ratio", 1, "preprocess pca")
+        pca = doc.get("pca")
+        if pca is not None:
+            mean = _float_array(pca, "mean", 1, "preprocess pca")
+            components = _float_array(pca, "components", 2, "preprocess pca")
+            ratio = _float_array(pca, "explained_variance_ratio", 1, "preprocess pca")
             if mean.shape != lo.shape or components.shape != ratio.shape + lo.shape:
                 raise ValueError(
                     f"preprocess pca shapes mean {mean.shape}, components {components.shape}, "

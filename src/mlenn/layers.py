@@ -91,6 +91,7 @@ class Layer:
 
     def __init__(self, name: str):
         self.name = name
+        self.grad_vector: np.ndarray | None = None
         self.grads: dict = {}
         self.cache = None
         self.workspace: dict | None = None

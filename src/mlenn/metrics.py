@@ -1,6 +1,6 @@
 """Multilabel performance indicators and the binary cross-entropy loss.
 
-Conventions, shared with the report format:
+Conventions:
 
 - example-based set indicators (hamming_loss, aiming, recall, accuracy_ml,
   absolute_true, absolute_false) operate on the binary matrices Y and H;
@@ -11,7 +11,7 @@ Conventions, shared with the report format:
   assigns tied scores their worst (competition) rank, average_precision
   ranks ties stably by index;
 - ranking_loss and average_precision skip rows where they are undefined
-  and raise if every row is skipped.
+  and raise :class:`UndefinedMetricError` if every row is skipped.
 
 The ranking indicators work on blocks of rows with array operations, yet
 return the bits of a plain per-row loop: each row's term is computed by
@@ -43,6 +43,10 @@ METRIC_NAMES = (
     "absolute_true",
     "absolute_false",
 )
+
+
+class UndefinedMetricError(ValueError):
+    """An indicator is undefined on every row of a prediction set."""
 
 
 def _as_binary(m, name: str) -> np.ndarray:
@@ -119,7 +123,8 @@ def ranking_loss(ps: PredictionSet) -> float:
     n_rel = rel.sum(axis=1)
     kept = np.flatnonzero((n_rel > 0) & (n_rel < ps.n_labels))
     if kept.size == 0:
-        raise ValueError("ranking_loss is undefined: no row has both a relevant and an irrelevant label")
+        raise UndefinedMetricError("ranking_loss is undefined: no row has both a relevant "
+                                   "and an irrelevant label")
     f, rel, n_rel = ps.f[kept], rel[kept], n_rel[kept]
     bad = np.empty(kept.size)
     for rows in _row_blocks(kept.size, ps.n_labels):
@@ -154,7 +159,7 @@ def average_precision(ps: PredictionSet) -> float:
     n_rel = rel.sum(axis=1)
     kept = np.flatnonzero(n_rel > 0)
     if kept.size == 0:
-        raise ValueError("average_precision is undefined: no row has a relevant label")
+        raise UndefinedMetricError("average_precision is undefined: no row has a relevant label")
     n_rel = n_rel[kept]
     order = np.argsort(-ps.f[kept], axis=1, kind="stable")
     # hits[i, p]: the label ranked p + 1 in row i is relevant
@@ -218,13 +223,6 @@ def compute_all(ps: PredictionSet) -> dict:
         "absolute_true": absolute_true(ps),
         "absolute_false": absolute_false(ps),
     }
-
-
-def format_record(dataset: str, model: str, fold, values: dict) -> str:
-    """One flat text record per (dataset, model, fold), 6-decimal fields."""
-    head = f"dataset={dataset} model={model} fold={fold}"
-    body = " ".join(f"{name}={values[name]:.6f}" for name in METRIC_NAMES)
-    return f"{head} {body}"
 
 
 def bce_loss(y, p, weights=None):

@@ -9,7 +9,9 @@ step per layer, which updates the layer's parameter vector in place.
 The layers' reused kernel buffers (``layers.reused_buffers``) live exactly
 as long as one ``train_network`` call: each GRU allocates its buffers on
 the first minibatch, overwrites them on every later one, and releases
-them when the call returns or raises, before the next member trains.
+them when the call returns or raises, before the next member trains. It
+releases each layer's last ``grad_vector`` and ``grads`` then too, so a
+trained network holds no gradient.
 """
 
 from __future__ import annotations
@@ -135,23 +137,27 @@ def train_network(net: Network, x, y, cfg: TrainConfig, rng: RngStream,
     epochs = cfg.resolve_epochs(net.spec.topology)
     n = x.shape[0]
     epoch_losses: list[float] = []
-    with reused_buffers(net.layers):
-        for epoch in range(epochs):
-            order = rng.permutation(n)
-            running = 0.0
-            for batch_index, start in enumerate(range(0, n, cfg.minibatch)):
-                idx = order[start:start + cfg.minibatch]
-                wb = None if weights is None else weights[idx]
-                scores = net.forward(x[idx], train=True, rng=rng)
-                loss, d_scores = bce_loss(y[idx], scores, weights=wb)
-                if not np.isfinite(loss):
-                    raise TrainingDivergedError(epoch, batch_index)
-                net.backward(d_scores)
+    try:
+        with reused_buffers(net.layers):
+            for epoch in range(epochs):
+                order = rng.permutation(n)
+                running = 0.0
+                for batch_index, start in enumerate(range(0, n, cfg.minibatch)):
+                    idx = order[start:start + cfg.minibatch]
+                    wb = None if weights is None else weights[idx]
+                    scores = net.forward(x[idx], train=True, rng=rng)
+                    loss, d_scores = bce_loss(y[idx], scores, weights=wb)
+                    if not np.isfinite(loss):
+                        raise TrainingDivergedError(epoch, batch_index)
+                    net.backward(d_scores)
 
-                grads = [layer.grad_vector for layer in trainable]
-                clipped = clip_gradients_l2(grads, cfg.clip_threshold, sizes)
-                for layer, state, grad in zip(trainable, states, clipped):
-                    layer.param_vector[...] = optimizer_step(state, layer.param_vector, grad)
-                running += loss * len(idx)
-            epoch_losses.append(running / n)
+                    grads = [layer.grad_vector for layer in trainable]
+                    clipped = clip_gradients_l2(grads, cfg.clip_threshold, sizes)
+                    for layer, state, grad in zip(trainable, states, clipped):
+                        layer.param_vector[...] = optimizer_step(state, layer.param_vector, grad)
+                    running += loss * len(idx)
+                epoch_losses.append(running / n)
+    finally:
+        for layer in trainable:
+            layer.grad_vector, layer.grads = None, {}
     return epoch_losses

@@ -1,4 +1,5 @@
-"""Synthetic multilabel tasks shared by the training and acceptance suites.
+"""Synthetic multilabel tasks shared by the training and acceptance suites,
+and ``save_dataset``, which writes them as dataset files.
 
 All tasks share one construction: a linear teacher scores each sample,
 per-label thresholds sit at staggered quantiles of the score, and samples
@@ -7,6 +8,20 @@ separable with an explicit margin (expressed in score-standard-deviations).
 """
 
 import numpy as np
+
+from mlenn.harness import HEADER_MAGIC
+
+
+def save_dataset(ds, path) -> None:
+    """Write a Dataset in the file format ``mlenn.load_dataset`` reads, each
+    feature as its shortest round-tripping repr."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{HEADER_MAGIC}, n={ds.n_samples}, d={ds.n_features}, "
+                 f"l={ds.n_labels}, sparse={1 if ds.sparse else 0}\n")
+        for xi, yi in zip(ds.x, ds.y):
+            feats = ",".join(repr(float(v)) for v in xi)
+            labels = ",".join(str(int(v)) for v in yi)
+            fh.write(f"{feats},{labels}\n")
 
 
 def separable_task(seed: int, n: int = 200, d: int = 10, l: int = 3):

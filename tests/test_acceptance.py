@@ -15,7 +15,7 @@ import numpy.testing as npt
 import pytest
 
 from mlenn.ensemble import fuse_average, fuse_weighted_external, normalize_enn
-from mlenn.harness import RunConfig, load_dataset, run_experiment, save_dataset, train_members
+from mlenn.harness import RunConfig, load_dataset, run_experiment, train_members
 from mlenn.layers import (BatchNorm, Conv1d, Dense, Gru, batchnorm_backward,
                           batchnorm_forward, conv1d_backward, conv1d_forward,
                           dense_backward, dense_forward, gru_backward, gru_forward,
@@ -28,7 +28,7 @@ from mlenn.optim import (OptimizerState, clip_gradients_l2, cyclic_lr, modulatio
 from mlenn.pipeline import Dataset, imcc_augment
 
 from gradcheck import max_rel_error, numeric_gradient
-from synth import banded_task, noisy_teacher_task
+from synth import banded_task, noisy_teacher_task, save_dataset
 
 pytestmark = pytest.mark.acceptance
 

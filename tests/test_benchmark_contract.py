@@ -14,14 +14,13 @@ import pytest
 
 from mlenn import cli, layers
 from mlenn.ensemble import EnsembleModel, save_ensemble, train_member
-from mlenn.harness import save_dataset
 from mlenn.layers import Conv1d, Gru, conv1d_backward, conv1d_forward, gru_backward, gru_forward
 from mlenn.network import TOPOLOGIES, NetworkSpec, build_network
 from mlenn.numerics import RngStream
 from mlenn.pipeline import Dataset
 from mlenn.training import TrainConfig, clip_gradients_l2
 
-from synth import banded_task
+from synth import banded_task, save_dataset
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACER_PATH = PERFBENCH / "tracer.py"

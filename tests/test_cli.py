@@ -5,14 +5,15 @@ from dataclasses import dataclass, fields
 import numpy as np
 import pytest
 
+import mlenn.layers
 from mlenn.cli import _run_config, build_parser, main
-from mlenn.harness import RunConfig, fit_training_set, load_dataset, save_dataset
+from mlenn.harness import RunConfig, fit_training_set, load_dataset
 from mlenn.network import GRU_FAMILY
-from mlenn.numerics import RngStream
+from mlenn.numerics import RngStream, ShapeError
 from mlenn.pipeline import Dataset
 from mlenn.training import TrainConfig
 
-from synth import banded_task
+from synth import banded_task, save_dataset
 
 
 @pytest.fixture
@@ -84,6 +85,24 @@ class TestKfoldCommand:
         report = (out_dir / "report.txt").read_text()
         assert "# fold 0 failed" in report and "# fold 1 failed" in report
         assert (out_dir / "report.json").exists() and (out_dir / "config.json").exists()
+
+    def test_kernel_error_is_not_a_failed_fold(self, dataset_file, tmp_path, capsys,
+                                               monkeypatch):
+        # Only a diverged member or an undefined indicator fails a fold; a
+        # shape bug in a kernel ends the run at its own stage.
+        def broken(*args, **kwargs):
+            raise ShapeError("injected conv1d_backward shape error")
+
+        monkeypatch.setattr(mlenn.layers, "conv1d_backward", broken)
+        out_dir = tmp_path / "out"
+        code, stdout, err = run_cli(
+            capsys, "kfold", "--dataset", dataset_file, "--folds", "2", "--members", "1",
+            "--topology", "TCN_A", "--tcn-filters", "4", "--tcn-blocks", "1",
+            "--epochs", "1", "--output", out_dir)
+        assert code == 1
+        assert err == "error [stage=kfold]: injected conv1d_backward shape error\n"
+        assert "failed" not in stdout
+        assert not out_dir.exists()
 
     def test_one_row_minibatch_through_batchnorm(self, tmp_path, capsys):
         # 17 training rows per fold in minibatches of 8 leave one 1-row
@@ -247,6 +266,8 @@ class TestTrainEvaluateCommands:
         (lambda f: f.header.pop("preprocess"), "preprocess"),
         (lambda f: f.header.update(preprocess=None), "preprocess"),
         (lambda f: f.header.update(preprocess={}), "preprocess"),
+        *[(lambda f, pca=pca: f.header["preprocess"].update(pca=pca),
+           "preprocess pca block has no 'mean'") for pca in ({}, 0, [], False, "")],
         (lambda f: _pca(f.header, 2, drop="components"), "'components'"),
         (lambda f: _pca(f.header, 2, missing_columns=1), "pca"),
         (lambda f: (_pca(f.header, 2),
@@ -263,7 +284,8 @@ class TestTrainEvaluateCommands:
             "v1-format", "preprocess-no-hi", "preprocess-short-hi", "preprocess-2d-lo",
             "preprocess-dict-lo", "preprocess-nan-lo", "preprocess-inf-hi",
             "preprocess-not-a-block", "no-preprocess", "null-preprocess",
-            "empty-preprocess", "pca-no-components", "pca-short-mean",
+            "empty-preprocess", "pca-empty-object", "pca-zero", "pca-empty-list",
+            "pca-false", "pca-empty-string", "pca-no-components", "pca-short-mean",
             "pca-ratio-mismatch", "column-mismatch", "list-master-seed", "float-master-seed",
             "string-master-seed", "bool-master-seed", "list-optimizer-tags"])
     def test_malformed_model_file_is_a_typed_error(self, dataset_file, tmp_path, capsys,

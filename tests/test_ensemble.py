@@ -125,6 +125,15 @@ class TestTrainMembers:
         assert scores.shape == (6, 3)
         assert scores.min() > 0.0 and scores.max() < 1.0
 
+    def test_trained_member_holds_no_gradient(self):
+        # The last step's gradients go with train_network; a trained member
+        # keeps its parameters only.
+        x, y = separable_task(9, n=45)
+        member = train_member(small_spec(topology="TCN_A", tcn_filters=4, tcn_blocks=1), x, y,
+                              TrainConfig(epochs=1), RngStream(9).child(0))
+        for layer in member.network.layers:
+            assert layer.grad_vector is None and layer.grads == {}, layer.name
+
     def test_fixed_policy(self):
         x, y = separable_task(8, n=45)
         member = train_member(small_spec(), x, y, TrainConfig(epochs=1, optimizer="adam"),
@@ -153,8 +162,8 @@ class TestSerialization:
         model, x = self._trained()
         path = tmp_path / "model.json"
         save_ensemble(model, path)
-        loaded, extra = load_ensemble(path)
-        assert extra == {}
+        loaded, preprocess = load_ensemble(path)
+        assert preprocess is None
         assert len(loaded.members) == len(model.members)
         for ma, mb in zip(model.members, loaded.members):
             assert ma.optimizer_tags == mb.optimizer_tags
@@ -213,10 +222,11 @@ class TestSerialization:
         model, _ = self._trained()
         p1 = tmp_path / "a.json"
         p2 = tmp_path / "b.json"
-        save_ensemble(model, p1, extra={"note": [1, 2]})
-        loaded, extra = load_ensemble(p1)
-        assert extra == {"note": [1, 2]}
-        save_ensemble(loaded, p2, extra=extra)
+        block = {"lo": [0.0, -1.5], "hi": [1.0, 2.0], "pca": None}
+        save_ensemble(model, p1, preprocess=block)
+        loaded, preprocess = load_ensemble(p1)
+        assert preprocess == block
+        save_ensemble(loaded, p2, preprocess=preprocess)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_container_is_self_describing(self, tmp_path):
@@ -246,20 +256,20 @@ class TestSerialization:
             load_ensemble(path)
 
     def test_first_line_is_json_dumps_of_the_header(self, tmp_path):
-        # Extra keys land before "format" and after "members" in sorted
-        # order, and hold nested dicts, a list holding a dict, a dict with
-        # non-string keys and a non-ASCII string, which the line escapes.
+        # The preprocess block is sorted at every depth, and here holds
+        # nested dicts, a list holding a dict, a dict with non-string keys
+        # and a non-ASCII string, which the line escapes.
         model, _ = self._trained()
-        extra = {"a_first": {"z": 1, "b": [0.5, None]},
-                 "preprocess": {"lo": [0.0, 0.1], "hi": [1.0, 2.0], "pca": None},
-                 "zz": [1, {"k": [2, 3], "j": "x\u00e9"}, [4.5]],
-                 "numbered": {2: "b", 1: "a"}}
+        preprocess = {"pca": {"z": 1, "b": [0.5, None]}, "lo": [0.0, 0.1], "hi": [1.0, 2.0],
+                      "zz": [1, {"k": [2, 3], "j": "x\u00e9"}, [4.5]],
+                      "numbered": {2: "b", 1: "a"}}
         path = tmp_path / "model.json"
-        save_ensemble(model, path, extra=extra)
+        save_ensemble(model, path, preprocess=preprocess)
         line, _ = path.read_bytes().split(b"\n", 1)
         header = json.loads(line)
         assert line == json.dumps(header, sort_keys=True).encode("ascii")
-        assert {key: header[key] for key in extra} == json.loads(json.dumps(extra))
+        assert sorted(header) == ["format", "master_seed", "members", "preprocess"]
+        assert header["preprocess"] == json.loads(json.dumps(preprocess))
 
     def test_save_copies_no_tensor(self, tmp_path):
         # Each tensor goes from the layer's own array straight to the file,
@@ -297,12 +307,12 @@ class TestSerialization:
                            for _, arr in m.network.param_items() + m.network.state_items())
         assert peak < 2.5 * tensor_bytes
 
-    def test_unencodable_extra_raises_jsons_type_error(self, tmp_path):
-        # An extra value json cannot encode keeps the encoder's own
+    def test_unencodable_preprocess_raises_jsons_type_error(self, tmp_path):
+        # A preprocess value json cannot encode keeps the encoder's own
         # TypeError, and no file is written.
         model, _ = self._trained(epochs=0)
         with pytest.raises(TypeError, match="^Object of type set is not JSON serializable$"):
-            save_ensemble(model, tmp_path / "model.json", extra={"s": {1, 2}})
+            save_ensemble(model, tmp_path / "model.json", preprocess={"s": {1, 2}})
         assert not (tmp_path / "model.json").exists()
 
 

@@ -20,10 +20,9 @@ from pathlib import Path
 import numpy as np
 
 import mlenn
-from mlenn.harness import save_dataset
 from mlenn.pipeline import Dataset
 
-from synth import banded_task
+from synth import banded_task, save_dataset
 
 _SMALL = ["--members", "1", "--epochs", "2", "--minibatch", "10", "--hidden-units", "3",
           "--tcn-filters", "4", "--tcn-blocks", "2", "--seed", "3"]

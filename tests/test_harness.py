@@ -1,5 +1,6 @@
 import json
 import warnings
+import weakref
 from dataclasses import asdict
 
 import numpy as np
@@ -11,16 +12,16 @@ from hypothesis import strategies as st
 import mlenn.harness as harness
 from mlenn.cli import _run_config, build_parser, main
 from mlenn.ensemble import fuse_weighted_external, load_ensemble, normalize_enn, train_member
-from mlenn.harness import (ConfigError, DatasetFormatError, Preprocess, RunConfig,
-                           holdout_split, index_file_split, kfold_split, load_dataset,
-                           load_external_scores, run_experiment, save_dataset)
+from mlenn.harness import (ConfigError, DatasetFormatError, ExperimentReport, Preprocess,
+                           ReportRecord, RunConfig, holdout_split, index_file_split, kfold_split, load_dataset,
+                           load_external_scores, run_experiment)
 from mlenn.metrics import METRIC_NAMES
 from mlenn.network import NetworkSpec
 from mlenn.numerics import RngStream
 from mlenn.pipeline import Dataset
 
 import oracles
-from synth import banded_task
+from synth import banded_task, save_dataset
 
 
 @pytest.fixture
@@ -508,7 +509,7 @@ class TestRunExperiment:
 
     def test_failed_fold_continues(self, small_dataset_file, monkeypatch):
         from mlenn.training import TrainingDivergedError
-        real = harness.train_members
+        real = harness.train_member
         calls = {"n": 0}
 
         def flaky(*args, **kwargs):
@@ -517,13 +518,32 @@ class TestRunExperiment:
                 raise TrainingDivergedError(0, 3)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "train_members", flaky)
+        monkeypatch.setattr(harness, "train_member", flaky)
         path, _ = small_dataset_file
         report = run_experiment(fast_config(path))
         assert len(report.failures) == 1 and "fold 0" in report.failures[0]
         folds = [r for r in report.records if r.fold != "mean"]
         assert [r.fold for r in folds] == ["1"]  # the other fold still ran
         assert any("fold 0" in line for line in report.text().splitlines())
+
+    def test_fold_never_holds_two_trained_networks(self, small_dataset_file, monkeypatch):
+        # Each unit's network scores the test rows and is freed before the
+        # next unit trains, in every fold.
+        path, _ = small_dataset_file
+        cfg = fast_config(path, topologies=("GRU_A", "TCN_A"), members=2, tcn_filters=4,
+                          tcn_blocks=1, epochs=1)
+        networks = []
+        real = harness.train_member
+
+        def spy(*args, **kwargs):
+            assert [ref() for ref in networks if ref() is not None] == []
+            member = real(*args, **kwargs)
+            networks.append(weakref.ref(member.network))
+            return member
+
+        monkeypatch.setattr(harness, "train_member", spy)
+        report = run_experiment(cfg)
+        assert report.failures == [] and len(networks) == 2 * 4
 
     def test_text_report_is_parseable(self, small_dataset_file):
         path, _ = small_dataset_file
@@ -534,6 +554,29 @@ class TestRunExperiment:
             assert fields["dataset"] == "synth"
             for name in METRIC_NAMES:
                 float(fields[name])  # six-decimal numeric
+
+
+class TestExperimentReport:
+    def _report(self):
+        values = {name: i / 7.0 for i, name in enumerate(METRIC_NAMES)}
+        return ExperimentReport({"dataset": "toy", "seed": 4},
+                                [ReportRecord("toy", "ensemble", "0", values)],
+                                ["fold 1 failed: why"])
+
+    def test_fixed_six_decimals(self):
+        line = self._report().text().splitlines()[-1]
+        assert line.startswith("dataset=toy model=ensemble fold=0 hamming_loss=0.000000")
+        assert "one_error=0.142857" in line
+        assert [field.split("=")[0] for field in line.split()[3:]] == list(METRIC_NAMES)
+
+    def test_write_holds_the_three_files(self, tmp_path):
+        report = self._report()
+        report.write(str(tmp_path / "out"))
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "config.json", "report.json", "report.txt"]
+        assert (tmp_path / "out" / "report.txt").read_text() == report.text()
+        assert (tmp_path / "out" / "report.json").read_text() == report.to_json()
+        assert json.loads((tmp_path / "out" / "config.json").read_text()) == report.config
 
 
 class TestTrainingUnit:

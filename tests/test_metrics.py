@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mlenn.metrics import (METRIC_NAMES, PredictionSet, absolute_false, absolute_true,
                            accuracy_ml, aiming, average_precision, bce_loss,
-                           compute_all, coverage, format_record, hamming_loss,
+                           UndefinedMetricError, compute_all, coverage, hamming_loss,
                            one_error, ranking_loss, recall)
 from mlenn.numerics import ShapeError
 
@@ -205,7 +205,7 @@ class TestRankingLoss:
 
     def test_all_rows_degenerate_raises(self):
         ps = PredictionSet([[1, 1]], [[1, 1]], [[0.5, 0.5]])
-        with pytest.raises(ValueError):
+        with pytest.raises(UndefinedMetricError, match="^ranking_loss is undefined"):
             ranking_loss(ps)
 
 
@@ -250,7 +250,7 @@ class TestAveragePrecision:
 
     def test_no_relevant_rows_raises(self):
         ps = PredictionSet([[0, 0]], [[1, 0]], [[0.8, 0.1]])
-        with pytest.raises(ValueError):
+        with pytest.raises(UndefinedMetricError, match="^average_precision is undefined"):
             average_precision(ps)
 
 
@@ -461,15 +461,7 @@ class TestBceLoss:
         npt.assert_allclose(loss, math.log(2.0), atol=1e-12)
 
 
-class TestReportFormat:
-    def test_fixed_six_decimals(self):
-        values = {name: i / 7.0 for i, name in enumerate(METRIC_NAMES)}
-        line = format_record("toy", "ensemble", 0, values)
-        assert line.startswith("dataset=toy model=ensemble fold=0 hamming_loss=0.000000")
-        assert "one_error=0.142857" in line
-        for name in METRIC_NAMES:
-            assert f"{name}=" in line
-
+class TestComputeAll:
     def test_compute_all_has_every_indicator(self):
         rng = np.random.default_rng(5)
         ps = random_prediction_set(rng, m=6, l=4)

@@ -360,7 +360,8 @@ def _arrays(obj) -> list:
 class TestReusedBuffers:
     """Inside ``train_network`` each layer's kernels reuse their own buffers
     from minibatch to minibatch. No buffer is shared between two layers, and
-    none is left on a layer once the call returns or raises."""
+    none, nor any gradient, is left on a layer once the call returns or
+    raises."""
 
     @staticmethod
     def _spy(monkeypatch, net, diverge_at=None):
@@ -383,6 +384,7 @@ class TestReusedBuffers:
         assert buffers
         for layer in net.layers:
             assert layer.workspace is None and layer.cache is None, layer.name
+            assert layer.grad_vector is None and layer.grads == {}, layer.name
             for arr in _arrays(layer):
                 assert not any(np.shares_memory(arr, buf) for buf in buffers), layer.name
 
