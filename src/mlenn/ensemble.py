@@ -1,15 +1,16 @@
 """Member training, score fusion and model serialization.
 
 ``train_member`` trains one (topology, member) unit from the stream it is
-given; ``mlenn.harness`` owns the member loop, the unit streams and the
-training set. Prediction fuses member confidences by the average rule,
-``SCORE_ROWS`` rows at a time. A trained ensemble round-trips through one
-file: a line holding ``json.dumps(header, sort_keys=True)``, which is ASCII,
-and then every member's tensors as C-order little-endian float64 bytes,
-one after another. The header holds the metadata, the ``preprocess`` block
-that ``train`` fits, and each tensor's name and shape; the offsets follow
-from their order. The round trip is bit-exact and the file is byte-stable
-for a fixed seed. The header line is decoded as strict UTF-8.
+given: a ``Network`` that keeps its per-layer optimizer variants as
+``optimizer_tags``. ``mlenn.harness`` owns the member loop, the unit streams
+and the training set. Prediction fuses member confidences by the average
+rule, ``SCORE_ROWS`` rows at a time. A trained ensemble round-trips through
+one file: a line holding ``json.dumps(header, sort_keys=True)``, which is
+ASCII, and then every member's tensors as C-order little-endian float64
+bytes, one after another. The header holds the metadata, the
+``preprocess`` block that ``train`` fits, and each tensor's name and shape;
+the offsets follow from their order. The round trip is bit-exact and the
+file is byte-stable for a fixed seed. The header line is decoded as strict UTF-8.
 """
 
 from __future__ import annotations
@@ -31,12 +32,6 @@ SCORE_ROWS = TrainConfig.minibatch
 
 
 @dataclass
-class EnsembleMember:
-    network: Network
-    optimizer_tags: dict
-
-
-@dataclass
 class EnsembleModel:
     members: list
     master_seed: int = 0
@@ -44,7 +39,7 @@ class EnsembleModel:
     def __post_init__(self):
         if not self.members:
             raise ValueError("an ensemble needs at least one member")
-        labels = {m.network.spec.n_labels for m in self.members}
+        labels = {net.spec.n_labels for net in self.members}
         if len(labels) > 1:
             raise ShapeError(f"members disagree on label count: {sorted(labels)}")
 
@@ -52,24 +47,24 @@ class EnsembleModel:
         """Average-rule fusion of all member confidence matrices, forwarded
         and fused ``SCORE_ROWS`` rows at a time."""
         features = as_tensor(features)
-        scores = np.empty((len(features), self.members[0].network.spec.n_labels))
+        scores = np.empty((len(features), self.members[0].spec.n_labels))
         for start in range(0, len(features), SCORE_ROWS):
             rows = features[start:start + SCORE_ROWS]
             scores[start:start + SCORE_ROWS] = fuse_average(
-                [m.network.forward(rows) for m in self.members])
+                [net.forward(rows) for net in self.members])
         return scores
 
 
 def train_member(spec: NetworkSpec, x, y, cfg: TrainConfig, rng: RngStream,
-                 sample_weights=None) -> EnsembleMember:
+                 sample_weights=None) -> Network:
     """Build a ``spec`` network from ``rng.child(0)``, draw its per-layer
-    ``cfg.optimizer`` variants from ``rng.child(1)`` and train it on the
-    weighted rows from ``rng.child(2)``."""
+    ``cfg.optimizer`` variants into its ``optimizer_tags`` from
+    ``rng.child(1)`` and train it on the weighted rows from ``rng.child(2)``."""
     net = build_network(spec, rng.child(0))
-    tags = assign_optimizers(net, cfg.optimizer, rng.child(1))
-    train_network(net, x, y, cfg, rng.child(2), optimizer_tags=tags,
+    net.optimizer_tags = assign_optimizers(net, cfg.optimizer, rng.child(1))
+    train_network(net, x, y, cfg, rng.child(2), optimizer_tags=net.optimizer_tags,
                   sample_weights=sample_weights)
-    return EnsembleMember(net, tags)
+    return net
 
 
 def fuse_average(scores: list) -> np.ndarray:
@@ -131,16 +126,16 @@ def save_ensemble(model: EnsembleModel, path, preprocess: dict | None = None) ->
         "format": MODEL_FORMAT,
         "master_seed": model.master_seed,
         "preprocess": preprocess,
-        "members": [{"spec": asdict(m.network.spec),
-                     "optimizer_tags": dict(m.optimizer_tags),
-                     "tensors": [[name, list(arr.shape)] for name, arr in _tensors(m.network)]}
-                    for m in model.members],
+        "members": [{"spec": asdict(net.spec),
+                     "optimizer_tags": dict(net.optimizer_tags),
+                     "tensors": [[name, list(arr.shape)] for name, arr in _tensors(net)]}
+                    for net in model.members],
     }
     line = json.dumps(header, sort_keys=True)
     with open(path, "wb") as fh:
         fh.write(line.encode("ascii") + b"\n")
-        for m in model.members:
-            for _, arr in _tensors(m.network):
+        for net in model.members:
+            for _, arr in _tensors(net):
                 fh.write(np.ascontiguousarray(arr, "<f8"))
 
 
@@ -202,7 +197,8 @@ def load_ensemble(path) -> tuple[EnsembleModel, dict | None]:
                 raise ValueError(f"model member {i} tensor {name!r} holds a non-finite value")
             arr[...] = values.reshape(arr.shape)
             offset += arr.nbytes
-        members.append(EnsembleMember(net, dict(tags)))
+        net.optimizer_tags = dict(tags)
+        members.append(net)
     if offset != len(raw):
         raise ValueError(f"model file holds {len(raw) - offset} bytes after its last tensor")
     return EnsembleModel(members, master_seed=master_seed), header.get("preprocess")

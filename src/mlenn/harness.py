@@ -375,7 +375,7 @@ def fit_training_set(cfg: RunConfig, x, y, sparse: bool, rng: RngStream) -> tupl
 def train_units(cfg: RunConfig, x, y, rng: RngStream, sample_weights=None):
     """Train ``cfg.members`` networks of each of ``cfg.topologies`` on the
     same rows, unit (topology s, member m) on ``rng.child(s * members + m)``,
-    and yield each member as soon as it is trained."""
+    and yield each member's network as soon as it is trained."""
     for s, topology in enumerate(cfg.topologies):
         spec = NetworkSpec(
             topology=topology, n_labels=y.shape[1],
@@ -437,9 +437,9 @@ def run_experiment(cfg: RunConfig) -> ExperimentReport:
             # Each network is freed before the next trains. Fusion is
             # element-wise, so these are the bits of one ensemble's scores.
             unit_scores = []
-            for member in train_units(cfg, x, y, fold_rng.child(1), weights):
-                unit_scores.append(EnsembleModel([member]).predict_scores(test_x))
-                del member
+            for net in train_units(cfg, x, y, fold_rng.child(1), weights):
+                unit_scores.append(EnsembleModel([net]).predict_scores(test_x))
+                del net
             fold_results = _score_models(ds.y[test_idx], fuse_average(unit_scores),
                                          None if external is None else external[test_idx])
         except (TrainingDivergedError, UndefinedMetricError) as exc:
@@ -504,13 +504,16 @@ class Preprocess:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Preprocess":
-        """Rebuild a :meth:`to_dict` block; a missing key or a shape that
-        does not fit raises ``ValueError`` naming it. Only a missing or null
-        ``pca`` means no PCA; any other value must be a whole PCA block."""
+        """Rebuild a :meth:`to_dict` block; a missing key, a non-number, a
+        shape that does not fit or a ``lo`` above its ``hi`` raises
+        ``ValueError`` naming it. Only a missing or null ``pca`` means no PCA."""
         lo = _float_array(doc, "lo", 1, "preprocess")
         hi = _float_array(doc, "hi", 1, "preprocess")
         if hi.shape != lo.shape:
             raise ValueError(f"preprocess 'lo' has {lo.size} columns but 'hi' has {hi.size}")
+        if (lo > hi).any():
+            j = int(np.argmax(lo > hi))
+            raise ValueError(f"preprocess column {j} has 'lo' {lo[j]} above 'hi' {hi[j]}")
         pca = doc.get("pca")
         if pca is not None:
             mean = _float_array(pca, "mean", 1, "preprocess pca")
@@ -526,16 +529,17 @@ class Preprocess:
 
 
 def _float_array(doc, key: str, ndim: int, where: str) -> np.ndarray:
-    """``doc[key]`` as a finite float64 array with ``ndim`` axes, else
-    ValueError."""
+    """``doc[key]`` as a finite float64 array with ``ndim`` axes, else ValueError."""
     if not isinstance(doc, dict) or key not in doc:
         raise ValueError(f"{where} block has no {key!r}")
-    try:
-        arr = np.asarray(doc[key], dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ValueError(f"{where} {key!r} is not an array of numbers") from None
-    if arr.ndim != ndim:
-        raise ValueError(f"{where} {key!r} must have {ndim} axes, got shape {arr.shape}")
+    values = np.asarray(doc[key], dtype=object)
+    if values.ndim != ndim:
+        raise ValueError(f"{where} {key!r} must have {ndim} axes, got shape {values.shape}")
+    # A float64 array would read JSON true as 1.0 and "2" as 2.0.
+    for at, value in np.ndenumerate(values):
+        if type(value) not in (int, float):
+            raise ValueError(f"{where} {key!r}{list(at)} is {value!r}, not a number")
+    arr = values.astype(np.float64)
     # json reads NaN and Infinity literals.
     if not np.isfinite(arr).all():
         raise ValueError(f"{where} {key!r} holds a non-finite value")

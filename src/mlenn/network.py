@@ -107,6 +107,7 @@ class Network:
     def __init__(self, spec: NetworkSpec, layer_list: list):
         self.spec = spec
         self.layers = layer_list
+        self.optimizer_tags: dict = {}  # layer name -> the optimizer variant it trained with
 
     def forward(self, features, train: bool = False, rng: RngStream | None = None) -> np.ndarray:
         """Map (n, d) features to (n, l) scores."""

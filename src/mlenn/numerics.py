@@ -21,7 +21,7 @@ class ConfigError(ValueError):
     """A run configuration field failed validation."""
 
 
-class NonFiniteError(FloatingPointError):
+class NonFiniteError(ValueError):
     """A NaN or infinity appeared where finite values are required."""
 
 
@@ -43,10 +43,9 @@ def logistic_in_place(x) -> np.ndarray:
     return x
 
 
-def require_finite(x: np.ndarray, what: str = "tensor") -> np.ndarray:
+def require_finite(x: np.ndarray, what: str = "tensor") -> None:
     if not np.all(np.isfinite(x)):
         raise NonFiniteError(f"{what} contains NaN or infinite entries")
-    return x
 
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -112,8 +111,11 @@ class PcaModel:
         return self.components.shape[0]
 
 
-def pca_fit(x, retain: float = 0.99) -> PcaModel:
-    """Fit a PCA basis keeping the fewest components that explain ``retain``.
+PCA_RETAIN = 0.99  # the share of the variance that a fitted PCA basis explains
+
+
+def pca_fit(x) -> PcaModel:
+    """Fit a PCA basis keeping the fewest components that explain ``PCA_RETAIN``.
 
     The basis comes from an eigendecomposition of the sample covariance
     (divisor n - 1) of the column-centered data. The component count is
@@ -126,8 +128,6 @@ def pca_fit(x, retain: float = 0.99) -> PcaModel:
     n, d = x.shape
     if n < 2:
         raise ShapeError("pca_fit needs at least 2 rows")
-    if not 0.0 < retain <= 1.0:
-        raise ValueError(f"retain must lie in (0, 1], got {retain}")
     require_finite(x, "pca_fit input")
 
     mean = x.mean(axis=0)
@@ -144,9 +144,7 @@ def pca_fit(x, retain: float = 0.99) -> PcaModel:
 
     ratio = eigvals / total
     rank = int(np.sum(eigvals > eigvals[0] * 1e-12))
-    cumulative = np.cumsum(ratio)
-    k = int(np.searchsorted(cumulative, retain - 1e-9) + 1)
-    k = min(k, rank)
+    k = min(int(np.searchsorted(np.cumsum(ratio), PCA_RETAIN - 1e-9)) + 1, rank)
 
     components = eigvecs[:, :k].T.copy()
     # Deterministic orientation: largest-magnitude entry of each row positive.

@@ -29,7 +29,8 @@ segment, and sto's U, which each segment draws from its own stream. So
 one step over a layer's vector gives the bits of one step per tensor. A
 step builds its temporaries in a few C-ordered buffers, each updated in
 place in the textbook operation order, and a state is mutated only by its
-own step call. The step and the clip coerce nothing: arrays are float64.
+own step call. The step and the clip coerce nothing: arrays are float64,
+and only the clip checks that gradients are finite.
 """
 
 from __future__ import annotations
@@ -157,13 +158,12 @@ def modulation(state: OptimizerState, g: np.ndarray):
 
 
 def optimizer_step(state: OptimizerState, theta, g) -> np.ndarray:
-    """Advance the state by one step and return the updated parameter."""
+    """Advance the state by one step and return the updated parameter. ``g``
+    must be finite: ``clip_gradients_l2`` checks it, and this step does not."""
     if theta.shape != g.shape or theta.shape != state.m.shape:
         raise ShapeError(
             f"parameter {theta.shape}, gradient {g.shape} and state {state.m.shape} disagree"
         )
-    if not np.isfinite(g).all():
-        raise NonFiniteError("gradient contains NaN or infinite entries")
     xi = modulation(state, g)
     state.t += 1
     tmp = np.multiply(g, 1.0 - state.rho1, out=np.empty(g.shape))
@@ -193,7 +193,7 @@ def clip_gradients_l2(grads: list, threshold: float, sizes: list | None = None) 
     An array may pack several tensors end to end, as a layer's gradient
     vector does; ``sizes[i]`` then gives the element counts of the tensors
     in ``grads[i]``. By default each array is one tensor. A NaN or infinite
-    entry raises NonFiniteError.
+    entry raises NonFiniteError, the only finiteness check of a training step.
     """
     if threshold <= 0.0:
         raise ValueError(f"clip threshold must be positive, got {threshold}")

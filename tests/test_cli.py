@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import mlenn.layers
+import mlenn.network
 from mlenn.cli import _run_config, build_parser, main
 from mlenn.harness import RunConfig, fit_training_set, load_dataset
 from mlenn.network import GRU_FAMILY
@@ -104,6 +105,31 @@ class TestKfoldCommand:
         assert "failed" not in stdout
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("command", ["kfold", "train"])
+    def test_non_finite_gradient_is_not_a_failed_fold(self, dataset_file, tmp_path, capsys,
+                                                     monkeypatch, command):
+        # A NaN in a gradient after a finite loss is a bug, not a diverged
+        # member: the clip's NonFiniteError ends the run at its own stage.
+        backward = mlenn.network.Network.backward
+
+        def poisoned(net, upstream):
+            out = backward(net, upstream)
+            net.trainable_layers()[-1].grad_vector[0] = np.nan
+            return out
+
+        monkeypatch.setattr(mlenn.network.Network, "backward", poisoned)
+        out_dir = tmp_path / "out"
+        argv = ["--dataset", dataset_file, "--members", "1", "--hidden-units", "4",
+                "--epochs", "1", "--output", out_dir]
+        if command == "kfold":
+            argv += ["--folds", "2"]
+        code, stdout, err = run_cli(capsys, command, *argv)
+        assert code == 1
+        assert err == (f"error [stage={command}]: "
+                       "gradient contains NaN or infinite entries\n")
+        assert "failed" not in stdout
+        assert not out_dir.exists()
+
     def test_one_row_minibatch_through_batchnorm(self, tmp_path, capsys):
         # 17 training rows per fold in minibatches of 8 leave one 1-row
         # minibatch per epoch; at T = 1 it reaches pre_bn as one position.
@@ -193,6 +219,12 @@ def _pca(doc, k: int, missing_columns: int = 0, drop: str | None = None) -> None
     doc["preprocess"]["pca"] = pca
 
 
+def _lo_above_hi(f: _ModelFile) -> None:
+    """Column 1 fitted on [3, 2]."""
+    f.header["preprocess"]["lo"][1] = 3.0
+    f.header["preprocess"]["hi"][1] = 2.0
+
+
 def _widen(doc) -> None:
     """One more fitted column than the dataset has."""
     doc["preprocess"]["lo"].append(0.0)
@@ -278,6 +310,14 @@ class TestTrainEvaluateCommands:
         (lambda f: f.header.update(master_seed="12"), "master_seed"),
         (lambda f: f.header.update(master_seed=True), "master_seed"),
         (lambda f: f.header["members"][0].update(optimizer_tags=["adam"]), "optimizer_tags"),
+        (_lo_above_hi, "preprocess column 1 has 'lo' 3.0 above 'hi' 2.0"),
+        (lambda f: f.header["preprocess"]["lo"].__setitem__(2, False),
+         "preprocess 'lo'[2] is False, not a number"),
+        (lambda f: f.header["preprocess"]["hi"].__setitem__(0, "1.5"),
+         "preprocess 'hi'[0] is '1.5', not a number"),
+        (lambda f: (_pca(f.header, 2), f.header["preprocess"]["pca"].update(
+            components=[[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, True, 0.0]])),
+         "preprocess pca 'components'[1, 2] is True, not a number"),
     ], ids=["unknown-spec-key", "missing-spec-key", "no-members", "no-spec",
             "no-tensors", "short-tensor-list", "renamed-tensor", "reshaped-tensor",
             "truncated-payload", "trailing-bytes", "nan-tensor", "no-newline", "v2-format",
@@ -287,7 +327,8 @@ class TestTrainEvaluateCommands:
             "empty-preprocess", "pca-empty-object", "pca-zero", "pca-empty-list",
             "pca-false", "pca-empty-string", "pca-no-components", "pca-short-mean",
             "pca-ratio-mismatch", "column-mismatch", "list-master-seed", "float-master-seed",
-            "string-master-seed", "bool-master-seed", "list-optimizer-tags"])
+            "string-master-seed", "bool-master-seed", "list-optimizer-tags", "lo-above-hi",
+            "lo-bool", "hi-string", "pca-components-bool"])
     def test_malformed_model_file_is_a_typed_error(self, dataset_file, tmp_path, capsys,
                                                    edit, named):
         # Each edit of a real train output must reach the evaluate stage

@@ -104,15 +104,15 @@ class TestTrainMembers:
         assert len(a.members) == 2
         for ma, mb in zip(a.members, b.members):
             assert ma.optimizer_tags == mb.optimizer_tags
-            for (ka, ta), (kb, tb) in zip(ma.network.param_items(),
-                                          mb.network.param_items()):
+            for (ka, ta), (kb, tb) in zip(ma.param_items(),
+                                          mb.param_items()):
                 npt.assert_array_equal(ta, tb)
 
     def test_members_differ_from_each_other(self):
         x, y = separable_task(6, n=45)
         model = train_members(run_cfg(epochs=1, members=2), x, y, RngStream(4))
-        first = dict(model.members[0].network.param_items())
-        second = dict(model.members[1].network.param_items())
+        first = dict(model.members[0].param_items())
+        second = dict(model.members[1].param_items())
         assert any(not np.array_equal(first[k], second[k]) for k in first)
 
     def test_multiple_topologies(self):
@@ -131,7 +131,7 @@ class TestTrainMembers:
         x, y = separable_task(9, n=45)
         member = train_member(small_spec(topology="TCN_A", tcn_filters=4, tcn_blocks=1), x, y,
                               TrainConfig(epochs=1), RngStream(9).child(0))
-        for layer in member.network.layers:
+        for layer in member.layers:
             assert layer.grad_vector is None and layer.grads == {}, layer.name
 
     def test_fixed_policy(self):
@@ -167,12 +167,12 @@ class TestSerialization:
         assert len(loaded.members) == len(model.members)
         for ma, mb in zip(model.members, loaded.members):
             assert ma.optimizer_tags == mb.optimizer_tags
-            for (ka, ta), (kb, tb) in zip(ma.network.param_items(),
-                                          mb.network.param_items()):
+            for (ka, ta), (kb, tb) in zip(ma.param_items(),
+                                          mb.param_items()):
                 assert ka == kb
                 npt.assert_array_equal(ta, tb)
-            for (ka, ta), (kb, tb) in zip(ma.network.state_items(),
-                                          mb.network.state_items()):
+            for (ka, ta), (kb, tb) in zip(ma.state_items(),
+                                          mb.state_items()):
                 npt.assert_array_equal(ta, tb)
 
     def test_round_trip_preserves_predictions_bitwise(self, tmp_path):
@@ -204,7 +204,7 @@ class TestSerialization:
         special = np.array([-0.0, 0.0, 5e-324, -2.2250738585072014e-308,
                             1.7976931348623157e308, 0.1 + 0.2, 1.0 / 3.0])
         for member in model.members:
-            for _, arr in member.network.param_items() + member.network.state_items():
+            for _, arr in member.param_items() + member.state_items():
                 values = rng.standard_normal(arr.size) * 10.0 ** rng.integers(-300, 300, arr.size)
                 values[:len(special)] = special[:arr.size]
                 arr[...] = values.reshape(arr.shape)
@@ -212,8 +212,8 @@ class TestSerialization:
         save_ensemble(model, path)
         loaded, _ = load_ensemble(path)
         for ma, mb in zip(model.members, loaded.members):
-            a = ma.network.param_items() + ma.network.state_items()
-            b = mb.network.param_items() + mb.network.state_items()
+            a = ma.param_items() + ma.state_items()
+            b = mb.param_items() + mb.state_items()
             assert [k for k, _ in a] == [k for k, _ in b]
             for (key, ta), (_, tb) in zip(a, b):
                 npt.assert_array_equal(ta.view(np.uint64), tb.view(np.uint64), err_msg=key)
@@ -242,7 +242,7 @@ class TestSerialization:
         assert header["master_seed"] == 7
         offset = 0
         for m, member in zip(model.members, header["members"], strict=True):
-            tensors = m.network.param_items() + m.network.state_items()
+            tensors = m.param_items() + m.state_items()
             assert member["tensors"] == [[key, list(arr.shape)] for key, arr in tensors]
             for key, arr in tensors:
                 assert payload[offset:offset + arr.nbytes] == arr.astype("<f8").tobytes(), key
@@ -279,7 +279,7 @@ class TestSerialization:
         cfg = run_cfg(topologies=("TCN_A",), tcn_filters=128, tcn_blocks=3, epochs=0,
                       members=4)
         model = train_members(cfg, x, y, RngStream(7))
-        largest = max(arr.nbytes for m in model.members for _, arr in m.network.param_items())
+        largest = max(arr.nbytes for m in model.members for _, arr in m.param_items())
         tracemalloc.start()
         try:
             save_ensemble(model, tmp_path / "model.json")
@@ -304,7 +304,7 @@ class TestSerialization:
         finally:
             tracemalloc.stop()
         tensor_bytes = sum(arr.nbytes for m in model.members
-                           for _, arr in m.network.param_items() + m.network.state_items())
+                           for _, arr in m.param_items() + m.state_items())
         assert peak < 2.5 * tensor_bytes
 
     def test_unencodable_preprocess_raises_jsons_type_error(self, tmp_path):

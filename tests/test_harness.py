@@ -538,7 +538,7 @@ class TestRunExperiment:
         def spy(*args, **kwargs):
             assert [ref() for ref in networks if ref() is not None] == []
             member = real(*args, **kwargs)
-            networks.append(weakref.ref(member.network))
+            networks.append(weakref.ref(member))
             return member
 
         monkeypatch.setattr(harness, "train_member", spy)
@@ -586,9 +586,9 @@ class TestTrainingUnit:
     TOPOLOGIES = ("GRU_A", "TCN_A")
 
     def _assert_same_member(self, alone, member):
-        assert alone.network.spec == member.network.spec
+        assert alone.spec == member.spec
         assert alone.optimizer_tags == member.optimizer_tags
-        ours, theirs = alone.network.param_items(), member.network.param_items()
+        ours, theirs = alone.param_items(), member.param_items()
         assert [key for key, _ in ours] == [key for key, _ in theirs]
         for (key, a), (_, b) in zip(ours, theirs):
             assert a.tobytes() == b.tobytes(), key
@@ -667,6 +667,15 @@ class TestPreprocess:
         pre, _ = Preprocess.fit(x, sparse=True)
         clone = Preprocess.from_dict(json.loads(json.dumps(pre.to_dict())))
         npt.assert_array_equal(pre.apply(x), clone.apply(x))
+
+    def test_dict_round_trip_keeps_a_constant_column(self):
+        # lo == hi is a constant column, which maps to 0; only lo > hi is
+        # rejected.
+        x = np.array([[1, 4.0, 2], [3, 4.0, 0], [2, 4.0, 1]])
+        pre, x_fit = Preprocess.fit(x, sparse=False)
+        clone = Preprocess.from_dict(json.loads(json.dumps(pre.to_dict())))
+        npt.assert_array_equal(clone.apply(x), x_fit)
+        npt.assert_array_equal(x_fit[:, 1], 0.0)
 
     def test_sparse_rank_bound(self):
         rng = np.random.default_rng(0)

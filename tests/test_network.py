@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from mlenn.ensemble import SCORE_ROWS, EnsembleMember, EnsembleModel
+from mlenn.ensemble import SCORE_ROWS, EnsembleModel
 from mlenn.harness import RunConfig
 from mlenn.layers import CacheError, Dropout, reused_buffers
 from mlenn.network import ENCODINGS, TOPOLOGIES, NetworkSpec, build_network, encode_features
@@ -221,7 +221,7 @@ class TestChunkedScoring:
 
     @classmethod
     def _ensemble(cls, seed):
-        return EnsembleModel([EnsembleMember(cls._net(t, "sequence-of-scalars", seed + i), {})
+        return EnsembleModel([cls._net(t, "sequence-of-scalars", seed + i)
                               for i, t in enumerate(("GRU_A", "GRU_B", "TCN_A"))])
 
     @classmethod
@@ -236,13 +236,13 @@ class TestChunkedScoring:
         x = self._rows(b, 41)
         expected = np.concatenate([oracles.network_forward(net, x[i:i + SCORE_ROWS])
                                    for i in range(0, b, SCORE_ROWS)])
-        scores = EnsembleModel([EnsembleMember(net, {})]).predict_scores(x)
+        scores = EnsembleModel([net]).predict_scores(x)
         assert scores.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("encoding", ENCODINGS)
     @pytest.mark.parametrize("topology", TOPOLOGIES)
     def test_features_and_earlier_scores_unchanged(self, topology, encoding):
-        model = EnsembleModel([EnsembleMember(self._net(topology, encoding, 42), {})])
+        model = EnsembleModel([self._net(topology, encoding, 42)])
         x = self._rows(SCORE_ROWS + 6, 43)
         x_bits = x.tobytes()
         first = model.predict_scores(x)
@@ -293,7 +293,7 @@ class TestChunkedScoring:
     def test_peak_memory_does_not_grow_with_rows(self):
         # Scoring 4 chunks holds one chunk's forward plus the score matrix.
         net = build_network(NetworkSpec(topology="TCN_A", n_labels=14), RngStream(48))
-        model = EnsembleModel([EnsembleMember(net, {})])
+        model = EnsembleModel([net])
         x = np.asarray(RngStream(49).uniform((4 * SCORE_ROWS, 64)))
 
         def peak(rows):

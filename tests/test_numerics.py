@@ -57,13 +57,13 @@ class TestRngStream:
 class TestPca:
     def test_line_collapses_to_one_component(self):
         pts = np.array([[t, t] for t in (-3.0, -1.0, 0.0, 2.0, 4.0)])
-        model = pca_fit(pts, 0.99)
+        model = pca_fit(pts)
         assert model.n_components == 1
         npt.assert_allclose(model.explained_variance_ratio[0], 1.0, atol=1e-12)
 
     def test_signed_projection_on_line(self):
         pts = np.array([[-2.0, -2.0], [-1.0, -1.0], [1.0, 1.0], [2.0, 2.0]])
-        model = pca_fit(pts, 0.99)
+        model = pca_fit(pts)
         npt.assert_allclose(model.mean, [0.0, 0.0], atol=1e-15)
         score = pca_transform(model, np.array([[2.0, 2.0]]))[0, 0]
         assert abs(abs(score) - 2.0 * np.sqrt(2.0)) < 1e-12
@@ -71,7 +71,7 @@ class TestPca:
     def test_isotropic_needs_both_components(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=(500, 2))
-        model = pca_fit(x, 0.99)
+        model = pca_fit(x)
         assert model.n_components == 2
         # oracle: eigendecomposition of the sample covariance
         centered = x - x.mean(axis=0)
@@ -80,20 +80,20 @@ class TestPca:
                             atol=1e-12)
 
     def test_constant_dataset_yields_empty_model(self):
-        model = pca_fit(np.full((4, 3), 5.0), 0.99)
+        model = pca_fit(np.full((4, 3), 5.0))
         assert model.n_components == 0
 
     def test_transform_centers_training_data(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(40, 6)) + 10.0
-        model = pca_fit(x, 1.0)
+        model = pca_fit(x)
         scores = pca_transform(model, x)
         npt.assert_allclose(scores.mean(axis=0), 0.0, atol=1e-10)
 
     def test_projected_covariance_is_diagonal(self):
         rng = np.random.default_rng(17)
         x = rng.normal(size=(60, 5)) @ rng.normal(size=(5, 5))
-        model = pca_fit(x, 1.0)
+        model = pca_fit(x)
         scores = pca_transform(model, x)
         cov = np.cov(scores, rowvar=False)
         off = cov - np.diag(np.diag(cov))
@@ -102,29 +102,31 @@ class TestPca:
     def test_components_are_orthonormal(self):
         rng = np.random.default_rng(23)
         x = rng.normal(size=(30, 7))
-        model = pca_fit(x, 1.0)
+        model = pca_fit(x)
         gram = model.components @ model.components.T
         npt.assert_allclose(gram, np.eye(model.n_components), atol=1e-8)
 
-    def test_full_retention_reconstructs_rank_deficient_data(self):
+    def test_rank_deficient_data_reconstructs_from_its_rank(self):
+        # Both directions carry more than 1 - PCA_RETAIN of the variance,
+        # so the basis keeps the whole rank and no more.
         rng = np.random.default_rng(5)
         x = rng.normal(size=(25, 2)) @ rng.normal(size=(2, 10))
-        model = pca_fit(x, 1.0)
-        assert model.n_components <= 2
+        model = pca_fit(x)
+        assert model.n_components == 2
         recon = pca_transform(model, x) @ model.components + model.mean
         assert np.abs(recon - x).max() < 1e-8
 
     def test_ratio_monotone_and_bounded(self):
         rng = np.random.default_rng(29)
         x = rng.normal(size=(50, 6)) * np.array([5.0, 3.0, 2.0, 1.0, 0.5, 0.1])
-        model = pca_fit(x, 1.0)
+        model = pca_fit(x)
         r = model.explained_variance_ratio
         assert np.all(r >= 0)
         assert np.all(np.diff(r) <= 1e-15)
         assert r.sum() <= 1.0 + 1e-12
 
     def test_transform_shape_validation(self):
-        model = pca_fit(np.random.default_rng(0).normal(size=(10, 4)), 0.99)
+        model = pca_fit(np.random.default_rng(0).normal(size=(10, 4)))
         with pytest.raises(ShapeError):
             pca_transform(model, np.zeros((3, 5)))
 

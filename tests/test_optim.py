@@ -45,11 +45,6 @@ class TestAdam:
             previous = float(theta)
             assert abs(delta + 0.01) < 1e-3
 
-    def test_rejects_non_finite_gradient(self):
-        s = make_state("adam")
-        with pytest.raises(NonFiniteError):
-            optimizer_step(s, np.asarray(0.0), np.asarray(np.nan))
-
 
 class TestDiffGrad:
     def test_first_step_modulation(self):
@@ -379,6 +374,12 @@ class TestClipGradients:
         with pytest.raises(NonFiniteError):
             clip_gradients_l2([np.array([np.inf])], 1.0)
 
+    def test_rejects_non_finite_gradient_in_a_layer_vector(self):
+        # The clip is the one finiteness check before the optimizer steps.
+        grads = [np.zeros(4), np.array([0.5, np.nan, 0.5])]
+        with pytest.raises(NonFiniteError):
+            clip_gradients_l2(grads, 1e9, [(1, 3), (2, 1)])
+
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValueError):
             clip_gradients_l2([np.zeros(2)], 0.0)
@@ -438,19 +439,20 @@ class TestSegmentedState:
                     npt.assert_array_equal(_bits(getattr(layer, field)), _bits(whole))
             assert layer.t == singles[0].t == step + 1
 
-    @pytest.mark.parametrize("variant", VARIANTS)
-    @settings(max_examples=10, deadline=None)
-    @given(shapes=st.lists(SEGMENT_SHAPES, min_size=1, max_size=5), data=st.data(),
-           bad=st.sampled_from([np.nan, np.inf, -np.inf]))
-    def test_non_finite_entry_in_any_segment_raises(self, variant, shapes, data, bad):
-        sizes = [math.prod(shape) for shape in shapes]
-        layer = _state(variant, (sum(sizes),), sizes,
-                       [RngStream(0, i) for i in range(len(sizes))])
-        g = np.ones(sum(sizes))
+    @settings(max_examples=60, deadline=None)
+    @given(layers=st.lists(st.lists(SEGMENT_SHAPES, min_size=1, max_size=5),
+                           min_size=1, max_size=4),
+           data=st.data(), bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+           threshold=st.sampled_from([1e-3, 1.0, 1e300]))
+    def test_non_finite_entry_in_any_segment_raises(self, layers, data, bad, threshold):
+        # Per-layer vectors packed from segments, as train_network clips
+        # them: a bad entry anywhere raises, whatever the threshold.
+        sizes = [[math.prod(shape) for shape in shapes] for shapes in layers]
+        grads = [np.ones(sum(n)) for n in sizes]
+        g = grads[data.draw(st.integers(0, len(grads) - 1))]
         g[data.draw(st.integers(0, g.size - 1))] = bad
         with pytest.raises(NonFiniteError):
-            optimizer_step(layer, np.zeros(g.size), g)
-        assert layer.t == 0
+            clip_gradients_l2(grads, threshold, sizes)
 
     def test_sizes_must_split_the_vector(self):
         with pytest.raises(ValueError, match="do not split"):

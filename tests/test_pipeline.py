@@ -30,10 +30,11 @@ class TestMinMaxNormalize:
 
 
 class TestPcaReduce:
-    def test_full_retention_reconstruction(self):
+    def test_rank_deficient_reconstruction(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(20, 3)) @ rng.normal(size=(3, 8))
-        model = pca_fit(x, 1.0)
+        model = pca_fit(x)
+        assert model.n_components == 3
         recon = pca_transform(model, x) @ model.components + model.mean
         assert np.abs(recon - x).max() < 1e-8
 
