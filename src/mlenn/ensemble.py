@@ -62,8 +62,7 @@ def train_member(spec: NetworkSpec, x, y, cfg: TrainConfig, rng: RngStream,
     ``rng.child(1)`` and train it on the weighted rows from ``rng.child(2)``."""
     net = build_network(spec, rng.child(0))
     net.optimizer_tags = assign_optimizers(net, cfg.optimizer, rng.child(1))
-    train_network(net, x, y, cfg, rng.child(2), optimizer_tags=net.optimizer_tags,
-                  sample_weights=sample_weights)
+    train_network(net, x, y, cfg, rng.child(2), sample_weights=sample_weights)
     return net
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import warnings
 from dataclasses import asdict, dataclass, field
 
@@ -539,7 +540,11 @@ def _float_array(doc, key: str, ndim: int, where: str) -> np.ndarray:
     for at, value in np.ndenumerate(values):
         if type(value) not in (int, float):
             raise ValueError(f"{where} {key!r}{list(at)} is {value!r}, not a number")
-    arr = values.astype(np.float64)
+    try:
+        arr = values.astype(np.float64)
+    except OverflowError:  # json reads integers of any size
+        at = next(at for at, value in np.ndenumerate(values) if abs(value) > sys.float_info.max)
+        raise ValueError(f"{where} {key!r}{list(at)} is an integer beyond float64") from None
     # json reads NaN and Infinity literals.
     if not np.isfinite(arr).all():
         raise ValueError(f"{where} {key!r} holds a non-finite value")

@@ -53,7 +53,7 @@ network's training, each GRU keeps its gate, state, gate-gradient and
 r * h buffers (``gates``, ``hs``, ``g_all``, ``rh``) in its own
 ``workspace`` and overwrites them on every minibatch, so a train-mode
 output or cache lives until the next train-mode call of that layer. On
-exit the workspaces and any cache left by a raised step are dropped.
+exit the workspaces, the gradients and any cache of a raised step go.
 """
 
 from __future__ import annotations
@@ -152,18 +152,20 @@ class Layer:
 
 @contextmanager
 def reused_buffers(layers):
-    """Install an empty workspace on each layer for the duration of the
-    block, and on exit remove it together with any cache, which may hold
-    its buffers when the block raised between a forward and its backward.
-    Inside, each layer's kernels reuse their own buffers from call to call;
-    no buffer is shared between two layers, and none outlives the block."""
+    """The scope of one network's training: install an empty workspace on
+    each layer, in which its kernels reuse their own buffers from call to
+    call (no buffer is shared between two layers). On exit, returned or
+    raised, drop each layer's workspace, cache (which holds buffers when
+    the block raised between a forward and its backward), ``grad_vector``
+    and ``grads``, so nothing of the training outlives the block."""
     for layer in layers:
         layer.workspace = {}
     try:
         yield
     finally:
         for layer in layers:
-            layer.workspace = layer.cache = None
+            layer.workspace = layer.cache = layer.grad_vector = None
+            layer.grads = {}
 
 
 def glorot_uniform(shape: tuple, rng: RngStream | None) -> np.ndarray:

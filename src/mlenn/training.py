@@ -1,16 +1,14 @@
 """Minibatch training with per-layer optimizer variants.
 
-Each trainable layer carries one optimizer variant and one state of it,
-over the layer's flat parameter vector with one segment per tensor. A
-training step is: forward, cross-entropy loss, backward (which leaves one
-gradient vector per layer), joint L2 gradient clip, then one optimizer
-step per layer, which updates the layer's parameter vector in place.
-
-The layers' reused kernel buffers (``layers.reused_buffers``) live exactly
-as long as one ``train_network`` call: each GRU allocates its buffers on
-the first minibatch, overwrites them on every later one, and releases
-them when the call returns or raises, before the next member trains. It
-releases each layer's last ``grad_vector`` and ``grads`` then too, so a
+Each trainable layer trains with one optimizer variant, its entry in the
+network's ``optimizer_tags``, and one state of it over the layer's flat
+parameter vector with one segment per tensor. A training step is: forward,
+cross-entropy loss, backward (which leaves one gradient vector per layer),
+joint L2 gradient clip, then one optimizer step per layer, which updates
+the layer's parameter vector in place. A ``train_network`` call is one
+``layers.reused_buffers`` scope: each GRU allocates its buffers on the
+first minibatch and overwrites them on every later one, and on return or
+raise the scope releases every layer's buffers, cache and gradients, so a
 trained network holds no gradient.
 """
 
@@ -93,71 +91,66 @@ def assign_optimizers(net: Network, policy: str, rng: RngStream) -> dict:
     return {layer.name: policy for layer in net.trainable_layers()}
 
 
-def make_optimizer_states(net: Network, tags: dict, cfg: TrainConfig,
-                          rng: RngStream) -> dict:
-    """One state per trainable layer, keyed by layer name, over the layer's
-    parameter vector with one segment per tensor in ``PARAMS`` order.
+def make_optimizer_states(net: Network, cfg: TrainConfig, rng: RngStream) -> list:
+    """One state of its ``net.optimizer_tags`` variant per trainable layer,
+    in ``net.trainable_layers()`` order, over the layer's parameter vector
+    with one segment per tensor in ``PARAMS`` order.
 
     sto draws the tensor at position ``index`` of ``Network.param_items()``
     from ``rng.child(5000 + index)``.
     """
-    states = {}
+    states = []
     index = 0
     for layer in net.trainable_layers():
-        variant = tags[layer.name]
+        variant = net.optimizer_tags[layer.name]
         sizes = [arr.size for arr in layer.param_tensors().values()]
         streams = ([rng.child(5000 + index + i) for i in range(len(sizes))]
                    if variant == "sto" else None)
-        states[layer.name] = OptimizerState.create(
+        states.append(OptimizerState.create(
             variant, layer.param_vector.shape, sizes, rho1=cfg.rho1, rho2=cfg.rho2,
             lr=cfg.learning_rate, streams=streams,
-        )
+        ))
         index += len(sizes)
     return states
 
 
-def train_network(net: Network, x, y, cfg: TrainConfig, rng: RngStream,
-                  optimizer_tags: dict, sample_weights=None) -> list:
-    """Train in place and return the per-epoch mean losses.
+def train_network(net: Network, x, y, cfg: TrainConfig, rng: RngStream, *,
+                  sample_weights=None) -> list:
+    """Train in place with each layer's ``net.optimizer_tags`` variant and
+    return the per-epoch mean losses.
 
-    ``optimizer_tags`` maps each trainable layer to its variant, as
-    ``assign_optimizers`` returns it. Minibatches are drawn by reshuffling
-    every epoch from ``rng``; the same stream also feeds the dropout masks,
-    so a (network, data, config, tags, rng) tuple fully determines the
-    trajectory.
+    Minibatches are drawn by reshuffling every epoch from ``rng``; the same
+    stream also feeds the dropout masks, so a (network with its tags, data,
+    config, rng) tuple fully determines the trajectory. The call's
+    ``reused_buffers`` scope releases every layer's training buffers and
+    gradients when it returns or raises.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     trainable = net.trainable_layers()
-    states = make_optimizer_states(net, optimizer_tags, cfg, rng)
-    states = [states[layer.name] for layer in trainable]
+    states = make_optimizer_states(net, cfg, rng)
     sizes = [state.sizes for state in states]
     weights = None if sample_weights is None else np.asarray(sample_weights, dtype=np.float64)
 
-    epochs = cfg.resolve_epochs(net.spec.topology)
     n = x.shape[0]
     epoch_losses: list[float] = []
-    try:
-        with reused_buffers(net.layers):
-            for epoch in range(epochs):
-                order = rng.permutation(n)
-                running = 0.0
-                for batch_index, start in enumerate(range(0, n, cfg.minibatch)):
-                    idx = order[start:start + cfg.minibatch]
-                    wb = None if weights is None else weights[idx]
-                    scores = net.forward(x[idx], train=True, rng=rng)
-                    loss, d_scores = bce_loss(y[idx], scores, weights=wb)
-                    if not np.isfinite(loss):
-                        raise TrainingDivergedError(epoch, batch_index)
-                    net.backward(d_scores)
+    with reused_buffers(net.layers):
+        for epoch in range(cfg.resolve_epochs(net.spec.topology)):
+            order = rng.permutation(n)
+            running = 0.0
+            for batch_index, start in enumerate(range(0, n, cfg.minibatch)):
+                idx = order[start:start + cfg.minibatch]
+                wb = None if weights is None else weights[idx]
+                scores = net.forward(x[idx], train=True, rng=rng)
+                loss, d_scores = bce_loss(y[idx], scores, weights=wb)
+                if not np.isfinite(loss):
+                    raise TrainingDivergedError(epoch, batch_index)
+                net.backward(d_scores)
 
-                    grads = [layer.grad_vector for layer in trainable]
-                    clipped = clip_gradients_l2(grads, cfg.clip_threshold, sizes)
-                    for layer, state, grad in zip(trainable, states, clipped):
-                        layer.param_vector[...] = optimizer_step(state, layer.param_vector, grad)
-                    running += loss * len(idx)
-                epoch_losses.append(running / n)
-    finally:
-        for layer in trainable:
-            layer.grad_vector, layer.grads = None, {}
+                grads = [layer.grad_vector for layer in trainable]
+                clipped = clip_gradients_l2(grads, cfg.clip_threshold, sizes)
+                for layer, state, grad in zip(trainable, states, clipped):
+                    layer.param_vector[...] = optimizer_step(state, layer.param_vector, grad)
+                running += loss * len(idx)
+            epoch_losses.append(running / n)
     return epoch_losses

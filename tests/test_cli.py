@@ -318,6 +318,11 @@ class TestTrainEvaluateCommands:
         (lambda f: (_pca(f.header, 2), f.header["preprocess"]["pca"].update(
             components=[[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, True, 0.0]])),
          "preprocess pca 'components'[1, 2] is True, not a number"),
+        (lambda f: f.header["preprocess"]["lo"].__setitem__(1, -10 ** 400),
+         "preprocess 'lo'[1] is an integer beyond float64"),
+        (lambda f: (_pca(f.header, 2), f.header["preprocess"]["pca"].update(
+            components=[[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 10 ** 309]])),
+         "preprocess pca 'components'[1, 3] is an integer beyond float64"),
     ], ids=["unknown-spec-key", "missing-spec-key", "no-members", "no-spec",
             "no-tensors", "short-tensor-list", "renamed-tensor", "reshaped-tensor",
             "truncated-payload", "trailing-bytes", "nan-tensor", "no-newline", "v2-format",
@@ -328,7 +333,8 @@ class TestTrainEvaluateCommands:
             "pca-false", "pca-empty-string", "pca-no-components", "pca-short-mean",
             "pca-ratio-mismatch", "column-mismatch", "list-master-seed", "float-master-seed",
             "string-master-seed", "bool-master-seed", "list-optimizer-tags", "lo-above-hi",
-            "lo-bool", "hi-string", "pca-components-bool"])
+            "lo-bool", "hi-string", "pca-components-bool", "lo-huge-int",
+            "pca-huge-component"])
     def test_malformed_model_file_is_a_typed_error(self, dataset_file, tmp_path, capsys,
                                                    edit, named):
         # Each edit of a real train output must reach the evaluate stage

@@ -126,7 +126,7 @@ class TestTrainMembers:
         assert scores.min() > 0.0 and scores.max() < 1.0
 
     def test_trained_member_holds_no_gradient(self):
-        # The last step's gradients go with train_network; a trained member
+        # The last step's gradients go with the training scope; a trained member
         # keeps its parameters only.
         x, y = separable_task(9, n=45)
         member = train_member(small_spec(topology="TCN_A", tcn_filters=4, tcn_blocks=1), x, y,

@@ -286,7 +286,7 @@ class TestChunkedScoring:
                     for layer, cache in zip(net.layers, caches):
                         layer.cache = cache
                 net.backward(upstream)
-            return [layer.grad_vector.tobytes() for layer in net.trainable_layers()]
+                return [layer.grad_vector.tobytes() for layer in net.trainable_layers()]
 
         assert grad_vectors(True) == grad_vectors(False)
 

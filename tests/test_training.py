@@ -29,7 +29,9 @@ def small_net(seed=0, topology="GRU_A", n_labels=3, **kw):
 
 
 def adam(net):
-    return assign_optimizers(net, "adam", RngStream(0))
+    """``net`` with Adam on every trainable layer."""
+    net.optimizer_tags = assign_optimizers(net, "adam", RngStream(0))
+    return net
 
 
 class TestTrainConfig:
@@ -105,13 +107,12 @@ class TestOptimizerAssignment:
         # segment per tensor in the order the vector holds them, and for
         # sto one stream per tensor, keyed by its position in param_items.
         net = small_net(topology="GRU_B")
-        tags = assign_optimizers(net, "sto", RngStream(0))
-        states = make_optimizer_states(net, tags, TrainConfig(), RngStream(2))
-        assert list(states) == [layer.name for layer in net.trainable_layers()]
+        net.optimizer_tags = assign_optimizers(net, "sto", RngStream(0))
+        states = make_optimizer_states(net, TrainConfig(), RngStream(2))
         keys = [key for key, _ in net.param_items()]
         seen = []
-        for layer in net.trainable_layers():
-            state = states[layer.name]
+        for layer, state in zip(net.trainable_layers(), states, strict=True):
+            assert state.variant == "sto"
             assert state.m.shape == layer.param_vector.shape
             by_start = {start: (key, stop) for key, start, stop, _ in layer.spans}
             assert len(state.streams) == len(state.sizes) == len(layer.PARAMS)
@@ -129,7 +130,7 @@ class TestTrainNetwork:
         net = small_net(seed=3)
         before = {k: a.copy() for k, a in net.param_items()}
         x, y = separable_task(0, n=40)
-        losses = train_network(net, x, y, TrainConfig(epochs=0), RngStream(0), adam(net))
+        losses = train_network(adam(net), x, y, TrainConfig(epochs=0), RngStream(0))
         assert losses == []
         for key, arr in net.param_items():
             npt.assert_array_equal(arr, before[key])
@@ -139,13 +140,13 @@ class TestTrainNetwork:
         oracle = logistic_regression_bce(x, y)
         assert oracle < 0.1  # a linear model nails the task
         net = build_network(NetworkSpec(topology="GRU_A", n_labels=3), RngStream(0))
-        losses = train_network(net, x, y, TrainConfig(epochs=30), RngStream(1), adam(net))
+        losses = train_network(adam(net), x, y, TrainConfig(epochs=30), RngStream(1))
         assert losses[-1] < 0.15
 
     def test_loss_mostly_decreases_early(self):
         x, y = separable_task(7)
         net = build_network(NetworkSpec(topology="GRU_A", n_labels=3), RngStream(2))
-        losses = train_network(net, x, y, TrainConfig(epochs=5), RngStream(3), adam(net))
+        losses = train_network(adam(net), x, y, TrainConfig(epochs=5), RngStream(3))
         violations = sum(1 for a, b in zip(losses, losses[1:]) if b > a)
         assert violations <= 1
 
@@ -154,7 +155,7 @@ class TestTrainNetwork:
 
         def run():
             net = small_net(seed=4)
-            train_network(net, x, y, TrainConfig(epochs=3), RngStream(5), adam(net))
+            train_network(adam(net), x, y, TrainConfig(epochs=3), RngStream(5))
             return {k: a.copy() for k, a in net.param_items()}
 
         a, b = run(), run()
@@ -164,9 +165,8 @@ class TestTrainNetwork:
     def test_stochastic_tags_train(self):
         x, y = separable_task(13, n=60)
         net = small_net(seed=6)
-        tags = assign_optimizers(net, "stochastic", RngStream(7))
-        losses = train_network(net, x, y, TrainConfig(epochs=4), RngStream(8),
-                               optimizer_tags=tags)
+        net.optimizer_tags = assign_optimizers(net, "stochastic", RngStream(7))
+        losses = train_network(net, x, y, TrainConfig(epochs=4), RngStream(8))
         assert losses[-1] < losses[0]
 
     def test_sample_weights_accepted(self):
@@ -174,7 +174,7 @@ class TestTrainNetwork:
         weights = np.ones(60)
         weights[:10] = 0.0
         net = small_net(seed=9)
-        losses = train_network(net, x, y, TrainConfig(epochs=2), RngStream(10), adam(net),
+        losses = train_network(adam(net), x, y, TrainConfig(epochs=2), RngStream(10),
                                sample_weights=weights)
         assert len(losses) == 2
 
@@ -182,7 +182,7 @@ class TestTrainNetwork:
     def test_other_topologies_train_one_epoch(self, topology):
         x, y = separable_task(19, n=45)
         net = small_net(seed=11, topology=topology)
-        losses = train_network(net, x, y, TrainConfig(epochs=1), RngStream(12), adam(net))
+        losses = train_network(adam(net), x, y, TrainConfig(epochs=1), RngStream(12))
         assert len(losses) == 1 and np.isfinite(losses[0])
 
 
@@ -266,8 +266,7 @@ class TestWholeNetworkGradient:
         cfg = TrainConfig(epochs=1, minibatch=batch, clip_threshold=1e9)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(mlenn.training, "optimizer_step", spy)
-            train_network(net, x, y, cfg, RngStream(train_seed), adam(net),
-                          sample_weights=weights)
+            train_network(adam(net), x, y, cfg, RngStream(train_seed), sample_weights=weights)
 
         # One call per trainable layer, on the layer's own vector; split the
         # gradient by the layer's spans, checking that each piece of the
@@ -333,14 +332,34 @@ class TestPerTensorReference:
                            input_encoding=encoding, input_dim=5)
         cfg = TrainConfig(epochs=2, minibatch=3)
         net, ref = build_network(spec, RngStream(4)), build_network(spec, RngStream(4))
-        tags = assign_optimizers(net, policy, RngStream(5))
-        losses = train_network(net, x, y, cfg, RngStream(6), tags, sample_weights=weights)
-        ref_losses = oracles.train_network(ref, x, y, cfg, RngStream(6), tags,
+        net.optimizer_tags = assign_optimizers(net, policy, RngStream(5))
+        losses = train_network(net, x, y, cfg, RngStream(6), sample_weights=weights)
+        ref_losses = oracles.train_network(ref, x, y, cfg, RngStream(6), net.optimizer_tags,
                                            sample_weights=weights)
         for (key, arr), (_, expected) in zip(net.param_items() + net.state_items(),
                                              ref.param_items() + ref.state_items(), strict=True):
             assert arr.tobytes() == expected.tobytes(), key
         assert losses == ref_losses
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_reads_the_networks_own_tags(self, topology):
+        # No tags argument: each layer trains with its entry in
+        # net.optimizer_tags, and a stale positional one is refused.
+        x, y = banded_task(32, 9, 5, 3)
+        spec = NetworkSpec(topology=topology, n_labels=3, hidden_units=3, tcn_filters=4,
+                           tcn_blocks=2, pre_conv_filters=3, dropout_p=0.2, input_dim=5)
+        cfg = TrainConfig(epochs=2, minibatch=3)
+        net, ref = build_network(spec, RngStream(7)), build_network(spec, RngStream(7))
+        net.optimizer_tags = assign_optimizers(net, "stochastic", RngStream(8))
+        tags = dict(net.optimizer_tags)
+        with pytest.raises(TypeError):
+            train_network(net, x, y, cfg, RngStream(9), tags)
+        losses = train_network(net, x, y, cfg, RngStream(9))
+        assert net.optimizer_tags == tags
+        assert losses == oracles.train_network(ref, x, y, cfg, RngStream(9), tags)
+        for (key, arr), (_, expected) in zip(net.param_items() + net.state_items(),
+                                             ref.param_items() + ref.state_items(), strict=True):
+            assert arr.tobytes() == expected.tobytes(), key
 
 
 def _arrays(obj) -> list:
@@ -360,26 +379,49 @@ def _arrays(obj) -> list:
 class TestReusedBuffers:
     """Inside ``train_network`` each layer's kernels reuse their own buffers
     from minibatch to minibatch. No buffer is shared between two layers, and
-    none, nor any gradient, is left on a layer once the call returns or
-    raises."""
+    once the call returns or raises, the exit of its ``reused_buffers``
+    scope has left none, nor any gradient, on a layer."""
 
     @staticmethod
     def _spy(monkeypatch, net, diverge_at=None):
-        """Record each layer's workspace at every loss call; the call
-        numbered ``diverge_at`` returns a NaN loss."""
-        seen = []
-        loss_fn = mlenn.training.bce_loss
+        """Record each layer's workspace at every loss call into ``seen``,
+        and each trainable layer's ``grad_vector`` and ``grads`` into
+        ``exits`` as the ``reused_buffers`` block ends and as the scope has
+        just closed; the loss call numbered ``diverge_at`` returns a NaN
+        loss. Returns ``(seen, exits)``."""
+        seen, exits = [], []
+        loss_fn, scope = mlenn.training.bce_loss, mlenn.training.reused_buffers
 
         def spy(*args, **kwargs):
             seen.append([dict(layer.workspace) for layer in net.layers])
             loss, grad = loss_fn(*args, **kwargs)
             return (np.nan if len(seen) == diverge_at else loss), grad
 
+        def grads():
+            return [(layer.grad_vector, layer.grads) for layer in net.trainable_layers()]
+
+        @contextlib.contextmanager
+        def scope_spy(layers):
+            try:
+                with scope(layers):
+                    try:
+                        yield
+                    finally:
+                        exits.append(grads())
+            finally:
+                exits.append(grads())
+
         monkeypatch.setattr(mlenn.training, "bce_loss", spy)
-        return seen
+        monkeypatch.setattr(mlenn.training, "reused_buffers", scope_spy)
+        return seen, exits
 
     @staticmethod
-    def _assert_released(net, seen):
+    def _assert_released(net, seen, exits):
+        # The last step's gradients are there when the block ends, and the
+        # scope's exit, before train_network goes on, drops them.
+        held, released = exits
+        assert all(vector is not None and grads for vector, grads in held)
+        assert all(vector is None and grads == {} for vector, grads in released)
         buffers = [buf for step in seen for workspace in step for buf in workspace.values()]
         assert buffers
         for layer in net.layers:
@@ -393,8 +435,8 @@ class TestReusedBuffers:
         # which takes a prefix of the 4-row buffers.
         x, y = banded_task(33, 10, 5, 3)
         net = small_net(seed=12, topology="GRU_TCN")
-        seen = self._spy(monkeypatch, net)
-        train_network(net, x, y, TrainConfig(epochs=2, minibatch=4), RngStream(13), adam(net))
+        seen, exits = self._spy(monkeypatch, net)
+        train_network(adam(net), x, y, TrainConfig(epochs=2, minibatch=4), RngStream(13))
         # The forward's buffers exist from the first loss call on, the
         # backward's from the second; each is the same array throughout.
         gru = [layer.name for layer in net.layers].index("gru")
@@ -403,17 +445,16 @@ class TestReusedBuffers:
         for step in seen:
             for key, buf in step[gru].items():
                 assert buf is seen[-1][gru][key], key
-        self._assert_released(net, seen)
+        self._assert_released(net, seen, exits)
 
     def test_released_when_training_diverges(self, monkeypatch):
         x, y = banded_task(34, 10, 5, 3)
         net = small_net(seed=14, topology="GRU_B")
-        seen = self._spy(monkeypatch, net, diverge_at=2)
+        seen, exits = self._spy(monkeypatch, net, diverge_at=2)
         with pytest.raises(mlenn.training.TrainingDivergedError):
-            train_network(net, x, y, TrainConfig(epochs=2, minibatch=4), RngStream(15),
-                          adam(net))
+            train_network(adam(net), x, y, TrainConfig(epochs=2, minibatch=4), RngStream(15))
         assert len(seen) == 2
-        self._assert_released(net, seen)
+        self._assert_released(net, seen, exits)
 
     def test_two_grus_share_no_buffer(self, monkeypatch):
         # Two same-shape GRUs ask for buffers of the same shapes; each gets
@@ -431,11 +472,11 @@ class TestReusedBuffers:
         fresh = two_gru_net()
         with monkeypatch.context() as m:
             m.setattr(mlenn.training, "reused_buffers", lambda layers: contextlib.nullcontext())
-            train_network(fresh, x, y, cfg, RngStream(17), adam(fresh))
+            train_network(adam(fresh), x, y, cfg, RngStream(17))
 
         net = two_gru_net()
-        seen = self._spy(monkeypatch, net)
-        train_network(net, x, y, cfg, RngStream(17), adam(net))
+        seen, _ = self._spy(monkeypatch, net)
+        train_network(adam(net), x, y, cfg, RngStream(17))
         for step in seen[1:]:
             first, second = step[0].values(), step[1].values()
             assert len(first) == len(second) == 4
@@ -466,7 +507,7 @@ class TestReusedBuffers:
         monkeypatch.setattr(mlenn.layers, "conv1d_backward", spy_backward)
         x, y = banded_task(36, 10, 5, 3)
         net = small_net(seed=18, topology="TCN_A")
-        train_network(net, x, y, TrainConfig(epochs=2, minibatch=4), RngStream(19), adam(net))
+        train_network(adam(net), x, y, TrainConfig(epochs=2, minibatch=4), RngStream(19))
         names = sorted(held)
         assert len(names) == 4
         # 3 minibatches x 2 epochs, each with an output, a cache and a gradient
