@@ -11,7 +11,7 @@ from .harness import RunConfig, kfold_split, load_dataset, load_external_scores,
 from .metrics import PredictionSet, bce_loss, compute_all
 from .network import NetworkSpec, build_network
 from .numerics import RngStream, kmeans, pca_fit, pca_transform
-from .pipeline import Dataset, build_training_set, imcc_augment, minmax_normalize
+from .pipeline import Dataset, imcc_augment, minmax_normalize
 from .training import TrainConfig, assign_optimizers, train_network
 
 __version__ = "0.1.0"
@@ -28,7 +28,6 @@ __all__ = [
     "assign_optimizers",
     "bce_loss",
     "build_network",
-    "build_training_set",
     "compute_all",
     "fuse_average",
     "fuse_weighted_external",

@@ -94,7 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "appends to the file's preprocessed rows")
     p_aug.add_argument("--dataset", required=True)
     p_aug.add_argument("--clusters", type=int, required=True,
-                       help=">= 1; a count above the row count fails once the file is read")
+                       help=">= 1; a count above the row count fails once the file is "
+                            "read, as it does in kfold")
     p_aug.add_argument("--seed", type=int, default=0)
     p_aug.add_argument("--output", default=None, help="optional file for the preview")
 
@@ -149,15 +150,12 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_augment_preview(args) -> int:
-    # fit_training_set clamps the cluster count into [1, rows]; a preview
-    # of a count it would not use is an error instead.
+    # RunConfig reads 0 clusters as round(sqrt(rows)); a preview names its
+    # count. kmeans refuses a count above the rows once the file is read.
     if args.clusters < 1:
         raise ConfigError("field clusters: must be >= 1")
     cfg = RunConfig(dataset=args.dataset, augment_clusters=args.clusters, seed=args.seed)
     ds = load_dataset(cfg.dataset)
-    if args.clusters > ds.n_samples:
-        raise ValueError(f"cluster count must satisfy 1 <= c <= {ds.n_samples}, "
-                         f"got {args.clusters}")
     _, x, y, _ = fit_training_set(cfg, ds.x, ds.y, ds.sparse, RngStream(cfg.seed))
     # d is the width of the preprocessed rows, which PCA narrows for a sparse set.
     lines = [f"# {args.clusters} cluster centers for {ds.name} "

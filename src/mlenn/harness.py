@@ -42,7 +42,7 @@ from .ensemble import (EnsembleModel, fuse_average, fuse_weighted_external, fuse
 from .metrics import METRIC_NAMES, PredictionSet, UndefinedMetricError, compute_all
 from .network import NetworkSpec, check_architecture
 from .numerics import ConfigError, PcaModel, RngStream, ShapeError, pca_fit, pca_transform
-from .pipeline import Dataset, build_training_set, imcc_augment, minmax_normalize, minmax_scale
+from .pipeline import Dataset, imcc_augment, minmax_normalize, minmax_scale
 from .training import TrainConfig, TrainingDivergedError
 
 HEADER_MAGIC = "mlkit-dataset v1"
@@ -359,17 +359,20 @@ class ExperimentReport:
 
 
 def fit_training_set(cfg: RunConfig, x, y, sparse: bool, rng: RngStream) -> tuple:
-    """Fit ``Preprocess`` on the rows ``x``, append the cluster-centre rows
-    drawn from ``rng`` when ``cfg.augment_clusters`` is set, and return the
-    preprocessing and the rows ``x, y, weights`` (None without them)."""
+    """Fit ``Preprocess`` on the rows ``x`` and return it with the training
+    rows ``x, y, weights``. When ``cfg.augment_clusters`` is set, the
+    ``imcc_augment`` rows drawn from ``rng`` follow the real ones, which
+    weigh 1 each, at ``cfg.augment_weight``; without them ``weights`` is
+    None. A count of 0 means round(sqrt(n)) clusters for n rows, and
+    ``kmeans`` refuses a count above n."""
     pre, x = Preprocess.fit(x, sparse)
     weights = None
     if cfg.augment_clusters is not None:
-        rows = Dataset(x, y)
-        c = cfg.augment_clusters or int(round(math.sqrt(rows.n_samples)))
-        c = max(1, min(c, rows.n_samples))
-        x, y, weights = build_training_set(rows, imcc_augment(rows, c, rng),
-                                           cfg.augment_weight)
+        n = x.shape[0]
+        aug = imcc_augment(x, y, cfg.augment_clusters or int(round(math.sqrt(n))), rng)
+        weights = np.concatenate([np.ones(n), np.full(aug.z.shape[0], float(cfg.augment_weight))])
+        x = np.concatenate([x, aug.z])
+        y = np.concatenate([y, aug.t])
     return pre, x, y, weights
 
 

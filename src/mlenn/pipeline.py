@@ -1,8 +1,11 @@
-"""Preprocessing and cluster-center augmentation for training folds.
+"""The dataset container, min-max normalization and cluster-center
+augmentation for training folds.
 
 Fold hygiene is enforced by the interfaces: every transform fits its
 statistics on a training tensor and applies them to a second tensor, so
-test rows can never leak into the fit.
+test rows can never leak into the fit. ``imcc_augment`` returns a fold's
+virtual rows; ``harness.fit_training_set`` appends them to the fold's real
+rows at the augmentation weight.
 """
 
 from __future__ import annotations
@@ -80,23 +83,13 @@ def minmax_scale(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
-def imcc_augment(ds: Dataset, c: int, rng: RngStream) -> AugmentedSet:
-    """Cluster the feature rows into ``c`` groups and emit one virtual
-    example per cluster: the center paired with the mean label vector of
-    its members. With c = n this reproduces the dataset exactly."""
-    km = kmeans(ds.x, c, rng)
-    return AugmentedSet(km.centers.copy(), group_means(ds.y, km.assignments, c))
-
-
-def build_training_set(ds: Dataset, aug: AugmentedSet, weight: float) -> tuple:
-    """Concatenate the dataset (weight 1) with the augmented rows at the
-    given loss weight; returns the (x, y, weights) rows. The cross-entropy
-    loss accepts the soft labels unchanged."""
-    if weight < 0:
-        raise ValueError(f"augmentation weight must be >= 0, got {weight}")
-    if aug.z.shape[1] != ds.n_features or aug.t.shape[1] != ds.n_labels:
-        raise ShapeError("augmented set does not match the dataset's feature/label widths")
-    x = np.concatenate([ds.x, aug.z], axis=0)
-    y = np.concatenate([ds.y, aug.t], axis=0)
-    weights = np.concatenate([np.ones(ds.n_samples), np.full(aug.z.shape[0], float(weight))])
-    return x, y, weights
+def imcc_augment(x, y, c: int, rng: RngStream) -> AugmentedSet:
+    """Cluster the feature rows ``x`` (n, d) into ``c`` groups and emit one
+    virtual example per cluster: the center paired with the mean of its
+    members' rows of ``y`` (n, l). ``kmeans`` requires 1 <= c <= n, and with
+    c = n this reproduces the rows exactly."""
+    y = as_tensor(y)
+    km = kmeans(x, c, rng)
+    if y.ndim != 2 or y.shape[0] != km.assignments.shape[0]:
+        raise ShapeError(f"labels {y.shape} do not match {km.assignments.shape[0]} feature rows")
+    return AugmentedSet(km.centers, group_means(y, km.assignments, c))

@@ -94,7 +94,8 @@ def assign_optimizers(net: Network, policy: str, rng: RngStream) -> dict:
 def make_optimizer_states(net: Network, cfg: TrainConfig, rng: RngStream) -> list:
     """One state of its ``net.optimizer_tags`` variant per trainable layer,
     in ``net.trainable_layers()`` order, over the layer's parameter vector
-    with one segment per tensor in ``PARAMS`` order.
+    with one segment per tensor in ``PARAMS`` order. A layer without a tag
+    raises ``ValueError``: ``assign_optimizers`` gives the tags.
 
     sto draws the tensor at position ``index`` of ``Network.param_items()``
     from ``rng.child(5000 + index)``.
@@ -102,7 +103,10 @@ def make_optimizer_states(net: Network, cfg: TrainConfig, rng: RngStream) -> lis
     states = []
     index = 0
     for layer in net.trainable_layers():
-        variant = net.optimizer_tags[layer.name]
+        variant = net.optimizer_tags.get(layer.name)
+        if variant is None:
+            raise ValueError(f"trainable layer {layer.name!r} has no optimizer tag; "
+                             "assign_optimizers fills net.optimizer_tags")
         sizes = [arr.size for arr in layer.param_tensors().values()]
         streams = ([rng.child(5000 + index + i) for i in range(len(sizes))]
                    if variant == "sto" else None)

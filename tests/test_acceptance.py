@@ -438,7 +438,7 @@ def test_c06_augmentation_exactness():
             x = rng.normal(size=(n, d))
             y = (rng.uniform(size=(n, l)) < 0.5).astype(float)
             ds = Dataset(x, y)
-            aug = imcc_augment(ds, c, RngStream(trial))
+            aug = imcc_augment(ds.x, ds.y, c, RngStream(trial))
             km = kmeans(x, c, RngStream(trial))
             for j in range(c):
                 members = np.flatnonzero(km.assignments == j)
@@ -450,7 +450,7 @@ def test_c06_augmentation_exactness():
         # c = n reproduces the dataset exactly
         x = rng.normal(size=(12, 3))
         y = (rng.uniform(size=(12, 2)) < 0.5).astype(float)
-        aug = imcc_augment(Dataset(x, y), 12, RngStream(9))
+        aug = imcc_augment(x, y, 12, RngStream(9))
         npt.assert_array_equal(aug.z, x)
         npt.assert_array_equal(aug.t, y)
 

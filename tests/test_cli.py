@@ -1,10 +1,11 @@
 import argparse
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
 
+import mlenn.cli
 import mlenn.layers
 import mlenn.network
 from mlenn.cli import _run_config, build_parser, main
@@ -445,6 +446,35 @@ class TestParserMatchesRunConfig:
         assert dests and set(dests) <= names
 
 
+class TestClusterCountAboveRows:
+    """kmeans's bound holds in every command: a count above the training
+    rows ends the run at its stage instead of training on fewer clusters."""
+
+    def test_kfold(self, dataset_file, tmp_path, capsys):
+        # Two folds of the 36-row file train on 18 rows each.
+        code, stdout, err = run_cli(
+            capsys, "kfold", "--dataset", dataset_file, "--folds", "2", "--members", "1",
+            "--hidden-units", "4", "--epochs", "1", "--augment-clusters", "19",
+            "--output", tmp_path / "out")
+        assert code == 1
+        assert err == "error [stage=kfold]: cluster count must satisfy 1 <= c <= 18, got 19\n"
+        assert stdout == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_train(self, dataset_file, tmp_path, capsys, monkeypatch):
+        # train has no augmentation flag, so its RunConfig asks for the count.
+        parsed = mlenn.cli._run_config
+        monkeypatch.setattr(mlenn.cli, "_run_config",
+                            lambda args: replace(parsed(args), augment_clusters=37))
+        code, stdout, err = run_cli(
+            capsys, "train", "--dataset", dataset_file, "--members", "1",
+            "--hidden-units", "4", "--epochs", "1", "--output", tmp_path / "model")
+        assert code == 1
+        assert err == "error [stage=train]: cluster count must satisfy 1 <= c <= 36, got 37\n"
+        assert stdout == ""
+        assert not (tmp_path / "model").exists()
+
+
 class TestAugmentPreview:
     def test_prints_centers(self, dataset_file, capsys, tmp_path):
         out_file = tmp_path / "aug.txt"
@@ -482,7 +512,8 @@ class TestAugmentPreview:
         code, _, err = run_cli(capsys, "augment-preview", "--dataset",
                                dataset_file, "--clusters", "999")
         assert code == 1
-        assert "stage=augment-preview" in err
+        assert err == ("error [stage=augment-preview]: "
+                       "cluster count must satisfy 1 <= c <= 36, got 999\n")
 
     def test_negative_seed_is_a_configuration_error(self, dataset_file, capsys, tmp_path):
         out_file = tmp_path / "aug.txt"

@@ -394,9 +394,12 @@ class TestRunConfigValidation:
         with pytest.raises(ConfigError, match="members"):
             self._base(members=0).validate()
 
-    def test_bad_augment_named(self):
-        with pytest.raises(ConfigError, match="augment"):
-            self._base(augment_clusters=-1).validate()
+    @pytest.mark.parametrize("field,value", [("augment_clusters", -1),
+                                             ("augment_weight", -0.5),
+                                             ("augment_weight", float("nan"))])
+    def test_bad_augment_named(self, field, value):
+        with pytest.raises(ConfigError, match=f"field {field}"):
+            self._base(**{field: value})
 
     def test_stratified_needs_folds(self):
         with pytest.raises(ConfigError, match="field stratified"):

@@ -7,6 +7,9 @@ an import behind that nothing reads.
 
 The modules from outside the package that ``import mlenn`` loads are
 pinned, since every command pays for them before it starts its work.
+
+Every public name is read by the package itself, so no public API exists
+only for the tests.
 """
 
 import ast
@@ -82,3 +85,17 @@ def test_external_module_level_imports_are_pinned():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
     assert imported == EXTERNAL
+
+
+def test_every_public_name_is_read_by_the_package():
+    exported = _exported(ast.parse((SRC / "__init__.py").read_text(encoding="utf-8")))
+    read = set()
+    for path in SRC.glob("*.py"):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+    unread = sorted(exported - read - {"__version__"})
+    assert unread == [], f"mlenn.__all__ lists {unread}, which no module of the package reads"

@@ -4,9 +4,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from mlenn.harness import RunConfig, fit_training_set
 from mlenn.metrics import bce_loss
-from mlenn.numerics import RngStream, pca_fit, pca_transform
-from mlenn.pipeline import Dataset, build_training_set, imcc_augment, minmax_normalize
+from mlenn.numerics import RngStream, ShapeError, pca_fit, pca_transform
+from mlenn.pipeline import Dataset, imcc_augment, minmax_normalize
 
 
 class TestMinMaxNormalize:
@@ -43,7 +44,7 @@ class TestImccAugment:
     def test_hand_single_cluster(self):
         ds = Dataset(np.array([[0.0, 0.0], [2.0, 2.0]]),
                      np.array([[1.0, 0.0], [1.0, 1.0]]))
-        aug = imcc_augment(ds, 1, RngStream(0))
+        aug = imcc_augment(ds.x, ds.y, 1, RngStream(0))
         npt.assert_array_equal(aug.z, [[1.0, 1.0]])
         npt.assert_array_equal(aug.t, [[1.0, 0.5]])
 
@@ -52,7 +53,7 @@ class TestImccAugment:
         x = rng.normal(size=(7, 4))
         y = (rng.uniform(size=(7, 3)) < 0.5).astype(float)
         ds = Dataset(x, y)
-        aug = imcc_augment(ds, 7, RngStream(1))
+        aug = imcc_augment(ds.x, ds.y, 7, RngStream(1))
         npt.assert_array_equal(aug.z, x)
         npt.assert_array_equal(aug.t, y)
 
@@ -60,8 +61,12 @@ class TestImccAugment:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(10, 2))
         y = np.tile([1.0, 0.0, 1.0], (10, 1))
-        aug = imcc_augment(Dataset(x, y), 3, RngStream(2))
+        aug = imcc_augment(x, y, 3, RngStream(2))
         npt.assert_array_equal(aug.t, np.tile([1.0, 0.0, 1.0], (3, 1)))
+
+    def test_label_rows_must_match_feature_rows(self):
+        with pytest.raises(ShapeError, match="labels"):
+            imcc_augment(np.zeros((4, 2)), np.zeros((5, 3)), 2, RngStream(0))
 
     def test_exactness_against_direct_summation(self):
         rng = np.random.default_rng(5)
@@ -73,7 +78,7 @@ class TestImccAugment:
             x = rng.normal(size=(n, d))
             y = (rng.uniform(size=(n, l)) < 0.5).astype(float)
             ds = Dataset(x, y)
-            aug = imcc_augment(ds, c, RngStream(trial))
+            aug = imcc_augment(ds.x, ds.y, c, RngStream(trial))
             from mlenn.numerics import kmeans
             km = kmeans(x, c, RngStream(trial))
             for j in range(c):
@@ -88,7 +93,7 @@ class TestImccAugment:
         x = rng.normal(size=(20, 3))
         y = (rng.uniform(size=(20, 4)) < 0.4).astype(float)
         ds = Dataset(x, y)
-        aug = imcc_augment(ds, 5, RngStream(3))
+        aug = imcc_augment(ds.x, ds.y, 5, RngStream(3))
         assert aug.t.min() >= 0.0 and aug.t.max() <= 1.0
         from mlenn.numerics import kmeans
         km = kmeans(x, 5, RngStream(3))
@@ -97,31 +102,29 @@ class TestImccAugment:
         npt.assert_allclose(scaled, np.round(scaled), atol=1e-9)
 
 
-class TestBuildTrainingSet:
-    def _toy(self):
+class TestFitTrainingSet:
+    def _rows(self, clusters, weight, seed):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(6, 2))
         y = (rng.uniform(size=(6, 2)) < 0.5).astype(float)
-        return Dataset(x, y)
+        cfg = RunConfig(dataset="unused", augment_clusters=clusters, augment_weight=weight)
+        _, xs, ys, weights = fit_training_set(cfg, x, y, False, RngStream(seed))
+        return x, y, xs, ys, weights
 
     def test_zero_weight_matches_plain_loss(self):
-        ds = self._toy()
-        aug = imcc_augment(ds, 3, RngStream(0))
-        _, y, weights = build_training_set(ds, aug, 0.0)
-        p = np.random.default_rng(8).uniform(0.2, 0.8, size=y.shape)
-        weighted, _ = bce_loss(y, p, weights=weights)
-        plain, _ = bce_loss(ds.y, p[:6])
+        _, y, _, ys, weights = self._rows(3, 0.0, 0)
+        p = np.random.default_rng(8).uniform(0.2, 0.8, size=ys.shape)
+        weighted, _ = bce_loss(ys, p, weights=weights)
+        plain, _ = bce_loss(y, p[:6])
         # The row mean counts the zero-weight virtual rows: 9 rows, 6 real.
         npt.assert_allclose(weighted * 9, plain * 6, atol=1e-12)
 
     def test_duplicated_dataset_doubles_loss(self):
-        ds = self._toy()
-        aug = imcc_augment(ds, ds.n_samples, RngStream(1))  # c = n duplicates rows
-        _, y, weights = build_training_set(ds, aug, 1.0)
-        p_base = np.random.default_rng(9).uniform(0.2, 0.8, size=ds.y.shape)
+        _, y, _, ys, weights = self._rows(6, 1.0, 1)  # c = n duplicates rows
+        p_base = np.random.default_rng(9).uniform(0.2, 0.8, size=y.shape)
         p = np.vstack([p_base, p_base])
-        doubled, _ = bce_loss(y, p, weights=weights)
-        single, _ = bce_loss(ds.y, p_base)
+        doubled, _ = bce_loss(ys, p, weights=weights)
+        single, _ = bce_loss(y, p_base)
         # Twice the rows and twice the loss sum.
         npt.assert_allclose(doubled * 12, 2.0 * single * 6, atol=1e-12)
 
@@ -130,19 +133,22 @@ class TestBuildTrainingSet:
         npt.assert_allclose(loss, math.log(2.0), atol=1e-12)
 
     def test_weights_layout(self):
-        ds = self._toy()
-        aug = imcc_augment(ds, 2, RngStream(2))
-        x, y, weights = build_training_set(ds, aug, 0.25)
+        x, y, xs, ys, weights = self._rows(2, 0.25, 2)
+        # The real rows are the preprocessed ones, and the virtual rows are
+        # imcc_augment's on them, from the same stream.
+        real = minmax_normalize(x, x)
+        aug = imcc_augment(real, y, 2, RngStream(2))
         npt.assert_array_equal(weights[:6], 1.0)
         npt.assert_array_equal(weights[6:], 0.25)
-        npt.assert_array_equal(x[:6], ds.x)
-        npt.assert_array_equal(y[6:], aug.t)
-        assert x.shape == (8, 2) and y.shape == (8, 2)
+        npt.assert_array_equal(xs[:6], real)
+        npt.assert_array_equal(ys[:6], y)
+        npt.assert_array_equal(xs[6:], aug.z)
+        npt.assert_array_equal(ys[6:], aug.t)
+        assert xs.shape == (8, 2) and ys.shape == (8, 2)
 
-    def test_negative_weight_rejected(self):
-        ds = self._toy()
-        with pytest.raises(ValueError):
-            build_training_set(ds, imcc_augment(ds, 2, RngStream(0)), -0.5)
+    def test_count_above_rows_is_refused(self):
+        with pytest.raises(ValueError, match="cluster count must satisfy 1 <= c <= 6, got 7"):
+            self._rows(7, 1.0, 0)
 
 
 class TestDataset:

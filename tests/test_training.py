@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mlenn
 import mlenn.layers
 import mlenn.training
 from mlenn.layers import Dense, Gru, MaxPoolTime, Sigmoid
@@ -177,6 +178,18 @@ class TestTrainNetwork:
         losses = train_network(adam(net), x, y, TrainConfig(epochs=2), RngStream(10),
                                sample_weights=weights)
         assert len(losses) == 2
+
+    def test_untagged_network_is_a_value_error(self):
+        # A fresh build_network result has no tags; the error names the
+        # first trainable layer without one and what fills them.
+        x, y = separable_task(23, n=30)
+        net = mlenn.build_network(NetworkSpec(topology="GRU_B", n_labels=3, hidden_units=4,
+                                              tcn_filters=5), RngStream(0))
+        with pytest.raises(ValueError, match="'pre_conv' has no optimizer tag.*assign_optimizers"):
+            mlenn.train_network(net, x, y, TrainConfig(epochs=1), RngStream(1))
+        net.optimizer_tags = {"pre_conv": "adam"}
+        with pytest.raises(ValueError, match="'pre_bn' has no optimizer tag"):
+            mlenn.train_network(net, x, y, TrainConfig(epochs=1), RngStream(1))
 
     @pytest.mark.parametrize("topology", ["TCN_A", "GRU_TCN"])
     def test_other_topologies_train_one_epoch(self, topology):
