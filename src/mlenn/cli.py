@@ -51,6 +51,9 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tcn-filters", type=int)
     p.add_argument("--tcn-blocks", type=int)
     p.add_argument("--encoding", choices=ENCODINGS)
+    p.add_argument("--augment-clusters", type=int,
+                   help="cluster count for augmentation (0 = auto)")
+    p.add_argument("--augment-weight", type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,9 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_kfold.add_argument("--holdout-indices",
                          help="file listing test-row indices, one per line")
     _add_train_flags(p_kfold)
-    p_kfold.add_argument("--augment-clusters", type=int,
-                         help="cluster count for augmentation (0 = auto)")
-    p_kfold.add_argument("--augment-weight", type=float)
     p_kfold.add_argument("--external-scores")
     p_kfold.add_argument("--seed", type=int)
     p_kfold.add_argument("--output", help="directory for report files")
@@ -130,14 +130,14 @@ def _cmd_train(args) -> int:
     model = train_members(cfg, x, y, rng, weights)
     os.makedirs(cfg.output, exist_ok=True)
     path = os.path.join(cfg.output, "model.json")
-    save_ensemble(model, path, preprocess=pre.to_dict())
+    save_ensemble(model, path, preprocess=pre.tensors())
     print(f"saved {len(model.members)}-member ensemble to {path}")
     return 0
 
 
 def _cmd_evaluate(args) -> int:
     model, preprocess = load_ensemble(args.model)
-    pre = Preprocess.from_dict(preprocess)
+    pre = Preprocess.from_tensors(preprocess)
     ds = load_dataset(args.dataset)
     external = None
     if args.external_scores:

@@ -6,16 +6,17 @@ given: a ``Network`` that keeps its per-layer optimizer variants as
 and the training set. Prediction fuses member confidences by the average
 rule, ``SCORE_ROWS`` rows at a time. A trained ensemble round-trips through
 one file: a line holding ``json.dumps(header, sort_keys=True)``, which is
-ASCII, and then every member's tensors as C-order little-endian float64
-bytes, one after another. The header holds the metadata, the
-``preprocess`` block that ``train`` fits, and each tensor's name and shape;
-the offsets follow from their order. The round trip is bit-exact and the
-file is byte-stable for a fixed seed. The header line is decoded as strict UTF-8.
+ASCII, and then every member's tensors and then the fitted preprocessing's
+as C-order little-endian float64 bytes, one after another. The header
+holds the metadata and each tensor's name and shape; the offsets follow
+from their order. The round trip is bit-exact and the file is byte-stable
+for a fixed seed. The header line is decoded as strict UTF-8.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ from .network import Network, NetworkSpec, build_network
 from .numerics import ConfigError, RngStream, ShapeError, as_tensor
 from .training import TrainConfig, assign_optimizers, train_network
 
-MODEL_FORMAT = "mlenn-ensemble v3"
+MODEL_FORMAT = "mlenn-ensemble v4"
 # Rows per scoring forward: the training minibatch. Fusion is element-wise,
 # so a chunk's fused scores are the bits of its rows in one whole fusion,
 # and a forward's memory does not grow with the file.
@@ -110,21 +111,19 @@ def _tensors(net: Network) -> list:
     return net.param_items() + net.state_items()
 
 
-def save_ensemble(model: EnsembleModel, path, preprocess: dict | None = None) -> None:
-    """Write the model file; ``preprocess``, the JSON block of the fitted
-    preprocessing, is the header's ``preprocess`` value (null without one).
-
-    The file is ``json.dumps(header, sort_keys=True)``, a newline, and then
-    every member's tensors, each written straight from the layer's own
-    array. Per member, the header holds its ``spec``, its
-    ``optimizer_tags`` and its ``tensors``, the ``[name, shape]`` list of
-    its ``param_items()`` and then its ``state_items()``, the order of the
-    tensors' bytes.
+def save_ensemble(model: EnsembleModel, path, preprocess=()) -> None:
+    """Write the model file: ``json.dumps(header, sort_keys=True)``, a
+    newline, then every member's tensors and then the ``preprocess`` pairs
+    (``Preprocess.tensors()``), each written straight from its own array.
+    The header holds each member's ``spec``, ``optimizer_tags`` and
+    ``tensors`` and the file's ``preprocess``, the ``[name, shape]`` lists
+    in the order of the bytes: a member's ``param_items()``, then its
+    ``state_items()``.
     """
     header = {
         "format": MODEL_FORMAT,
         "master_seed": model.master_seed,
-        "preprocess": preprocess,
+        "preprocess": [[name, list(arr.shape)] for name, arr in preprocess],
         "members": [{"spec": asdict(net.spec),
                      "optimizer_tags": dict(net.optimizer_tags),
                      "tensors": [[name, list(arr.shape)] for name, arr in _tensors(net)]}
@@ -133,8 +132,8 @@ def save_ensemble(model: EnsembleModel, path, preprocess: dict | None = None) ->
     line = json.dumps(header, sort_keys=True)
     with open(path, "wb") as fh:
         fh.write(line.encode("ascii") + b"\n")
-        for net in model.members:
-            for _, arr in _tensors(net):
+        for pairs in [*map(_tensors, model.members), preprocess]:
+            for _, arr in pairs:
                 fh.write(np.ascontiguousarray(arr, "<f8"))
 
 
@@ -144,10 +143,29 @@ def _member_field(entry, key: str, index: int):
     return entry[key]
 
 
-def load_ensemble(path) -> tuple[EnsembleModel, dict | None]:
+def _is_listed_tensor(entry) -> bool:
+    """Whether ``entry`` is a [str, [non-negative JSON integer, ...]] pair."""
+    return (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+            and isinstance(entry[1], list) and all(type(n) is int and n >= 0 for n in entry[1]))
+
+
+def _read_tensor(raw: bytes, offset: int, shape, what: str) -> np.ndarray:
+    """The float64 tensor of ``shape`` at ``raw[offset:]``, a view that the caller copies;
+    a file that ends inside it or a non-finite value raises ValueError naming ``what``."""
+    size = math.prod(shape)
+    if offset + 8 * size > len(raw):
+        raise ValueError(f"model file ends inside {what}")
+    values = np.frombuffer(raw, "<f8", size, offset).reshape(shape)
+    if not np.isfinite(values).all():
+        raise ValueError(f"model {what} holds a non-finite value")
+    return values
+
+
+def load_ensemble(path) -> tuple[EnsembleModel, list]:
     """Read a file written by save_ensemble; returns the model and the
-    header's ``preprocess`` value, None if it has none. A malformed file raises
-    ``ValueError`` (or its subclass ``ShapeError``) naming what is wrong."""
+    ("name", array) pairs of its preprocessing in the header's order. A
+    malformed file raises ``ValueError`` (or its subclass ``ShapeError``)
+    naming what is wrong."""
     with open(path, "rb") as fh:
         raw = fh.read()
     end = raw.find(b"\n")
@@ -167,6 +185,9 @@ def load_ensemble(path) -> tuple[EnsembleModel, dict | None]:
     entries = header.get("members")
     if not isinstance(entries, list):
         raise ValueError("model file has no 'members' list")
+    listing = header.get("preprocess")
+    if not isinstance(listing, list) or not all(map(_is_listed_tensor, listing)):
+        raise ValueError("model 'preprocess' is not a list of [name, shape] pairs")
     members = []
     offset = end + 1
     for i, entry in enumerate(entries):
@@ -189,15 +210,15 @@ def load_ensemble(path) -> tuple[EnsembleModel, dict | None]:
             if listed != [name, list(arr.shape)]:
                 raise ShapeError(f"model member {i} tensor {listed!r} is not the network's "
                                  f"{[name, list(arr.shape)]!r}")
-            if offset + arr.nbytes > len(raw):
-                raise ValueError(f"model file ends inside member {i} tensor {name!r}")
-            values = np.frombuffer(raw, "<f8", arr.size, offset)
-            if not np.isfinite(values).all():
-                raise ValueError(f"model member {i} tensor {name!r} holds a non-finite value")
-            arr[...] = values.reshape(arr.shape)
+            arr[...] = _read_tensor(raw, offset, arr.shape, f"member {i} tensor {name!r}")
             offset += arr.nbytes
         net.optimizer_tags = dict(tags)
         members.append(net)
+    preprocess = []
+    for name, shape in listing:
+        arr = _read_tensor(raw, offset, shape, f"preprocess tensor {name!r}").copy()
+        preprocess.append((name, arr))
+        offset += arr.nbytes
     if offset != len(raw):
         raise ValueError(f"model file holds {len(raw) - offset} bytes after its last tensor")
-    return EnsembleModel(members, master_seed=master_seed), header.get("preprocess")
+    return EnsembleModel(members, master_seed=master_seed), preprocess

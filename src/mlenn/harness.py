@@ -31,7 +31,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import sys
 import warnings
 from dataclasses import asdict, dataclass, field
 
@@ -467,12 +466,13 @@ def run_experiment(cfg: RunConfig) -> ExperimentReport:
 
 @dataclass
 class Preprocess:
-    """Column ranges (and optionally a PCA basis) fitted on training data so
-    a saved model can be applied to raw feature files later."""
+    """Column ranges, and optionally a PCA basis, fitted on training data; a
+    saved model stores them as the float64 tensors of :meth:`tensors`."""
 
     lo: np.ndarray
     hi: np.ndarray
     pca: PcaModel | None = None
+    _NAMES = ("lo", "hi", "pca.mean", "pca.components", "pca.explained_variance_ratio")
 
     @classmethod
     def fit(cls, x: np.ndarray, sparse: bool) -> tuple["Preprocess", np.ndarray]:
@@ -496,67 +496,45 @@ class Preprocess:
             out = pca_transform(self.pca, out)
         return out
 
-    def to_dict(self) -> dict:
-        doc = {"lo": self.lo.tolist(), "hi": self.hi.tolist(), "pca": None}
+    def tensors(self) -> list:
+        """The ("name", array) pairs that a model file stores: ``lo`` and
+        ``hi``, then the PCA basis's, if one was fitted."""
+        arrays = [self.lo, self.hi]
         if self.pca is not None:
-            doc["pca"] = {
-                "mean": self.pca.mean.tolist(),
-                "components": [row.tolist() for row in self.pca.components],
-                "explained_variance_ratio": self.pca.explained_variance_ratio.tolist(),
-            }
-        return doc
+            arrays += [self.pca.mean, self.pca.components, self.pca.explained_variance_ratio]
+        return list(zip(self._NAMES, arrays))
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "Preprocess":
-        """Rebuild a :meth:`to_dict` block; a missing key, a non-number, a
-        shape that does not fit or a ``lo`` above its ``hi`` raises
-        ``ValueError`` naming it. Only a missing or null ``pca`` means no PCA."""
-        lo = _float_array(doc, "lo", 1, "preprocess")
-        hi = _float_array(doc, "hi", 1, "preprocess")
-        if hi.shape != lo.shape:
-            raise ValueError(f"preprocess 'lo' has {lo.size} columns but 'hi' has {hi.size}")
+    def from_tensors(cls, pairs) -> "Preprocess":
+        """Rebuild from :meth:`tensors`' pairs; names other than those,
+        shapes that do not fit each other or a ``lo`` above its ``hi`` raise
+        ``ValueError`` naming them."""
+        names = [name for name, _ in pairs]
+        want = list(cls._NAMES[:5 if len(names) > 2 else 2])
+        if names != want:
+            raise ValueError(f"preprocess tensors {names} are not {want}")
+        lo, hi, *basis = (arr for _, arr in pairs)
+        if lo.ndim != 1 or hi.shape != lo.shape:
+            raise ShapeError(f"preprocess 'lo' {list(lo.shape)} and 'hi' {list(hi.shape)} "
+                             "are not one column range")
         if (lo > hi).any():
             j = int(np.argmax(lo > hi))
             raise ValueError(f"preprocess column {j} has 'lo' {lo[j]} above 'hi' {hi[j]}")
-        pca = doc.get("pca")
-        if pca is not None:
-            mean = _float_array(pca, "mean", 1, "preprocess pca")
-            components = _float_array(pca, "components", 2, "preprocess pca")
-            ratio = _float_array(pca, "explained_variance_ratio", 1, "preprocess pca")
-            if mean.shape != lo.shape or components.shape != ratio.shape + lo.shape:
-                raise ValueError(
-                    f"preprocess pca shapes mean {mean.shape}, components {components.shape}, "
-                    f"ratio {ratio.shape} do not fit {lo.size} columns"
-                )
-            pca = PcaModel(mean, components, ratio)
+        pca = PcaModel(*basis) if basis else None
+        if basis and not (pca.mean.shape == lo.shape and pca.explained_variance_ratio.ndim == 1
+                          and pca.components.shape == pca.explained_variance_ratio.shape + lo.shape
+                          and pca.n_components > 0):
+            raise ShapeError(f"preprocess pca shapes {[list(a.shape) for a in basis]} are not "
+                             f"k >= 1 components over {lo.size} columns")
         return cls(lo, hi, pca)
-
-
-def _float_array(doc, key: str, ndim: int, where: str) -> np.ndarray:
-    """``doc[key]`` as a finite float64 array with ``ndim`` axes, else ValueError."""
-    if not isinstance(doc, dict) or key not in doc:
-        raise ValueError(f"{where} block has no {key!r}")
-    values = np.asarray(doc[key], dtype=object)
-    if values.ndim != ndim:
-        raise ValueError(f"{where} {key!r} must have {ndim} axes, got shape {values.shape}")
-    # A float64 array would read JSON true as 1.0 and "2" as 2.0.
-    for at, value in np.ndenumerate(values):
-        if type(value) not in (int, float):
-            raise ValueError(f"{where} {key!r}{list(at)} is {value!r}, not a number")
-    try:
-        arr = values.astype(np.float64)
-    except OverflowError:  # json reads integers of any size
-        at = next(at for at, value in np.ndenumerate(values) if abs(value) > sys.float_info.max)
-        raise ValueError(f"{where} {key!r}{list(at)} is an integer beyond float64") from None
-    # json reads NaN and Infinity literals.
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{where} {key!r} holds a non-finite value")
-    return arr
 
 
 def evaluate_model(model: EnsembleModel, ds: Dataset, preprocess: Preprocess,
                    external: np.ndarray | None = None) -> ExperimentReport:
     """Apply a trained ensemble and its preprocessing; report all ten indicators."""
+    if ds.n_labels != model.members[0].spec.n_labels:
+        raise ShapeError(f"the model was trained on {model.members[0].spec.n_labels} labels, "
+                         f"the data has {ds.n_labels}")
     results = _score_models(ds.y, model.predict_scores(preprocess.apply(ds.x)), external)
     records = [ReportRecord(ds.name, name, "eval", values)
                for name, values in results.items()]

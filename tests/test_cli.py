@@ -1,11 +1,11 @@
 import argparse
 import json
-from dataclasses import dataclass, fields, replace
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
 
-import mlenn.cli
 import mlenn.layers
 import mlenn.network
 from mlenn.cli import _run_config, build_parser, main
@@ -210,26 +210,55 @@ def _utf16_header(raw: bytes) -> bytes:
     return (line.decode("utf-8") + "\n").encode("utf-16") + rest
 
 
-def _pca(doc, k: int, missing_columns: int = 0, drop: str | None = None) -> None:
-    """Give the preprocess block a PCA basis of k components over its
-    columns, less ``missing_columns``, without the key ``drop``."""
-    d = len(doc["preprocess"]["lo"]) - missing_columns
-    pca = {"mean": [0.0] * d, "components": [[0.0] * d] * k,
-           "explained_variance_ratio": [1.0 / k] * k}
-    pca.pop(drop, None)
-    doc["preprocess"]["pca"] = pca
+def _edit_preprocess(f: _ModelFile, edit) -> None:
+    """Call ``edit`` on the file's preprocess tensors, a list of [name,
+    array] pairs read from the end of its payload, and write them back: the
+    header's list of names and shapes, and the bytes."""
+    size = sum(8 * math.prod(shape) for _, shape in f.header["preprocess"])
+    tail = np.frombuffer(bytes(f.payload[len(f.payload) - size:]), "<f8")
+    pairs, at = [], 0
+    for name, shape in f.header["preprocess"]:
+        pairs.append([name, tail[at:at + math.prod(shape)].reshape(shape).copy()])
+        at += math.prod(shape)
+    edit(pairs)
+    del f.payload[len(f.payload) - size:]
+    f.header["preprocess"] = [[name, list(arr.shape)] for name, arr in pairs]
+    f.payload.extend(b"".join(np.ascontiguousarray(arr, "<f8").tobytes() for _, arr in pairs))
 
 
-def _lo_above_hi(f: _ModelFile) -> None:
+def _as_v3(f: _ModelFile) -> None:
+    """A file of format v3, whose header holds the preprocess block as JSON
+    numbers."""
+    block = {"pca": None}
+    _edit_preprocess(f, lambda pairs: (block.update((n, a.tolist()) for n, a in pairs),
+                                       pairs.clear()))
+    f.header.update(format="mlenn-ensemble v3", preprocess=block)
+
+
+def _pca(pairs: list, k: int, missing_columns: int = 0, drop: str | None = None) -> None:
+    """Append a PCA basis of k components over the fitted columns, less
+    ``missing_columns``, without the tensor ``drop``."""
+    d = len(pairs[0][1]) - missing_columns
+    pairs += [pair for pair in (["pca.mean", np.zeros(d)], ["pca.components", np.zeros((k, d))],
+                                ["pca.explained_variance_ratio", np.full(k, 1.0 / max(k, 1))])
+              if pair[0] != drop]
+
+
+def _lo_above_hi(pairs: list) -> None:
     """Column 1 fitted on [3, 2]."""
-    f.header["preprocess"]["lo"][1] = 3.0
-    f.header["preprocess"]["hi"][1] = 2.0
+    pairs[0][1][1] = 3.0
+    pairs[1][1][1] = 2.0
 
 
-def _widen(doc) -> None:
+def _widen(pairs: list) -> None:
     """One more fitted column than the dataset has."""
-    doc["preprocess"]["lo"].append(0.0)
-    doc["preprocess"]["hi"].append(1.0)
+    pairs[0][1] = np.append(pairs[0][1], 0.0)
+    pairs[1][1] = np.append(pairs[1][1], 1.0)
+
+
+def _preprocess_entry(f: _ModelFile, entry) -> None:
+    """Replace the header's first preprocess entry."""
+    f.header["preprocess"][0] = entry
 
 
 class TestTrainEvaluateCommands:
@@ -243,7 +272,7 @@ class TestTrainEvaluateCommands:
         model_path = model_dir / "model.json"
         assert model_path.exists()
         header = _ModelFile.read(model_path).header
-        assert header["format"] == "mlenn-ensemble v3"
+        assert header["format"] == "mlenn-ensemble v4"
         assert header["master_seed"] == 4
         assert "preprocess" in header
 
@@ -254,6 +283,75 @@ class TestTrainEvaluateCommands:
         assert code == 0
         assert "fold=eval" in stdout
         assert (eval_dir / "report.txt").exists()
+
+    def test_header_holds_names_and_integer_shapes_only(self, tmp_path, capsys):
+        # A sparse file, so the preprocess tensors include a PCA basis. The
+        # header lists the tensors as [name, [int, ...]] pairs and holds
+        # no tensor value: no list in it holds a float.
+        x, y = banded_task(41, 36, 4, 2)
+        path = tmp_path / "sparse.mlkit"
+        save_dataset(Dataset(np.hstack([x, x]), y, name="sparse", sparse=True), path)
+        code, _, err = run_cli(capsys, "train", "--dataset", path, "--members", "1",
+                               "--topology", "GRU_A", "--topology", "TCN_A", "--hidden-units",
+                               "4", "--tcn-filters", "4", "--tcn-blocks", "1", "--epochs", "0",
+                               "--output", tmp_path / "model")
+        assert code == 0, err
+        header = _ModelFile.read(tmp_path / "model" / "model.json").header
+
+        def is_listing(value):
+            return isinstance(value, list) and all(
+                isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+                and isinstance(entry[1], list) and all(type(n) is int for n in entry[1])
+                for entry in value)
+
+        def lists(value):
+            if isinstance(value, list):
+                yield value
+            for child in (value.values() if isinstance(value, dict)
+                          else value if isinstance(value, list) else ()):
+                yield from lists(child)
+
+        assert [name for name, _ in header["preprocess"]] == [
+            "lo", "hi", "pca.mean", "pca.components", "pca.explained_variance_ratio"]
+        assert is_listing(header["preprocess"])
+        assert len(header["members"]) == 2
+        assert all(is_listing(member["tensors"]) for member in header["members"])
+        for found in lists(header):
+            assert not any(isinstance(v, float) for v in found), found
+
+    def test_augmentation_flags_train_the_saved_model(self, dataset_file, tmp_path, capsys):
+        # IMCC's virtual rows change what train saves, and evaluate reads
+        # the model it saves.
+        argv = ["train", "--dataset", dataset_file, "--members", "1", "--hidden-units", "4",
+                "--epochs", "1", "--seed", "2"]
+        saved = {}
+        for name, extra in (("plain", []), ("augmented", ["--augment-clusters", "3"]),
+                            ("weighted", ["--augment-clusters", "3", "--augment-weight", "0.5"])):
+            code, _, err = run_cli(capsys, *argv, *extra, "--output", tmp_path / name)
+            assert code == 0, err
+            saved[name] = (tmp_path / name / "model.json").read_bytes()
+        assert len(set(saved.values())) == 3
+        code, stdout, err = run_cli(capsys, "evaluate", "--model",
+                                    tmp_path / "augmented" / "model.json",
+                                    "--dataset", dataset_file)
+        assert code == 0, err
+        assert "fold=eval" in stdout
+
+    def test_label_count_mismatch_is_an_evaluate_error(self, dataset_file, tmp_path, capsys):
+        code, _, _ = run_cli(capsys, "train", "--dataset", dataset_file, "--members", "1",
+                             "--hidden-units", "4", "--epochs", "0",
+                             "--output", tmp_path / "model")
+        assert code == 0
+        x, y = banded_task(41, 36, 4, 3)
+        path = tmp_path / "three.mlkit"
+        save_dataset(Dataset(x, y, name="three"), path)
+        code, stdout, err = run_cli(capsys, "evaluate", "--model",
+                                    tmp_path / "model" / "model.json",
+                                    "--dataset", path, "--output", tmp_path / "eval")
+        assert code == 1
+        assert err == "error [stage=evaluate]: the model was trained on 2 labels, the data has 3\n"
+        assert stdout == ""
+        assert not (tmp_path / "eval").exists()
 
     def test_bad_spec_in_model_file_is_not_a_configuration_error(self, dataset_file,
                                                                  tmp_path, capsys):
@@ -280,62 +378,77 @@ class TestTrainEvaluateCommands:
         (lambda f: f.header["members"][0]["tensors"].pop(), "'tensors'"),
         (lambda f: _first_tensor(f).__setitem__(0, "gru.wq"), "tensor ['gru.wq', [4, 1]]"),
         (lambda f: _first_tensor(f)[1].reverse(), "tensor ['gru.wz', [1, 4]]"),
-        (lambda f: f.payload.__delitem__(slice(-8, None)), "ends inside member 0 tensor"),
+        # The preprocess tensors' 64 bytes come last.
+        (lambda f: f.payload.__delitem__(slice(-72, None)), "ends inside member 0 tensor"),
+        (lambda f: f.payload.__delitem__(slice(-8, None)),
+         "model file ends inside preprocess tensor 'hi'"),
         (lambda f: f.payload.extend(bytes(8)), "8 bytes after its last tensor"),
         (lambda f: f.payload.__setitem__(slice(0, 8), np.float64("nan").tobytes()),
          "tensor 'gru.wz' holds a non-finite value"),
         (_header_only, "no newline"),
         (_as_v2, "unsupported model format 'mlenn-ensemble v2'"),
+        (_as_v3, "unsupported model format 'mlenn-ensemble v3'"),
         (lambda f: f.header.update(format="mlenn-ensemble v1"), "v1"),
-        (lambda f: f.header["preprocess"].pop("hi"), "'hi'"),
-        (lambda f: f.header["preprocess"]["hi"].pop(), "'hi'"),
-        (lambda f: f.header["preprocess"].update(lo=[f.header["preprocess"]["lo"]]), "'lo'"),
-        (lambda f: f.header["preprocess"].update(lo={"a": 1}), "'lo'"),
-        (lambda f: f.header["preprocess"]["lo"].__setitem__(0, float("nan")),
-         "'lo' holds a non-finite value"),
-        (lambda f: f.header["preprocess"]["hi"].__setitem__(1, float("inf")),
-         "'hi' holds a non-finite value"),
-        (lambda f: f.header.update(preprocess=[1.0]), "'lo'"),
-        (lambda f: f.header.pop("preprocess"), "preprocess"),
-        (lambda f: f.header.update(preprocess=None), "preprocess"),
-        (lambda f: f.header.update(preprocess={}), "preprocess"),
-        *[(lambda f, pca=pca: f.header["preprocess"].update(pca=pca),
-           "preprocess pca block has no 'mean'") for pca in ({}, 0, [], False, "")],
-        (lambda f: _pca(f.header, 2, drop="components"), "'components'"),
-        (lambda f: _pca(f.header, 2, missing_columns=1), "pca"),
-        (lambda f: (_pca(f.header, 2),
-                    f.header["preprocess"]["pca"]["explained_variance_ratio"].pop()), "pca"),
-        (lambda f: _widen(f.header), "5 feature columns, the data has 4"),
+        (lambda f: _edit_preprocess(f, lambda p: p.pop(1)),
+         "preprocess tensors ['lo'] are not ['lo', 'hi']"),
+        (lambda f: _edit_preprocess(f, lambda p: p[0].__setitem__(0, "low")),
+         "preprocess tensors ['low', 'hi'] are not ['lo', 'hi']"),
+        (lambda f: _edit_preprocess(f, list.reverse),
+         "preprocess tensors ['hi', 'lo'] are not ['lo', 'hi']"),
+        (lambda f: _edit_preprocess(f, list.clear), "preprocess tensors [] are not ['lo', 'hi']"),
+        (lambda f: _edit_preprocess(f, lambda p: p[1].__setitem__(1, p[1][1][:-1])),
+         "preprocess 'lo' [4] and 'hi' [3] are not one column range"),
+        (lambda f: _edit_preprocess(f, lambda p: p[0].__setitem__(1, p[0][1][None])),
+         "preprocess 'lo' [1, 4] and 'hi' [4] are not one column range"),
+        (lambda f: _edit_preprocess(f, lambda p: p[0][1].__setitem__(0, np.nan)),
+         "model preprocess tensor 'lo' holds a non-finite value"),
+        (lambda f: _edit_preprocess(f, lambda p: p[1][1].__setitem__(1, np.inf)),
+         "model preprocess tensor 'hi' holds a non-finite value"),
+        (lambda f: f.header.update(preprocess=[1.0]), "'preprocess' is not a list"),
+        (lambda f: f.header.pop("preprocess"), "'preprocess' is not a list"),
+        (lambda f: f.header.update(preprocess=None), "'preprocess' is not a list"),
+        (lambda f: f.header.update(preprocess={}), "'preprocess' is not a list"),
+        *[(lambda f, entry=entry: _preprocess_entry(f, entry), "'preprocess' is not a list")
+          for entry in (["lo", 4], ["lo", [-4]], ["lo", [4.0]], ["lo", [True]], ["lo", None],
+                        [0, [4]], ["lo", [4], []], ["lo"])],
+        (lambda f: _edit_preprocess(f, lambda p: _pca(p, 2, drop="pca.components")),
+         "preprocess tensors ['lo', 'hi', 'pca.mean', 'pca.explained_variance_ratio'] are not "
+         "['lo', 'hi', 'pca.mean', 'pca.components', 'pca.explained_variance_ratio']"),
+        (lambda f: _edit_preprocess(f, lambda p: _pca(p, 2, drop="pca.mean")),
+         "preprocess tensors ['lo', 'hi', 'pca.components', 'pca.explained_variance_ratio']"),
+        (lambda f: _edit_preprocess(f, lambda p: (_pca(p, 2), p[2].__setitem__(0, "pca.means"))),
+         "preprocess tensors ['lo', 'hi', 'pca.means', 'pca.components',"),
+        (lambda f: _edit_preprocess(f, lambda p: _pca(p, 2, missing_columns=1)),
+         "preprocess pca shapes [[3], [2, 3], [2]] are not k >= 1 components over 4 columns"),
+        (lambda f: _edit_preprocess(f, lambda p: (_pca(p, 2), p[4].__setitem__(1, p[4][1][:1]))),
+         "preprocess pca shapes [[4], [2, 4], [1]] are not k >= 1 components over 4 columns"),
+        (lambda f: _edit_preprocess(f, lambda p: (_pca(p, 2),
+                                                  p[3].__setitem__(1, np.zeros((2, 1, 4))),
+                                                  p[4].__setitem__(1, np.zeros((2, 1))))),
+         "preprocess pca shapes [[4], [2, 1, 4], [2, 1]] are not k >= 1 components over 4 columns"),
+        (lambda f: _edit_preprocess(f, lambda p: _pca(p, 0)),
+         "preprocess pca shapes [[4], [0, 4], [0]] are not k >= 1 components over 4 columns"),
+        (lambda f: _edit_preprocess(f, _widen), "5 feature columns, the data has 4"),
         (lambda f: f.header.update(master_seed=[3]), "master_seed"),
         (lambda f: f.header.update(master_seed=7.9), "master_seed"),
         (lambda f: f.header.update(master_seed="12"), "master_seed"),
         (lambda f: f.header.update(master_seed=True), "master_seed"),
         (lambda f: f.header["members"][0].update(optimizer_tags=["adam"]), "optimizer_tags"),
-        (_lo_above_hi, "preprocess column 1 has 'lo' 3.0 above 'hi' 2.0"),
-        (lambda f: f.header["preprocess"]["lo"].__setitem__(2, False),
-         "preprocess 'lo'[2] is False, not a number"),
-        (lambda f: f.header["preprocess"]["hi"].__setitem__(0, "1.5"),
-         "preprocess 'hi'[0] is '1.5', not a number"),
-        (lambda f: (_pca(f.header, 2), f.header["preprocess"]["pca"].update(
-            components=[[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, True, 0.0]])),
-         "preprocess pca 'components'[1, 2] is True, not a number"),
-        (lambda f: f.header["preprocess"]["lo"].__setitem__(1, -10 ** 400),
-         "preprocess 'lo'[1] is an integer beyond float64"),
-        (lambda f: (_pca(f.header, 2), f.header["preprocess"]["pca"].update(
-            components=[[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 10 ** 309]])),
-         "preprocess pca 'components'[1, 3] is an integer beyond float64"),
+        (lambda f: _edit_preprocess(f, _lo_above_hi),
+         "preprocess column 1 has 'lo' 3.0 above 'hi' 2.0"),
     ], ids=["unknown-spec-key", "missing-spec-key", "no-members", "no-spec",
             "no-tensors", "short-tensor-list", "renamed-tensor", "reshaped-tensor",
-            "truncated-payload", "trailing-bytes", "nan-tensor", "no-newline", "v2-format",
-            "v1-format", "preprocess-no-hi", "preprocess-short-hi", "preprocess-2d-lo",
-            "preprocess-dict-lo", "preprocess-nan-lo", "preprocess-inf-hi",
-            "preprocess-not-a-block", "no-preprocess", "null-preprocess",
-            "empty-preprocess", "pca-empty-object", "pca-zero", "pca-empty-list",
-            "pca-false", "pca-empty-string", "pca-no-components", "pca-short-mean",
-            "pca-ratio-mismatch", "column-mismatch", "list-master-seed", "float-master-seed",
-            "string-master-seed", "bool-master-seed", "list-optimizer-tags", "lo-above-hi",
-            "lo-bool", "hi-string", "pca-components-bool", "lo-huge-int",
-            "pca-huge-component"])
+            "truncated-payload", "truncated-preprocess", "trailing-bytes", "nan-tensor",
+            "no-newline", "v2-format", "v3-format", "v1-format", "preprocess-no-hi",
+            "preprocess-renamed-lo", "preprocess-swapped", "no-preprocess-tensors",
+            "preprocess-short-hi", "preprocess-2d-lo", "preprocess-nan-lo", "preprocess-inf-hi",
+            "preprocess-not-a-listing", "no-preprocess", "null-preprocess", "object-preprocess",
+            "shape-not-a-list", "negative-axis", "float-axis", "bool-axis", "null-shape",
+            "name-not-a-string", "entry-of-three", "entry-of-one", "pca-no-components",
+            "pca-no-mean", "pca-renamed-mean", "pca-short-mean", "pca-ratio-mismatch",
+            "pca-2d-ratio", "pca-zero-components", "column-mismatch", "list-master-seed",
+            "float-master-seed", "string-master-seed", "bool-master-seed", "list-optimizer-tags",
+            "lo-above-hi"])
     def test_malformed_model_file_is_a_typed_error(self, dataset_file, tmp_path, capsys,
                                                    edit, named):
         # Each edit of a real train output must reach the evaluate stage
@@ -421,6 +534,12 @@ class TestParserMatchesRunConfig:
         args = build_parser().parse_args(["train", "--dataset", "d.mlkit", "--output", "o"])
         assert _run_config(args) == RunConfig(dataset="d.mlkit", output="o")
 
+    def test_train_augmentation_flags(self):
+        args = build_parser().parse_args(["train", "--dataset", "d", "--output", "o",
+                                          "--augment-clusters", "3", "--augment-weight", "0.5"])
+        assert _run_config(args) == RunConfig(dataset="d", output="o", augment_clusters=3,
+                                              augment_weight=0.5)
+
     def test_repeated_topology(self):
         args = build_parser().parse_args(["kfold", "--dataset", "d", "--topology", "TCN_A",
                                           "--topology", "GRU_B"])
@@ -461,14 +580,11 @@ class TestClusterCountAboveRows:
         assert stdout == ""
         assert not (tmp_path / "out").exists()
 
-    def test_train(self, dataset_file, tmp_path, capsys, monkeypatch):
-        # train has no augmentation flag, so its RunConfig asks for the count.
-        parsed = mlenn.cli._run_config
-        monkeypatch.setattr(mlenn.cli, "_run_config",
-                            lambda args: replace(parsed(args), augment_clusters=37))
+    def test_train(self, dataset_file, tmp_path, capsys):
         code, stdout, err = run_cli(
             capsys, "train", "--dataset", dataset_file, "--members", "1",
-            "--hidden-units", "4", "--epochs", "1", "--output", tmp_path / "model")
+            "--hidden-units", "4", "--epochs", "1", "--augment-clusters", "37",
+            "--output", tmp_path / "model")
         assert code == 1
         assert err == "error [stage=train]: cluster count must satisfy 1 <= c <= 36, got 37\n"
         assert stdout == ""

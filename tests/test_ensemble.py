@@ -163,7 +163,7 @@ class TestSerialization:
         path = tmp_path / "model.json"
         save_ensemble(model, path)
         loaded, preprocess = load_ensemble(path)
-        assert preprocess is None
+        assert preprocess == []
         assert len(loaded.members) == len(model.members)
         for ma, mb in zip(model.members, loaded.members):
             assert ma.optimizer_tags == mb.optimizer_tags
@@ -222,23 +222,27 @@ class TestSerialization:
         model, _ = self._trained()
         p1 = tmp_path / "a.json"
         p2 = tmp_path / "b.json"
-        block = {"lo": [0.0, -1.5], "hi": [1.0, 2.0], "pca": None}
+        block = [("lo", np.array([0.0, -1.5])), ("hi", np.array([1.0, 2.0]))]
         save_ensemble(model, p1, preprocess=block)
         loaded, preprocess = load_ensemble(p1)
-        assert preprocess == block
+        assert [name for name, _ in preprocess] == ["lo", "hi"]
+        for (_, want), (_, got) in zip(block, preprocess, strict=True):
+            npt.assert_array_equal(got, want)
+            assert got.flags.writeable and got.flags.owndata
         save_ensemble(loaded, p2, preprocess=preprocess)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_container_is_self_describing(self, tmp_path):
-        # After the header line come the members' tensors, in the order the
-        # header lists them, as their C-order little-endian float64 bytes,
-        # and nothing else.
+        # After the header line come the members' tensors and then the
+        # preprocess ones, in the order the header lists them, as their
+        # C-order little-endian float64 bytes, and nothing else.
         model, _ = self._trained()
+        block = [("lo", np.array([0.0, -1.5, 2.0])), ("m", np.arange(6.0).reshape(2, 3).T)]
         path = tmp_path / "model.json"
-        save_ensemble(model, path)
+        save_ensemble(model, path, preprocess=block)
         line, payload = path.read_bytes().split(b"\n", 1)
         header = json.loads(line)
-        assert header["format"] == "mlenn-ensemble v3"
+        assert header["format"] == "mlenn-ensemble v4"
         assert header["master_seed"] == 7
         offset = 0
         for m, member in zip(model.members, header["members"], strict=True):
@@ -247,6 +251,10 @@ class TestSerialization:
             for key, arr in tensors:
                 assert payload[offset:offset + arr.nbytes] == arr.astype("<f8").tobytes(), key
                 offset += arr.nbytes
+        assert header["preprocess"] == [["lo", [3]], ["m", [3, 2]]]
+        for key, arr in block:
+            assert payload[offset:offset + arr.nbytes] == arr.astype("<f8").tobytes(), key
+            offset += arr.nbytes
         assert offset == len(payload)
 
     def test_format_tag_checked(self, tmp_path):
@@ -256,20 +264,16 @@ class TestSerialization:
             load_ensemble(path)
 
     def test_first_line_is_json_dumps_of_the_header(self, tmp_path):
-        # The preprocess block is sorted at every depth, and here holds
-        # nested dicts, a list holding a dict, a dict with non-string keys
-        # and a non-ASCII string, which the line escapes.
+        # The header is sorted at every depth (the specs and the optimizer
+        # tags are objects), and a non-ASCII tensor name is escaped.
         model, _ = self._trained()
-        preprocess = {"pca": {"z": 1, "b": [0.5, None]}, "lo": [0.0, 0.1], "hi": [1.0, 2.0],
-                      "zz": [1, {"k": [2, 3], "j": "x\u00e9"}, [4.5]],
-                      "numbered": {2: "b", 1: "a"}}
         path = tmp_path / "model.json"
-        save_ensemble(model, path, preprocess=preprocess)
+        save_ensemble(model, path, preprocess=[("x\u00e9", np.zeros((2, 1)))])
         line, _ = path.read_bytes().split(b"\n", 1)
         header = json.loads(line)
         assert line == json.dumps(header, sort_keys=True).encode("ascii")
         assert sorted(header) == ["format", "master_seed", "members", "preprocess"]
-        assert header["preprocess"] == json.loads(json.dumps(preprocess))
+        assert header["preprocess"] == [["x\u00e9", [2, 1]]]
 
     def test_save_copies_no_tensor(self, tmp_path):
         # Each tensor goes from the layer's own array straight to the file,
@@ -306,14 +310,6 @@ class TestSerialization:
         tensor_bytes = sum(arr.nbytes for m in model.members
                            for _, arr in m.param_items() + m.state_items())
         assert peak < 2.5 * tensor_bytes
-
-    def test_unencodable_preprocess_raises_jsons_type_error(self, tmp_path):
-        # A preprocess value json cannot encode keeps the encoder's own
-        # TypeError, and no file is written.
-        model, _ = self._trained(epochs=0)
-        with pytest.raises(TypeError, match="^Object of type set is not JSON serializable$"):
-            save_ensemble(model, tmp_path / "model.json", preprocess={"s": {1, 2}})
-        assert not (tmp_path / "model.json").exists()
 
 
 @pytest.mark.slow

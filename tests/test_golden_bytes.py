@@ -76,7 +76,7 @@ GOLDEN = {
     "kfold_tcn_b/config.json": "ce853ec9850bea5e383b002bda0442e7202c3e6fa48ddf08b3887cd6778dc826",
     "kfold_tcn_b/report.json": "25a38ff29d2acd5da295045118558ab89d64cb22db14458dc5965326858daaad",
     "kfold_tcn_b/report.txt": "333953182616d26477fe487c048818d34069157cf65686cfbbda9797b6989ae6",
-    "model/model.json": "3b5dc2949f0e0f241903815d23caffac8a2c03cb53b10bc15b1c409a75b2adbc",
+    "model/model.json": "ce27fc32dafeaec1bce55555ecf56cee4dffaa263a17ebe100b9811abb239fe6",
 }
 
 

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 
 import mlenn.harness as harness
 from mlenn.cli import _run_config, build_parser, main
-from mlenn.ensemble import fuse_weighted_external, load_ensemble, normalize_enn, train_member
+from mlenn.ensemble import (EnsembleModel, fuse_weighted_external, load_ensemble, normalize_enn,
+                            save_ensemble, train_member)
 from mlenn.harness import (ConfigError, DatasetFormatError, ExperimentReport, Preprocess,
                            ReportRecord, RunConfig, holdout_split, index_file_split, kfold_split, load_dataset,
                            load_external_scores, run_experiment)
 from mlenn.metrics import METRIC_NAMES
-from mlenn.network import NetworkSpec
+from mlenn.network import NetworkSpec, build_network
 from mlenn.numerics import RngStream
 from mlenn.pipeline import Dataset
 
@@ -664,19 +665,25 @@ class TestPreprocess:
         pre, x_fit = Preprocess.fit(x, sparse=sparse)
         npt.assert_array_equal(x_fit, pre.apply(x))
 
-    def test_dict_round_trip(self):
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_model_file_round_trip(self, tmp_path, sparse):
         rng = np.random.default_rng(11)
         x = rng.normal(size=(25, 3)) @ np.eye(3)
-        pre, _ = Preprocess.fit(x, sparse=True)
-        clone = Preprocess.from_dict(json.loads(json.dumps(pre.to_dict())))
+        pre, _ = Preprocess.fit(x, sparse=sparse)
+        assert [name for name, _ in pre.tensors()] == (
+            ["lo", "hi", "pca.mean", "pca.components", "pca.explained_variance_ratio"]
+            if sparse else ["lo", "hi"])
+        net = build_network(NetworkSpec(topology="GRU_A", n_labels=2, hidden_units=3), None)
+        save_ensemble(EnsembleModel([net]), tmp_path / "model.json", pre.tensors())
+        clone = Preprocess.from_tensors(load_ensemble(tmp_path / "model.json")[1])
         npt.assert_array_equal(pre.apply(x), clone.apply(x))
 
-    def test_dict_round_trip_keeps_a_constant_column(self):
+    def test_tensors_round_trip_keeps_a_constant_column(self):
         # lo == hi is a constant column, which maps to 0; only lo > hi is
         # rejected.
         x = np.array([[1, 4.0, 2], [3, 4.0, 0], [2, 4.0, 1]])
         pre, x_fit = Preprocess.fit(x, sparse=False)
-        clone = Preprocess.from_dict(json.loads(json.dumps(pre.to_dict())))
+        clone = Preprocess.from_tensors([(name, arr.copy()) for name, arr in pre.tensors()])
         npt.assert_array_equal(clone.apply(x), x_fit)
         npt.assert_array_equal(x_fit[:, 1], 0.0)
 
