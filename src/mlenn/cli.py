@@ -94,8 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "appends to the file's preprocessed rows")
     p_aug.add_argument("--dataset", required=True)
     p_aug.add_argument("--clusters", type=int, required=True,
-                       help=">= 1; a count above the row count fails once the file is "
-                            "read, as it does in kfold")
+                       help="cluster count as in kfold and train (0 = auto); a count "
+                            "above the row count fails once the file is read")
     p_aug.add_argument("--seed", type=int, default=0)
     p_aug.add_argument("--output", default=None, help="optional file for the preview")
 
@@ -111,6 +111,10 @@ def _run_config(args) -> RunConfig:
 
 def _cmd_kfold(args) -> int:
     cfg = _run_config(args)
+    cfg.validate()
+    # An unusable --output fails here, before any unit trains.
+    if cfg.output:
+        os.makedirs(cfg.output, exist_ok=True)
     report = run_experiment(cfg)
     sys.stdout.write(report.text())
     if cfg.output:
@@ -124,11 +128,11 @@ def _cmd_kfold(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = _run_config(args)
+    os.makedirs(cfg.output, exist_ok=True)
     ds = load_dataset(cfg.dataset)
     rng = RngStream(cfg.seed)
     pre, x, y, weights = fit_training_set(cfg, ds.x, ds.y, ds.sparse, rng)
     model = train_members(cfg, x, y, rng, weights)
-    os.makedirs(cfg.output, exist_ok=True)
     path = os.path.join(cfg.output, "model.json")
     save_ensemble(model, path, preprocess=pre.tensors())
     print(f"saved {len(model.members)}-member ensemble to {path}")
@@ -150,15 +154,11 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_augment_preview(args) -> int:
-    # RunConfig reads 0 clusters as round(sqrt(rows)); a preview names its
-    # count. kmeans refuses a count above the rows once the file is read.
-    if args.clusters < 1:
-        raise ConfigError("field clusters: must be >= 1")
     cfg = RunConfig(dataset=args.dataset, augment_clusters=args.clusters, seed=args.seed)
     ds = load_dataset(cfg.dataset)
     _, x, y, _ = fit_training_set(cfg, ds.x, ds.y, ds.sparse, RngStream(cfg.seed))
     # d is the width of the preprocessed rows, which PCA narrows for a sparse set.
-    lines = [f"# {args.clusters} cluster centers for {ds.name} "
+    lines = [f"# {x.shape[0] - ds.n_samples} cluster centers for {ds.name} "
              f"(n={ds.n_samples}, d={x.shape[1]}, l={ds.n_labels})"]
     for j, (z, t) in enumerate(zip(x[ds.n_samples:], y[ds.n_samples:])):
         feats = ",".join(f"{v:.6f}" for v in z)

@@ -259,8 +259,8 @@ class RunConfig(TrainConfig):
 
     Exactly one of ``folds``, ``holdout`` or ``holdout_indices`` selects the
     fold scheme (``validate``); ``stratified`` needs ``folds``.
-    ``augment_clusters=None`` disables augmentation; 0 means
-    round(sqrt(train rows)).
+    ``augment_clusters=None`` disables augmentation, and a weight off its
+    default needs it; 0 means round(sqrt(train rows)) in every command.
     """
 
     dataset: str
@@ -292,6 +292,9 @@ class RunConfig(TrainConfig):
         if self.stratified and self.folds is None:
             raise ConfigError("field stratified: applies to the k-fold scheme only, "
                               "so it needs folds")
+        if self.augment_clusters is None and self.augment_weight != RunConfig.augment_weight:
+            raise ConfigError("field augment_weight: applies to augmentation only, "
+                              "so it needs augment_clusters")
         if self.holdout is not None and not 0.0 < self.holdout < 1.0:
             raise ConfigError("field holdout: fraction must lie in (0, 1)")
         if self.augment_clusters is not None and self.augment_clusters < 0:

@@ -6,6 +6,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 import pytest
 
+import mlenn.ensemble
 import mlenn.layers
 import mlenn.network
 from mlenn.cli import _run_config, build_parser, main
@@ -67,6 +68,17 @@ class TestKfoldCommand:
         assert code == 2
         assert "stage=configuration" in err
 
+    @pytest.mark.parametrize("schemes", [[], ["--folds", "2", "--holdout", "0.3"]])
+    def test_fold_scheme_error_creates_no_output(self, dataset_file, tmp_path, capsys,
+                                                 schemes):
+        code, stdout, err = run_cli(capsys, "kfold", "--dataset", dataset_file, *schemes,
+                                    "--output", tmp_path / "out")
+        assert code == 2
+        assert err == ("error [stage=configuration]: field folds/holdout/holdout_indices: "
+                       "choose exactly one fold scheme\n")
+        assert stdout == ""
+        assert not (tmp_path / "out").exists()
+
     def test_missing_dataset_names_stage(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "kfold", "--dataset",
                                tmp_path / "nope.mlkit", "--folds", "2")
@@ -104,7 +116,7 @@ class TestKfoldCommand:
         assert code == 1
         assert err == "error [stage=kfold]: injected conv1d_backward shape error\n"
         assert "failed" not in stdout
-        assert not out_dir.exists()
+        assert list(out_dir.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["kfold", "train"])
     def test_non_finite_gradient_is_not_a_failed_fold(self, dataset_file, tmp_path, capsys,
@@ -129,7 +141,7 @@ class TestKfoldCommand:
         assert err == (f"error [stage={command}]: "
                        "gradient contains NaN or infinite entries\n")
         assert "failed" not in stdout
-        assert not out_dir.exists()
+        assert list(out_dir.iterdir()) == []
 
     def test_one_row_minibatch_through_batchnorm(self, tmp_path, capsys):
         # 17 training rows per fold in minibatches of 8 leave one 1-row
@@ -495,6 +507,22 @@ class TestTrainEvaluateCommands:
         assert code == 2
         assert "stage=configuration" in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+    def test_divergence_ends_train_at_the_training_stage(self, tmp_path, capsys):
+        # kfold counts a diverged member as a failed fold; train has no
+        # other fold to report, so it stops and saves nothing.
+        x, y = banded_task(21, 24, 6, 3)
+        path = tmp_path / "small.mlkit"
+        save_dataset(Dataset(x, y, name="small"), path)
+        code, stdout, err = run_cli(
+            capsys, "train", "--dataset", path, "--topology", "TCN_A", "--members", "1",
+            "--epochs", "3", "--hidden-units", "3", "--tcn-filters", "4", "--tcn-blocks", "1",
+            "--optimizer", "adam", "--learning-rate", "1e300", "--output", tmp_path / "model")
+        assert code == 1
+        assert err == "error [stage=training]: non-finite loss at epoch 1, batch 0\n"
+        assert stdout == ""
+        assert not (tmp_path / "model" / "model.json").exists()
+
 
 _BAD_VALUES = [
     ("--learning-rate", "0", "learning_rate"),
@@ -523,6 +551,55 @@ def test_bad_value_is_a_configuration_error(command, flag, value, field,
     assert "stage=configuration" in err
     assert field in err
     assert not (tmp_path / "out").exists()
+
+
+class TestAugmentWeightNeedsClusters:
+    """A weight without clusters would change nothing but config.json, so
+    RunConfig refuses it before the dataset is read."""
+
+    @pytest.mark.parametrize("command", ["kfold", "train"])
+    @pytest.mark.parametrize("exists", [True, False])
+    def test_weight_alone_is_a_configuration_error(self, command, exists, dataset_file,
+                                                   tmp_path, capsys):
+        extra = ["--folds", "2"] if command == "kfold" else []
+        dataset = dataset_file if exists else tmp_path / "nope.mlkit"
+        code, stdout, err = run_cli(capsys, command, "--dataset", dataset, *extra,
+                                    "--augment-weight", "7", "--output", tmp_path / "out")
+        assert code == 2
+        assert err == ("error [stage=configuration]: field augment_weight: applies to "
+                       "augmentation only, so it needs augment_clusters\n")
+        assert stdout == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["kfold", "train"])
+    def test_default_weight_alone_is_accepted(self, command):
+        args = build_parser().parse_args([command, "--dataset", "d", "--output", "o",
+                                          "--augment-weight", "1"])
+        assert _run_config(args) == RunConfig(dataset="d", output="o")
+
+
+class TestOutputIsCreatedFirst:
+    """An --output that cannot be a directory ends the run before any unit
+    trains, so no work is lost to it."""
+
+    @pytest.mark.parametrize("command", ["kfold", "train"])
+    def test_existing_file_fails_before_training(self, command, dataset_file, tmp_path,
+                                                 capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(mlenn.ensemble, "train_network",
+                            lambda *args, **kwargs: calls.append(args))
+        out_file = tmp_path / "taken"
+        out_file.write_text("kept\n")
+        extra = ["--folds", "2"] if command == "kfold" else []
+        code, stdout, err = run_cli(capsys, command, "--dataset", dataset_file, *extra,
+                                    "--members", "1", "--hidden-units", "4", "--epochs", "1",
+                                    "--output", out_file)
+        assert code == 1
+        assert err.startswith(f"error [stage={command}]: ") and err.count("\n") == 1
+        assert "File exists" in err
+        assert stdout == ""
+        assert calls == []
+        assert out_file.read_text() == "kept\n"
 
 
 class TestParserMatchesRunConfig:
@@ -578,7 +655,7 @@ class TestClusterCountAboveRows:
         assert code == 1
         assert err == "error [stage=kfold]: cluster count must satisfy 1 <= c <= 18, got 19\n"
         assert stdout == ""
-        assert not (tmp_path / "out").exists()
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_train(self, dataset_file, tmp_path, capsys):
         code, stdout, err = run_cli(
@@ -588,7 +665,7 @@ class TestClusterCountAboveRows:
         assert code == 1
         assert err == "error [stage=train]: cluster count must satisfy 1 <= c <= 36, got 37\n"
         assert stdout == ""
-        assert not (tmp_path / "model").exists()
+        assert list((tmp_path / "model").iterdir()) == []
 
 
 class TestAugmentPreview:
@@ -602,24 +679,28 @@ class TestAugmentPreview:
         assert out_file.read_text() == stdout
 
     @pytest.mark.parametrize("sparse", [False, True])
-    def test_prints_the_virtual_rows_training_appends(self, tmp_path, capsys, sparse):
-        # The sparse file repeats its 4 columns, so its PCA keeps at most 4 of 8.
+    @pytest.mark.parametrize("clusters,centres", [(4, 4), (0, 6)])
+    def test_prints_the_virtual_rows_training_appends(self, tmp_path, capsys, sparse,
+                                                      clusters, centres):
+        # The sparse file repeats its 4 columns, so its PCA keeps at most 4 of
+        # 8. A count of 0 is round(sqrt(36)) = 6 centres, as in kfold and train.
         x, y = banded_task(41, 36, 4, 2)
         path = tmp_path / "toy.mlkit"
         save_dataset(Dataset(np.hstack([x, x]) if sparse else x, y, name="toy", sparse=sparse),
                      path)
         code, stdout, _ = run_cli(capsys, "augment-preview", "--dataset", path,
-                                  "--clusters", "4", "--seed", "5")
+                                  "--clusters", clusters, "--seed", "5")
         assert code == 0
         ds = load_dataset(path)
-        cfg = RunConfig(dataset=str(path), augment_clusters=4, seed=5)
+        cfg = RunConfig(dataset=str(path), augment_clusters=clusters, seed=5)
         _, x, y, weights = fit_training_set(cfg, ds.x, ds.y, ds.sparse, RngStream(5))
-        assert x.shape[0] == ds.n_samples + 4 and weights[ds.n_samples:].tolist() == [1.0] * 4
+        assert x.shape[0] == ds.n_samples + centres
+        assert weights[ds.n_samples:].tolist() == [1.0] * centres
         assert x.shape[1] == 4
         header, *lines = stdout.splitlines()
-        assert header == "# 4 cluster centers for toy (n=36, d=4, l=2)"
+        assert header == f"# {centres} cluster centers for toy (n=36, d=4, l=2)"
         rows = [line.split() for line in lines]
-        assert len(rows) == 4
+        assert len(rows) == centres
         for (_, feats, labels), z, t in zip(rows, x[ds.n_samples:], y[ds.n_samples:]):
             assert feats == "features=" + ",".join(f"{v:.6f}" for v in z)
             assert labels == "labels=" + ",".join(f"{v:.6f}" for v in t)
@@ -640,13 +721,14 @@ class TestAugmentPreview:
         assert stdout == ""
         assert not out_file.exists()
 
-    @pytest.mark.parametrize("clusters", ["0", "-1"])
-    def test_nonpositive_clusters_is_a_configuration_error(self, dataset_file, capsys,
-                                                           tmp_path, clusters):
+    def test_negative_clusters_is_a_configuration_error(self, dataset_file, capsys,
+                                                        tmp_path):
+        # RunConfig's own rule, the one kfold and train apply.
         out_file = tmp_path / "aug.txt"
         code, stdout, err = run_cli(capsys, "augment-preview", "--dataset", dataset_file,
-                                    "--clusters", clusters, "--output", out_file)
+                                    "--clusters", "-1", "--output", out_file)
         assert code == 2
-        assert "stage=configuration" in err and "clusters" in err
+        assert err == ("error [stage=configuration]: "
+                       "field augment_clusters: must be >= 0 (0 = auto)\n")
         assert stdout == ""
         assert not out_file.exists()

@@ -399,12 +399,17 @@ class TestRunConfigValidation:
                                              ("augment_weight", -0.5),
                                              ("augment_weight", float("nan"))])
     def test_bad_augment_named(self, field, value):
-        with pytest.raises(ConfigError, match=f"field {field}"):
-            self._base(**{field: value})
+        with pytest.raises(ConfigError, match=f"field {field}: must be >= 0"):
+            self._base(**{"augment_clusters": 2, field: value})
 
     def test_stratified_needs_folds(self):
         with pytest.raises(ConfigError, match="field stratified"):
             RunConfig(dataset="x", holdout=0.3, stratified=True)
+
+    @pytest.mark.parametrize("weight", [0.0, 0.5, 7.0, float("nan")])
+    def test_augment_weight_needs_clusters(self, weight):
+        with pytest.raises(ConfigError, match="field augment_weight: applies to augmentation"):
+            self._base(augment_weight=weight)
 
     def test_config_keys_pinned(self):
         assert sorted(asdict(RunConfig(dataset="x", folds=2))) == [
